@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DegenerateDof, DomainError
 from .special import chi2_cdf, chi2_quantile, f_cdf, normal_cdf
+from .teststats import effective_sample_size
 
 CONCENTRATION = "concentration_c"
 BOUNDARY = "boundary_d"
@@ -69,13 +70,9 @@ class Regime:
         return cls(kind=BOUNDARY, d=d)
 
 
-def _t_eff(T: int, demeaned: bool) -> int:
-    return T - 1 if demeaned else T
-
-
 def select_regime(p: int, T: int, K: int, demeaned: bool = False) -> Regime:
     """Default regime choice: boundary when T_eff - K - p is small."""
-    t_eff = _t_eff(T, demeaned)
+    t_eff = effective_sample_size(T, demeaned)
     slack = t_eff - K - p
     if slack <= 0:
         raise DomainError(f"need p < T_eff - K, got p={p}, T_eff-K={t_eff - K}")
@@ -101,7 +98,7 @@ def tij_null_pvalue(t: float, regime: Regime) -> float:
 
 def tj_mean_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> float:
     """Exact mean of the column statistic under the null (finite sample)."""
-    slack = _t_eff(T, demeaned) - K - p
+    slack = effective_sample_size(T, demeaned) - K - p
     if slack <= 1:
         raise DegenerateDof(f"mean adjustment needs T_eff - K - p > 1, got {slack}")
     return (slack + 1.0) / (slack - 1.0)
@@ -109,7 +106,7 @@ def tj_mean_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> float:
 
 def tj_variance_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> float:
     """Exact variance of sqrt(p-1) times the column statistic under the null."""
-    t_eff = _t_eff(T, demeaned)
+    t_eff = effective_sample_size(T, demeaned)
     slack = t_eff - K - p
     if slack <= 3:
         raise DegenerateDof(f"variance adjustment needs T_eff - K - p > 3, got {slack}")
@@ -136,7 +133,7 @@ def tj_standardize(
     and scales by the exact null variance.
     """
     if mode == "limit":
-        c = p / (_t_eff(T, demeaned) - K)
+        c = p / (effective_sample_size(T, demeaned) - K)
         if not 0.0 < c < 1.0:
             raise DomainError(f"limit mode needs p/(T_eff-K) in (0,1), got {c}")
         return math.sqrt(p - 1.0) * (t_j - 1.0) * math.sqrt((1.0 - c) / 2.0)
@@ -161,7 +158,7 @@ def tj_boundary_pvalue(t_j: float, d: float) -> float:
 
 def lr_clt_mean(p: int, T: int, K: int, demeaned: bool = False):
     """Centering constant of the log-determinant CLT."""
-    n = _t_eff(T, demeaned) - K
+    n = effective_sample_size(T, demeaned) - K
     if not 0 < p < n:
         raise DomainError(f"need 0 < p < T_eff - K, got p={p}, T_eff-K={n}")
     return (p - 1.0 - n + 1.5) * math.log1p(-p / n) - (n - 1.0) / n * p
@@ -169,7 +166,7 @@ def lr_clt_mean(p: int, T: int, K: int, demeaned: bool = False):
 
 def lr_clt_sigma(p: int, T: int, K: int, demeaned: bool = False):
     """Scale constant of the log-determinant CLT (a variance, see module note)."""
-    n = _t_eff(T, demeaned) - K
+    n = effective_sample_size(T, demeaned) - K
     if not 0 < p < n:
         raise DomainError(f"need 0 < p < T_eff - K, got p={p}, T_eff-K={n}")
     return -2.0 * (p / n + math.log1p(-p / n))
@@ -198,7 +195,7 @@ def tlr_standardize(
         scale = sigma
     else:
         raise DomainError(f"unknown sigma_convention {sigma_convention!r}")
-    t_eff = _t_eff(T, demeaned)
+    t_eff = effective_sample_size(T, demeaned)
     return ((2.0 / t_eff) * np.asarray(ln_t_lr_star) + mean) / scale
 
 
@@ -214,7 +211,7 @@ def tij_noncentral_approx_power(
         raise DomainError(f"crit must be nonnegative, got {crit}")
     if lambda_ij < 0:
         raise DomainError(f"lambda_ij must be nonnegative, got {lambda_ij}")
-    delta = math.sqrt(_t_eff(T, demeaned) - K - p + 2.0) * math.sqrt(lambda_ij)
+    delta = math.sqrt(effective_sample_size(T, demeaned) - K - p + 2.0) * math.sqrt(lambda_ij)
     a = math.sqrt(crit)
     return 1.0 - normal_cdf(a - delta) + normal_cdf(-a - delta)
 

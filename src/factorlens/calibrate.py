@@ -25,6 +25,7 @@ from .errors import (
 )
 from .randmat import SeedSpec, bartlett_factor
 from .special import chi2_quantile, f_quantile
+from .teststats import FactorModelSpec, stats_from_factors
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
@@ -118,8 +119,11 @@ class CriticalValueTable:
 
 
 def _default_chunk(p: int) -> int:
-    # keep per-chunk work arrays near ~64 MiB
-    return max(16, min(4096, 8_388_608 // (p * p)))
+    # Keep a chunk's work arrays near 64 MiB. Per replicate the kernel holds
+    # three p-by-p arrays (factor, its inverse, V) and up to four arrays of
+    # p(p-1)/2 pair values at once.
+    per_replicate = 8 * (3 * p * p + 2 * p * (p - 1))
+    return max(1, min(4096, 64 * 2**20 // per_replicate))
 
 
 def simulate_null_statistics(
@@ -132,86 +136,45 @@ def simulate_null_statistics(
     master_seed: int,
     demeaned: bool = False,
     chunk_size: int | None = None,
-    scale_diag: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Null samples of the requested statistics over seeded Wishart replicates.
 
     Replicate r draws its Bartlett factor from substream (master_seed, r);
-    the linear algebra is evaluated in chunks but each replicate's result
-    is independent of the chunking. scale_diag, when given, replaces the
-    identity Wishart parameter with diag(scale_diag)^2; it exists to verify
-    the diagonal-rescaling invariance of the calibration and must not change
-    any statistic.
+    the statistics kernel runs on chunks of factors, but each replicate's
+    result is independent of the chunking.
     """
     statistics = tuple(statistics)
     known = set(STATISTICS) | set(MARGINAL_STATISTICS)
     for s in statistics:
         if s not in known:
             raise DomainError(f"unknown statistic {s!r}")
-    t_eff = T - 1 if demeaned else T
-    if p < 2 or p + K >= t_eff:
-        raise BadDimension(f"need 2 <= p and p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
+    t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     if reps < 1:
         raise DomainError("reps must be positive")
-    n = t_eff - K
-    dof = t_eff - K - p + 1
-
-    need_pairs = bool({"T_el", "T_ij_21"} & set(statistics))
-    need_cols = bool({"T_pr", "T_j_1"} & set(statistics))
-    lr_keys = {"T_LR", "ln_T_LR_star", "T_LR_standardized"} & set(statistics)
-
-    if "T_LR" in lr_keys:
-        rho = 1.0 - (2.0 * p + 5.0) / (6.0 * (t_eff - K))
-        if rho <= 0.0:
-            raise DomainError(f"Bartlett correction factor rho={rho:.4f} not positive")
-
-    rows, cols = (np.tril_indices(p, -1) if need_pairs else (None, None))
-    eye = np.eye(p)
+    columns = {
+        "T_el": lambda k: k.t_ij.max(axis=1),
+        "T_ij_21": lambda k: k.t_ij[:, 0],
+        "T_pr": lambda k: k.t_j.max(axis=1),
+        "T_j_1": lambda k: k.t_j[:, 0],
+        "ln_T_LR_star": lambda k: k.ln_t_lr_star,
+        "T_LR": lambda k: k.t_lr,
+        "T_LR_standardized": lambda k: asymptotics.tlr_standardize(
+            k.ln_t_lr_star, p, T, K, demeaned
+        ),
+    }
     chunk = chunk_size or _default_chunk(p)
     out = {s: np.empty(reps) for s in statistics}
-
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
-        m = stop - start
-        a = np.empty((m, p, p))
+        factors = np.empty((stop - start, p, p))
         for r in range(start, stop):
-            a[r - start] = bartlett_factor(p, n, SeedSpec(master_seed, r).generator())
-        if scale_diag is not None:
-            a *= np.asarray(scale_diag, dtype=float)[:, None]
-        diag_w = np.einsum("rij,rij->ri", a, a)
-        diag_a = np.diagonal(a, axis1=1, axis2=2)
-        ln_det_w = 2.0 * np.log(diag_a).sum(axis=1)
-
-        if need_pairs or need_cols:
-            a_inv = np.linalg.solve(a, eye)
-            diag_v = np.einsum("rkj,rkj->rj", a_inv, a_inv)
-        if need_cols:
-            t_cols = (dof / (p - 1)) * np.maximum(diag_v * diag_w - 1.0, 0.0)
-            if "T_pr" in out:
-                out["T_pr"][start:stop] = t_cols.max(axis=1)
-            if "T_j_1" in out:
-                out["T_j_1"][start:stop] = t_cols[:, 0]
-        if need_pairs:
-            v = np.matmul(np.swapaxes(a_inv, 1, 2), a_inv)
-            vij = v[:, rows, cols]
-            g2 = vij * vij / (diag_v[:, rows] * diag_v[:, cols])
-            tij = dof * g2 / (1.0 - g2)
-            if "T_el" in out:
-                out["T_el"][start:stop] = tij.max(axis=1)
-            if "T_ij_21" in out:
-                out["T_ij_21"][start:stop] = tij[:, 0]
-        if lr_keys:
-            ln_star = np.maximum(
-                -(t_eff / 2.0) * (ln_det_w - np.log(diag_w).sum(axis=1)), 0.0
+            factors[r - start] = bartlett_factor(
+                p, t_eff - K, SeedSpec(master_seed, r).generator()
             )
-            if "ln_T_LR_star" in out:
-                out["ln_T_LR_star"][start:stop] = ln_star
-            if "T_LR" in out:
-                out["T_LR"][start:stop] = 2.0 * rho * ((t_eff - K) / t_eff) * ln_star
-            if "T_LR_standardized" in out:
-                out["T_LR_standardized"][start:stop] = asymptotics.tlr_standardize(
-                    ln_star, p, T, K, demeaned
-                )
+        kernel = stats_from_factors(factors, t_eff, K)
+        for s in statistics:
+            out[s][start:stop] = columns[s](kernel)
+        del factors, kernel  # release this chunk's arrays before drawing the next
     return out
 
 
@@ -319,7 +282,7 @@ def bonferroni_critical_el(
     alpha: float, p: int, T: int, K: int, demeaned: bool = False
 ) -> float:
     """Bonferroni critical value for the max pair statistic."""
-    dof = _dof_n(p, T, K, demeaned)
+    dof = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).dof_n
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return f_quantile(1.0 - 2.0 * alpha / (p * (p - 1)), 1, dof)
@@ -329,7 +292,7 @@ def bonferroni_critical_pr(
     alpha: float, p: int, T: int, K: int, demeaned: bool = False
 ) -> float:
     """Bonferroni critical value for the max column statistic."""
-    dof = _dof_n(p, T, K, demeaned)
+    dof = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).dof_n
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return f_quantile(1.0 - alpha / p, p - 1, dof)
@@ -342,14 +305,6 @@ def lr_chi2_critical(alpha: float, p: int) -> float:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     return chi2_quantile(1.0 - alpha, p * (p - 1) / 2.0)
-
-
-def _dof_n(p: int, T: int, K: int, demeaned: bool) -> int:
-    t_eff = T - 1 if demeaned else T
-    dof = t_eff - K - p + 1
-    if p < 2 or dof < 1:
-        raise BadDimension(f"invalid dimensions p={p}, T={T}, K={K}, demeaned={demeaned}")
-    return dof
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:

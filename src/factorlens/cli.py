@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--table",
         action="append",
         default=[],
-        help="JSON critical-value table file (repeatable)",
+        help="table JSON (repeatable); p-values need calibrate --keep-null-sample",
     )
     test.add_argument("--out", required=True, help="output report JSON")
 
@@ -115,7 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="T_el,T_pr,T_LR",
         help=f"comma-separated subset of {','.join(STATISTICS)}",
     )
-    cal.add_argument("--keep-null-sample", action="store_true")
+    cal.add_argument(
+        "--keep-null-sample", action="store_true", help="test --table needs it for p-values"
+    )
     cal.add_argument("--out", required=True, help="output table JSON")
     cal.add_argument("--csv", default=None, help="optional flat CSV export")
 

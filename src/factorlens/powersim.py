@@ -14,26 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import (
-    CriticalValueTable,
-    bonferroni_critical_el,
-    bonferroni_critical_pr,
-    lr_chi2_critical,
-)
-from .errors import (
-    BadDimension,
-    DomainError,
-    MissingCalibration,
-    NotPositiveDefinite,
-)
+from .calibrate import CriticalValueTable
+from .errors import BadDimension, DomainError
 from .linalg import SymMatrix, cholesky, invert_spd
 from .randmat import SeedSpec
-from .teststats import compute_all, precision_stats_from_data
+from .report import TESTS, calibrated_criticals, closed_form_criticals, observed_statistics
+from .teststats import FactorModelSpec, compute_all, precision_stats_from_data
 
 SCENARIOS = ("s1_single_corr", "s2_column", "s3_ar1", "s4_extra_factors")
 _ALIASES = {"s1": "s1_single_corr", "s2": "s2_column", "s3": "s3_ar1", "s4": "s4_extra_factors"}
-
-TESTS = ("T_el", "T_pr", "T_LR")
 
 CALIBRATED = "calibrated"
 CLOSED_FORM = "bonferroni_or_asymptotic"
@@ -176,36 +165,6 @@ class PowerCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def _closed_form_criticals(cfg: ScenarioConfig) -> dict[str, float]:
-    return {
-        "T_el": bonferroni_critical_el(cfg.alpha, cfg.p, cfg.T, cfg.K),
-        "T_pr": bonferroni_critical_pr(cfg.alpha, cfg.p, cfg.T, cfg.K),
-        "T_LR": lr_chi2_critical(cfg.alpha, cfg.p),
-    }
-
-
-def _calibrated_criticals(
-    cfg: ScenarioConfig, tables: dict[str, CriticalValueTable] | None
-) -> dict[str, float]:
-    if tables is None:
-        raise MissingCalibration(
-            "critical_source='calibrated' needs a table per test; calibrate first"
-        )
-    out = {}
-    for test in TESTS:
-        table = tables.get(test)
-        if table is None:
-            raise MissingCalibration(f"no calibration table for {test}")
-        if (table.p, table.T, table.K) != (cfg.p, cfg.T, cfg.K) or table.demeaned:
-            raise MissingCalibration(
-                f"table for {test} was calibrated at p={table.p}, T={table.T}, "
-                f"K={table.K}, demeaned={table.demeaned}; study needs "
-                f"p={cfg.p}, T={cfg.T}, K={cfg.K}, demeaned=False"
-            )
-        out[test] = table.critical_value(cfg.alpha)
-    return out
-
-
 def run_power_study(
     cfg: ScenarioConfig,
     grid,
@@ -219,10 +178,11 @@ def run_power_study(
     otherwise Bonferroni (max statistics) and chi-square (likelihood ratio)
     critical values are used.
     """
+    model = FactorModelSpec(p=cfg.p, K=cfg.K, T=cfg.T)
     if critical_source == CALIBRATED:
-        criticals = _calibrated_criticals(cfg, tables)
+        criticals = calibrated_criticals(tables, model, cfg.alpha)
     elif critical_source == CLOSED_FORM:
-        criticals = _closed_form_criticals(cfg)
+        criticals = closed_form_criticals(model, cfg.alpha)
     else:
         raise DomainError(f"unknown critical source {critical_source!r}")
     grid = tuple(grid)
@@ -233,8 +193,7 @@ def run_power_study(
         for rep in range(cfg.reps):
             X, F = generate_dataset(cfg, value, rep)
             ps = precision_stats_from_data(X, F if cfg.K else None)
-            stats = compute_all(ps)
-            observed = {"T_el": stats.t_el, "T_pr": stats.t_pr, "T_LR": stats.t_lr}
+            observed = observed_statistics(compute_all(ps))
             for test in TESTS:
                 if observed[test] > criticals[test]:
                     counts[test][gi] += 1

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import BadDimension
 from .linalg import LowerTriangular, SymMatrix
-from .teststats import PrecisionStats
+from .teststats import PrecisionStats, effective_sample_size
 
 _UINT64_BOUND = 2**64
 
@@ -63,13 +62,6 @@ def sample_wishart_identity(p: int, n: int, seed: SeedSpec) -> SymMatrix:
     return SymMatrix(a @ a.T)
 
 
-def _invert_lower_triangular(a: np.ndarray) -> np.ndarray:
-    inv, info = lapack.dtrtri(a, lower=1)
-    if info != 0:
-        raise BadDimension(f"triangular inversion failed with info={info}")
-    return inv
-
-
 def sample_V11_null(
     p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False
 ) -> PrecisionStats:
@@ -81,25 +73,11 @@ def sample_V11_null(
     its (irrelevant) diagonal; the Wishart direction is sampled because
     Bartlett gives its factor directly.
     """
-    t_eff = T - 1 if demeaned else T
+    t_eff = effective_sample_size(T, demeaned)
     if p + K >= t_eff:
         raise BadDimension(f"need p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
     a = bartlett_factor(p, t_eff - K, seed.generator())
-    w = a @ a.T
-    a_inv = _invert_lower_triangular(a)
-    v11 = a_inv.T @ a_inv
-    return PrecisionStats(
-        p=p,
-        T=T,
-        K=K,
-        demeaned=demeaned,
-        dof_n=t_eff - K - p + 1,
-        V11=SymMatrix(v11),
-        V11_inv=SymMatrix(w),
-        diag_v11=np.diagonal(v11).copy(),
-        diag_v11_inv=np.diagonal(w).copy(),
-        ln_det_v11_inv=2.0 * float(np.sum(np.log(np.diagonal(a)))),
-    )
+    return PrecisionStats.from_factor(a, T, K, demeaned)
 
 
 def sample_mvn(

@@ -140,6 +140,38 @@ def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -
         )
 
 
+def observed_statistics(stats: TestStatistics) -> dict[str, float]:
+    """The statistic each global test compares with its critical value."""
+    return {"T_el": stats.t_el, "T_pr": stats.t_pr, "T_LR": stats.t_lr}
+
+
+def calibrated_criticals(
+    tables: dict[str, CriticalValueTable] | None, model: FactorModelSpec, alpha: float
+) -> dict[str, float]:
+    """Critical value of each test from its calibration table, checked against model."""
+    if tables is None:
+        raise MissingCalibration(
+            "calibrated critical values need a table per test; calibrate first"
+        )
+    criticals = {}
+    for name in TESTS:
+        table = tables.get(name)
+        if table is None:
+            raise MissingCalibration(f"no calibration table supplied for {name}")
+        _check_table(table, model, name)
+        criticals[name] = table.critical_value(alpha)
+    return criticals
+
+
+def closed_form_criticals(model: FactorModelSpec, alpha: float) -> dict[str, float]:
+    """Bonferroni critical values for the max statistics, chi-square for T_LR."""
+    return {
+        "T_el": bonferroni_critical_el(alpha, model.p, model.T, model.K, model.demeaned),
+        "T_pr": bonferroni_critical_pr(alpha, model.p, model.T, model.K, model.demeaned),
+        "T_LR": lr_chi2_critical(alpha, model.p),
+    }
+
+
 def run_tests(
     panel: ReturnsPanel,
     *,
@@ -167,7 +199,7 @@ def run_tests(
 
     calibration_meta = None
     regime_meta = None
-    decisions: dict[str, TestDecision] = {}
+    observed = observed_statistics(stats)
 
     if source == REQUEST_CALIBRATED:
         if tables is None:
@@ -182,33 +214,31 @@ def run_tests(
                 master_seed=calibration_seed,
                 keep_null_sample=True,
             )
-        observed = {"T_el": stats.t_el, "T_pr": stats.t_pr, "T_LR": stats.t_lr}
-        for name in TESTS:
-            table = tables.get(name)
-            if table is None:
-                raise MissingCalibration(f"no calibration table supplied for {name}")
-            _check_table(table, model, name)
-            crit = table.critical_value(alpha)
-            decisions[name] = TestDecision(
-                statistic_value=observed[name],
-                critical_value=crit,
-                source=SOURCE_CALIBRATED,
-                p_value=empirical_pvalue(observed[name], table),
-                reject=observed[name] > crit,
-            )
+        criticals = calibrated_criticals(tables, model, alpha)
+        p_values = {name: empirical_pvalue(observed[name], tables[name]) for name in TESTS}
+        sources = dict.fromkeys(TESTS, SOURCE_CALIBRATED)
+        decisions = _decisions(observed, criticals, p_values, sources)
         any_table = tables[TESTS[0]]
         calibration_meta = {"master_seed": any_table.master_seed, "reps": any_table.reps}
     elif source == REQUEST_CLOSED_FORM:
-        decisions["T_el"] = _closed_form_el(stats, model, alpha)
-        decisions["T_pr"] = _closed_form_pr(stats, model, alpha)
-        decisions["T_LR"] = _closed_form_lr(stats, model, alpha)
+        pairs = model.p * (model.p - 1) / 2.0
+        p_values = {
+            "T_el": min(1.0, pairs * (1.0 - f_cdf(stats.t_el, 1, model.dof_n))),
+            "T_pr": min(1.0, model.p * (1.0 - f_cdf(stats.t_pr, model.p - 1, model.dof_n))),
+            "T_LR": 1.0 - chi2_cdf(stats.t_lr, pairs),
+        }
+        sources = {"T_el": SOURCE_BONFERRONI, "T_pr": SOURCE_BONFERRONI, "T_LR": SOURCE_CHI2}
+        criticals = closed_form_criticals(model, alpha)
+        decisions = _decisions(observed, criticals, p_values, sources)
     else:  # highdim
         regime = regime or asymptotics.select_regime(
             model.p, model.T, model.K, model.demeaned
         )
-        decisions["T_el"] = _highdim_el(stats, model, alpha, regime)
-        decisions["T_pr"] = _highdim_pr(stats, model, alpha, regime)
-        decisions["T_LR"] = _highdim_lr(stats, model, alpha)
+        decisions = {
+            "T_el": _highdim_el(stats, model, alpha, regime),
+            "T_pr": _highdim_pr(stats, model, alpha, regime),
+            "T_LR": _highdim_lr(stats, model, alpha),
+        }
         regime_meta = {
             "kind": regime.kind,
             "c": regime.c,
@@ -226,24 +256,14 @@ def run_tests(
     )
 
 
-def _closed_form_el(stats, model, alpha) -> TestDecision:
-    m = model.p * (model.p - 1) / 2.0
-    crit = bonferroni_critical_el(alpha, model.p, model.T, model.K, model.demeaned)
-    pval = min(1.0, m * (1.0 - f_cdf(stats.t_el, 1, model.dof_n)))
-    return TestDecision(stats.t_el, crit, SOURCE_BONFERRONI, pval, stats.t_el > crit)
-
-
-def _closed_form_pr(stats, model, alpha) -> TestDecision:
-    crit = bonferroni_critical_pr(alpha, model.p, model.T, model.K, model.demeaned)
-    pval = min(1.0, model.p * (1.0 - f_cdf(stats.t_pr, model.p - 1, model.dof_n)))
-    return TestDecision(stats.t_pr, crit, SOURCE_BONFERRONI, pval, stats.t_pr > crit)
-
-
-def _closed_form_lr(stats, model, alpha) -> TestDecision:
-    crit = lr_chi2_critical(alpha, model.p)
-    dof = model.p * (model.p - 1) / 2.0
-    pval = 1.0 - chi2_cdf(stats.t_lr, dof)
-    return TestDecision(stats.t_lr, crit, SOURCE_CHI2, pval, stats.t_lr > crit)
+def _decisions(observed, criticals, p_values, sources) -> dict[str, TestDecision]:
+    return {
+        name: TestDecision(
+            observed[name], criticals[name], sources[name], p_values[name],
+            observed[name] > criticals[name],
+        )
+        for name in TESTS
+    }
 
 
 def _highdim_el(stats, model, alpha, regime) -> TestDecision:
@@ -321,9 +341,9 @@ def batch_subset_test(
     With calibrated criticals the table is computed once for the subset
     dimensions and reused.
     """
-    if not 1 <= subset_size <= panel.p:
+    if not 2 <= subset_size <= panel.p:
         raise DomainError(
-            f"subset_size must lie in [1, {panel.p}], got {subset_size}"
+            f"subset_size must lie in [2, {panel.p}], got {subset_size}"
         )
     if num_subsets < 1:
         raise DomainError("num_subsets must be positive")

@@ -1,17 +1,25 @@
-"""The five test statistics computed from a sample-precision block.
+"""The five test statistics, computed by one kernel over Cholesky factors.
 
-All statistics are functions of the p-by-p leading block of the inverse
-scaled sample covariance of the stacked (responses, factors) data. Indices
-in the public API are 1-based to match the usual (i, j) labelling of
-matrix entries; the pair statistic is defined for 1 <= j < i <= p.
+All statistics are functions of the p-by-p leading block V11 of the inverse
+scaled sample covariance of the stacked (responses, factors) data. Its
+inverse is the residual scatter E of the responses on the factors, so a
+lower factor L of E is all the kernel needs. Step one turns L into the
+precision block V = L^-T L^-1, diag V, diag E and ln det E; step two applies
+the formulas to those four arrays. Under the null, the Bartlett factor of an
+identity-parameter Wishart draw is such a factor, so calibration and real
+data share the kernel. Indices in the public API are 1-based to match the
+usual (i, j) labelling of matrix entries; the pair statistic is defined for
+1 <= j < i <= p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     BadDimension,
     BadIndex,
@@ -19,7 +27,104 @@ from .errors import (
     NotPositiveDefinite,
     Singular,
 )
-from .linalg import SymMatrix, invert_spd, log_det_spd, top_left_block
+from .linalg import SymMatrix, invert_spd, log_det_spd
+
+
+def effective_sample_size(T: int, demeaned: bool) -> int:
+    """Observations left for estimation; demeaning consumes one."""
+    return T - 1 if demeaned else T
+
+
+def denominator_dof(t_eff: int, K: int, p: int) -> int:
+    """Denominator degrees of freedom dof_n of the marginal F laws."""
+    return t_eff - K - p + 1
+
+
+# Step two of the kernel: the formulas, over arrays with any leading batch axes.
+
+def _pair_formula(v: np.ndarray, diag_v: np.ndarray, dof_n: int) -> np.ndarray:
+    """dof_n * g^2 / (1 - g^2) with g = v_ij / sqrt(v_ii v_jj), pairs in tril order."""
+    rows, cols = np.tril_indices(v.shape[-1], -1)
+    vij = v[..., rows, cols]
+    g2 = vij * vij / (diag_v[..., rows] * diag_v[..., cols])
+    return dof_n * g2 / (1.0 - g2)
+
+
+def _column_formula(diag_v: np.ndarray, diag_e: np.ndarray, dof_n: int) -> np.ndarray:
+    """dof_n / (p-1) * (v_jj e_jj - 1), clipped at zero against rounding."""
+    p = diag_v.shape[-1]
+    return (dof_n / (p - 1)) * np.maximum(diag_v * diag_e - 1.0, 0.0)
+
+
+def _ln_lr_star_formula(diag_e: np.ndarray, ln_det_e, t_eff: int):
+    """-(T_eff/2) * (ln det E - sum ln diag E), clipped at zero against rounding."""
+    return np.maximum(-(t_eff / 2.0) * (ln_det_e - np.log(diag_e).sum(axis=-1)), 0.0)
+
+
+def _t_lr_formula(ln_t_lr_star, p: int, t_eff: int, K: int):
+    """2 * rho * ((T_eff - K)/T_eff) * ln T_LR* with rho = 1 - (2p+5)/(6(T_eff-K))."""
+    rho = 1.0 - (2.0 * p + 5.0) / (6.0 * (t_eff - K))
+    if rho <= 0.0:
+        raise DegenerateCorrection(
+            f"correction factor rho={rho:.4f} not positive for p={p}, "
+            f"T_eff={t_eff}, K={K}"
+        )
+    return 2.0 * rho * ((t_eff - K) / t_eff) * ln_t_lr_star
+
+
+class FactorStats:
+    """Statistics of m datasets from lower factors L[m, p, p] of their residual scatters.
+
+    The inverse, V and the pair and column statistics are computed on first
+    use and kept, so ln T_LR* costs no inverse and the column statistics no
+    p-by-p product. Pairs are ordered (2,1), (3,1), (3,2), ... on the last axis.
+    """
+
+    def __init__(self, L: np.ndarray, t_eff: int, K: int) -> None:
+        self.p = L.shape[-1]
+        self.t_eff = t_eff
+        self.K = K
+        self.dof_n = denominator_dof(t_eff, K, self.p)
+        self.L = L
+        # step one: factors -> (V, diag V, diag E, ln det E)
+        self.diag_e = np.einsum("rij,rij->ri", L, L)
+        self.ln_det_e = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        self.ln_t_lr_star = _ln_lr_star_formula(self.diag_e, self.ln_det_e, t_eff)
+
+    @cached_property
+    def _l_inv(self) -> np.ndarray:
+        return np.linalg.solve(self.L, np.eye(self.p))
+
+    @cached_property
+    def diag_v(self) -> np.ndarray:
+        return np.einsum("rkj,rkj->rj", self._l_inv, self._l_inv)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return np.matmul(np.swapaxes(self._l_inv, 1, 2), self._l_inv)
+
+    # step two
+    @cached_property
+    def t_ij(self) -> np.ndarray:
+        return _pair_formula(self.v, self.diag_v, self.dof_n)
+
+    @cached_property
+    def t_j(self) -> np.ndarray:
+        return _column_formula(self.diag_v, self.diag_e, self.dof_n)
+
+    @property
+    def t_lr(self) -> np.ndarray:
+        return _t_lr_formula(self.ln_t_lr_star, self.p, self.t_eff, self.K)
+
+
+def stats_from_factors(L: np.ndarray, t_eff: int, K: int) -> FactorStats:
+    """The statistics kernel: lower factors L[m, p, p] of E, computed lazily."""
+    if L.ndim != 3 or L.shape[1] != L.shape[2]:
+        raise BadDimension(f"expected a stack of square factors, got shape {L.shape}")
+    dof_n = denominator_dof(t_eff, K, L.shape[-1])
+    if dof_n < 1:
+        raise BadDimension(f"dof_n must be >= 1, got {dof_n}")
+    return FactorStats(L, t_eff, K)
 
 
 @dataclass(frozen=True)
@@ -44,13 +149,11 @@ class FactorModelSpec:
 
     @property
     def t_eff(self) -> int:
-        """Effective sample size; demeaning consumes one observation."""
-        return self.T - 1 if self.demeaned else self.T
+        return effective_sample_size(self.T, self.demeaned)
 
     @property
     def dof_n(self) -> int:
-        """Denominator degrees of freedom of the marginal statistics."""
-        return self.t_eff - self.K - self.p + 1
+        return denominator_dof(self.t_eff, self.K, self.p)
 
 
 @dataclass(frozen=True)
@@ -66,7 +169,7 @@ class PrecisionStats:
     V11_inv: SymMatrix
     diag_v11: np.ndarray
     diag_v11_inv: np.ndarray
-    # cached log det of V11_inv when the producer already has the factor
+    # log det of V11_inv, set when the bundle was built from its factor
     ln_det_v11_inv: float | None = None
 
     def __post_init__(self) -> None:
@@ -84,7 +187,7 @@ class PrecisionStats:
 
     @property
     def t_eff(self) -> int:
-        return self.T - 1 if self.demeaned else self.T
+        return effective_sample_size(self.T, self.demeaned)
 
     @classmethod
     def from_v11(
@@ -93,24 +196,36 @@ class PrecisionStats:
         """Build the bundle from a given precision block (inverts it once)."""
         if not isinstance(v11, SymMatrix):
             v11 = SymMatrix(v11)
-        t_eff = T - 1 if demeaned else T
-        p = v11.dim
-        dof_n = t_eff - K - p + 1
-        if dof_n < 1:
-            raise BadDimension(
-                f"T={T}, K={K}, p={p} leave no degrees of freedom (dof_n={dof_n})"
-            )
         inv = invert_spd(v11)
         return cls(
-            p=p,
+            p=v11.dim,
             T=T,
             K=K,
             demeaned=demeaned,
-            dof_n=dof_n,
+            dof_n=denominator_dof(effective_sample_size(T, demeaned), K, v11.dim),
             V11=v11,
             V11_inv=inv,
             diag_v11=v11.diag(),
             diag_v11_inv=inv.diag(),
+        )
+
+    @classmethod
+    def from_factor(
+        cls, L: np.ndarray, T: int, K: int, demeaned: bool = False
+    ) -> "PrecisionStats":
+        """Build the bundle from a lower factor L of V11_inv (the kernel's step one)."""
+        kernel = stats_from_factors(L[None], effective_sample_size(T, demeaned), K)
+        return cls(
+            p=kernel.p,
+            T=T,
+            K=K,
+            demeaned=demeaned,
+            dof_n=kernel.dof_n,
+            V11=SymMatrix(kernel.v[0]),
+            V11_inv=SymMatrix(L @ L.T),
+            diag_v11=kernel.diag_v[0],
+            diag_v11_inv=kernel.diag_e[0],
+            ln_det_v11_inv=float(kernel.ln_det_e[0]),
         )
 
 
@@ -135,7 +250,9 @@ def precision_stats_from_data(
 
     The stacked covariance uses divisor T (population-mean-zero model) or,
     with demeaned=True, column-centered data with divisor T-1; the precision
-    is the inverse of T_eff times that covariance.
+    is the inverse of T_eff times that covariance. With the factors stacked
+    first, the trailing p-by-p block of the scatter's Cholesky factor is a
+    factor of the residual scatter E = V11^-1, so one factorization suffices.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if F is None:
@@ -147,35 +264,17 @@ def precision_stats_from_data(
         raise BadDimension(
             f"responses have T={T} observations but factors have {F.shape[1]}"
         )
-    t_eff = T - 1 if demeaned else T
+    t_eff = effective_sample_size(T, demeaned)
     if p + K >= t_eff:
         raise BadDimension(f"need p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
-    Y = np.vstack([X, F]) if K else X
+    Y = np.vstack([F, X])
     if demeaned:
-        Yc = Y - Y.mean(axis=1, keepdims=True)
-        scatter = Yc @ Yc.T  # == T_eff * demeaned covariance
-    else:
-        scatter = Y @ Y.T  # == T * plain covariance
+        Y = Y - Y.mean(axis=1, keepdims=True)
     try:
-        V = invert_spd(SymMatrix(scatter))
+        factor = linalg.cholesky(SymMatrix(Y @ Y.T)).data  # scatter == T_eff * covariance
     except NotPositiveDefinite as exc:
         raise Singular(f"stacked covariance is not positive definite: {exc}") from None
-    v11 = top_left_block(V, p)
-    try:
-        inv = invert_spd(v11)
-    except NotPositiveDefinite as exc:
-        raise Singular(f"precision block is not positive definite: {exc}") from None
-    return PrecisionStats(
-        p=p,
-        T=T,
-        K=K,
-        demeaned=demeaned,
-        dof_n=t_eff - K - p + 1,
-        V11=v11,
-        V11_inv=inv,
-        diag_v11=v11.diag(),
-        diag_v11_inv=inv.diag(),
-    )
+    return PrecisionStats.from_factor(factor[K:, K:], T, K, demeaned)
 
 
 def pairwise_t_ij(ps: PrecisionStats) -> np.ndarray:
@@ -186,20 +285,16 @@ def pairwise_t_ij(ps: PrecisionStats) -> np.ndarray:
     """
     if ps.p < 2:
         raise BadDimension("pair statistics need p >= 2")
-    rows, cols = np.tril_indices(ps.p, -1)
-    v = ps.V11.data
-    d = ps.diag_v11
-    g2 = v[rows, cols] ** 2 / (d[rows] * d[cols])
-    return ps.dof_n * g2 / (1.0 - g2)
+    return _pair_formula(ps.V11.data, ps.diag_v11, ps.dof_n)
 
 
 def stat_t_ij(ps: PrecisionStats, i: int, j: int) -> float:
     """Pair statistic for 1 <= j < i <= p (1-based indices)."""
     if not (1 <= j < i <= ps.p):
         raise BadIndex(f"need 1 <= j < i <= p, got i={i}, j={j}, p={ps.p}")
-    v = ps.V11.data
-    g2 = v[i - 1, j - 1] ** 2 / (ps.diag_v11[i - 1] * ps.diag_v11[j - 1])
-    return float(ps.dof_n * g2 / (1.0 - g2))
+    pair = [j - 1, i - 1]  # the 2-by-2 block whose one pair is (i, j)
+    block = ps.V11.data[np.ix_(pair, pair)]
+    return float(_pair_formula(block, ps.diag_v11[pair], ps.dof_n)[0])
 
 
 def _argmax_smallest_index(values: np.ndarray) -> int:
@@ -221,23 +316,20 @@ def all_t_j(ps: PrecisionStats) -> np.ndarray:
     """All p column statistics dof_n / (p-1) * (v_jj v_jj^(inv) - 1)."""
     if ps.p < 2:
         raise BadDimension("column statistics need p >= 2")
-    raw = ps.diag_v11 * ps.diag_v11_inv - 1.0
-    return ps.dof_n / (ps.p - 1) * np.maximum(raw, 0.0)
+    return _column_formula(ps.diag_v11, ps.diag_v11_inv, ps.dof_n)
 
 
 def stat_t_j(ps: PrecisionStats, j: int) -> float:
     """Column statistic for 1 <= j <= p (1-based)."""
     if not 1 <= j <= ps.p:
         raise BadIndex(f"need 1 <= j <= p, got j={j}, p={ps.p}")
-    raw = ps.diag_v11[j - 1] * ps.diag_v11_inv[j - 1] - 1.0
-    return float(ps.dof_n / (ps.p - 1) * max(raw, 0.0))
+    return float(all_t_j(ps)[j - 1])
 
 
 def stat_t_pr(ps: PrecisionStats) -> tuple[float, int]:
     """Maximum column statistic and its column (1-based), smallest j on ties."""
     values = all_t_j(ps)
-    j = _argmax_smallest_index(values)
-    return float(values.max()), j + 1
+    return float(values.max()), _argmax_smallest_index(values) + 1
 
 
 def stat_ln_t_lr_star(ps: PrecisionStats) -> float:
@@ -252,8 +344,7 @@ def stat_ln_t_lr_star(ps: PrecisionStats) -> float:
         ln_det = ps.ln_det_v11_inv
     else:
         ln_det = log_det_spd(ps.V11_inv)
-    value = -(ps.t_eff / 2.0) * (ln_det - float(np.sum(np.log(ps.diag_v11_inv))))
-    return max(value, 0.0)
+    return float(_ln_lr_star_formula(ps.diag_v11_inv, ln_det, ps.t_eff))
 
 
 def stat_t_lr(ps: PrecisionStats) -> float:
@@ -263,13 +354,7 @@ def stat_t_lr(ps: PrecisionStats) -> float:
     rho = 1 - (2p+5)/(6(T_eff-K)); the reference law has p(p-1)/2 degrees
     of freedom.
     """
-    rho = 1.0 - (2.0 * ps.p + 5.0) / (6.0 * (ps.t_eff - ps.K))
-    if rho <= 0.0:
-        raise DegenerateCorrection(
-            f"correction factor rho={rho:.4f} not positive for p={ps.p}, "
-            f"T_eff={ps.t_eff}, K={ps.K}"
-        )
-    return 2.0 * rho * ((ps.t_eff - ps.K) / ps.t_eff) * stat_ln_t_lr_star(ps)
+    return float(_t_lr_formula(stat_ln_t_lr_star(ps), ps.p, ps.t_eff, ps.K))
 
 
 def compute_all(ps: PrecisionStats, keep_marginals: bool = False) -> TestStatistics:
@@ -277,14 +362,13 @@ def compute_all(ps: PrecisionStats, keep_marginals: bool = False) -> TestStatist
     t_el, el_arg = stat_t_el(ps)
     t_pr, pr_arg = stat_t_pr(ps)
     ln_star = stat_ln_t_lr_star(ps)
-    t_lr = stat_t_lr(ps)
     return TestStatistics(
         t_el=t_el,
         t_el_argmax=el_arg,
         t_pr=t_pr,
         t_pr_argmax=pr_arg,
         ln_t_lr_star=ln_star,
-        t_lr=t_lr,
+        t_lr=float(_t_lr_formula(ln_star, ps.p, ps.t_eff, ps.K)),
         all_t_ij=pairwise_t_ij(ps) if keep_marginals else None,
         all_t_j=all_t_j(ps) if keep_marginals else None,
     )

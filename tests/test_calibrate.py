@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from factorlens import (
     simulate_null_statistics,
 )
 from factorlens.calibrate import (
+    MARGINAL_STATISTICS,
+    STATISTICS,
     CriticalValueTable,
     load_tables_json,
     save_tables_json,
@@ -30,7 +33,8 @@ from factorlens.errors import (
     EmptySample,
     MissingNullSample,
 )
-from factorlens.teststats import compute_all
+from factorlens.randmat import bartlett_factor
+from factorlens.teststats import compute_all, stats_from_factors
 
 P, T, K = 6, 40, 2
 REPS = 2000
@@ -70,6 +74,31 @@ def test_engine_chunk_size_invariance():
     assert np.array_equal(a["T_el"], b["T_el"])
 
 
+@pytest.mark.parametrize("p, T, reps", [(20, 104, 300), (100, 518, 200)])
+def test_engine_chunk_size_invariance_all_statistics(p, T, reps):
+    names = STATISTICS + MARGINAL_STATISTICS
+    ref = simulate_null_statistics(names, p, T, K, reps=reps, master_seed=1)
+    for chunk in (7, 64, reps):
+        out = simulate_null_statistics(
+            names, p, T, K, reps=reps, master_seed=1, chunk_size=chunk
+        )
+        for name in names:
+            assert np.array_equal(out[name], ref[name]), (name, chunk)
+
+
+def test_engine_default_chunk_bounds_memory():
+    # the default chunk budgets every work array, not only one p-by-p stack
+    tracemalloc.start()
+    try:
+        simulate_null_statistics(
+            ("T_el", "T_pr", "T_LR_standardized"), 100, 518, 1, reps=600, master_seed=1
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
+
+
 def test_engine_marginal_statistics_match():
     from factorlens.teststats import stat_t_ij, stat_t_j
 
@@ -101,14 +130,19 @@ def test_critical_values_nonincreasing_in_alpha(tables):
 
 
 def test_calibration_invariant_under_diagonal_scaling():
+    # rescaling the rows of each Bartlett factor turns the identity Wishart
+    # parameter into diag(scale)^2; no statistic may change
     rng = np.random.default_rng(0)
     scale = rng.uniform(0.25, 4.0, P)
-    base = simulate_null_statistics(("T_el", "T_pr", "T_LR"), P, T, K, reps=200, master_seed=2)
-    scaled = simulate_null_statistics(
-        ("T_el", "T_pr", "T_LR"), P, T, K, reps=200, master_seed=2, scale_diag=scale
+    factors = np.stack(
+        [bartlett_factor(P, T - K, SeedSpec(2, r).generator()) for r in range(200)]
     )
-    for key in base:
-        assert_allclose(scaled[key], base[key], rtol=1e-9, atol=1e-12)
+    base = stats_from_factors(factors, T, K)
+    scaled = stats_from_factors(factors * scale[:, None], T, K)
+    engine = simulate_null_statistics(("T_el",), P, T, K, reps=200, master_seed=2)
+    assert np.array_equal(base.t_ij.max(axis=1), engine["T_el"])
+    for key in ("t_ij", "t_j", "t_lr"):
+        assert_allclose(getattr(scaled, key), getattr(base, key), rtol=1e-9, atol=1e-12)
 
 
 def test_calibrate_rejects_bad_inputs():

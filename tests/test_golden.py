@@ -36,7 +36,7 @@ NULL_SAMPLE_HASHES = {
         "T_ij_21": "154d0edac9a6688ab6499e0c06aff91acd00ea4261fc962c23ff795a8958f5bc",
         "T_j_1": "622e0f835167b6004fcb5852faf4be298f08e725c7b42a7092bb44875dbb1e49",
     },
-    # boundary: p + K = T_eff - 1, so dof_n = 1
+    # boundary: p + K = T_eff - 1, the largest p the model allows (dof_n = 2)
     (2, 5, 2, False): {
         "T_el": "ef58c22c7dbae0cc24227a0e191af43c15fffc7e38a7f06573327fb2b6f2af3b",
         "T_pr": "3210e94357b330cc40881cf495669e61db462f8ee8348ee1cfced4196f6355b1",

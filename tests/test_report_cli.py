@@ -15,7 +15,7 @@ from factorlens import (
     run_tests,
 )
 from factorlens.cli import main
-from factorlens.errors import MissingCalibration
+from factorlens.errors import DomainError, MissingCalibration
 from factorlens.panel import ReturnsPanel
 from factorlens.powersim import ScenarioConfig, generate_dataset
 from factorlens.report import TESTS
@@ -281,6 +281,38 @@ def test_cli_batch_test(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "test,min,q1,median,q3,max"
     assert len(lines) == 4
+
+
+def test_batch_subset_size_one_is_a_domain_error(tmp_path, capsys):
+    panel = _null_panel(p=4, K=1, T=60, seed=17)
+    with pytest.raises(DomainError, match=r"\[2, 4\]"):
+        batch_subset_test(panel, 1, 2, critical_source="closed-form")
+    panel_path = tmp_path / "panel.csv"
+    _write_panel_csv(panel_path, panel)
+    rc = main(
+        [
+            "batch-test",
+            "--input", str(panel_path),
+            "--assets", ",".join(f"a{i}" for i in range(4)),
+            "--factors", "f0",
+            "--criticals", "closed-form",
+            "--subset-size", "1",
+            "--num-subsets", "2",
+            "--out", str(tmp_path / "batch.csv"),
+        ]
+    )
+    assert rc == 1
+    assert "[2, 4]" in capsys.readouterr().err
+
+
+def test_cli_help_says_calibrated_pvalues_need_kept_sample(capsys):
+    # a table written without --keep-null-sample cannot give calibrated p-values
+    needs = {"test": "calibrate --keep-null-sample", "calibrate": "test --table"}
+    for command, phrase in needs.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert phrase in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_computational_error_exit_code(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -282,3 +282,86 @@ def test_from_data_null_law_ks():
         vals[r] = stat_t_ij(ps, 2, 1)
     d = ks_statistic(np.sort(vals), lambda x: np.array([f_cdf(v, 1, dof) for v in x]))
     assert ks_asymptotic_pvalue(d, reps) > 0.001
+
+
+def _reference_statistics(X, F, demeaned):
+    # plain numpy: residual scatter from a least-squares regression, inverted
+    # with np.linalg.inv, and the statistics written out from V11 = E^-1
+    p, T = X.shape
+    K = F.shape[0]
+    if demeaned:
+        X = X - X.mean(axis=1, keepdims=True)
+        F = F - F.mean(axis=1, keepdims=True)
+    t_eff = T - int(demeaned)
+    resid = X
+    if K:
+        coef = np.linalg.lstsq(F.T, X.T, rcond=None)[0]
+        resid = X - coef.T @ F
+    e = resid @ resid.T
+    v = np.linalg.inv(e)
+    dof = t_eff - K - p + 1
+    d = np.diag(v)
+    rows, cols = np.tril_indices(p, -1)
+    g2 = v[rows, cols] ** 2 / (d[rows] * d[cols])
+    tij = dof * g2 / (1.0 - g2)
+    tj = dof / (p - 1) * (d * np.diag(e) - 1.0)
+    ln_star = -(t_eff / 2.0) * (np.linalg.slogdet(e)[1] - np.log(np.diag(e)).sum())
+    rho = 1.0 - (2.0 * p + 5.0) / (6.0 * (t_eff - K))
+    return tij, tj, ln_star, 2.0 * rho * (t_eff - K) / t_eff * ln_star
+
+
+def _assert_same_argmax(got, values, want):
+    # equal locations, or a near-tie between them in the reference values
+    if got != want:
+        assert_allclose(values[got], values[want], rtol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 8),
+    K=st.integers(0, 3),
+    slack=st.integers(0, 40),
+    demeaned=st.booleans(),
+)
+@example(seed=1, p=2, K=0, slack=0, demeaned=False)
+@example(seed=2, p=8, K=3, slack=0, demeaned=True)
+def test_data_path_matches_numpy_reference(seed, p, K, slack, demeaned):
+    # slack = 0 is the boundary p + K = T_eff - 1, where dof_n = 2
+    T = p + K + 1 + slack + int(demeaned)
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((K, T)) + 0.5
+    X = rng.uniform(-1.0, 1.0, (p, K)) @ F + rng.standard_normal((p, T)) + 0.3
+    got = compute_all(
+        precision_stats_from_data(X, F if K else None, demeaned=demeaned),
+        keep_marginals=True,
+    )
+    tij, tj, ln_star, t_lr = _reference_statistics(X, F, demeaned)
+    assert_allclose(got.all_t_ij, tij, rtol=1e-7, atol=1e-9)
+    assert_allclose(got.all_t_j, np.maximum(tj, 0.0), rtol=1e-7, atol=1e-9)
+    assert_allclose(got.ln_t_lr_star, max(ln_star, 0.0), rtol=1e-7, atol=1e-9)
+    assert_allclose(got.t_lr, max(t_lr, 0.0), rtol=1e-7, atol=1e-9)
+    rows, cols = np.tril_indices(p, -1)
+    k = int(np.argmax(tij))
+    pair_index = {(int(i) + 1, int(j) + 1): n for n, (i, j) in enumerate(zip(rows, cols))}
+    _assert_same_argmax(pair_index[got.t_el_argmax], tij, k)
+    _assert_same_argmax(got.t_pr_argmax - 1, tj, int(np.argmax(tj)))
+
+
+@pytest.mark.parametrize("demeaned", [False, True])
+def test_from_data_rejects_duplicated_asset(demeaned):
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((4, 30))
+    X[2] = X[0]
+    with pytest.raises(Singular):
+        precision_stats_from_data(X, rng.standard_normal((2, 30)), demeaned=demeaned)
+
+
+def test_from_data_rejects_constant_column_when_demeaned():
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((4, 30))
+    X[1] = 0.25
+    F = rng.standard_normal((1, 30))
+    precision_stats_from_data(X, F)  # a constant is a valid series without demeaning
+    with pytest.raises(Singular):
+        precision_stats_from_data(X, F, demeaned=True)
