@@ -152,7 +152,7 @@ def simulate_null_statistics(
     if reps < 1:
         raise DomainError("reps must be positive")
     columns = {
-        "T_el": lambda k: k.t_ij.max(axis=1),
+        "T_el": lambda k: k.t_el,
         "T_ij_21": lambda k: k.t_ij[:, 0],
         "T_pr": lambda k: k.t_j.max(axis=1),
         "T_j_1": lambda k: k.t_j[:, 0],
@@ -166,10 +166,13 @@ def simulate_null_statistics(
     out = {s: np.empty(reps) for s in statistics}
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
-        factors = np.empty((stop - start, p, p))
+        factors = np.zeros((stop - start, p, p))
         for r in range(start, stop):
-            factors[r - start] = bartlett_factor(
-                p, t_eff - K, SeedSpec(master_seed, r).generator()
+            bartlett_factor(
+                p,
+                t_eff - K,
+                SeedSpec(master_seed, r).generator(),
+                out=factors[r - start],
             )
         kernel = stats_from_factors(factors, t_eff, K)
         for s in statistics:

@@ -8,6 +8,7 @@ sampled through the Bartlett decomposition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,20 +40,33 @@ class SeedSpec:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def bartlett_factor(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _bartlett_layout(p: int, n: int):
+    """Read-only (diagonal indices, degrees n, ..., n-p+1, strict-lower indices)."""
+    diag, df, tril = np.diag_indices(p), n - np.arange(p), np.tril_indices(p, -1)
+    for arr in (*diag, df, *tril):
+        arr.flags.writeable = False
+    return diag, df, tril
+
+
+def bartlett_factor(
+    p: int, n: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Lower-triangular A with A @ A.T ~ Wishart_p(n, I).
 
     Diagonal entries are sqrt(chi-square) with degrees n, n-1, ..., n-p+1;
     strict lower entries are standard normal. The diagonal is drawn first,
-    then the off-diagonal block, which pins the substream layout.
+    then the off-diagonal block, which pins the substream layout. With
+    ``out`` (p-by-p, strict upper triangle already zero) the draw is written
+    there and ``out`` is returned; only the lower triangle is written.
     """
     if n < p:
         raise BadDimension(f"Wishart degrees n={n} must be >= dimension p={p}")
-    a = np.zeros((p, p))
-    df = n - np.arange(p)
-    a[np.diag_indices(p)] = np.sqrt(rng.chisquare(df))
+    diag, df, tril = _bartlett_layout(p, n)
+    a = np.zeros((p, p)) if out is None else out
+    a[diag] = np.sqrt(rng.chisquare(df))
     if p > 1:
-        a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+        a[tril] = rng.standard_normal(p * (p - 1) // 2)
     return a
 
 

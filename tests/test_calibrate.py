@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import tracemalloc
@@ -35,6 +36,7 @@ from factorlens.errors import (
 )
 from factorlens.randmat import bartlett_factor
 from factorlens.teststats import compute_all, stats_from_factors
+from conftest import plain_bartlett
 
 P, T, K = 6, 40, 2
 REPS = 2000
@@ -84,6 +86,43 @@ def test_engine_chunk_size_invariance_all_statistics(p, T, reps):
         )
         for name in names:
             assert np.array_equal(out[name], ref[name]), (name, chunk)
+
+
+@pytest.mark.parametrize("p, T, reps", [(2, 12, 40), (20, 104, 40), (100, 518, 16)])
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_engine_matches_plain_reference_loop(monkeypatch, p, T, reps, chunk):
+    from factorlens.asymptotics import tlr_standardize
+
+    # the package re-exports a function named calibrate, so fetch the module
+    cal = importlib.import_module("factorlens.calibrate")
+
+    seen = []
+
+    def recording_kernel(L, t_eff, K):
+        seen.append(L.copy())
+        return stats_from_factors(L, t_eff, K)
+
+    monkeypatch.setattr(cal, "stats_from_factors", recording_kernel)
+    names = STATISTICS + MARGINAL_STATISTICS
+    out = simulate_null_statistics(
+        names, p, T, K, reps=reps, master_seed=3, chunk_size=chunk
+    )
+    factors = np.concatenate(seen)
+    plain = [plain_bartlett(p, T - K, SeedSpec(3, r).generator()) for r in range(reps)]
+    assert np.array_equal(factors, np.stack(plain))
+    assert not np.triu(factors, 1).any()  # strict upper triangle exactly zero
+    kernel = stats_from_factors(factors, T, K)
+    ref = {
+        "T_el": kernel.t_ij.max(axis=1),
+        "T_ij_21": kernel.t_ij[:, 0],
+        "T_pr": kernel.t_j.max(axis=1),
+        "T_j_1": kernel.t_j[:, 0],
+        "ln_T_LR_star": kernel.ln_t_lr_star,
+        "T_LR": kernel.t_lr,
+        "T_LR_standardized": tlr_standardize(kernel.ln_t_lr_star, p, T, K, False),
+    }
+    for name in names:
+        assert np.array_equal(out[name], ref[name]), name
 
 
 def test_engine_default_chunk_bounds_memory():

@@ -15,8 +15,9 @@ from factorlens import (
 )
 from factorlens.calibrate import ks_asymptotic_pvalue
 from factorlens.errors import BadDimension
-from factorlens.randmat import bartlett_factor
+from factorlens.randmat import _bartlett_layout, bartlett_factor
 from factorlens.teststats import stat_t_ij
+from conftest import plain_bartlett
 
 
 def test_seedspec_determinism():
@@ -38,6 +39,27 @@ def test_wishart_fixed_seed_bit_identical():
     w1 = sample_wishart_identity(4, 9, SeedSpec(5, 1))
     w2 = sample_wishart_identity(4, 9, SeedSpec(5, 1))
     assert np.array_equal(w1.data, w2.data)
+
+
+@pytest.mark.parametrize("p, n", [(1, 5), (2, 2), (5, 9), (20, 103)])
+def test_bartlett_factor_matches_plain_draw(p, n):
+    ref = plain_bartlett(p, n, SeedSpec(11, p).generator())
+    assert np.array_equal(bartlett_factor(p, n, SeedSpec(11, p).generator()), ref)
+    out = np.zeros((p, p))
+    got = bartlett_factor(p, n, SeedSpec(11, p).generator(), out=out)
+    assert got is out
+    assert np.array_equal(out, ref)
+
+
+def test_bartlett_layout_is_cached_and_read_only():
+    layout = _bartlett_layout(6, 10)
+    assert _bartlett_layout(6, 10) is layout
+    diag, df, tril = layout
+    assert np.array_equal(df, 10 - np.arange(6))
+    for arr in (*diag, df, *tril):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_wishart_rejects_insufficient_dof():

@@ -365,3 +365,31 @@ def test_from_data_rejects_constant_column_when_demeaned():
     precision_stats_from_data(X, F)  # a constant is a valid series without demeaning
     with pytest.raises(Singular):
         precision_stats_from_data(X, F, demeaned=True)
+
+
+def _t_el_stacks(p, rng):
+    m = 200
+    random = np.tril(rng.standard_normal((m, p, p)))
+    idx = np.arange(p)
+    random[:, idx, idx] = np.abs(random[:, idx, idx]) + 0.1
+    # a diagonal factor ties every pair at zero; rows alike below the first
+    # tie the pairs (i, 1) at one positive value
+    diagonal = np.zeros((m, p, p))
+    diagonal[:, idx, idx] = 1.0 + rng.random((m, p))
+    tied = np.broadcast_to(np.eye(p), (m, p, p)).copy()
+    tied[:, 1:, 0] = 0.5
+    # a near-zero last pivot drives some g^2 to 1 and, by rounding, above it
+    near_singular = random.copy()
+    near_singular[:, -1, -1] = 1e-9 * rng.random(m)
+    return random, diagonal, tied, near_singular
+
+
+@pytest.mark.parametrize("p", [2, 3, 20])
+def test_t_el_equals_max_of_pair_statistics_bitwise(p):
+    from factorlens.teststats import stats_from_factors
+
+    rng = np.random.default_rng(p)
+    for L in _t_el_stacks(p, rng):
+        kernel = stats_from_factors(L, 60, 2)
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(kernel.t_el, kernel.t_ij.max(axis=1))
