@@ -261,6 +261,32 @@ def test_cli_power_and_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+def test_cli_power_calibrated_matches_library(tmp_path):
+    from factorlens.powersim import CALIBRATED, run_power_study
+
+    out = tmp_path / "power.csv"
+    rc = main(
+        [
+            "power",
+            "--scenario", "s1",
+            "--p", "4", "--T", "40", "--K", "2",
+            "--rho-grid", "0,0.4",
+            "--reps", "30",
+            "--seed", "3",
+            "--calibration-reps", "1000",
+            "--calibration-seed", "5",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    cfg = ScenarioConfig(scenario="s1", p=4, K=2, T=40, reps=30, master_seed=3)
+    tables = calibrate_many(TESTS, 4, 40, 2, alphas=(0.05,), reps=1000, master_seed=5)
+    expected = tmp_path / "expected.csv"
+    run_power_study(cfg, [0.0, 0.4], critical_source=CALIBRATED, tables=tables).to_csv(expected)
+    assert out.read_text() == expected.read_text()
+    assert ",calibrated," in out.read_text()
+
+
 def test_cli_batch_test(tmp_path):
     panel_path = tmp_path / "panel.csv"
     _write_panel_csv(panel_path, _null_panel(p=6, K=1, T=80, seed=13))
