@@ -22,7 +22,6 @@ from .calibrate import (
     CriticalValueTable,
     bonferroni_critical_el,
     bonferroni_critical_pr,
-    calibrate,
     calibrate_many,
     empirical_pvalue,
     ks_statistic,

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .randmat import SeedSpec, bartlett_factor
 from .special import chi2_quantile, f_quantile
-from .teststats import FactorModelSpec, stats_from_factors
+from .teststats import FactorModelSpec, _pair_formula, stats_from_factors
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
@@ -71,7 +71,8 @@ class CriticalValueTable:
         if np.any(np.diff(cv) > 1e-12):
             raise DomainError("critical values must be nonincreasing in alpha")
         if self.null_sample is not None:
-            arr = np.asarray(self.null_sample, dtype=np.float64)
+            # a copy, so that freezing it leaves the caller's array writeable
+            arr = np.array(self.null_sample, dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, "null_sample", arr)
 
@@ -153,7 +154,8 @@ def simulate_null_statistics(
         raise DomainError("reps must be positive")
     columns = {
         "T_el": lambda k: k.t_el,
-        "T_ij_21": lambda k: k.t_ij[:, 0],
+        # pair (2, 1) alone, from its 2-by-2 block as stat_t_ij takes it
+        "T_ij_21": lambda k: _pair_formula(k.v[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
         "T_pr": lambda k: k.t_j.max(axis=1),
         "T_j_1": lambda k: k.t_j[:, 0],
         "ln_T_LR_star": lambda k: k.ln_t_lr_star,
@@ -192,7 +194,6 @@ def calibrate_many(
     reps: int = DEFAULT_REPS,
     master_seed: int = DEFAULT_MASTER_SEED,
     keep_null_sample: bool = False,
-    chunk_size: int | None = None,
 ) -> dict[str, CriticalValueTable]:
     """Calibrate several statistics from one shared set of null draws."""
     statistics = tuple(statistics)
@@ -212,7 +213,6 @@ def calibrate_many(
         reps=reps,
         master_seed=master_seed,
         demeaned=demeaned,
-        chunk_size=chunk_size,
     )
     tables = {}
     for s in statistics:
@@ -232,34 +232,6 @@ def calibrate_many(
             null_sample=sample if keep_null_sample else None,
         )
     return tables
-
-
-def calibrate(
-    statistic: str,
-    p: int,
-    T: int,
-    K: int,
-    *,
-    demeaned: bool = False,
-    alphas=DEFAULT_ALPHAS,
-    reps: int = DEFAULT_REPS,
-    master_seed: int = DEFAULT_MASTER_SEED,
-    keep_null_sample: bool = False,
-    chunk_size: int | None = None,
-) -> CriticalValueTable:
-    """Monte-Carlo critical values for one statistic."""
-    return calibrate_many(
-        (statistic,),
-        p,
-        T,
-        K,
-        demeaned=demeaned,
-        alphas=alphas,
-        reps=reps,
-        master_seed=master_seed,
-        keep_null_sample=keep_null_sample,
-        chunk_size=chunk_size,
-    )[statistic]
 
 
 def empirical_pvalue(

@@ -1,7 +1,8 @@
 """Command-line interface: test, calibrate, power, batch-test.
 
-Outputs are written atomically (temp file + rename). Exit codes: 0 on
-success, 1 on computational errors, 2 on usage errors.
+Outputs are written atomically (temp file + rename) with the permissions
+the umask gives a new file. Exit codes: 0 on success, 1 on computational
+errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .powersim import (
     canonical_scenario,
     run_power_study,
 )
-from .report import REQUESTS, TESTS, batch_subset_test, run_tests
+from .report import REQUESTS, TESTS, batch_subset_test, calibrate_tests, run_tests
+from .teststats import FactorModelSpec
 
 _PROG = "factorlens"
 
@@ -40,6 +42,9 @@ def _atomic_write(path: str, writer) -> None:
     os.close(fd)
     try:
         writer(tmp)
+        umask = os.umask(0)  # mkstemp made the file 0600; reading the umask sets it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -75,6 +80,24 @@ def _parse_grid(text: str, integer: bool = False) -> list:
     return values
 
 
+def _add_panel_arguments(command) -> None:
+    """The flags test and batch-test share: the panel and its critical values."""
+    command.add_argument("--input", required=True, help="CSV file with header row")
+    command.add_argument("--assets", required=True, help="comma-separated asset columns")
+    command.add_argument("--factors", default="", help="comma-separated factor columns")
+    command.add_argument("--demean", action="store_true", help="subtract column means")
+    command.add_argument("--alpha", type=float, default=0.05)
+    command.add_argument("--criticals", choices=REQUESTS, default="auto")
+    command.add_argument("--reps", type=int, default=100_000, help="calibration replicates")
+    command.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+
+
+def _ingest(args):
+    return ingest_csv(
+        args.input, _csv_list(args.assets), _csv_list(args.factors), demean=args.demean
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=_PROG,
@@ -86,14 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     test = sub.add_parser("test", help="run the three global tests on a CSV panel")
-    test.add_argument("--input", required=True, help="CSV file with header row")
-    test.add_argument("--assets", required=True, help="comma-separated asset columns")
-    test.add_argument("--factors", default="", help="comma-separated factor columns")
-    test.add_argument("--demean", action="store_true", help="subtract column means")
-    test.add_argument("--alpha", type=float, default=0.05)
-    test.add_argument("--criticals", choices=REQUESTS, default="auto")
-    test.add_argument("--reps", type=int, default=100_000, help="calibration replicates")
-    test.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    _add_panel_arguments(test)
     test.add_argument(
         "--table",
         action="append",
@@ -139,14 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     power.add_argument("--out", required=True, help="output CSV")
 
     batch = sub.add_parser("batch-test", help="test many random asset subsets")
-    batch.add_argument("--input", required=True)
-    batch.add_argument("--assets", required=True)
-    batch.add_argument("--factors", default="")
-    batch.add_argument("--demean", action="store_true")
-    batch.add_argument("--alpha", type=float, default=0.05)
-    batch.add_argument("--criticals", choices=REQUESTS, default="auto")
-    batch.add_argument("--reps", type=int, default=100_000)
-    batch.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    _add_panel_arguments(batch)
     batch.add_argument("--subset-size", type=int, required=True)
     batch.add_argument("--num-subsets", type=int, required=True)
     batch.add_argument("--subset-seed", type=int, default=DEFAULT_MASTER_SEED)
@@ -156,9 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_test(args) -> int:
-    panel = ingest_csv(
-        args.input, _csv_list(args.assets), _csv_list(args.factors), demean=args.demean
-    )
     tables = None
     if args.table:
         tables = {}
@@ -166,7 +172,7 @@ def _cmd_test(args) -> int:
             for table in load_tables_json(path):
                 tables[table.statistic] = table
     report = run_tests(
-        panel,
+        _ingest(args),
         alpha=args.alpha,
         critical_source=args.criticals,
         calibration_reps=args.reps,
@@ -237,15 +243,8 @@ def _cmd_power(args, parser) -> int:
     tables = None
     source = CALIBRATED if args.criticals == "calibrated" else CLOSED_FORM
     if source == CALIBRATED:
-        tables = calibrate_many(
-            TESTS,
-            cfg.p,
-            cfg.T,
-            cfg.K,
-            alphas=(cfg.alpha,),
-            reps=args.calibration_reps,
-            master_seed=args.calibration_seed,
-        )
+        model = FactorModelSpec(p=cfg.p, K=cfg.K, T=cfg.T)
+        tables = calibrate_tests(model, cfg.alpha, args.calibration_reps, args.calibration_seed)
     curve = run_power_study(cfg, grid, critical_source=source, tables=tables)
     _atomic_write(args.out, curve.to_csv)
     for test in TESTS:
@@ -255,11 +254,8 @@ def _cmd_power(args, parser) -> int:
 
 
 def _cmd_batch(args) -> int:
-    panel = ingest_csv(
-        args.input, _csv_list(args.assets), _csv_list(args.factors), demean=args.demean
-    )
     summary = batch_subset_test(
-        panel,
+        _ingest(args),
         args.subset_size,
         args.num_subsets,
         alpha=args.alpha,

@@ -38,7 +38,8 @@ class ReturnsPanel:
     demean: bool = False
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        # a copy, so that freezing it leaves the caller's array writeable
+        values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise BadDimension("panel values must be a T x (p+K) matrix")
         if set(self.asset_columns) & set(self.factor_columns):

@@ -49,8 +49,6 @@ class ScenarioConfig:
     reps: int = 1000
     master_seed: int = 42
     alpha: float = 0.05
-    rho: float | None = None
-    k_tilde: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
@@ -60,10 +58,6 @@ class ScenarioConfig:
             raise DomainError("reps must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.rho is not None:
-            _check_rho(self.rho)
-        if self.k_tilde is not None:
-            _check_k_tilde(self.k_tilde)
 
 
 def _check_rho(rho: float) -> None:

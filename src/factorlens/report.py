@@ -111,12 +111,12 @@ class TestReport:
         }
 
 
-def _resolve_request(request: str, panel: ReturnsPanel) -> str:
+def _resolve_request(request: str, model: FactorModelSpec) -> str:
     if request not in REQUESTS:
         raise DomainError(f"unknown critical source {request!r}; pick one of {REQUESTS}")
     if request != REQUEST_AUTO:
         return request
-    if panel.T <= _AUTO_CALIBRATION_T_FACTOR * (panel.p + panel.K):
+    if model.T <= _AUTO_CALIBRATION_T_FACTOR * (model.p + model.K):
         return REQUEST_CALIBRATED
     warnings.warn(
         "sample too large for default calibration budget; falling back to "
@@ -163,6 +163,23 @@ def calibrated_criticals(
     return criticals
 
 
+def calibrate_tests(
+    model: FactorModelSpec, alpha: float, reps: int, master_seed: int
+) -> dict[str, CriticalValueTable]:
+    """Calibration tables of the three tests at the model's dimensions, samples kept."""
+    return calibrate_many(
+        TESTS,
+        model.p,
+        model.T,
+        model.K,
+        demeaned=model.demeaned,
+        alphas=(alpha,),
+        reps=reps,
+        master_seed=master_seed,
+        keep_null_sample=True,
+    )
+
+
 def closed_form_criticals(model: FactorModelSpec, alpha: float) -> dict[str, float]:
     """Bonferroni critical values for the max statistics, chi-square for T_LR."""
     return {
@@ -180,7 +197,6 @@ def run_tests(
     calibration_reps: int = DEFAULT_REPS,
     calibration_seed: int = DEFAULT_MASTER_SEED,
     tables: dict[str, CriticalValueTable] | None = None,
-    regime: asymptotics.Regime | None = None,
 ) -> TestReport:
     """Run all three global tests on an ingested panel.
 
@@ -195,7 +211,7 @@ def run_tests(
     X, F = panel.data_matrices()
     ps = precision_stats_from_data(X, F if panel.K else None, demeaned=panel.demean)
     stats = compute_all(ps)
-    source = _resolve_request(critical_source, panel)
+    source = _resolve_request(critical_source, model)
 
     calibration_meta = None
     regime_meta = None
@@ -203,17 +219,7 @@ def run_tests(
 
     if source == REQUEST_CALIBRATED:
         if tables is None:
-            tables = calibrate_many(
-                TESTS,
-                model.p,
-                model.T,
-                model.K,
-                demeaned=model.demeaned,
-                alphas=(alpha,),
-                reps=calibration_reps,
-                master_seed=calibration_seed,
-                keep_null_sample=True,
-            )
+            tables = calibrate_tests(model, alpha, calibration_reps, calibration_seed)
         criticals = calibrated_criticals(tables, model, alpha)
         p_values = {name: empirical_pvalue(observed[name], tables[name]) for name in TESTS}
         sources = dict.fromkeys(TESTS, SOURCE_CALIBRATED)
@@ -231,9 +237,7 @@ def run_tests(
         criticals = closed_form_criticals(model, alpha)
         decisions = _decisions(observed, criticals, p_values, sources)
     else:  # highdim
-        regime = regime or asymptotics.select_regime(
-            model.p, model.T, model.K, model.demeaned
-        )
+        regime = asymptotics.select_regime(model.p, model.T, model.K, model.demeaned)
         decisions = {
             "T_el": _highdim_el(stats, model, alpha, regime),
             "T_pr": _highdim_pr(stats, model, alpha, regime),
@@ -350,20 +354,10 @@ def batch_subset_test(
     sub_model = FactorModelSpec(
         p=subset_size, K=panel.K, T=panel.T, demeaned=panel.demean
     )
-    source = _resolve_request(critical_source, panel.subset(range(subset_size)))
+    source = _resolve_request(critical_source, sub_model)
     tables = None
     if source == REQUEST_CALIBRATED:
-        tables = calibrate_many(
-            TESTS,
-            sub_model.p,
-            sub_model.T,
-            sub_model.K,
-            demeaned=sub_model.demeaned,
-            alphas=(alpha,),
-            reps=calibration_reps,
-            master_seed=calibration_seed,
-            keep_null_sample=True,
-        )
+        tables = calibrate_tests(sub_model, alpha, calibration_reps, calibration_seed)
     pvals = {test: np.empty(num_subsets) for test in TESTS}
     for i in range(num_subsets):
         rng = SeedSpec(subset_seed, i).generator()

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sp
 
 from .errors import DomainError, NoConvergence
@@ -238,6 +237,8 @@ def marginal_power_Z(crit: float, params: ZjDensityParams) -> float:
     adaptive Gauss-Kronrod scheme (QUADPACK) handles the transformed
     integrand including its tail.
     """
+    from scipy import integrate
+
     if crit < 0:
         raise DomainError(f"marginal_power_Z requires crit >= 0, got {crit}")
 

@@ -223,7 +223,8 @@ class PrecisionStats:
                 "diagonal product of V11 and its inverse fell below one"
             )
         for name in ("diag_v11", "diag_v11_inv"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            # a copy, so that freezing it leaves the caller's array writeable
+            arr = np.array(getattr(self, name), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -281,8 +282,6 @@ class TestStatistics:
     t_pr_argmax: int
     ln_t_lr_star: float
     t_lr: float
-    all_t_ij: np.ndarray | None = None
-    all_t_j: np.ndarray | None = None
 
 
 def precision_stats_from_data(
@@ -399,8 +398,8 @@ def stat_t_lr(ps: PrecisionStats) -> float:
     return float(_t_lr_formula(stat_ln_t_lr_star(ps), ps.p, ps.t_eff, ps.K))
 
 
-def compute_all(ps: PrecisionStats, keep_marginals: bool = False) -> TestStatistics:
-    """Evaluate every statistic once; optionally retain the marginal arrays."""
+def compute_all(ps: PrecisionStats) -> TestStatistics:
+    """Evaluate every statistic once."""
     t_el, el_arg = stat_t_el(ps)
     t_pr, pr_arg = stat_t_pr(ps)
     ln_star = stat_ln_t_lr_star(ps)
@@ -411,6 +410,4 @@ def compute_all(ps: PrecisionStats, keep_marginals: bool = False) -> TestStatist
         t_pr_argmax=pr_arg,
         ln_t_lr_star=ln_star,
         t_lr=float(_t_lr_formula(ln_star, ps.p, ps.t_eff, ps.K)),
-        all_t_ij=pairwise_t_ij(ps) if keep_marginals else None,
-        all_t_j=all_t_j(ps) if keep_marginals else None,
     )

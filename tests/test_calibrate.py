@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import tracemalloc
@@ -11,7 +10,6 @@ from factorlens import (
     SeedSpec,
     bonferroni_critical_el,
     bonferroni_critical_pr,
-    calibrate,
     calibrate_many,
     chi2_quantile,
     empirical_pvalue,
@@ -91,10 +89,8 @@ def test_engine_chunk_size_invariance_all_statistics(p, T, reps):
 @pytest.mark.parametrize("p, T, reps", [(2, 12, 40), (20, 104, 40), (100, 518, 16)])
 @pytest.mark.parametrize("chunk", [1, 7, None])
 def test_engine_matches_plain_reference_loop(monkeypatch, p, T, reps, chunk):
+    import factorlens.calibrate as cal
     from factorlens.asymptotics import tlr_standardize
-
-    # the package re-exports a function named calibrate, so fetch the module
-    cal = importlib.import_module("factorlens.calibrate")
 
     seen = []
 
@@ -149,9 +145,9 @@ def test_engine_marginal_statistics_match():
 
 
 def test_calibrate_determinism(tables):
-    again = calibrate(
-        "T_el", P, T, K, alphas=(0.1, 0.05, 0.01), reps=REPS, master_seed=SEED
-    )
+    again = calibrate_many(
+        ("T_el",), P, T, K, alphas=(0.1, 0.05, 0.01), reps=REPS, master_seed=SEED
+    )["T_el"]
     assert again.critical_values == tables["T_el"].critical_values
 
 
@@ -186,11 +182,11 @@ def test_calibration_invariant_under_diagonal_scaling():
 
 def test_calibrate_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        calibrate("T_el", P, T, K, reps=10)
+        calibrate_many(("T_el",), P, T, K, reps=10)["T_el"]
     with pytest.raises(DomainError):
-        calibrate("nonsense", P, T, K, reps=REPS)
+        calibrate_many(("nonsense",), P, T, K, reps=REPS)["nonsense"]
     with pytest.raises(DomainError):
-        calibrate("T_el", P, T, K, reps=REPS, alphas=(0.0,))
+        calibrate_many(("T_el",), P, T, K, reps=REPS, alphas=(0.0,))["T_el"]
 
 
 def test_size_control_on_fresh_null_draws(tables):
@@ -212,7 +208,7 @@ def test_empirical_pvalue_conventions(tables):
 
 
 def test_empirical_pvalue_requires_sample():
-    t = calibrate("T_el", P, T, K, reps=1000, master_seed=1)
+    t = calibrate_many(("T_el",), P, T, K, reps=1000, master_seed=1)["T_el"]
     with pytest.raises(MissingNullSample):
         empirical_pvalue(1.0, t)
 
@@ -343,3 +339,23 @@ def test_table_rejects_inconsistent_fields():
             alphas=(0.1, 0.05),
             critical_values=(1.0, 0.5),  # increasing in 1-alpha order -> invalid
         )
+
+
+def test_table_leaves_the_callers_sample_writeable():
+    sample = np.linspace(0.0, 1.0, 1000)
+    table = CriticalValueTable(
+        statistic="T_el",
+        p=P,
+        T=T,
+        K=K,
+        demeaned=False,
+        reps=1000,
+        master_seed=0,
+        alphas=(0.05,),
+        critical_values=(0.95,),
+        null_sample=sample,
+    )
+    assert sample.flags.writeable
+    assert np.array_equal(sample, np.linspace(0.0, 1.0, 1000))
+    assert not table.null_sample.flags.writeable
+    assert np.array_equal(table.null_sample, sample)

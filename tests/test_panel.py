@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factorlens import ingest_csv, export_panel_csv
+from factorlens.panel import ReturnsPanel
 from factorlens.errors import (
     BadDimension,
     MissingColumn,
@@ -121,3 +122,19 @@ def test_subset_restricts_assets():
         panel.subset([0, 0])
     with pytest.raises(BadDimension):
         panel.subset([5])
+
+
+def test_panel_leaves_the_callers_array_writeable():
+    values = np.arange(12.0).reshape(4, 3)
+    panel = ReturnsPanel(
+        labels=("a", "b", "f"),
+        times=("0", "1", "2", "3"),
+        values=values,
+        asset_columns=(0, 1),
+        factor_columns=(2,),
+    )
+    assert values.flags.writeable
+    assert np.array_equal(values, np.arange(12.0).reshape(4, 3))
+    assert not panel.values.flags.writeable
+    values[0, 0] = -1.0
+    assert panel.values[0, 0] == 0.0

@@ -20,10 +20,6 @@ def test_config_validation():
     ScenarioConfig(scenario="s1", p=5, K=2, T=30)
     with pytest.raises(BadDimension):
         ScenarioConfig(scenario="s1", p=20, K=15, T=30)
-    with pytest.raises(DomainError):
-        ScenarioConfig(scenario="s1", p=5, K=2, T=30, rho=0.7)
-    with pytest.raises(DomainError):
-        ScenarioConfig(scenario="s4", p=5, K=2, T=30, k_tilde=11)
 
 
 def test_sigma_u_zero_rho_is_identity():

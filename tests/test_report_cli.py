@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -204,6 +206,24 @@ def test_cli_calibrate_and_test_roundtrip(tmp_path):
     for name in TESTS:
         entry = doc["tests"][name]
         assert entry["reject"] == (entry["statistic"] > entry["critical_value"])
+
+
+def test_cli_outputs_honour_the_umask(tmp_path):
+    out = tmp_path / "table.json"
+    previous = os.umask(0o022)
+    try:
+        rc = main(
+            [
+                "calibrate",
+                "--p", "3", "--T", "20", "--K", "1",
+                "--reps", "1000",
+                "--out", str(out),
+            ]
+        )
+    finally:
+        os.umask(previous)
+    assert rc == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
 
 def test_cli_end_to_end_determinism(tmp_path):

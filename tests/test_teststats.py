@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -206,11 +207,11 @@ def test_scale_invariance_family(seed, p):
 
 def test_compute_all_retains_marginals():
     ps = _ps2()
-    stats = compute_all(ps, keep_marginals=True)
-    assert stats.all_t_ij.shape == (1,)
-    assert stats.all_t_j.shape == (2,)
-    assert_allclose(stats.t_el, stats.all_t_ij.max())
-    assert_allclose(stats.t_pr, stats.all_t_j.max())
+    stats = compute_all(ps)
+    assert pairwise_t_ij(ps).shape == (1,)
+    assert all_t_j(ps).shape == (2,)
+    assert_allclose(stats.t_el, pairwise_t_ij(ps).max())
+    assert_allclose(stats.t_pr, all_t_j(ps).max())
 
 
 def test_pairwise_order_matches_argmax_convention():
@@ -332,13 +333,11 @@ def test_data_path_matches_numpy_reference(seed, p, K, slack, demeaned):
     rng = np.random.default_rng(seed)
     F = rng.standard_normal((K, T)) + 0.5
     X = rng.uniform(-1.0, 1.0, (p, K)) @ F + rng.standard_normal((p, T)) + 0.3
-    got = compute_all(
-        precision_stats_from_data(X, F if K else None, demeaned=demeaned),
-        keep_marginals=True,
-    )
+    ps = precision_stats_from_data(X, F if K else None, demeaned=demeaned)
+    got = compute_all(ps)
     tij, tj, ln_star, t_lr = _reference_statistics(X, F, demeaned)
-    assert_allclose(got.all_t_ij, tij, rtol=1e-7, atol=1e-9)
-    assert_allclose(got.all_t_j, np.maximum(tj, 0.0), rtol=1e-7, atol=1e-9)
+    assert_allclose(pairwise_t_ij(ps), tij, rtol=1e-7, atol=1e-9)
+    assert_allclose(all_t_j(ps), np.maximum(tj, 0.0), rtol=1e-7, atol=1e-9)
     assert_allclose(got.ln_t_lr_star, max(ln_star, 0.0), rtol=1e-7, atol=1e-9)
     assert_allclose(got.t_lr, max(t_lr, 0.0), rtol=1e-7, atol=1e-9)
     rows, cols = np.tril_indices(p, -1)
@@ -393,3 +392,17 @@ def test_t_el_equals_max_of_pair_statistics_bitwise(p):
         kernel = stats_from_factors(L, 60, 2)
         with np.errstate(divide="ignore"):
             assert np.array_equal(kernel.t_el, kernel.t_ij.max(axis=1))
+
+
+def test_precision_stats_leaves_the_callers_diagonals_writeable():
+    ps = _ps2()
+    diag_v, diag_e = ps.diag_v11.copy(), ps.diag_v11_inv.copy()
+    built = dataclasses.replace(ps, diag_v11=diag_v, diag_v11_inv=diag_e)
+    for given, stored, original in (
+        (diag_v, built.diag_v11, ps.diag_v11),
+        (diag_e, built.diag_v11_inv, ps.diag_v11_inv),
+    ):
+        assert given.flags.writeable
+        assert np.array_equal(given, original)
+        assert not stored.flags.writeable
+        assert np.array_equal(stored, original)
