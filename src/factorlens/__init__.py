@@ -49,7 +49,6 @@ from .special import (
     density_Z,
     f_cdf,
     f_quantile,
-    gauss_2f1,
     ln_gamma,
     marginal_power_Z,
     normal_cdf,

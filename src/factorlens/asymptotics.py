@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDof, DomainError
-from .special import chi2_cdf, chi2_quantile, f_cdf, normal_cdf
+from .special import chi2_cdf, chi2_quantile, chi2_sf, f_sf, normal_cdf
 from .teststats import effective_sample_size
 
 CONCENTRATION = "concentration_c"
@@ -92,8 +92,8 @@ def tij_null_pvalue(t: float, regime: Regime) -> float:
     if t < 0:
         raise DomainError(f"pair statistic must be nonnegative, got {t}")
     if regime.kind == CONCENTRATION:
-        return 1.0 - chi2_cdf(t, 1)
-    return 1.0 - f_cdf(t, 1, regime.d + 1.0)
+        return chi2_sf(t, 1)
+    return f_sf(t, 1, regime.d + 1.0)
 
 
 def tj_mean_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> float:
@@ -213,7 +213,7 @@ def tij_noncentral_approx_power(
         raise DomainError(f"lambda_ij must be nonnegative, got {lambda_ij}")
     delta = math.sqrt(effective_sample_size(T, demeaned) - K - p + 2.0) * math.sqrt(lambda_ij)
     a = math.sqrt(crit)
-    return 1.0 - normal_cdf(a - delta) + normal_cdf(-a - delta)
+    return normal_cdf(delta - a) + normal_cdf(-a - delta)
 
 
 def tj_noncentral_approx_power(
@@ -240,7 +240,7 @@ def tj_noncentral_approx_power(
         c = regime.c
         mean = 1.0 + lambda_j / c
         sd = math.sqrt((2.0 / (1.0 - c) + 4.0 * lambda_j / c) / (p - 1.0))
-        return 1.0 - normal_cdf((crit - mean) / sd)
+        return normal_cdf((mean - crit) / sd)
     if crit == 0.0:
         return 1.0
     return chi2_cdf((1.0 + lambda_j) * (regime.d + 1.0) / crit, regime.d + 1.0)

@@ -25,10 +25,6 @@ class DomainError(FactorLensError):
     """Argument outside the mathematical domain of a function."""
 
 
-class NoConvergence(FactorLensError):
-    """Iterative evaluation failed to converge within its budget."""
-
-
 class DegenerateCorrection(FactorLensError):
     """Bartlett-style correction factor is not positive."""
 

@@ -289,7 +289,7 @@ def _highdim_pr(stats, model, alpha, regime) -> TestDecision:
             stats.t_pr, model.p, model.T, model.K, demeaned=model.demeaned
         )
         crit = normal_quantile(1.0 - alpha / model.p)
-        pval = min(1.0, model.p * (1.0 - normal_cdf(z)))
+        pval = min(1.0, model.p * normal_cdf(-z))
         return TestDecision(z, crit, SOURCE_HIGHDIM, pval, z > crit)
     crit = asymptotics.tj_boundary_critical(alpha / model.p, regime.d)
     pval = min(1.0, model.p * asymptotics.tj_boundary_pvalue(stats.t_pr, regime.d))
@@ -303,7 +303,7 @@ def _highdim_lr(stats, model, alpha) -> TestDecision:
         )
     )
     crit = normal_quantile(1.0 - alpha)
-    pval = 1.0 - normal_cdf(z)
+    pval = normal_cdf(-z)
     return TestDecision(z, crit, SOURCE_HIGHDIM, pval, z > crit)
 
 

@@ -1,14 +1,16 @@
 """Special functions and the exact noncentral test-density family.
 
-Gamma-function, F, chi-square and normal plumbing delegates to
-scipy.special. The Gauss hypergeometric series and the noncentral density
-of the marginal test statistics are implemented here in log space so the
-large-degree regimes (both series degrees of order T) neither overflow nor
-lose the tail.
+Gamma-function, beta-function, F, chi-square and normal plumbing delegates
+to scipy.special.
 
 The noncentral family covers both marginal statistics: the per-pair
 statistic is the q=1 member, the per-column statistic the q=p-1 member,
 each with denominator degrees n = T - K - p + 1 and noncentrality lam.
+Its density and tail are negative-binomial mixtures of central Beta laws
+(Fisher's non-null law of the squared multiple correlation; Muirhead 1982,
+Aspects of Multivariate Statistical Theory, section 5.2), summed in log
+space so the large-degree regimes (both degrees of order T) neither
+overflow nor lose the tail.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError
 
-MAX_SERIES_TERMS = 10**6
-# Stop summing once a term contributes less than this fraction of the sum.
-SERIES_TERM_RTOL = 1e-15
-
-_LN_TERM_RTOL = math.log(SERIES_TERM_RTOL)
+# Mixture terms past the first k whose negative-binomial upper tail mass
+# falls below this bound are dropped.
+_NB_TAIL = 1e-17
+# Bounds the memory of one mixture sum (a few arrays of this many floats).
+_MAX_MIXTURE_TERMS = 10**6
 
 
 def ln_gamma(x: float) -> float:
@@ -35,110 +37,49 @@ def ln_gamma(x: float) -> float:
     return float(sp.gammaln(x))
 
 
-def _signed_log_add(ln_a: float, sg_a: float, ln_b: float, sg_b: float) -> tuple[float, float]:
-    """(ln|a+b|, sign(a+b)) from signed log representations of a and b."""
-    if ln_a == -math.inf:
-        return ln_b, sg_b
-    if ln_b == -math.inf:
-        return ln_a, sg_a
-    if sg_a == sg_b:
-        return float(np.logaddexp(ln_a, ln_b)), sg_a
-    if ln_a == ln_b:
-        return -math.inf, 1.0
-    hi, lo, sg = (ln_a, ln_b, sg_a) if ln_a > ln_b else (ln_b, ln_a, sg_b)
-    return hi + math.log1p(-math.exp(lo - hi)), sg
-
-
-def _ln_2f1_series(a: float, b: float, c: float, z: float) -> tuple[float, float]:
-    """Signed log of sum_i (a)_i (b)_i / (c)_i * z^i / i!.
-
-    Terms are accumulated via their running ratio; a zero ratio means the
-    series terminates (a or b is a non-positive integer). Summation stops
-    once the terms are decreasing and relatively negligible.
-    """
-    ln_t, sg_t = 0.0, 1.0
-    ln_s, sg_s = 0.0, 1.0
-    for i in range(MAX_SERIES_TERMS):
-        ratio = (a + i) * (b + i) / ((c + i) * (i + 1.0)) * z
-        if ratio == 0.0:
-            return ln_s, sg_s
-        ln_t += math.log(abs(ratio))
-        sg_t *= math.copysign(1.0, ratio)
-        ln_s, sg_s = _signed_log_add(ln_s, sg_s, ln_t, sg_t)
-        if abs(ratio) < 1.0 and ln_t - ln_s < _LN_TERM_RTOL:
-            return ln_s, sg_s
-    raise NoConvergence(
-        f"hypergeometric series did not converge within {MAX_SERIES_TERMS} terms"
-    )
-
-
-def _validate_2f1_args(c: float, z: float) -> None:
-    if c <= 0.0 and c == math.floor(c):
-        raise DomainError(f"third parameter must not be a non-positive integer, got {c}")
-    if not 0.0 <= z < 1.0:
-        raise DomainError(f"argument must lie in [0, 1), got {z}")
-
-
-def ln_gauss_2f1(
-    a: float, b: float, c: float, z: float, use_euler: bool | None = None
-) -> tuple[float, float]:
-    """(ln|2F1(a,b;c;z)|, sign).
-
-    For z > 0.5 the Euler transformation
-    2F1(a,b;c;z) = (1-z)^(c-a-b) 2F1(c-a,c-b;c;z) is applied by default;
-    with a == b the transformed series has nonnegative terms and, for
-    integer-valued c-a, terminates exactly.
-    """
-    _validate_2f1_args(c, z)
-    if z == 0.0:
-        return 0.0, 1.0
-    if use_euler is None:
-        use_euler = z > 0.5
-    if use_euler:
-        ln_s, sg_s = _ln_2f1_series(c - a, c - b, c, z)
-        return ln_s + (c - a - b) * math.log1p(-z), sg_s
-    return _ln_2f1_series(a, b, c, z)
-
-
-def gauss_2f1(a: float, b: float, c: float, z: float, use_euler: bool | None = None) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) on z in [0, 1)."""
-    ln_v, sg_v = ln_gauss_2f1(a, b, c, z, use_euler=use_euler)
-    return sg_v * math.exp(ln_v)
+def _check_args(name: str, dofs: tuple, x: float | None = None, p: float | None = None) -> None:
+    """Domain checks shared by the F, chi-square and normal laws."""
+    if any(d <= 0 for d in dofs):
+        raise DomainError("degrees of freedom must be positive")
+    if x is not None and x < 0:
+        raise DomainError(f"{name} requires x >= 0, got {x}")
+    if p is not None and not 0.0 < p < 1.0:
+        raise DomainError(f"{name} requires 0 < p < 1, got {p}")
 
 
 def f_cdf(x: float, d1: float, d2: float) -> float:
     """CDF of the F distribution with d1 and d2 degrees of freedom."""
-    if d1 <= 0 or d2 <= 0:
-        raise DomainError("degrees of freedom must be positive")
-    if x < 0:
-        raise DomainError(f"f_cdf requires x >= 0, got {x}")
+    _check_args("f_cdf", (d1, d2), x=x)
     return float(sp.fdtr(d1, d2, x))
+
+
+def f_sf(x: float, d1: float, d2: float) -> float:
+    """Upper tail of the F distribution; 1 - f_cdf without the cancellation."""
+    _check_args("f_sf", (d1, d2), x=x)
+    return float(sp.fdtrc(d1, d2, x))
 
 
 def f_quantile(p: float, d1: float, d2: float) -> float:
     """Quantile of the F distribution; inverse of f_cdf."""
-    if d1 <= 0 or d2 <= 0:
-        raise DomainError("degrees of freedom must be positive")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"f_quantile requires 0 < p < 1, got {p}")
+    _check_args("f_quantile", (d1, d2), p=p)
     return float(sp.fdtri(d1, d2, p))
 
 
 def chi2_cdf(x: float, k: float) -> float:
     """CDF of the chi-square distribution with k degrees of freedom."""
-    if k <= 0:
-        raise DomainError("degrees of freedom must be positive")
-    if x < 0:
-        raise DomainError(f"chi2_cdf requires x >= 0, got {x}")
+    _check_args("chi2_cdf", (k,), x=x)
     return float(sp.chdtr(k, x))
+
+
+def chi2_sf(x: float, k: float) -> float:
+    """Upper tail of the chi-square distribution; 1 - chi2_cdf without the cancellation."""
+    _check_args("chi2_sf", (k,), x=x)
+    return float(sp.chdtrc(k, x))
 
 
 def chi2_quantile(p: float, k: float) -> float:
     """Quantile of the chi-square distribution; inverse of chi2_cdf."""
-    if k <= 0:
-        raise DomainError("degrees of freedom must be positive")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"chi2_quantile requires 0 < p < 1, got {p}")
+    _check_args("chi2_quantile", (k,), p=p)
     return 2.0 * float(sp.gammaincinv(k / 2.0, p))
 
 
@@ -149,34 +90,8 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"normal_quantile requires 0 < p < 1, got {p}")
+    _check_args("normal_quantile", (), p=p)
     return float(sp.ndtri(p))
-
-
-def ln_f_pdf(x: float, d1: float, d2: float) -> float:
-    """Log of the central F density at x > 0."""
-    h1, h2 = d1 / 2.0, d2 / 2.0
-    ln_beta = ln_gamma(h1) + ln_gamma(h2) - ln_gamma(h1 + h2)
-    return (
-        h1 * math.log(d1 / d2)
-        + (h1 - 1.0) * math.log(x)
-        - (h1 + h2) * math.log1p(d1 * x / d2)
-        - ln_beta
-    )
-
-
-def f_pdf(x: float, d1: float, d2: float) -> float:
-    """Central F density; at x == 0 it is +inf for d1 < 2, 1 for d1 == 2, 0 for d1 > 2."""
-    if d1 <= 0 or d2 <= 0:
-        raise DomainError("degrees of freedom must be positive")
-    if x < 0:
-        raise DomainError(f"f_pdf requires x >= 0, got {x}")
-    if x == 0.0:
-        if d1 < 2.0:
-            return math.inf
-        return 1.0 if d1 == 2.0 else 0.0
-    return math.exp(ln_f_pdf(x, d1, d2))
 
 
 @dataclass(frozen=True)
@@ -202,55 +117,101 @@ class ZjDensityParams:
             raise DomainError(f"lam must be nonnegative, got {self.lam}")
 
 
+def _mixture_size(params: ZjDensityParams) -> int:
+    """Number of mixture terms: one past the first k with P[NB > k] below _NB_TAIL.
+
+    P[NB > k] = I_{rho^2}(k+1, m) falls in k; the first small one is found
+    by doubling k, then bisection. Doubling stops past _MAX_MIXTURE_TERMS,
+    which _ln_mixture_weights then rejects.
+    """
+    m = (params.n + params.q) / 2.0
+    rho2 = params.lam / (1.0 + params.lam)
+
+    def tail_is_small(k: int) -> bool:
+        return float(sp.betainc(k + 1.0, m, rho2)) < _NB_TAIL
+
+    hi = 0
+    while hi <= _MAX_MIXTURE_TERMS and not tail_is_small(hi):
+        hi = 2 * hi + 1
+    lo = (hi - 1) // 2  # when hi > 0 the tail at lo is not small
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail_is_small(mid) else (mid, hi)
+    return hi + 1
+
+
+def _ln_mixture_weights(params: ZjDensityParams, size: int) -> np.ndarray:
+    """ln NB(k; m, 1 - rho^2) for k < size, m = (n+q)/2, rho^2 = lam/(1+lam).
+
+    At lam == 0 the weight at k = 0 is 1 (xlogy(0, 0) = 0) and the rest
+    are 0 (ln 0 = -inf).
+    """
+    q, n, lam = params.q, params.n, params.lam
+    if size > _MAX_MIXTURE_TERMS:
+        raise DomainError(
+            f"lam={lam} at q={q}, n={n} needs more than {_MAX_MIXTURE_TERMS} mixture terms"
+        )
+    m = (n + q) / 2.0
+    k = np.arange(float(size))
+    return (
+        sp.gammaln(m + k) - sp.gammaln(m) - sp.gammaln(k + 1.0)
+        - m * math.log1p(lam) + sp.xlogy(k, lam / (1.0 + lam))
+    )
+
+
 def density_Z(x: float, params: ZjDensityParams) -> float:
     """Density of the marginal test statistic under noncentrality lam.
 
-    Equals the central F_{q,n} density scaled by (1+lam)^(-(n+q)/2) and the
-    hypergeometric factor 2F1((n+q)/2, (n+q)/2; q/2; w) at
-    w = qx/(n+qx) * lam/(1+lam). At lam == 0 it reduces exactly to the
-    central F_{q,n} density.
+    With B = qx/(n+qx), rho^2 = lam/(1+lam) and m = (n+q)/2, B is the
+    mixture sum_k NB(k; m, 1-rho^2) Beta(q/2+k, n/2) (Muirhead 1982,
+    section 5.2), and the density of x is that of B times the Jacobian
+    qn/(n+qx)^2. Summed term by term this is the paper's form: the central
+    F_{q,n} density times (1+lam)^(-m) 2F1(m, m; q/2; rho^2 B). The terms
+    are log-concave in k; the sum runs on past the negative-binomial
+    truncation until its last term is negligible, so the far tail keeps
+    its relative accuracy. At lam == 0 it is the central F_{q,n} density.
+    Raises DomainError when the sum would need more than a million terms
+    (lam times (n+q)/2 of order a million).
     """
     if x < 0:
         raise DomainError(f"density_Z requires x >= 0, got {x}")
     q, n, lam = params.q, params.n, params.lam
-    if lam == 0.0:
-        return f_pdf(x, q, n)
-    half = (n + q) / 2.0
-    scale = math.exp(-half * math.log1p(lam))
     if x == 0.0:
-        return f_pdf(0.0, q, n) * scale  # 2F1 factor is 1 at w = 0
-    w = (q * x / (n + q * x)) * (lam / (1.0 + lam))
-    ln_h, sg_h = ln_gauss_2f1(half, half, q / 2.0, w)
-    ln_dens = ln_f_pdf(x, q, n) - half * math.log1p(lam) + ln_h
-    return sg_h * math.exp(ln_dens)
-
-
-# Quadrature error budget for tail probabilities of density_Z.
-POWER_QUAD_ABSTOL = 1e-6
+        # only the k = 0 term, (1+lam)^(-m) times the central F_{q,n}
+        # density, is nonzero at B = 0; that density is inf, 1 or 0 there
+        if q == 1:
+            return math.inf
+        return math.exp(-(n + q) / 2.0 * math.log1p(lam)) if q == 2 else 0.0
+    s = n + q * x
+    ln_b, ln_1mb = math.log(q * x / s), math.log(n / s)
+    size = _mixture_size(params)
+    while True:
+        ln_w = _ln_mixture_weights(params, size)
+        a = q / 2.0 + np.arange(float(size))
+        # ln of w_k times the Beta(a, n/2) density at B times the Jacobian,
+        # which is B(1-B)/x
+        ln_t = ln_w + a * ln_b + (n / 2.0) * ln_1mb - sp.betaln(a, n / 2.0) - math.log(x)
+        top = float(ln_t.max())
+        if ln_t[-1] < top + math.log(_NB_TAIL):
+            return math.exp(top + math.log(float(np.sum(np.exp(ln_t - top)))))
+        size *= 2
 
 
 def marginal_power_Z(crit: float, params: ZjDensityParams) -> float:
     """Upper tail probability of the noncentral marginal statistic beyond crit.
 
-    Integrates density_Z on [crit, inf) after the substitution
-    x = crit + u^2, which removes the q = 1 endpoint singularity; the
-    adaptive Gauss-Kronrod scheme (QUADPACK) handles the transformed
-    integrand including its tail.
+    With B_crit = q crit/(n + q crit) and the mixture of density_Z,
+    P[Z > crit] = sum_k NB(k; m, 1-rho^2) P[Beta(q/2+k, n/2) > B_crit]
+    (Muirhead 1982, section 5.2). Each Beta tail is the lower tail of the
+    mirrored Beta(n/2, q/2+k) at 1 - B_crit = n/(n + q crit), computed
+    without the subtraction. The dropped weights sum to less than 1e-17;
+    the result is clipped to [0, 1] because at saturation the sum can
+    exceed 1 by rounding. Raises DomainError as density_Z does.
     """
-    from scipy import integrate
-
     if crit < 0:
         raise DomainError(f"marginal_power_Z requires crit >= 0, got {crit}")
-
-    def integrand(u: float) -> float:
-        return 2.0 * u * density_Z(crit + u * u, params)
-
-    out = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=1e-9, epsrel=1e-10, limit=300, full_output=1
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3 and abserr > POWER_QUAD_ABSTOL:
-        raise NoConvergence(f"tail quadrature failed: {out[3]}")
-    if abserr > POWER_QUAD_ABSTOL:
-        raise NoConvergence(f"tail quadrature error {abserr:.2e} above tolerance")
-    return min(max(value, 0.0), 1.0)
+    q, n = params.q, params.n
+    size = _mixture_size(params)
+    w = np.exp(_ln_mixture_weights(params, size))
+    tails = sp.betainc(n / 2.0, q / 2.0 + np.arange(float(size)), n / (n + q * crit))
+    return min(max(float(np.sum(w * tails)), 0.0), 1.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import chdtrc, fdtrc
 
 from factorlens import (
     Regime,
@@ -60,6 +61,15 @@ def test_tij_null_pvalue():
     assert_allclose(tij_null_pvalue(f_quantile(0.95, 1, 10), bd), 0.05, atol=1e-12)
     with pytest.raises(DomainError):
         tij_null_pvalue(-1.0, reg)
+
+
+def test_tij_null_pvalue_is_a_survival_function():
+    # 1 - cdf would round these to 0; chdtrc(1, 100) = 1.52e-23
+    reg, bd = Regime.concentration(0.2), Regime.boundary(5.0)
+    for t in (0.5, 3.0, 40.0, 100.0, 300.0):
+        assert_allclose(tij_null_pvalue(t, reg), float(chdtrc(1, t)), rtol=1e-12)
+        assert_allclose(tij_null_pvalue(t, bd), float(fdtrc(1, 6.0, t)), rtol=1e-12)
+    assert 0.0 < tij_null_pvalue(100.0, reg) < 1e-22
 
 
 def test_tij_f_limit_close_to_chi2_for_large_denominator():

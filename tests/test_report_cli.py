@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import ndtr
 
 from factorlens import (
     SeedSpec,
@@ -110,6 +111,44 @@ def test_run_tests_detects_alternative(shared_tables):
     report = run_tests(_alternative_panel(), critical_source="closed-form", alpha=0.05)
     assert report.tests["T_LR"].reject
     assert report.tests["T_LR"].p_value < 0.01
+
+
+def test_run_tests_highdim_reports_tiny_p_values():
+    # residuals of assets 0 and 1 correlated at 0.6; 1 - Phi(z) would round
+    # every p-value below 1.1e-16 to 0
+    p, K, T = 10, 2, 200
+    rng = np.random.default_rng(1)
+    F = rng.standard_normal((T, K))
+    E = rng.standard_normal((T, p))
+    E[:, 1] = 0.6 * E[:, 0] + 0.8 * E[:, 1]
+    values = np.hstack([F @ rng.standard_normal((K, p)) + E, F])
+    panel = ReturnsPanel(
+        labels=tuple(f"a{i}" for i in range(p)) + tuple(f"f{k}" for k in range(K)),
+        times=tuple(str(t) for t in range(T)),
+        values=values,
+        asset_columns=tuple(range(p)),
+        factor_columns=tuple(range(p, p + K)),
+    )
+    report = run_tests(panel, critical_source="highdim")
+    lr = report.tests["T_LR"]
+    assert 0.0 < lr.p_value < 1e-16
+    assert_allclose(lr.p_value, float(ndtr(-lr.statistic_value)), rtol=1e-12)
+    assert 0.0 < report.tests["T_el"].p_value < 1e-16
+    assert 0.0 < report.tests["T_pr"].p_value < 1e-16
+
+
+def test_import_loads_neither_scipy_integrate_nor_stats():
+    # both cost import time on every command; nothing in the package needs them
+    code = (
+        "import sys, factorlens, factorlens.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'stats'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_tests_rejects_mismatched_table(shared_tables):

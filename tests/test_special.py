@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
+from scipy.special import betaln, chdtrc, fdtrc, hyp2f1
 
 from factorlens import (
     ZjDensityParams,
@@ -12,14 +13,13 @@ from factorlens import (
     density_Z,
     f_cdf,
     f_quantile,
-    gauss_2f1,
     ln_gamma,
     marginal_power_Z,
     normal_cdf,
     normal_quantile,
 )
 from factorlens.errors import DomainError
-from factorlens.special import f_pdf, ln_gauss_2f1
+from factorlens.special import chi2_sf, f_sf
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +47,22 @@ def _f_quantile_oracle(p, d1, d2):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _ln_f_density_oracle(x, d1, d2):
+    h1, h2 = d1 / 2.0, d2 / 2.0
+    return (
+        h1 * math.log(d1 / d2) + (h1 - 1.0) * math.log(x)
+        - (h1 + h2) * math.log1p(d1 * x / d2) - betaln(h1, h2)
+    )
+
+
+def _paper_density_oracle(x, q, n, lam):
+    # the paper's form: central F_{q,n} density * (1+lam)^(-m) * 2F1(m, m; q/2; w)
+    m = (n + q) / 2.0
+    w = q * x / (n + q * x) * lam / (1.0 + lam)
+    scale = math.exp(_ln_f_density_oracle(x, q, n) - m * math.log1p(lam))
+    return scale * hyp2f1(m, m, q / 2.0, w)
 
 
 def _normal_quantile_oracle(p):
@@ -78,71 +94,6 @@ def test_ln_gamma_domain():
         ln_gamma(0.0)
     with pytest.raises(DomainError):
         ln_gamma(-2.5)
-
-
-# ---------------------------------------------------------------------------
-# gauss_2f1
-# ---------------------------------------------------------------------------
-
-def test_2f1_at_zero_is_one():
-    for a, b, c in [(0.3, 7.0, 2.5), (31.0, 31.0, 0.5), (1.0, 1.0, 2.0)]:
-        assert gauss_2f1(a, b, c, 0.0) == 1.0
-
-
-def test_2f1_log_identity():
-    # 2F1(1,1;2;z) = -ln(1-z)/z
-    for z in (0.1, 0.4, 0.5, 0.7, 0.9, 0.99):
-        assert_allclose(gauss_2f1(1.0, 1.0, 2.0, z), -math.log1p(-z) / z, rtol=1e-12)
-
-
-def test_2f1_symmetric_in_ab():
-    for z in (0.2, 0.6):
-        assert_allclose(
-            gauss_2f1(2.5, 7.0, 3.0, z), gauss_2f1(7.0, 2.5, 3.0, z), rtol=1e-12
-        )
-
-
-def test_2f1_binomial_identity():
-    # 2F1(a, b; b; z) = (1-z)^(-a)
-    for a, z in [(2.0, 0.3), (5.5, 0.65)]:
-        assert_allclose(gauss_2f1(a, 4.0, 4.0, z), (1.0 - z) ** (-a), rtol=1e-10)
-
-
-def test_2f1_euler_agreement_band():
-    # with and without the Euler transformation on z in [0.4, 0.6]
-    for z in np.linspace(0.4, 0.6, 9):
-        for a, b, c in [(13.0, 13.0, 0.5), (4.5, 4.5, 1.5), (2.0, 3.0, 4.0)]:
-            direct = gauss_2f1(a, b, c, float(z), use_euler=False)
-            euler = gauss_2f1(a, b, c, float(z), use_euler=True)
-            assert_allclose(euler, direct, rtol=1e-9)
-
-
-def test_2f1_matches_scipy_reference():
-    from scipy.special import hyp2f1
-
-    for a, b, c, z in [
-        (15.5, 15.5, 0.5, 0.3),
-        (15.5, 15.5, 0.5, 0.8),
-        (3.0, 2.0, 5.0, 0.95),
-    ]:
-        assert_allclose(gauss_2f1(a, b, c, z), float(hyp2f1(a, b, c, z)), rtol=1e-9)
-
-
-def test_2f1_domain_errors():
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 1.0, 2.0, -0.1)
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 1.0, -3.0, 0.5)
-
-
-def test_ln_2f1_handles_huge_parameters_without_overflow():
-    # (n+q)/2 of order 250 at z near 1 overflows naive summation
-    ln_value, sign = ln_gauss_2f1(250.0, 250.0, 0.5, 0.9)
-    assert sign == 1.0
-    assert np.isfinite(ln_value)
-    assert ln_value > 700.0  # value itself would overflow a float
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +131,24 @@ def test_chi2_exponential_special_case():
 
 def test_chi2_cdf_at_zero():
     assert chi2_cdf(0.0, 5.0) == 0.0
+
+
+def test_survival_functions_match_scipy_tails():
+    for x in (0.0, 0.5, 3.0, 40.0, 100.0, 400.0):
+        assert_allclose(chi2_sf(x, 1), float(chdtrc(1, x)), rtol=1e-15)
+        assert_allclose(chi2_sf(x, 45), float(chdtrc(45, x)), rtol=1e-15)
+        assert_allclose(f_sf(x, 1, 30), float(fdtrc(1, 30, x)), rtol=1e-15)
+    # far in the tail, where 1 - cdf rounds to zero
+    assert chi2_sf(200.0, 45) > 0.0
+    assert 1.0 - chi2_cdf(200.0, 45) == 0.0
+    with pytest.raises(DomainError):
+        chi2_sf(-1.0, 3)
+    with pytest.raises(DomainError):
+        chi2_sf(1.0, 0)
+    with pytest.raises(DomainError):
+        f_sf(-1.0, 2, 5)
+    with pytest.raises(DomainError):
+        f_sf(1.0, 2, 0)
 
 
 def test_normal_quantile_value():
@@ -239,6 +208,24 @@ def test_density_integrates_to_one_grid():
                 params = ZjDensityParams(q=q, n=n, lam=lam)
                 total = marginal_power_Z(0.0, params)
                 assert abs(total - 1.0) <= 1e-6, (q, n, lam, total)
+
+
+def test_density_finite_where_2f1_factor_overflows():
+    # 2F1(249.5, 249.5; 0.5; w) alone overflows a float here
+    value = density_Z(40.0, ZjDensityParams(q=1, n=498, lam=20.0))
+    assert math.isfinite(value) and value > 0.0
+    assert_allclose(value, 1.6344863671744e-273, rtol=1e-12)
+
+
+def test_density_far_tail_keeps_relative_accuracy():
+    # past the negative-binomial truncation the Beta terms still grow with k
+    q, n, lam = 99, 419, 0.02
+    x = 10.0 * f_quantile(0.95, q, n)
+    assert_allclose(
+        density_Z(x, ZjDensityParams(q=q, n=n, lam=lam)),
+        _paper_density_oracle(x, q, n, lam),
+        rtol=1e-12,
+    )
 
 
 def test_density_rejects_bad_params():
@@ -314,6 +301,61 @@ def test_power_matches_simulation_oracle():
         mc = float(np.mean(sample > crit))
         se = math.sqrt(theory * (1.0 - theory) / reps)
         assert abs(mc - theory) <= 3.0 * se, (q, mc, theory)
+
+
+# (q, n, lam) from the smallest degrees to the per-column and per-pair
+# members at p = 100, T = 518, K = 1
+MIXTURE_CASES = [
+    (1, 2, 1.0),
+    (1, 25, 0.3),
+    (4, 25, 1.0),
+    (19, 80, 0.5),
+    (49, 200, 0.1),
+    (99, 419, 0.02),
+    (1, 418, 0.3),
+]
+
+
+@pytest.mark.parametrize("q,n,lam", MIXTURE_CASES)
+def test_power_matches_2f1_density_quadrature(q, n, lam):
+    crit = f_quantile(0.95, q, n)
+    reference = integrate.quad(
+        _paper_density_oracle, crit, np.inf, args=(q, n, lam),
+        epsabs=1e-13, epsrel=1e-13, limit=500,
+    )[0]
+    assert_allclose(
+        marginal_power_Z(crit, ZjDensityParams(q=q, n=n, lam=lam)), reference, rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "q,n,lam,crit",
+    [(4, 25, 1.0, f_quantile(0.95, 4, 25)), (1, 498, 20.0, 1.0e4)],
+)
+def test_density_integrates_to_power(q, n, lam, crit):
+    # the second case sums about 10^4 mixture terms
+    params = ZjDensityParams(q=q, n=n, lam=lam)
+    tail = integrate.quad(
+        density_Z, crit, np.inf, args=(params,), epsabs=1e-12, epsrel=1e-12, limit=500
+    )[0]
+    assert_allclose(tail, marginal_power_Z(crit, params), rtol=0, atol=1e-10)
+
+
+def test_power_saturates_far_from_the_null():
+    # lam = 20 puts the statistic near 10^4, far beyond the 5% point 3.86
+    params = ZjDensityParams(q=1, n=498, lam=20.0)
+    assert_allclose(marginal_power_Z(f_quantile(0.95, 1, 498), params), 1.0, rtol=0, atol=1e-12)
+
+
+def test_power_and_density_reject_oversized_mixture():
+    # lam * (n+q)/2 near 1e6 would need more than a million terms
+    params = ZjDensityParams(q=1, n=500, lam=1e6)
+    with pytest.raises(DomainError):
+        marginal_power_Z(1.0, params)
+    with pytest.raises(DomainError):
+        density_Z(1.0, params)
+    with pytest.raises(DomainError):
+        marginal_power_Z(1.0, ZjDensityParams(q=1, n=500, lam=math.inf))
 
 
 def test_power_domain():
