@@ -287,7 +287,10 @@ def test_from_data_null_law_ks():
 
 def _reference_statistics(X, F, demeaned):
     # plain numpy: residual scatter from a least-squares regression, inverted
-    # with np.linalg.inv, and the statistics written out from V11 = E^-1
+    # with np.linalg.inv, and the statistics written out from V11 = E^-1.
+    # v_jj e_jj - 1 is written as q_j / (e_jj - q_j), q_j the part of e_jj
+    # explained by the other assets (a Schur complement), so a small T_j keeps
+    # its relative precision and p = 2, where T_1 = T_2 exactly, stays a tie.
     p, T = X.shape
     K = F.shape[0]
     if demeaned:
@@ -305,7 +308,11 @@ def _reference_statistics(X, F, demeaned):
     rows, cols = np.tril_indices(p, -1)
     g2 = v[rows, cols] ** 2 / (d[rows] * d[cols])
     tij = dof * g2 / (1.0 - g2)
-    tj = dof / (p - 1) * (d * np.diag(e) - 1.0)
+    q = np.empty(p)
+    for j in range(p):
+        o = np.arange(p) != j
+        q[j] = e[j, o] @ np.linalg.solve(e[np.ix_(o, o)], e[o, j])
+    tj = dof / (p - 1) * q / (np.diag(e) - q)
     ln_star = -(t_eff / 2.0) * (np.linalg.slogdet(e)[1] - np.log(np.diag(e)).sum())
     rho = 1.0 - (2.0 * p + 5.0) / (6.0 * (t_eff - K))
     return tij, tj, ln_star, 2.0 * rho * (t_eff - K) / t_eff * ln_star
@@ -327,6 +334,7 @@ def _assert_same_argmax(got, values, want):
 )
 @example(seed=1, p=2, K=0, slack=0, demeaned=False)
 @example(seed=2, p=8, K=3, slack=0, demeaned=True)
+@example(seed=6445, p=2, K=0, slack=7, demeaned=False)  # T_j near 1e-7, tied
 def test_data_path_matches_numpy_reference(seed, p, K, slack, demeaned):
     # slack = 0 is the boundary p + K = T_eff - 1, where dof_n = 2
     T = p + K + 1 + slack + int(demeaned)
