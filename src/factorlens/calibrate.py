@@ -234,23 +234,24 @@ def calibrate_many(
     return tables
 
 
-def empirical_pvalue(
-    observed: float, table: CriticalValueTable, add_one: bool = False
-) -> float:
+def empirical_pvalue(observed, table: CriticalValueTable, add_one: bool = False):
     """Right-tail proportion of the retained null sample at or above observed.
 
     The plain proportion can be exactly zero; add_one=True switches to the
-    (1 + count) / (1 + reps) convention.
+    (1 + count) / (1 + reps) convention. observed may be an array; each
+    entry equals the scalar call bit for bit, and a scalar gives a float.
     """
     if table.null_sample is None:
         raise MissingNullSample(
             "table was calibrated without keep_null_sample=True"
         )
     sample = table.null_sample  # sorted ascending
-    count = sample.size - int(np.searchsorted(sample, observed, side="left"))
+    count = sample.size - np.searchsorted(sample, observed, side="left")
     if add_one:
-        return (1.0 + count) / (1.0 + sample.size)
-    return count / sample.size
+        share = (1.0 + count) / (1.0 + sample.size)
+    else:
+        share = count / sample.size
+    return float(share) if np.ndim(observed) == 0 else share
 
 
 def bonferroni_critical_el(

@@ -118,6 +118,38 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
+def _parse_cells(records, header, positions, wanted) -> np.ndarray:
+    """The referenced cells of each row, one at a time; raises at the first bad one."""
+    values = np.empty((len(records), len(wanted)))
+    for r, record in enumerate(records, start=2):  # 1-based file rows, row 1 = header
+        if len(record) != len(header):
+            raise ParseError(
+                f"row {r} has {len(record)} cells, header has {len(header)}"
+            )
+        for k, name in enumerate(wanted):
+            values[r - 2, k] = _parse_cell(record[positions[name]], r, name)
+    return values
+
+
+def _parse_values(records, header, positions, wanted) -> np.ndarray:
+    """The referenced cells as floats, parsed row by row.
+
+    float() strips the whitespace str.strip() does, so a cell it accepts
+    as finite gets the value _parse_cell gives it. On the first failure,
+    _parse_cells parses the file again and raises the located error.
+    """
+    columns = [positions[name] for name in wanted]
+    if all(len(record) == len(header) for record in records):
+        try:
+            values = np.array([[float(record[c]) for c in columns] for record in records])
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values
+    return _parse_cells(records, header, positions, wanted)
+
+
 def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> ReturnsPanel:
     """Read a panel from a CSV path or open text file.
 
@@ -153,16 +185,11 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     records = rows[1:]
     if not records:
         raise TooFewRows("file has a header but no data rows")
-    values = np.empty((len(records), len(wanted)))
-    times = []
-    for r, record in enumerate(records, start=2):  # 1-based file rows, row 1 = header
-        if len(record) != len(header):
-            raise ParseError(
-                f"row {r} has {len(record)} cells, header has {len(header)}"
-            )
-        for k, name in enumerate(wanted):
-            values[r - 2, k] = _parse_cell(record[positions[name]], r, name)
-        times.append(record[time_pos].strip() if time_pos is not None else str(r - 2))
+    values = _parse_values(records, header, positions, wanted)
+    if time_pos is not None:
+        times = [record[time_pos].strip() for record in records]
+    else:
+        times = [str(t) for t in range(len(records))]
 
     p, K = len(asset_names), len(factor_names)
     if values.shape[0] <= p + K:

@@ -16,6 +16,7 @@ import numpy as np
 from . import asymptotics
 from .calibrate import (
     CriticalValueTable,
+    _default_chunk,
     bonferroni_critical_el,
     bonferroni_critical_pr,
     calibrate_many,
@@ -30,6 +31,7 @@ from .randmat import SeedSpec
 from .special import chi2_cdf, f_cdf, normal_cdf, normal_quantile
 from .teststats import (
     FactorModelSpec,
+    ResidualScatter,
     TestStatistics,
     compute_all,
     precision_stats_from_data,
@@ -213,43 +215,35 @@ def run_tests(
     stats = compute_all(ps)
     source = _resolve_request(critical_source, model)
 
+    regime = None
+    if source == REQUEST_CALIBRATED and tables is None:
+        tables = calibrate_tests(model, alpha, calibration_reps, calibration_seed)
+    elif source == REQUEST_HIGHDIM:
+        regime = asymptotics.select_regime(model.p, model.T, model.K, model.demeaned)
+    observed = {name: np.array([value]) for name, value in observed_statistics(stats).items()}
+    decided = _decide(
+        source, observed, np.array([stats.ln_t_lr_star]), model, alpha, tables, regime
+    )
+    decisions = {
+        name: TestDecision(
+            float(d.statistic[0]), d.critical_value, d.source, float(d.p_value[0]),
+            bool(d.statistic[0] > d.critical_value),
+        )
+        for name, d in decided.items()
+    }
+
     calibration_meta = None
     regime_meta = None
-    observed = observed_statistics(stats)
-
     if source == REQUEST_CALIBRATED:
-        if tables is None:
-            tables = calibrate_tests(model, alpha, calibration_reps, calibration_seed)
-        criticals = calibrated_criticals(tables, model, alpha)
-        p_values = {name: empirical_pvalue(observed[name], tables[name]) for name in TESTS}
-        sources = dict.fromkeys(TESTS, SOURCE_CALIBRATED)
-        decisions = _decisions(observed, criticals, p_values, sources)
         any_table = tables[TESTS[0]]
         calibration_meta = {"master_seed": any_table.master_seed, "reps": any_table.reps}
-    elif source == REQUEST_CLOSED_FORM:
-        pairs = model.p * (model.p - 1) / 2.0
-        p_values = {
-            "T_el": min(1.0, pairs * (1.0 - f_cdf(stats.t_el, 1, model.dof_n))),
-            "T_pr": min(1.0, model.p * (1.0 - f_cdf(stats.t_pr, model.p - 1, model.dof_n))),
-            "T_LR": 1.0 - chi2_cdf(stats.t_lr, pairs),
-        }
-        sources = {"T_el": SOURCE_BONFERRONI, "T_pr": SOURCE_BONFERRONI, "T_LR": SOURCE_CHI2}
-        criticals = closed_form_criticals(model, alpha)
-        decisions = _decisions(observed, criticals, p_values, sources)
-    else:  # highdim
-        regime = asymptotics.select_regime(model.p, model.T, model.K, model.demeaned)
-        decisions = {
-            "T_el": _highdim_el(stats, model, alpha, regime),
-            "T_pr": _highdim_pr(stats, model, alpha, regime),
-            "T_LR": _highdim_lr(stats, model, alpha),
-        }
+    elif source == REQUEST_HIGHDIM:
         regime_meta = {
             "kind": regime.kind,
             "c": regime.c,
             "d": regime.d,
             "tlr_sigma_convention": asymptotics.SIGMA_AS_VARIANCE,
         }
-
     return TestReport(
         model=model,
         statistics=stats,
@@ -260,17 +254,66 @@ def run_tests(
     )
 
 
-def _decisions(observed, criticals, p_values, sources) -> dict[str, TestDecision]:
-    return {
-        name: TestDecision(
-            observed[name], criticals[name], sources[name], p_values[name],
-            observed[name] > criticals[name],
-        )
-        for name in TESTS
+@dataclass(frozen=True)
+class _Decisions:
+    """One test over m datasets: its statistics, critical value and p-values."""
+
+    statistic: np.ndarray
+    critical_value: float
+    source: str
+    p_value: np.ndarray
+
+
+def _decide(
+    source, observed, ln_t_lr_star, model, alpha, tables=None, regime=None
+) -> dict[str, _Decisions]:
+    """Each test's decisions for m datasets of one model, p-values in one call per test.
+
+    observed maps each test to its m statistics; ln_t_lr_star holds the m
+    values the high-dimensional T_LR standardizes.
+    """
+    if source == REQUEST_CALIBRATED:
+        criticals = calibrated_criticals(tables, model, alpha)
+        return {
+            name: _Decisions(
+                observed[name], criticals[name], SOURCE_CALIBRATED,
+                empirical_pvalue(observed[name], tables[name]),
+            )
+            for name in TESTS
+        }
+    if source == REQUEST_CLOSED_FORM:
+        # 1 - cdf, not the survival function: perfbench/spans.py traces these two names
+        pairs = model.p * (model.p - 1) / 2.0
+        dof_n = model.dof_n
+        p_values = {
+            "T_el": np.minimum(1.0, pairs * (1.0 - f_cdf(observed["T_el"], 1, dof_n))),
+            "T_pr": np.minimum(
+                1.0, model.p * (1.0 - f_cdf(observed["T_pr"], model.p - 1, dof_n))
+            ),
+            "T_LR": 1.0 - chi2_cdf(observed["T_LR"], pairs),
+        }
+        sources = {"T_el": SOURCE_BONFERRONI, "T_pr": SOURCE_BONFERRONI, "T_LR": SOURCE_CHI2}
+        criticals = closed_form_criticals(model, alpha)
+        return {
+            name: _Decisions(observed[name], criticals[name], sources[name], p_values[name])
+            for name in TESTS
+        }
+    # highdim: the scalar limit-law helpers, once per dataset
+    helpers = {
+        "T_el": (_highdim_el, observed["T_el"]),
+        "T_pr": (_highdim_pr, observed["T_pr"]),
+        "T_LR": (_highdim_lr, ln_t_lr_star),
     }
+    decided = {}
+    for name, (helper, values) in helpers.items():
+        rows = [helper(float(v), model, alpha, regime) for v in values]
+        statistic, critical, p_value = (np.array(column) for column in zip(*rows))
+        decided[name] = _Decisions(statistic, float(critical[0]), SOURCE_HIGHDIM, p_value)
+    return decided
 
 
-def _highdim_el(stats, model, alpha, regime) -> TestDecision:
+def _highdim_el(t_el, model, alpha, regime) -> tuple[float, float, float]:
+    """(statistic, critical value, p-value) of T_el under the regime's limit law."""
     from .special import chi2_quantile, f_quantile
 
     m = model.p * (model.p - 1) / 2.0
@@ -279,32 +322,29 @@ def _highdim_el(stats, model, alpha, regime) -> TestDecision:
         crit = chi2_quantile(level, 1)
     else:
         crit = f_quantile(level, 1, regime.d + 1.0)
-    pval = min(1.0, m * asymptotics.tij_null_pvalue(stats.t_el, regime))
-    return TestDecision(stats.t_el, crit, SOURCE_HIGHDIM, pval, stats.t_el > crit)
+    return t_el, crit, min(1.0, m * asymptotics.tij_null_pvalue(t_el, regime))
 
 
-def _highdim_pr(stats, model, alpha, regime) -> TestDecision:
+def _highdim_pr(t_pr, model, alpha, regime) -> tuple[float, float, float]:
+    """(statistic, critical value, p-value) of T_pr; standardized under concentration."""
     if regime.kind == asymptotics.CONCENTRATION:
         z = asymptotics.tj_standardize(
-            stats.t_pr, model.p, model.T, model.K, demeaned=model.demeaned
+            t_pr, model.p, model.T, model.K, demeaned=model.demeaned
         )
         crit = normal_quantile(1.0 - alpha / model.p)
-        pval = min(1.0, model.p * normal_cdf(-z))
-        return TestDecision(z, crit, SOURCE_HIGHDIM, pval, z > crit)
+        return z, crit, min(1.0, model.p * normal_cdf(-z))
     crit = asymptotics.tj_boundary_critical(alpha / model.p, regime.d)
-    pval = min(1.0, model.p * asymptotics.tj_boundary_pvalue(stats.t_pr, regime.d))
-    return TestDecision(stats.t_pr, crit, SOURCE_HIGHDIM, pval, stats.t_pr > crit)
+    return t_pr, crit, min(1.0, model.p * asymptotics.tj_boundary_pvalue(t_pr, regime.d))
 
 
-def _highdim_lr(stats, model, alpha) -> TestDecision:
+def _highdim_lr(ln_t_lr_star, model, alpha, regime) -> tuple[float, float, float]:
+    """(standardized statistic, critical value, p-value) of T_LR; any regime."""
     z = float(
         asymptotics.tlr_standardize(
-            stats.ln_t_lr_star, model.p, model.T, model.K, model.demeaned
+            ln_t_lr_star, model.p, model.T, model.K, model.demeaned
         )
     )
-    crit = normal_quantile(1.0 - alpha)
-    pval = normal_cdf(-z)
-    return TestDecision(z, crit, SOURCE_HIGHDIM, pval, z > crit)
+    return z, normal_quantile(1.0 - alpha), normal_cdf(-z)
 
 
 @dataclass(frozen=True)
@@ -343,7 +383,10 @@ def batch_subset_test(
     Subsets are drawn uniformly without replacement from the asset columns
     (factors always included); subset i uses substream (subset_seed, i).
     With calibrated criticals the table is computed once for the subset
-    dimensions and reused.
+    dimensions and reused. The residual scatter of all assets is formed
+    once; subsets then run through the statistics kernel in chunks, with
+    the same statistics, p-values and Singular failures as run_tests on
+    each subset panel, up to rounding.
     """
     if not 2 <= subset_size <= panel.p:
         raise DomainError(
@@ -355,21 +398,35 @@ def batch_subset_test(
         p=subset_size, K=panel.K, T=panel.T, demeaned=panel.demean
     )
     source = _resolve_request(critical_source, sub_model)
-    tables = None
+    tables = regime = None
     if source == REQUEST_CALIBRATED:
         tables = calibrate_tests(sub_model, alpha, calibration_reps, calibration_seed)
+    elif source == REQUEST_HIGHDIM:
+        regime = asymptotics.select_regime(subset_size, panel.T, panel.K, panel.demean)
+    X, F = panel.data_matrices()
+    scatter = ResidualScatter(X, F, demeaned=panel.demean)
     pvals = {test: np.empty(num_subsets) for test in TESTS}
-    for i in range(num_subsets):
-        rng = SeedSpec(subset_seed, i).generator()
-        idx = np.sort(rng.choice(panel.p, size=subset_size, replace=False))
-        report = run_tests(
-            panel.subset(idx),
-            alpha=alpha,
-            critical_source=source,
-            tables=tables,
+    chunk = _default_chunk(subset_size)
+    for start in range(0, num_subsets, chunk):
+        stop = min(start + chunk, num_subsets)
+        subsets = np.array([
+            np.sort(
+                SeedSpec(subset_seed, i).generator().choice(
+                    panel.p, size=subset_size, replace=False
+                )
+            )
+            for i in range(start, stop)
+        ])
+        kernel = scatter.subset_stats(subsets)
+        observed = {
+            "T_el": kernel.t_el, "T_pr": kernel.t_j.max(axis=1), "T_LR": kernel.t_lr,
+        }
+        decided = _decide(
+            source, observed, kernel.ln_t_lr_star, sub_model, alpha, tables, regime
         )
         for test in TESTS:
-            pvals[test][i] = report.tests[test].p_value
+            pvals[test][start:stop] = decided[test].p_value
+        del kernel, observed, decided  # release this chunk's arrays before the next
     quantiles = {}
     for test in TESTS:
         q = np.quantile(pvals[test], [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -37,20 +37,28 @@ def ln_gamma(x: float) -> float:
     return float(sp.gammaln(x))
 
 
-def _check_args(name: str, dofs: tuple, x: float | None = None, p: float | None = None) -> None:
-    """Domain checks shared by the F, chi-square and normal laws."""
+def _check_args(name: str, dofs: tuple, x=None, p: float | None = None) -> None:
+    """Domain checks shared by the F, chi-square and normal laws; x may be an array."""
     if any(d <= 0 for d in dofs):
         raise DomainError("degrees of freedom must be positive")
-    if x is not None and x < 0:
-        raise DomainError(f"{name} requires x >= 0, got {x}")
+    if x is not None and np.any(np.asarray(x) < 0):
+        raise DomainError(f"{name} requires x >= 0, got {np.min(x)}")
     if p is not None and not 0.0 < p < 1.0:
         raise DomainError(f"{name} requires 0 < p < 1, got {p}")
 
 
-def f_cdf(x: float, d1: float, d2: float) -> float:
-    """CDF of the F distribution with d1 and d2 degrees of freedom."""
+def _like(values, x):
+    """A Python float for a scalar x, the array itself for an array x."""
+    return float(values) if np.ndim(x) == 0 else values
+
+
+def f_cdf(x, d1: float, d2: float):
+    """CDF of the F distribution with d1 and d2 degrees of freedom.
+
+    x may be an array; each entry equals the scalar call bit for bit.
+    """
     _check_args("f_cdf", (d1, d2), x=x)
-    return float(sp.fdtr(d1, d2, x))
+    return _like(sp.fdtr(d1, d2, x), x)
 
 
 def f_sf(x: float, d1: float, d2: float) -> float:
@@ -65,10 +73,13 @@ def f_quantile(p: float, d1: float, d2: float) -> float:
     return float(sp.fdtri(d1, d2, p))
 
 
-def chi2_cdf(x: float, k: float) -> float:
-    """CDF of the chi-square distribution with k degrees of freedom."""
+def chi2_cdf(x, k: float):
+    """CDF of the chi-square distribution with k degrees of freedom.
+
+    x may be an array; each entry equals the scalar call bit for bit.
+    """
     _check_args("chi2_cdf", (k,), x=x)
-    return float(sp.chdtr(k, x))
+    return _like(sp.chdtr(k, x), x)
 
 
 def chi2_sf(x: float, k: float) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import linalg
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     NotPositiveDefinite,
     Singular,
 )
-from .linalg import SymMatrix, invert_spd, log_det_spd
+from .linalg import PIVOT_RTOL, SymMatrix, invert_spd, log_det_spd
 
 
 def effective_sample_size(T: int, demeaned: bool) -> int:
@@ -169,6 +170,14 @@ def stats_from_factors(L: np.ndarray, t_eff: int, K: int) -> FactorStats:
     return FactorStats(L, t_eff, K)
 
 
+def _check_diagonal_product(diag_v: np.ndarray, diag_e: np.ndarray) -> None:
+    """v_jj e_jj >= 1 in exact arithmetic; far below it the factor was not usable."""
+    if np.any(diag_v * diag_e < 1.0 - 1e-10):
+        raise NotPositiveDefinite(
+            "diagonal product of V11 and its inverse fell below one"
+        )
+
+
 @dataclass(frozen=True)
 class FactorModelSpec:
     """Dimensions of a factor-model test problem."""
@@ -217,11 +226,7 @@ class PrecisionStats:
     def __post_init__(self) -> None:
         if self.dof_n < 1:
             raise BadDimension(f"dof_n must be >= 1, got {self.dof_n}")
-        prod = self.diag_v11 * self.diag_v11_inv
-        if np.any(prod < 1.0 - 1e-10):
-            raise NotPositiveDefinite(
-                "diagonal product of V11 and its inverse fell below one"
-            )
+        _check_diagonal_product(self.diag_v11, self.diag_v11_inv)
         for name in ("diag_v11", "diag_v11_inv"):
             # a copy, so that freezing it leaves the caller's array writeable
             arr = np.array(getattr(self, name), dtype=np.float64)
@@ -316,6 +321,67 @@ def precision_stats_from_data(
     except NotPositiveDefinite as exc:
         raise Singular(f"stacked covariance is not positive definite: {exc}") from None
     return PrecisionStats.from_factor(factor[K:, K:], T, K, demeaned)
+
+
+class ResidualScatter:
+    """Residual scatter E of every response on the factors, for asset subsets.
+
+    One factorization of the K-by-K factor scatter S_ff gives
+    E = S_xx - W^T W with W = L_ff^-1 S_fx: the Schur complement that the
+    stacked scatter's Cholesky factorization forms in its trailing block.
+    For an asset subset S, E[S, S] is the residual scatter of those assets
+    alone, so only the subsets drawn, not all p assets together, need a
+    positive-definite stacked scatter. X is p-by-T, F is K-by-T with K >= 0.
+    """
+
+    def __init__(self, X: np.ndarray, F: np.ndarray, demeaned: bool = False) -> None:
+        K = F.shape[0]
+        self.t_eff = effective_sample_size(X.shape[1], demeaned)
+        self.K = K
+        Y = np.vstack([F, X])
+        if demeaned:
+            Y = Y - Y.mean(axis=1, keepdims=True)
+        scatter = Y @ Y.T
+        self._xx_diag = np.diagonal(scatter)[K:].copy()
+        self._ff_max_diag = float(np.max(np.diagonal(scatter)[:K], initial=-np.inf))
+        self._ff_min_pivot = np.inf
+        self.e = scatter[K:, K:]
+        if K:
+            try:
+                l_ff = np.linalg.cholesky(scatter[:K, :K])
+            except np.linalg.LinAlgError:
+                raise Singular("factor scatter is not positive definite") from None
+            self._ff_min_pivot = float(np.min(np.diagonal(l_ff) ** 2))
+            w = solve_triangular(l_ff, scatter[:K, K:], lower=True)
+            self.e = self.e - w.T @ w
+
+    def _factors(self, subsets: np.ndarray) -> np.ndarray:
+        """Lower factors of E[S, S] for each row S of subsets (ascending indices).
+
+        A subset fails as its stacked scatter fails linalg.cholesky: when a
+        pivot, its K factor pivots included, is at or below PIVOT_RTOL times
+        the stacked scatter's largest diagonal entry.
+        """
+        try:
+            L = np.linalg.cholesky(self.e[subsets[:, :, None], subsets[:, None, :]])
+        except np.linalg.LinAlgError:
+            raise Singular("a subset's stacked covariance is not positive definite") from None
+        pivots = np.minimum(np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1),
+                            self._ff_min_pivot)
+        bound = PIVOT_RTOL * np.maximum(self._xx_diag[subsets].max(axis=1), self._ff_max_diag)
+        bad = np.flatnonzero(pivots <= bound)
+        if bad.size:
+            raise Singular(
+                f"a subset's stacked covariance is not positive definite: Cholesky "
+                f"pivot {pivots[bad[0]]:.3e} below tolerance {bound[bad[0]]:.3e}"
+            )
+        return L
+
+    def subset_stats(self, subsets: np.ndarray) -> FactorStats:
+        """The statistics kernel over the subsets, one row of asset indices each."""
+        kernel = stats_from_factors(self._factors(subsets), self.t_eff, self.K)
+        _check_diagonal_product(kernel.diag_v, kernel.diag_e)
+        return kernel
 
 
 def pairwise_t_ij(ps: PrecisionStats) -> np.ndarray:

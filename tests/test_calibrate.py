@@ -207,6 +207,21 @@ def test_empirical_pvalue_conventions(tables):
     assert empirical_pvalue(sample.max() + 1.0, t, add_one=True) == 1.0 / (REPS + 1.0)
 
 
+@pytest.mark.parametrize("add_one", [False, True])
+def test_empirical_pvalue_array_input_matches_scalar_calls(tables, add_one):
+    t = tables["T_LR"]
+    sample = np.asarray(t.null_sample)
+    # ties with kept draws, values between them, and beyond both ends
+    x = np.concatenate([sample[[0, 1, 500, 1999]], sample[[3, 700]] + 1e-9,
+                        [sample.min() - 1.0, -5.0, sample.max() + 1.0, np.inf]])
+    got = empirical_pvalue(x, t, add_one=add_one)
+    want = [empirical_pvalue(float(v), t, add_one=add_one) for v in x]
+    assert all(isinstance(w, float) for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert want[0] == 1.0 and want[-1] == (1.0 / (REPS + 1.0) if add_one else 0.0)
+    assert isinstance(empirical_pvalue(np.float64(x[2]), t), float)
+
+
 def test_empirical_pvalue_requires_sample():
     t = calibrate_many(("T_el",), P, T, K, reps=1000, master_seed=1)["T_el"]
     with pytest.raises(MissingNullSample):

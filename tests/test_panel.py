@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factorlens import ingest_csv, export_panel_csv
-from factorlens.panel import ReturnsPanel
+from factorlens.panel import ReturnsPanel, _parse_cells
 from factorlens.errors import (
     BadDimension,
     MissingColumn,
@@ -90,6 +90,26 @@ def test_ingest_from_path(tmp_path):
     panel = ingest_csv(path, ["asset"], ["factor"], demean=True)
     assert panel.demean
     assert panel.T == 10
+
+
+def test_ingest_odd_cells_parse_as_the_per_cell_path_does():
+    odd = [" 1.5", "1_0", "+.5", "-0", "5e-324", "\t-2.25e-3 ", "1E2", "0.1"]
+    rows = [[f"t{i}", odd[i % len(odd)], odd[(3 * i + 1) % len(odd)], "junk", f"{i}.25"]
+            for i in range(12)]
+    text = "time,a,b,skip,f\n" + "\n".join(",".join(r) for r in rows)
+    panel = ingest_csv(io.StringIO(text), ["a", "b"], ["f"])
+    header = ["time", "a", "b", "skip", "f"]
+    slow = _parse_cells(rows, header, {"a": 1, "b": 2, "f": 4}, ["a", "b", "f"])
+    assert panel.values.tobytes() == slow.tobytes()  # -0.0 and the subnormal bit for bit
+    assert panel.values[3, 0] == 0.0 and np.signbit(panel.values[3, 0])
+    assert panel.values[1, 0] == 10.0 and panel.values[4, 0] == 5e-324
+    # cells float() accepts as non-finite still get their located errors
+    for cell, error in (("-inf", ParseError), (" NaN ", MissingValue)):
+        bad = [list(r) for r in rows]
+        bad[5][1] = cell
+        bad_text = "time,a,b,skip,f\n" + "\n".join(",".join(r) for r in bad)
+        with pytest.raises(error, match="row 7, column 'a'"):
+            ingest_csv(io.StringIO(bad_text), ["a", "b"], ["f"])
 
 
 def test_roundtrip_export_ingest():

@@ -168,6 +168,24 @@ def test_quantile_domain_errors():
         f_cdf(-1.0, 2, 5)
 
 
+@pytest.mark.parametrize(
+    "cdf, dofs", [(f_cdf, (1, 418)), (f_cdf, (26, 2)), (chi2_cdf, (45,)), (chi2_cdf, (1.5,))]
+)
+def test_cdf_array_input_matches_scalar_calls(cdf, dofs):
+    x = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 20.0, 200.0, 1e6, np.inf],
+                        np.random.default_rng(3).gamma(2.0, 5.0, 50)])
+    got = cdf(x, *dofs)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    want = [cdf(float(v), *dofs) for v in x]
+    assert all(isinstance(w, float) for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got.reshape(2, -1).tobytes() == cdf(x.reshape(2, -1), *dofs).tobytes()
+    assert isinstance(cdf(np.float64(3.0), *dofs), float)
+    for bad in (np.array([1.0, -1e-300, 2.0]), np.array([[3.0], [-2.0]]), [0.5, -1.0]):
+        with pytest.raises(DomainError):
+            cdf(bad, *dofs)
+
+
 # ---------------------------------------------------------------------------
 # density of the noncentral marginal statistic
 # ---------------------------------------------------------------------------
