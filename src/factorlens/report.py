@@ -31,6 +31,7 @@ from .randmat import SeedSpec
 from .special import chi2_cdf, f_cdf, normal_cdf, normal_quantile
 from .teststats import (
     FactorModelSpec,
+    FactorStats,
     ResidualScatter,
     TestStatistics,
     compute_all,
@@ -145,6 +146,11 @@ def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -
 def observed_statistics(stats: TestStatistics) -> dict[str, float]:
     """The statistic each global test compares with its critical value."""
     return {"T_el": stats.t_el, "T_pr": stats.t_pr, "T_LR": stats.t_lr}
+
+
+def kernel_observed(kernel: FactorStats) -> dict[str, np.ndarray]:
+    """observed_statistics of every dataset of a kernel run, one array per test."""
+    return {"T_el": kernel.t_el, "T_pr": kernel.t_j.max(axis=1), "T_LR": kernel.t_lr}
 
 
 def calibrated_criticals(
@@ -418,9 +424,7 @@ def batch_subset_test(
             for i in range(start, stop)
         ])
         kernel = scatter.subset_stats(subsets)
-        observed = {
-            "T_el": kernel.t_el, "T_pr": kernel.t_j.max(axis=1), "T_LR": kernel.t_lr,
-        }
+        observed = kernel_observed(kernel)
         decided = _decide(
             source, observed, kernel.ln_t_lr_star, sub_model, alpha, tables, regime
         )

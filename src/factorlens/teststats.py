@@ -170,6 +170,31 @@ def stats_from_factors(L: np.ndarray, t_eff: int, K: int) -> FactorStats:
     return FactorStats(L, t_eff, K)
 
 
+def _stacked_cholesky(
+    scatters: np.ndarray, max_diag: np.ndarray, min_pivot: float = np.inf
+) -> np.ndarray:
+    """Lower factors of a stack of scatters under the stacked pivot rule.
+
+    A dataset fails, as its stacked scatter fails linalg.cholesky, when a
+    Cholesky pivot is at or below PIVOT_RTOL times the stacked scatter's
+    largest diagonal entry max_diag. min_pivot carries pivots factored
+    elsewhere (the factor block's, when only the Schur complement is given).
+    """
+    try:
+        L = np.linalg.cholesky(scatters)
+    except np.linalg.LinAlgError:
+        raise Singular("a stacked covariance is not positive definite") from None
+    pivots = np.minimum(np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1), min_pivot)
+    bound = PIVOT_RTOL * max_diag
+    bad = np.flatnonzero(pivots <= bound)
+    if bad.size:
+        raise Singular(
+            f"a stacked covariance is not positive definite: Cholesky "
+            f"pivot {pivots[bad[0]]:.3e} below tolerance {bound[bad[0]]:.3e}"
+        )
+    return L
+
+
 def _check_diagonal_product(diag_v: np.ndarray, diag_e: np.ndarray) -> None:
     """v_jj e_jj >= 1 in exact arithmetic; far below it the factor was not usable."""
     if np.any(diag_v * diag_e < 1.0 - 1e-10):
@@ -358,24 +383,13 @@ class ResidualScatter:
     def _factors(self, subsets: np.ndarray) -> np.ndarray:
         """Lower factors of E[S, S] for each row S of subsets (ascending indices).
 
-        A subset fails as its stacked scatter fails linalg.cholesky: when a
-        pivot, its K factor pivots included, is at or below PIVOT_RTOL times
-        the stacked scatter's largest diagonal entry.
+        A subset fails by the stacked pivot rule, its K factor pivots included.
         """
-        try:
-            L = np.linalg.cholesky(self.e[subsets[:, :, None], subsets[:, None, :]])
-        except np.linalg.LinAlgError:
-            raise Singular("a subset's stacked covariance is not positive definite") from None
-        pivots = np.minimum(np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1),
-                            self._ff_min_pivot)
-        bound = PIVOT_RTOL * np.maximum(self._xx_diag[subsets].max(axis=1), self._ff_max_diag)
-        bad = np.flatnonzero(pivots <= bound)
-        if bad.size:
-            raise Singular(
-                f"a subset's stacked covariance is not positive definite: Cholesky "
-                f"pivot {pivots[bad[0]]:.3e} below tolerance {bound[bad[0]]:.3e}"
-            )
-        return L
+        return _stacked_cholesky(
+            self.e[subsets[:, :, None], subsets[:, None, :]],
+            np.maximum(self._xx_diag[subsets].max(axis=1), self._ff_max_diag),
+            self._ff_min_pivot,
+        )
 
     def subset_stats(self, subsets: np.ndarray) -> FactorStats:
         """The statistics kernel over the subsets, one row of asset indices each."""

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from factorlens import (
     ingest_csv,
     run_tests,
 )
-from factorlens.cli import main
+from factorlens.cli import _build_parser, main
 from factorlens.errors import DomainError, MissingCalibration
 from factorlens.panel import ReturnsPanel
 from factorlens.powersim import ScenarioConfig, generate_dataset
@@ -318,6 +319,47 @@ def test_cli_power_and_usage_error(tmp_path):
             ]
         )
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["power", "--scenario", "s1", "--rho-grid=0.5:-0.25:-0.5"], "--rho-grid"),
+        (["power", "--scenario", "s1", "--rho-grid", "0.1,abc"], "--rho-grid"),
+        (["power", "--scenario", "s4", "--ktilde-grid", "1:x:3"], "--ktilde-grid"),
+        (["calibrate", "--alphas", "0.05,x"], "--alphas"),
+    ],
+)
+def test_cli_malformed_grid_or_alphas_is_a_usage_error(tmp_path, capsys, argv, flag):
+    dims = ["--p", "4", "--T", "40", "--K", "1", "--reps", "10"]
+    with pytest.raises(SystemExit) as err:
+        main([*argv, *dims, "--out", str(tmp_path / "x.out")])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every factorlens command in the README's command-line block, as argv."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Command line"):]
+    block = section.split("```")[1]
+    joined = block.replace("\\\n", " ")
+    return [
+        shlex.split(line)[1:]
+        for line in joined.splitlines()
+        if line.startswith("factorlens ")
+    ]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"test", "calibrate", "power", "batch-test"}
+    parser = _build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits with status 2 on a usage error
 
 
 def test_cli_power_calibrated_matches_library(tmp_path):
