@@ -87,10 +87,10 @@ def select_regime(p: int, T: int, K: int, demeaned: bool = False) -> Regime:
     return Regime.concentration(p / (t_eff - K))
 
 
-def tij_null_pvalue(t: float, regime: Regime) -> float:
-    """Upper-tail p-value of one pair statistic under the regime's limit law."""
-    if t < 0:
-        raise DomainError(f"pair statistic must be nonnegative, got {t}")
+def tij_null_pvalue(t, regime: Regime):
+    """Upper-tail p-value of pair statistics under the regime's limit law; t may be an array."""
+    if np.any(np.asarray(t) < 0):
+        raise DomainError(f"pair statistic must be nonnegative, got {np.min(t)}")
     if regime.kind == CONCENTRATION:
         return chi2_sf(t, 1)
     return f_sf(t, 1, regime.d + 1.0)
@@ -144,13 +144,14 @@ def tj_standardize(
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def tj_boundary_pvalue(t_j: float, d: float) -> float:
-    """Upper-tail p-value of a column statistic under the boundary limit.
+def tj_boundary_pvalue(t_j, d: float):
+    """Upper-tail p-value of column statistics under the boundary limit.
 
     The limit is (d+1)/chi2_{d+1}, so P[limit > t] = chi2_cdf((d+1)/t, d+1).
+    t_j may be an array, each entry bit for bit the scalar call's.
     """
-    if not t_j > 0:
-        raise DomainError(f"boundary p-value needs t_j > 0, got {t_j}")
+    if not np.all(np.asarray(t_j) > 0):
+        raise DomainError(f"boundary p-value needs t_j > 0, got {np.min(t_j)}")
     if not d > 0:
         raise DomainError(f"d must be positive, got {d}")
     return chi2_cdf((d + 1.0) / t_j, d + 1.0)

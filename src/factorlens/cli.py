@@ -77,7 +77,10 @@ def _parse_grid(text: str, integer: bool = False) -> list:
     else:
         values = [float(x) for x in _csv_list(text)]
     if integer:
-        return [int(round(v)) for v in values]
+        for v in values:
+            if not v.is_integer():
+                raise ValueError(f"grid value {v:g} is not an integer")
+        return [int(v) for v in values]
     return values
 
 

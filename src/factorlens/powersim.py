@@ -7,17 +7,17 @@ factor loadings) are redrawn each replicate; replicate r of a study always
 uses substream r of the master seed, so datasets are shared across grid
 points (common random numbers) and runs are reproducible.
 
-Scenarios s1-s3 run as batched kernel runs on those same datasets. A
-dataset is X = B F + D C Z with D = diag(eta) and C the Cholesky factor of
-build_sigma_u. The residual maker of F removes B F, so the residual scatter
-is E = D C (Z M_F Z^T) C^T D. If A is the trailing p-by-p block of the
-Cholesky factor of the stacked scatter of [F; Z], then D C A is lower
-triangular with a positive diagonal and factors E, and every statistic is
-invariant to D. So each replicate's [F; Z] is factored once, and each grid
-point only multiplies its C onto the factors and runs the statistics kernel.
-The statistics agree with the per-dataset data path up to rounding (about
-1e-12 relative). Scenario s4 changes the fitted model rather than the
-residual correlation, so it keeps the per-dataset path.
+Every scenario runs as batched kernel runs on those datasets, a chunk of
+replicates at a time. In s1-s3 a dataset is X = B F + D C Z with
+D = diag(eta) and C the Cholesky factor of build_sigma_u. The residual maker
+of F removes B F, so the residual scatter is E = D C (Z M_F Z^T) C^T D. If A
+is the trailing p-by-p block of the Cholesky factor of the stacked scatter of
+[F; Z], then D C A is lower triangular with a positive diagonal and factors
+E, and every statistic is invariant to D. So each replicate's [F; Z] is
+factored once, and each grid point only multiplies its C onto the factors;
+the statistics agree with the per-dataset data path up to rounding (about
+1e-12 relative). Scenario s4 changes the fitted model, so each grid point
+factors its own datasets [F; X], as the data path does.
 """
 
 from __future__ import annotations
@@ -30,21 +30,15 @@ from .calibrate import CriticalValueTable
 from .errors import BadDimension, DomainError
 from .linalg import SymMatrix, cholesky, invert_spd
 from .randmat import SeedSpec
-from .report import (
-    TESTS,
-    calibrated_criticals,
-    closed_form_criticals,
-    kernel_observed,
-    observed_statistics,
-)
+from .report import TESTS, calibrated_criticals, closed_form_criticals, kernel_observed
 from .teststats import (
     FactorModelSpec,
     _check_diagonal_product,
-    _stacked_cholesky,
-    compute_all,
-    precision_stats_from_data,
+    residual_factors,
     stats_from_factors,
 )
+# unused here; bound only because perfbench/spans.py traces these names in this module
+from .teststats import compute_all, precision_stats_from_data
 
 SCENARIOS = ("s1_single_corr", "s2_column", "s3_ar1", "s4_extra_factors")
 _ALIASES = {"s1": "s1_single_corr", "s2": "s2_column", "s3": "s3_ar1", "s4": "s4_extra_factors"}
@@ -91,8 +85,9 @@ def _check_rho(rho: float) -> None:
 
 
 def _check_k_tilde(k_tilde: int) -> None:
-    if int(k_tilde) != k_tilde or not 1 <= k_tilde <= MAX_K_TILDE:
-        raise DomainError(f"k_tilde must be an integer in [1, {MAX_K_TILDE}], got {k_tilde}")
+    # zero omitted factors is the exact null case
+    if int(k_tilde) != k_tilde or not 0 <= k_tilde <= MAX_K_TILDE:
+        raise DomainError(f"k_tilde must be an integer in [0, {MAX_K_TILDE}], got {k_tilde}")
 
 
 def build_sigma_u(scenario: str, p: int, rho: float) -> SymMatrix:
@@ -150,10 +145,8 @@ def generate_dataset(
     rng = SeedSpec(cfg.master_seed, rep_index).generator()
     p, K, T = cfg.p, cfg.K, cfg.T
     if cfg.scenario == "s4_extra_factors":
-        k_tilde = int(rho_or_ktilde)
-        if k_tilde != 0:  # zero omitted factors is the exact null case
-            _check_k_tilde(k_tilde)
-        k_total = K + k_tilde
+        _check_k_tilde(rho_or_ktilde)
+        k_total = K + int(rho_or_ktilde)
         corr_factor = None
     else:
         _check_rho(rho_or_ktilde)
@@ -198,11 +191,11 @@ def run_power_study(
 ) -> PowerCurve:
     """Rejection frequency of each test at every grid point.
 
-    The grid holds rho values (s1-s3) or extra-factor counts (s4). With
+    The grid holds rho values (s1-s3) or extra-factor counts (s4); every
+    value is checked before any simulation. With
     critical_source='calibrated', matching tables must be supplied;
     otherwise Bonferroni (max statistics) and chi-square (likelihood ratio)
-    critical values are used. Scenarios s1-s3 run batched over replicates
-    (module docstring); s4 runs each dataset through the data path.
+    critical values are used. Replicates run batched (module docstring).
     """
     model = FactorModelSpec(p=cfg.p, K=cfg.K, T=cfg.T)
     if critical_source == CALIBRATED:
@@ -215,9 +208,21 @@ def run_power_study(
     if not grid:
         raise DomainError("grid must be nonempty")
     if cfg.scenario == "s4_extra_factors":
-        counts = _per_dataset_counts(cfg, grid, criticals)
+        for k_tilde in grid:
+            _check_k_tilde(k_tilde)
+        corr_factors = None
     else:
-        counts = _stacked_counts(cfg, model, grid, criticals)
+        corr_factors = [cholesky(build_sigma_u(cfg.scenario, cfg.p, rho)).data for rho in grid]
+    counts = {test: np.zeros(len(grid)) for test in TESTS}
+    chunk = _chunk_size(cfg.p, cfg.K, cfg.T)
+    for start in range(0, cfg.reps, chunk):
+        stop = min(start + chunk, cfg.reps)
+        for gi, factors in _grid_factors(cfg, grid, corr_factors, start, stop):
+            kernel = stats_from_factors(factors, model.t_eff, cfg.K)
+            _check_diagonal_product(kernel.diag_v, kernel.diag_e)
+            for test, observed in kernel_observed(kernel).items():
+                counts[test][gi] += np.count_nonzero(observed > criticals[test])
+            del factors, kernel  # release each array once used, so chunks stay near the budget
     rates = {t: counts[t] / cfg.reps for t in TESTS}
     ses = {t: np.sqrt(rates[t] * (1.0 - rates[t]) / cfg.reps) for t in TESTS}
     return PowerCurve(
@@ -229,20 +234,6 @@ def run_power_study(
     )
 
 
-def _per_dataset_counts(cfg: ScenarioConfig, grid: tuple, criticals: dict) -> dict:
-    """Rejections per grid point, one dataset at a time through the data path."""
-    counts = {test: np.zeros(len(grid)) for test in TESTS}
-    for gi, value in enumerate(grid):
-        for rep in range(cfg.reps):
-            X, F = generate_dataset(cfg, value, rep)
-            ps = precision_stats_from_data(X, F if cfg.K else None)
-            observed = observed_statistics(compute_all(ps))
-            for test in TESTS:
-                if observed[test] > criticals[test]:
-                    counts[test][gi] += 1
-    return counts
-
-
 def _chunk_size(p: int, K: int, T: int) -> int:
     # Keep a chunk's work arrays near 16 MiB. Per replicate: the (K+p)-by-T
     # draw block, the stacked scatter and its factor, and for one grid point
@@ -251,36 +242,29 @@ def _chunk_size(p: int, K: int, T: int) -> int:
     return max(1, min(4096, 16 * 2**20 // per_replicate))
 
 
-def _stacked_counts(
-    cfg: ScenarioConfig, model: FactorModelSpec, grid: tuple, criticals: dict
-) -> dict:
-    """Rejections per grid point of s1-s3: one factorization per replicate.
+def _grid_factors(cfg: ScenarioConfig, grid: tuple, corr_factors, start: int, stop: int):
+    """(grid index, lower factors of E) for replicates start..stop-1, grid point by grid point.
 
-    Replicate r makes the same draws as generate_dataset(cfg, rho, r). A
-    replicate whose stacked scatter of [F; Z] breaks the stacked pivot rule
-    raises Singular; otherwise C A factors the residual scatter of its
-    dataset at every grid point.
+    s4 factors the datasets of generate_dataset(cfg, k_tilde, r). s1-s3 make
+    the same draws as generate_dataset(cfg, rho, r), factor each [F; Z] once
+    as A and give C A for each grid point's C. Singular as residual_factors.
     """
-    p, K, T = cfg.p, cfg.K, cfg.T
-    corr_factors = [cholesky(build_sigma_u(cfg.scenario, p, rho)).data for rho in grid]
-    counts = {test: np.zeros(len(grid)) for test in TESTS}
-    chunk = _chunk_size(p, K, T)
-    for start in range(0, cfg.reps, chunk):
-        stop = min(start + chunk, cfg.reps)
-        block = np.empty((stop - start, K + p, T))
-        for i, rep in enumerate(range(start, stop)):
-            rng = SeedSpec(cfg.master_seed, rep).generator()
-            _, _, factors, shocks = _draw_replicate(rng, p, K, T)
-            block[i, :K] = factors
-            block[i, K:] = shocks
-        scatters = np.matmul(block, np.swapaxes(block, 1, 2))
-        del block  # release each array once used, so chunks stay near the budget
-        max_diag = np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
-        A = _stacked_cholesky(scatters, max_diag)[:, K:, K:]
-        for gi, corr_factor in enumerate(corr_factors):
-            kernel = stats_from_factors(corr_factor @ A, model.t_eff, K)
-            _check_diagonal_product(kernel.diag_v, kernel.diag_e)
-            for test, observed in kernel_observed(kernel).items():
-                counts[test][gi] += np.count_nonzero(observed > criticals[test])
-            del kernel
-    return counts
+    p, K = cfg.p, cfg.K
+    block = np.empty((stop - start, K + p, cfg.T))
+    if cfg.scenario == "s4_extra_factors":
+        for gi, k_tilde in enumerate(grid):
+            for i, rep in enumerate(range(start, stop)):
+                X, F = generate_dataset(cfg, k_tilde, rep)
+                block[i, :K] = F
+                block[i, K:] = X
+            yield gi, residual_factors(block, K)
+        return
+    for i, rep in enumerate(range(start, stop)):
+        rng = SeedSpec(cfg.master_seed, rep).generator()
+        _, _, factors, shocks = _draw_replicate(rng, p, K, cfg.T)
+        block[i, :K] = factors
+        block[i, K:] = shocks
+    A = residual_factors(block, K)
+    del block
+    for gi, corr_factor in enumerate(corr_factors):
+        yield gi, corr_factor @ A

@@ -4,6 +4,8 @@ run_tests computes all statistics of a panel and compares each global test
 against critical values from one of three sources: Monte-Carlo calibration
 (exact at any dimension), closed forms (Bonferroni for the max statistics,
 chi-square for the likelihood ratio), or the high-dimensional limit laws.
+P-values from the last two are survival functions, not 1 - cdf, so tiny
+ones keep their value instead of rounding to 0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .calibrate import (
 from .errors import DomainError, MissingCalibration
 from .panel import ReturnsPanel
 from .randmat import SeedSpec
-from .special import chi2_cdf, f_cdf, normal_cdf, normal_quantile
+from .special import chi2_quantile, chi2_sf, f_quantile, f_sf, normal_cdf, normal_quantile
+# unused here; bound only because perfbench/spans.py traces these names in this module
+from .special import chi2_cdf, f_cdf
 from .teststats import (
     FactorModelSpec,
     FactorStats,
@@ -287,70 +291,38 @@ def _decide(
             )
             for name in TESTS
         }
+    pairs = model.p * (model.p - 1) / 2.0
+    t_el, t_pr = observed["T_el"], observed["T_pr"]
     if source == REQUEST_CLOSED_FORM:
-        # 1 - cdf, not the survival function: perfbench/spans.py traces these two names
-        pairs = model.p * (model.p - 1) / 2.0
-        dof_n = model.dof_n
-        p_values = {
-            "T_el": np.minimum(1.0, pairs * (1.0 - f_cdf(observed["T_el"], 1, dof_n))),
-            "T_pr": np.minimum(
-                1.0, model.p * (1.0 - f_cdf(observed["T_pr"], model.p - 1, dof_n))
-            ),
-            "T_LR": 1.0 - chi2_cdf(observed["T_LR"], pairs),
+        criticals, dof_n = closed_form_criticals(model, alpha), model.dof_n
+        rows = {
+            "T_el": (t_el, SOURCE_BONFERRONI, pairs * f_sf(t_el, 1, dof_n)),
+            "T_pr": (t_pr, SOURCE_BONFERRONI, model.p * f_sf(t_pr, model.p - 1, dof_n)),
+            "T_LR": (observed["T_LR"], SOURCE_CHI2, chi2_sf(observed["T_LR"], pairs)),
         }
-        sources = {"T_el": SOURCE_BONFERRONI, "T_pr": SOURCE_BONFERRONI, "T_LR": SOURCE_CHI2}
-        criticals = closed_form_criticals(model, alpha)
         return {
-            name: _Decisions(observed[name], criticals[name], sources[name], p_values[name])
-            for name in TESTS
+            name: _Decisions(stat, criticals[name], src, np.minimum(1.0, p_value))
+            for name, (stat, src, p_value) in rows.items()
         }
-    # highdim: the scalar limit-law helpers, once per dataset
-    helpers = {
-        "T_el": (_highdim_el, observed["T_el"]),
-        "T_pr": (_highdim_pr, observed["T_pr"]),
-        "T_LR": (_highdim_lr, ln_t_lr_star),
-    }
-    decided = {}
-    for name, (helper, values) in helpers.items():
-        rows = [helper(float(v), model, alpha, regime) for v in values]
-        statistic, critical, p_value = (np.array(column) for column in zip(*rows))
-        decided[name] = _Decisions(statistic, float(critical[0]), SOURCE_HIGHDIM, p_value)
-    return decided
-
-
-def _highdim_el(t_el, model, alpha, regime) -> tuple[float, float, float]:
-    """(statistic, critical value, p-value) of T_el under the regime's limit law."""
-    from .special import chi2_quantile, f_quantile
-
-    m = model.p * (model.p - 1) / 2.0
-    level = 1.0 - alpha / m
+    # highdim: the regime's limit laws; T_pr (concentration) and T_LR standardized
     if regime.kind == asymptotics.CONCENTRATION:
-        crit = chi2_quantile(level, 1)
+        el_critical = chi2_quantile(1.0 - alpha / pairs, 1)
+        t_pr = asymptotics.tj_standardize(t_pr, model.p, model.T, model.K, demeaned=model.demeaned)
+        pr_critical, pr_tail = normal_quantile(1.0 - alpha / model.p), normal_cdf(-t_pr)
     else:
-        crit = f_quantile(level, 1, regime.d + 1.0)
-    return t_el, crit, min(1.0, m * asymptotics.tij_null_pvalue(t_el, regime))
-
-
-def _highdim_pr(t_pr, model, alpha, regime) -> tuple[float, float, float]:
-    """(statistic, critical value, p-value) of T_pr; standardized under concentration."""
-    if regime.kind == asymptotics.CONCENTRATION:
-        z = asymptotics.tj_standardize(
-            t_pr, model.p, model.T, model.K, demeaned=model.demeaned
-        )
-        crit = normal_quantile(1.0 - alpha / model.p)
-        return z, crit, min(1.0, model.p * normal_cdf(-z))
-    crit = asymptotics.tj_boundary_critical(alpha / model.p, regime.d)
-    return t_pr, crit, min(1.0, model.p * asymptotics.tj_boundary_pvalue(t_pr, regime.d))
-
-
-def _highdim_lr(ln_t_lr_star, model, alpha, regime) -> tuple[float, float, float]:
-    """(standardized statistic, critical value, p-value) of T_LR; any regime."""
-    z = float(
-        asymptotics.tlr_standardize(
-            ln_t_lr_star, model.p, model.T, model.K, model.demeaned
-        )
-    )
-    return z, normal_quantile(1.0 - alpha), normal_cdf(-z)
+        el_critical = f_quantile(1.0 - alpha / pairs, 1, regime.d + 1.0)
+        pr_critical = asymptotics.tj_boundary_critical(alpha / model.p, regime.d)
+        pr_tail = asymptotics.tj_boundary_pvalue(t_pr, regime.d)
+    z_lr = asymptotics.tlr_standardize(ln_t_lr_star, model.p, model.T, model.K, model.demeaned)
+    rows = {
+        "T_el": (t_el, el_critical, pairs * asymptotics.tij_null_pvalue(t_el, regime)),
+        "T_pr": (t_pr, pr_critical, model.p * pr_tail),
+        "T_LR": (z_lr, normal_quantile(1.0 - alpha), normal_cdf(-z_lr)),
+    }
+    return {
+        name: _Decisions(stat, critical, SOURCE_HIGHDIM, np.minimum(1.0, p_value))
+        for name, (stat, critical, p_value) in rows.items()
+    }
 
 
 @dataclass(frozen=True)

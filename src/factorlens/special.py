@@ -48,23 +48,24 @@ def _check_args(name: str, dofs: tuple, x=None, p: float | None = None) -> None:
 
 
 def _like(values, x):
-    """A Python float for a scalar x, the array itself for an array x."""
+    """A Python float for a scalar x, the array itself for an array x.
+
+    The functions below that take arrays through it give each entry bit for
+    bit as the scalar call: scipy's ufuncs evaluate entry by entry.
+    """
     return float(values) if np.ndim(x) == 0 else values
 
 
 def f_cdf(x, d1: float, d2: float):
-    """CDF of the F distribution with d1 and d2 degrees of freedom.
-
-    x may be an array; each entry equals the scalar call bit for bit.
-    """
+    """CDF of the F distribution with d1 and d2 degrees of freedom; x may be an array."""
     _check_args("f_cdf", (d1, d2), x=x)
     return _like(sp.fdtr(d1, d2, x), x)
 
 
-def f_sf(x: float, d1: float, d2: float) -> float:
-    """Upper tail of the F distribution; 1 - f_cdf without the cancellation."""
+def f_sf(x, d1: float, d2: float):
+    """Upper tail of the F law, 1 - f_cdf without the cancellation; x may be an array."""
     _check_args("f_sf", (d1, d2), x=x)
-    return float(sp.fdtrc(d1, d2, x))
+    return _like(sp.fdtrc(d1, d2, x), x)
 
 
 def f_quantile(p: float, d1: float, d2: float) -> float:
@@ -74,18 +75,15 @@ def f_quantile(p: float, d1: float, d2: float) -> float:
 
 
 def chi2_cdf(x, k: float):
-    """CDF of the chi-square distribution with k degrees of freedom.
-
-    x may be an array; each entry equals the scalar call bit for bit.
-    """
+    """CDF of the chi-square distribution with k degrees of freedom; x may be an array."""
     _check_args("chi2_cdf", (k,), x=x)
     return _like(sp.chdtr(k, x), x)
 
 
-def chi2_sf(x: float, k: float) -> float:
-    """Upper tail of the chi-square distribution; 1 - chi2_cdf without the cancellation."""
+def chi2_sf(x, k: float):
+    """Upper tail of the chi-square law, 1 - chi2_cdf without cancellation; x may be an array."""
     _check_args("chi2_sf", (k,), x=x)
-    return float(sp.chdtrc(k, x))
+    return _like(sp.chdtrc(k, x), x)
 
 
 def chi2_quantile(p: float, k: float) -> float:
@@ -94,9 +92,9 @@ def chi2_quantile(p: float, k: float) -> float:
     return 2.0 * float(sp.gammaincinv(k / 2.0, p))
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return float(sp.ndtr(x))
+def normal_cdf(x):
+    """Standard normal CDF; x may be an array."""
+    return _like(sp.ndtr(x), x)
 
 
 def normal_quantile(p: float) -> float:

@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import linalg
 from .errors import (
     BadDimension,
     BadIndex,
@@ -195,6 +194,19 @@ def _stacked_cholesky(
     return L
 
 
+def residual_factors(Y: np.ndarray, K: int) -> np.ndarray:
+    """Lower factors of the residual scatters of a stack Y[m, K+p, T], factors first.
+
+    The trailing p-by-p block of the stacked scatter's Cholesky factor
+    factors the residual scatter E of the last p rows on the first K. A
+    dataset whose stacked scatter breaks the stacked pivot rule raises
+    Singular.
+    """
+    scatters = np.matmul(Y, np.swapaxes(Y, 1, 2))
+    max_diag = np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
+    return _stacked_cholesky(scatters, max_diag)[:, K:, K:]
+
+
 def _check_diagonal_product(diag_v: np.ndarray, diag_e: np.ndarray) -> None:
     """v_jj e_jj >= 1 in exact arithmetic; far below it the factor was not usable."""
     if np.any(diag_v * diag_e < 1.0 - 1e-10):
@@ -341,11 +353,7 @@ def precision_stats_from_data(
     Y = np.vstack([F, X])
     if demeaned:
         Y = Y - Y.mean(axis=1, keepdims=True)
-    try:
-        factor = linalg.cholesky(SymMatrix(Y @ Y.T)).data  # scatter == T_eff * covariance
-    except NotPositiveDefinite as exc:
-        raise Singular(f"stacked covariance is not positive definite: {exc}") from None
-    return PrecisionStats.from_factor(factor[K:, K:], T, K, demeaned)
+    return PrecisionStats.from_factor(residual_factors(Y[None], K)[0], T, K, demeaned)
 
 
 class ResidualScatter:

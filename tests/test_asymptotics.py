@@ -124,6 +124,38 @@ def test_tj_boundary_pvalue_inversion():
         tj_boundary_pvalue(0.0, d)
 
 
+@pytest.mark.parametrize(
+    "pvalue",
+    [
+        lambda t: tij_null_pvalue(t, Regime.concentration(0.2)),
+        lambda t: tij_null_pvalue(t, Regime.boundary(5.0)),
+        lambda t: tj_boundary_pvalue(t, 5.0),
+        lambda t: tj_boundary_pvalue(t, 0.5),
+    ],
+    ids=["tij-concentration", "tij-boundary", "tj-boundary-5", "tj-boundary-0.5"],
+)
+def test_pvalue_array_input_matches_scalar_calls(pvalue):
+    t = np.concatenate([[1e-300, 0.01, 0.5, 1.0, 3.0, 40.0, 300.0, 1e6, np.inf],
+                        np.random.default_rng(5).gamma(2.0, 2.0, 49)])
+    got = pvalue(t)
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    want = [pvalue(float(v)) for v in t]
+    assert all(isinstance(w, float) for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got.reshape(2, -1).tobytes() == pvalue(t.reshape(2, -1)).tobytes()
+    assert isinstance(pvalue(np.float64(3.0)), float)
+    for bad in (np.array([1.0, -1e-300, 2.0]), np.array([[3.0], [-2.0]])):
+        with pytest.raises(DomainError):
+            pvalue(bad)
+
+
+def test_boundary_pvalue_rejects_a_zero_entry():
+    with pytest.raises(DomainError):
+        tj_boundary_pvalue(np.array([2.0, 0.0, 1.0]), 4.0)
+    # a zero pair statistic is in the domain
+    assert tij_null_pvalue(np.array([0.0, 1.0]), Regime.concentration(0.2))[0] == 1.0
+
+
 def test_lr_clt_constants_worked_example():
     # p=100, T-K=500 (K=10, T=510)
     mu = lr_clt_mean(100, 510, 10)

@@ -1,4 +1,4 @@
-"""run_power_study on s1-s3 against a plain loop over the per-dataset data path."""
+"""run_power_study on s1-s4 against a plain loop over the per-dataset data path."""
 
 import tracemalloc
 
@@ -19,6 +19,11 @@ from factorlens.report import (
 from factorlens.teststats import FactorModelSpec, _stacked_cholesky
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
+KTILDE_GRID = (0, 1, 3)
+
+
+def _grid(scenario):
+    return KTILDE_GRID if scenario == "s4" else GRID
 
 
 def _reference(cfg, grid, criticals):
@@ -65,6 +70,9 @@ def _record_observed(monkeypatch):
         ("s3", 4, 0, 5),  # p + K = T - 1 with K = 0
         ("s1", 8, 3, 12),  # p + K = T - 1
         ("s2", 2, 0, 10),  # p = 2: one pair, T_LR near 0 at the null
+        ("s4", 4, 1, 30),
+        ("s4", 3, 0, 20),  # K = 0: nothing fitted
+        ("s4", 5, 2, 8),  # p + K = T - 1, with up to 5 + 3 simulated factors
     ],
 )
 @pytest.mark.parametrize("source", [CLOSED_FORM, CALIBRATED])
@@ -73,14 +81,15 @@ def test_engine_matches_per_dataset_loop(monkeypatch, scenario, p, K, T, source)
     tables = None
     if source == CALIBRATED:
         tables = calibrate_many(TESTS, p, T, K, alphas=(cfg.alpha,), reps=2000, master_seed=4)
+    grid = _grid(scenario)
     seen = _record_observed(monkeypatch)
-    curve = run_power_study(cfg, GRID, critical_source=source, tables=tables)
-    assert len(seen) == len(GRID)  # one chunk: one kernel run per grid point
+    curve = run_power_study(cfg, grid, critical_source=source, tables=tables)
+    assert len(seen) == len(grid)  # one chunk: one kernel run per grid point
 
-    stats, counts = _reference(cfg, GRID, _criticals(cfg, source, tables))
+    stats, counts = _reference(cfg, grid, _criticals(cfg, source, tables))
     for test in TESTS:
         assert np.array_equal(curve.rates[test] * cfg.reps, counts[test]), test
-        for gi in range(len(GRID)):
+        for gi in range(len(grid)):
             assert_allclose(seen[gi][test], stats[gi][test], rtol=1e-9, atol=0.0)
     # the alternatives are detected at all, so the counts compare something
     assert counts["T_LR"].sum() > 0
@@ -88,18 +97,26 @@ def test_engine_matches_per_dataset_loop(monkeypatch, scenario, p, K, T, source)
 
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_counts_do_not_depend_on_chunk_size(monkeypatch, chunk):
-    cfg = ScenarioConfig("s3", p=5, K=1, T=30, reps=23, master_seed=8, alpha=0.1)
-    whole = run_power_study(cfg, GRID, critical_source=CLOSED_FORM)
-    monkeypatch.setattr(powersim, "_chunk_size", lambda p, K, T: chunk)
-    chunked = run_power_study(cfg, GRID, critical_source=CLOSED_FORM)
-    for test in TESTS:
-        assert np.array_equal(whole.rates[test], chunked.rates[test])
+    for scenario in ("s3", "s4"):
+        cfg = ScenarioConfig(scenario, p=5, K=1, T=30, reps=23, master_seed=8, alpha=0.1)
+        whole = run_power_study(cfg, _grid(scenario), critical_source=CLOSED_FORM)
+        with monkeypatch.context() as m:
+            m.setattr(powersim, "_chunk_size", lambda p, K, T: chunk)
+            chunked = run_power_study(cfg, _grid(scenario), critical_source=CLOSED_FORM)
+        for test in TESTS:
+            assert np.array_equal(whole.rates[test], chunked.rates[test]), (scenario, test)
 
 
-def test_every_grid_value_is_checked_before_simulating():
-    cfg = ScenarioConfig("s1", p=4, K=1, T=30, reps=5)
-    with pytest.raises(DomainError):
-        run_power_study(cfg, [0.0, 0.6], critical_source=CLOSED_FORM)
+def test_every_grid_value_is_checked_before_simulating(monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(powersim, "generate_dataset", no_simulation)
+    monkeypatch.setattr(powersim, "_draw_replicate", no_simulation)
+    for scenario, grid in (("s1", [0.0, 0.6]), ("s4", [0, 1, 11]), ("s4", [0, 1.5])):
+        cfg = ScenarioConfig(scenario, p=4, K=1, T=30, reps=5)
+        with pytest.raises(DomainError):
+            run_power_study(cfg, grid, critical_source=CLOSED_FORM)
 
 
 def test_stacked_pivot_rule_raises_singular():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import chdtrc, fdtrc, ndtr
 
 from factorlens import (
     SeedSpec,
@@ -114,8 +114,9 @@ def test_run_tests_detects_alternative(shared_tables):
     assert report.tests["T_LR"].p_value < 0.01
 
 
-def test_run_tests_highdim_reports_tiny_p_values():
-    # residuals of assets 0 and 1 correlated at 0.6; 1 - Phi(z) would round
+@pytest.mark.parametrize("source", ["highdim", "closed-form"])
+def test_run_tests_reports_tiny_p_values(source):
+    # residuals of assets 0 and 1 correlated at 0.6; 1 - cdf would round
     # every p-value below 1.1e-16 to 0
     p, K, T = 10, 2, 200
     rng = np.random.default_rng(1)
@@ -130,12 +131,18 @@ def test_run_tests_highdim_reports_tiny_p_values():
         asset_columns=tuple(range(p)),
         factor_columns=tuple(range(p, p + K)),
     )
-    report = run_tests(panel, critical_source="highdim")
-    lr = report.tests["T_LR"]
-    assert 0.0 < lr.p_value < 1e-16
-    assert_allclose(lr.p_value, float(ndtr(-lr.statistic_value)), rtol=1e-12)
-    assert 0.0 < report.tests["T_el"].p_value < 1e-16
-    assert 0.0 < report.tests["T_pr"].p_value < 1e-16
+    report = run_tests(panel, critical_source=source)
+    el, pr, lr = (report.tests[name] for name in TESTS)
+    if source == "highdim":
+        for d in (el, pr, lr):
+            assert 0.0 < d.p_value < 1e-16
+        assert_allclose(lr.p_value, float(ndtr(-lr.statistic_value)), rtol=1e-12)
+    else:
+        assert 0.0 < el.p_value < 1e-16 and 0.0 < pr.p_value < 1e-15
+        dof_n, pairs = report.model.dof_n, p * (p - 1) / 2
+        assert_allclose(el.p_value, pairs * fdtrc(1, dof_n, el.statistic_value), rtol=1e-12)
+        assert_allclose(pr.p_value, p * fdtrc(p - 1, dof_n, pr.statistic_value), rtol=1e-12)
+        assert_allclose(lr.p_value, chdtrc(pairs, lr.statistic_value), rtol=1e-12)
 
 
 def test_import_loads_neither_scipy_integrate_nor_stats():
@@ -328,6 +335,9 @@ def test_cli_power_and_usage_error(tmp_path):
         (["power", "--scenario", "s1", "--rho-grid", "0.1,abc"], "--rho-grid"),
         (["power", "--scenario", "s4", "--ktilde-grid", "1:x:3"], "--ktilde-grid"),
         (["calibrate", "--alphas", "0.05,x"], "--alphas"),
+        # non-integer extra-factor counts are not rounded
+        (["power", "--scenario", "s4", "--ktilde-grid", "0.4,1.6"], "--ktilde-grid"),
+        (["power", "--scenario", "s4", "--ktilde-grid", "0:0.5:1"], "--ktilde-grid"),
     ],
 )
 def test_cli_malformed_grid_or_alphas_is_a_usage_error(tmp_path, capsys, argv, flag):

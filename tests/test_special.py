@@ -169,7 +169,11 @@ def test_quantile_domain_errors():
 
 
 @pytest.mark.parametrize(
-    "cdf, dofs", [(f_cdf, (1, 418)), (f_cdf, (26, 2)), (chi2_cdf, (45,)), (chi2_cdf, (1.5,))]
+    "cdf, dofs",
+    [
+        (f_cdf, (1, 418)), (f_cdf, (26, 2)), (chi2_cdf, (45,)), (chi2_cdf, (1.5,)),
+        (f_sf, (1, 418)), (f_sf, (26, 2)), (chi2_sf, (45,)), (chi2_sf, (1.5,)),
+    ],
 )
 def test_cdf_array_input_matches_scalar_calls(cdf, dofs):
     x = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 20.0, 200.0, 1e6, np.inf],
@@ -184,6 +188,18 @@ def test_cdf_array_input_matches_scalar_calls(cdf, dofs):
     for bad in (np.array([1.0, -1e-300, 2.0]), np.array([[3.0], [-2.0]]), [0.5, -1.0]):
         with pytest.raises(DomainError):
             cdf(bad, *dofs)
+
+
+def test_normal_cdf_array_input_matches_scalar_calls():
+    x = np.concatenate([[-np.inf, -40.0, -8.5, -1e-300, 0.0, 1.0, 40.0, np.inf],
+                        np.random.default_rng(4).normal(0.0, 5.0, 50)])
+    got = normal_cdf(x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    want = [normal_cdf(float(v)) for v in x]
+    assert all(isinstance(w, float) for w in want)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert got.reshape(2, -1).tobytes() == normal_cdf(x.reshape(2, -1)).tobytes()
+    assert isinstance(normal_cdf(np.float64(-3.0)), float)
 
 
 # ---------------------------------------------------------------------------
