@@ -56,7 +56,7 @@ from .special import (
 )
 from .teststats import (
     FactorModelSpec,
-    PrecisionStats,
+    FactorStats,
     TestStatistics,
     compute_all,
     precision_stats_from_data,
@@ -66,6 +66,8 @@ from .teststats import (
     stat_t_j,
     stat_t_lr,
     stat_t_pr,
+    stats_from_factors,
+    stats_from_precision,
 )
 
 __version__ = "0.1.0"

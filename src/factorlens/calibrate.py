@@ -73,6 +73,16 @@ class CriticalValueTable:
         if self.null_sample is not None:
             # a copy, so that freezing it leaves the caller's array writeable
             arr = np.array(self.null_sample, dtype=np.float64)
+            # empirical_pvalue bisects the sample and the report cites reps
+            if arr.shape != (self.reps,):
+                raise DomainError(
+                    f"{self.statistic} null sample has shape {arr.shape}, "
+                    f"expected ({self.reps},) for reps={self.reps}"
+                )
+            if not np.isfinite(arr).all():
+                raise DomainError(f"{self.statistic} null sample has non-finite values")
+            if np.any(arr[1:] < arr[:-1]):
+                raise DomainError(f"{self.statistic} null sample is not in ascending order")
             arr.flags.writeable = False
             object.__setattr__(self, "null_sample", arr)
 
@@ -154,7 +164,8 @@ def simulate_null_statistics(
         raise DomainError("reps must be positive")
     columns = {
         "T_el": lambda k: k.t_el,
-        # pair (2, 1) alone, from its 2-by-2 block as stat_t_ij takes it
+        # pair (2, 1) alone, from its 2-by-2 block: the operands of t_ij[:, 0]
+        # without transforming every pair
         "T_ij_21": lambda k: _pair_formula(k.v[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
         "T_pr": lambda k: k.t_j.max(axis=1),
         "T_j_1": lambda k: k.t_j[:, 0],

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,10 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     factor_names = list(factor_names)
     if not asset_names:
         raise BadDimension("at least one asset column is required")
+    for kind, names in (("asset", asset_names), ("factor", factor_names)):
+        repeated = [name for name, n in Counter(names).items() if n > 1]
+        if repeated:
+            raise BadDimension(f"{kind} column {repeated[0]!r} is listed more than once")
     overlap = set(asset_names) & set(factor_names)
     if overlap:
         raise BadDimension(f"columns listed as both asset and factor: {sorted(overlap)}")
@@ -172,12 +177,14 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     if not rows:
         raise ParseError("file is empty; a header row is required")
     header = [h.strip() for h in rows[0]]
-    positions = {}
-    for name in asset_names + factor_names:
-        if name not in header:
-            raise MissingColumn(f"column {name!r} not found in header {header}")
-        positions[name] = header.index(name)
     wanted = asset_names + factor_names
+    in_header = Counter(header)
+    for name in wanted:
+        if name not in in_header:
+            raise MissingColumn(f"column {name!r} not found in header {header}")
+        if in_header[name] > 1:
+            raise BadDimension(f"column {name!r} appears more than once in the header")
+    positions = {name: i for i, name in enumerate(header)}
     time_pos = None
     if header and header[0] not in wanted:
         time_pos = 0
@@ -199,8 +206,8 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
         labels=labels,
         times=tuple(times),
         values=values,
-        asset_columns=tuple(header.index(n) for n in asset_names),
-        factor_columns=tuple(header.index(n) for n in factor_names),
+        asset_columns=tuple(positions[n] for n in asset_names),
+        factor_columns=tuple(positions[n] for n in factor_names),
         demean=demean,
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadDimension
 from .linalg import LowerTriangular, SymMatrix
-from .teststats import PrecisionStats, effective_sample_size
+from .teststats import FactorStats, effective_sample_size, stats_from_factors
 
 _UINT64_BOUND = 2**64
 
@@ -78,10 +78,11 @@ def sample_wishart_identity(p: int, n: int, seed: SeedSpec) -> SymMatrix:
 
 def sample_V11_null(
     p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False
-) -> PrecisionStats:
-    """One null draw of the sample-precision block and its inverse.
+) -> FactorStats:
+    """The kernel's statistics of one null draw of the sample-precision block.
 
-    Draws W ~ Wishart_p(T_eff - K, I) and returns V11 = W^{-1}. In inverse
+    Draws W ~ Wishart_p(T_eff - K, I) and runs the kernel on its Bartlett
+    factor, as a factor of E = W, so that V11 = W^{-1}. In inverse
     Wishart terms V11 has nu = (T_eff - K) + p + 1 degrees of freedom and
     identity parameter, which is the null law of the precision block up to
     its (irrelevant) diagonal; the Wishart direction is sampled because
@@ -91,7 +92,7 @@ def sample_V11_null(
     if p + K >= t_eff:
         raise BadDimension(f"need p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
     a = bartlett_factor(p, t_eff - K, seed.generator())
-    return PrecisionStats.from_factor(a, T, K, demeaned)
+    return stats_from_factors(a[None], t_eff, K)
 
 
 def sample_mvn(

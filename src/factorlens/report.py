@@ -118,12 +118,13 @@ class TestReport:
         }
 
 
-def _resolve_request(request: str, model: FactorModelSpec) -> str:
+def _resolve_request(request: str, model: FactorModelSpec, have_tables: bool = False) -> str:
+    """The source a request names; auto uses supplied tables, else the budget rule."""
     if request not in REQUESTS:
         raise DomainError(f"unknown critical source {request!r}; pick one of {REQUESTS}")
     if request != REQUEST_AUTO:
         return request
-    if model.T <= _AUTO_CALIBRATION_T_FACTOR * (model.p + model.K):
+    if have_tables or model.T <= _AUTO_CALIBRATION_T_FACTOR * (model.p + model.K):
         return REQUEST_CALIBRATED
     warnings.warn(
         "sample too large for default calibration budget; falling back to "
@@ -147,13 +148,8 @@ def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -
         )
 
 
-def observed_statistics(stats: TestStatistics) -> dict[str, float]:
-    """The statistic each global test compares with its critical value."""
-    return {"T_el": stats.t_el, "T_pr": stats.t_pr, "T_LR": stats.t_lr}
-
-
 def kernel_observed(kernel: FactorStats) -> dict[str, np.ndarray]:
-    """observed_statistics of every dataset of a kernel run, one array per test."""
+    """The statistic each global test compares with its critical value, per dataset."""
     return {"T_el": kernel.t_el, "T_pr": kernel.t_j.max(axis=1), "T_LR": kernel.t_lr}
 
 
@@ -215,24 +211,24 @@ def run_tests(
     With calibrated criticals the p-values are empirical right-tail
     proportions of the retained null samples; otherwise they come from the
     closed-form or limiting distributions (Bonferroni-corrected for the max
-    statistics).
+    statistics). Under auto, supplied tables are always used. Decisions go
+    through _decide on the kernel's arrays, as batch_subset_test's do.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     model = FactorModelSpec(p=panel.p, K=panel.K, T=panel.T, demeaned=panel.demean)
     X, F = panel.data_matrices()
-    ps = precision_stats_from_data(X, F if panel.K else None, demeaned=panel.demean)
-    stats = compute_all(ps)
-    source = _resolve_request(critical_source, model)
+    kernel = precision_stats_from_data(X, F if panel.K else None, demeaned=panel.demean)
+    stats = compute_all(kernel)
+    source = _resolve_request(critical_source, model, tables is not None)
 
     regime = None
     if source == REQUEST_CALIBRATED and tables is None:
         tables = calibrate_tests(model, alpha, calibration_reps, calibration_seed)
     elif source == REQUEST_HIGHDIM:
         regime = asymptotics.select_regime(model.p, model.T, model.K, model.demeaned)
-    observed = {name: np.array([value]) for name, value in observed_statistics(stats).items()}
     decided = _decide(
-        source, observed, np.array([stats.ln_t_lr_star]), model, alpha, tables, regime
+        source, kernel_observed(kernel), kernel.ln_t_lr_star, model, alpha, tables, regime
     )
     decisions = {
         name: TestDecision(

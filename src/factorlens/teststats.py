@@ -7,9 +7,11 @@ lower factor L of E is all the kernel needs. Step one turns L into the
 precision block V = L^-T L^-1, diag V, diag E and ln det E; step two applies
 the formulas to those four arrays. Under the null, the Bartlett factor of an
 identity-parameter Wishart draw is such a factor, so calibration and real
-data share the kernel. Indices in the public API are 1-based to match the
-usual (i, j) labelling of matrix entries; the pair statistic is defined for
-1 <= j < i <= p.
+data share the kernel. FactorStats is the only statistics object:
+precision_stats_from_data returns the kernel's statistics of one dataset
+(m = 1), and the stat_* functions and compute_all only read its row 0.
+Indices in the public API are 1-based to match the usual (i, j) labelling
+of matrix entries; the pair statistic is defined for 1 <= j < i <= p.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     NotPositiveDefinite,
     Singular,
 )
-from .linalg import PIVOT_RTOL, SymMatrix, invert_spd, log_det_spd
+from .linalg import PIVOT_RTOL, SymMatrix, cholesky, invert_spd
 
 
 def effective_sample_size(T: int, demeaned: bool) -> int:
@@ -245,76 +247,6 @@ class FactorModelSpec:
 
 
 @dataclass(frozen=True)
-class PrecisionStats:
-    """Per-dataset bundle: precision block, its inverse, and their diagonals."""
-
-    p: int
-    T: int
-    K: int
-    demeaned: bool
-    dof_n: int
-    V11: SymMatrix
-    V11_inv: SymMatrix
-    diag_v11: np.ndarray
-    diag_v11_inv: np.ndarray
-    # log det of V11_inv, set when the bundle was built from its factor
-    ln_det_v11_inv: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.dof_n < 1:
-            raise BadDimension(f"dof_n must be >= 1, got {self.dof_n}")
-        _check_diagonal_product(self.diag_v11, self.diag_v11_inv)
-        for name in ("diag_v11", "diag_v11_inv"):
-            # a copy, so that freezing it leaves the caller's array writeable
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def t_eff(self) -> int:
-        return effective_sample_size(self.T, self.demeaned)
-
-    @classmethod
-    def from_v11(
-        cls, v11: SymMatrix | np.ndarray, T: int, K: int, demeaned: bool = False
-    ) -> "PrecisionStats":
-        """Build the bundle from a given precision block (inverts it once)."""
-        if not isinstance(v11, SymMatrix):
-            v11 = SymMatrix(v11)
-        inv = invert_spd(v11)
-        return cls(
-            p=v11.dim,
-            T=T,
-            K=K,
-            demeaned=demeaned,
-            dof_n=denominator_dof(effective_sample_size(T, demeaned), K, v11.dim),
-            V11=v11,
-            V11_inv=inv,
-            diag_v11=v11.diag(),
-            diag_v11_inv=inv.diag(),
-        )
-
-    @classmethod
-    def from_factor(
-        cls, L: np.ndarray, T: int, K: int, demeaned: bool = False
-    ) -> "PrecisionStats":
-        """Build the bundle from a lower factor L of V11_inv (the kernel's step one)."""
-        kernel = stats_from_factors(L[None], effective_sample_size(T, demeaned), K)
-        return cls(
-            p=kernel.p,
-            T=T,
-            K=K,
-            demeaned=demeaned,
-            dof_n=kernel.dof_n,
-            V11=SymMatrix(kernel.v[0]),
-            V11_inv=SymMatrix(L @ L.T),
-            diag_v11=kernel.diag_v[0],
-            diag_v11_inv=kernel.diag_e[0],
-            ln_det_v11_inv=float(kernel.ln_det_e[0]),
-        )
-
-
-@dataclass(frozen=True)
 class TestStatistics:
     """All five statistics of one dataset, with argmax locations (1-based)."""
 
@@ -328,8 +260,8 @@ class TestStatistics:
 
 def precision_stats_from_data(
     X: np.ndarray, F: np.ndarray | None, demeaned: bool = False
-) -> PrecisionStats:
-    """Precision bundle from raw data: X is p-by-T responses, F is K-by-T factors.
+) -> FactorStats:
+    """The kernel's statistics of one dataset: X is p-by-T responses, F is K-by-T factors.
 
     The stacked covariance uses divisor T (population-mean-zero model) or,
     with demeaned=True, column-centered data with divisor T-1; the precision
@@ -353,7 +285,23 @@ def precision_stats_from_data(
     Y = np.vstack([F, X])
     if demeaned:
         Y = Y - Y.mean(axis=1, keepdims=True)
-    return PrecisionStats.from_factor(residual_factors(Y[None], K)[0], T, K, demeaned)
+    kernel = stats_from_factors(residual_factors(Y[None], K), t_eff, K)
+    _check_diagonal_product(kernel.diag_v, kernel.diag_e)
+    return kernel
+
+
+def stats_from_precision(
+    v11: np.ndarray, T: int, K: int, demeaned: bool = False
+) -> FactorStats:
+    """The kernel's statistics of a given precision block V11 (inverted once).
+
+    The factor of E = V11^-1 comes from a Cholesky factorization of the
+    inverse, so a diagonal V11 gives statistics that are exactly zero.
+    """
+    L = cholesky(invert_spd(SymMatrix(v11))).data
+    kernel = stats_from_factors(L[None], effective_sample_size(T, demeaned), K)
+    _check_diagonal_product(kernel.diag_v, kernel.diag_e)
+    return kernel
 
 
 class ResidualScatter:
@@ -406,24 +354,16 @@ class ResidualScatter:
         return kernel
 
 
-def pairwise_t_ij(ps: PrecisionStats) -> np.ndarray:
-    """All p(p-1)/2 pair statistics, ordered (2,1), (3,1), (3,2), (4,1), ...
-
-    The value for pair (i, j) is dof_n * g^2 / (1 - g^2) with
-    g = v_ij / sqrt(v_ii v_jj).
-    """
-    if ps.p < 2:
-        raise BadDimension("pair statistics need p >= 2")
-    return _pair_formula(ps.V11.data, ps.diag_v11, ps.dof_n)
+def _check_pairs(s: FactorStats) -> None:
+    if s.p < 2:
+        raise BadDimension(f"pair and column statistics need p >= 2, got p={s.p}")
 
 
-def stat_t_ij(ps: PrecisionStats, i: int, j: int) -> float:
+def stat_t_ij(s: FactorStats, i: int, j: int) -> float:
     """Pair statistic for 1 <= j < i <= p (1-based indices)."""
-    if not (1 <= j < i <= ps.p):
-        raise BadIndex(f"need 1 <= j < i <= p, got i={i}, j={j}, p={ps.p}")
-    pair = [j - 1, i - 1]  # the 2-by-2 block whose one pair is (i, j)
-    block = ps.V11.data[np.ix_(pair, pair)]
-    return float(_pair_formula(block, ps.diag_v11[pair], ps.dof_n)[0])
+    if not (1 <= j < i <= s.p):
+        raise BadIndex(f"need 1 <= j < i <= p, got i={i}, j={j}, p={s.p}")
+    return float(s.t_ij[0, (i - 1) * (i - 2) // 2 + j - 1])  # tril order
 
 
 def _argmax_smallest_index(values: np.ndarray) -> int:
@@ -433,69 +373,59 @@ def _argmax_smallest_index(values: np.ndarray) -> int:
     return int(np.flatnonzero(values >= vmax - tol)[0])
 
 
-def stat_t_el(ps: PrecisionStats) -> tuple[float, tuple[int, int]]:
+def stat_t_el(s: FactorStats) -> tuple[float, tuple[int, int]]:
     """Maximum pair statistic and its (i, j) location, smallest pair on ties."""
-    values = pairwise_t_ij(ps)
-    k = _argmax_smallest_index(values)  # scan order is lexicographic in (i, j)
-    rows, cols = np.tril_indices(ps.p, -1)
-    return float(values.max()), (int(rows[k]) + 1, int(cols[k]) + 1)
+    _check_pairs(s)
+    k = _argmax_smallest_index(s.t_ij[0])  # scan order is lexicographic in (i, j)
+    rows, cols = np.tril_indices(s.p, -1)
+    return float(s.t_el[0]), (int(rows[k]) + 1, int(cols[k]) + 1)
 
 
-def all_t_j(ps: PrecisionStats) -> np.ndarray:
-    """All p column statistics dof_n / (p-1) * (v_jj v_jj^(inv) - 1)."""
-    if ps.p < 2:
-        raise BadDimension("column statistics need p >= 2")
-    return _column_formula(ps.diag_v11, ps.diag_v11_inv, ps.dof_n)
-
-
-def stat_t_j(ps: PrecisionStats, j: int) -> float:
+def stat_t_j(s: FactorStats, j: int) -> float:
     """Column statistic for 1 <= j <= p (1-based)."""
-    if not 1 <= j <= ps.p:
-        raise BadIndex(f"need 1 <= j <= p, got j={j}, p={ps.p}")
-    return float(all_t_j(ps)[j - 1])
+    _check_pairs(s)
+    if not 1 <= j <= s.p:
+        raise BadIndex(f"need 1 <= j <= p, got j={j}, p={s.p}")
+    return float(s.t_j[0, j - 1])
 
 
-def stat_t_pr(ps: PrecisionStats) -> tuple[float, int]:
+def stat_t_pr(s: FactorStats) -> tuple[float, int]:
     """Maximum column statistic and its column (1-based), smallest j on ties."""
-    values = all_t_j(ps)
+    _check_pairs(s)
+    values = s.t_j[0]
     return float(values.max()), _argmax_smallest_index(values) + 1
 
 
-def stat_ln_t_lr_star(ps: PrecisionStats) -> float:
+def stat_ln_t_lr_star(s: FactorStats) -> float:
     """Log of the likelihood-ratio statistic.
 
-    Computed as -(T_eff/2) * (ln det V11_inv - sum ln diag(V11_inv)), which
-    equals -(T_eff/2) * ln det R for the correlation matrix R of V11_inv.
-    Nonnegative by Hadamard's inequality; the statistic itself is never
-    exponentiated because it overflows for realistic T.
+    Computed as -(T_eff/2) * (ln det E - sum ln diag E), which equals
+    -(T_eff/2) * ln det R for the correlation matrix R of E. Nonnegative by
+    Hadamard's inequality; the statistic itself is never exponentiated
+    because it overflows for realistic T.
     """
-    if ps.ln_det_v11_inv is not None:
-        ln_det = ps.ln_det_v11_inv
-    else:
-        ln_det = log_det_spd(ps.V11_inv)
-    return float(_ln_lr_star_formula(ps.diag_v11_inv, ln_det, ps.t_eff))
+    return float(s.ln_t_lr_star[0])
 
 
-def stat_t_lr(ps: PrecisionStats) -> float:
+def stat_t_lr(s: FactorStats) -> float:
     """Bartlett-corrected likelihood-ratio statistic, asymptotically chi-square.
 
     Equals 2 * rho * ((T_eff - K)/T_eff) * ln T_LR* with
     rho = 1 - (2p+5)/(6(T_eff-K)); the reference law has p(p-1)/2 degrees
     of freedom.
     """
-    return float(_t_lr_formula(stat_ln_t_lr_star(ps), ps.p, ps.t_eff, ps.K))
+    return float(s.t_lr[0])
 
 
-def compute_all(ps: PrecisionStats) -> TestStatistics:
-    """Evaluate every statistic once."""
-    t_el, el_arg = stat_t_el(ps)
-    t_pr, pr_arg = stat_t_pr(ps)
-    ln_star = stat_ln_t_lr_star(ps)
+def compute_all(s: FactorStats) -> TestStatistics:
+    """Every statistic of the first dataset of s, with argmax locations."""
+    t_el, el_arg = stat_t_el(s)
+    t_pr, pr_arg = stat_t_pr(s)
     return TestStatistics(
         t_el=t_el,
         t_el_argmax=el_arg,
         t_pr=t_pr,
         t_pr_argmax=pr_arg,
-        ln_t_lr_star=ln_star,
-        t_lr=float(_t_lr_formula(ln_star, ps.p, ps.t_eff, ps.K)),
+        ln_t_lr_star=stat_ln_t_lr_star(s),
+        t_lr=stat_t_lr(s),
     )

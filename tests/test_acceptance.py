@@ -412,10 +412,8 @@ def test_criterion_9_invariance_suite():
         d = rng.uniform(0.1, 10.0, p)
         dof = int(rng.integers(2, 50))
         T = dof + p - 1
-        base = fl.compute_all(fl.PrecisionStats.from_v11(fl.SymMatrix(v11), T=T, K=0))
-        scaled = fl.compute_all(
-            fl.PrecisionStats.from_v11(fl.SymMatrix(v11 * np.outer(d, d)), T=T, K=0)
-        )
+        base = fl.compute_all(fl.stats_from_precision(v11, T=T, K=0))
+        scaled = fl.compute_all(fl.stats_from_precision(v11 * np.outer(d, d), T=T, K=0))
         for a, b in (
             (base.t_el, scaled.t_el),
             (base.t_pr, scaled.t_pr),

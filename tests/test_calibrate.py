@@ -331,6 +331,25 @@ def test_table_json_roundtrip(tmp_path, tables):
     assert payload["schema"] == "factorlens/1"
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda s: s[::-1],  # descending: p-values would read the wrong tail
+        lambda s: s[:500],  # fewer draws than reps claims
+        lambda s: [s, s],  # not 1-D
+        lambda s: s[:-1] + [float("inf")],
+    ],
+    ids=["descending", "short", "2-D", "non-finite"],
+)
+def test_table_json_rejects_a_bad_null_sample(tmp_path, tables, corrupt):
+    doc = tables["T_el"].to_json_dict()
+    doc["null_sample"] = corrupt(doc["null_sample"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
+    with pytest.raises(DomainError, match="T_el null sample"):
+        load_tables_json(path)
+
+
 def test_table_csv_export(tmp_path, tables):
     path = tmp_path / "tables.csv"
     tables_to_csv([tables["T_pr"]], path)

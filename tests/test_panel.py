@@ -66,8 +66,17 @@ def test_ingest_too_few_rows():
 
 
 def test_ingest_rejects_overlapping_names():
-    with pytest.raises(BadDimension):
-        ingest_csv(io.StringIO(CSV_SMALL), ["asset"], ["asset"])
+    duplicate_header = "t,a,b,a\n" + "".join(
+        f"{i},{i * 0.01},{i * -0.02},{i * 0.03}\n" for i in range(8)
+    )
+    for text, assets, factors, column in (
+        (CSV_SMALL, ["asset"], ["asset"], "asset"),
+        (CSV_SMALL, ["asset", "asset"], ["factor"], "asset"),
+        (CSV_SMALL, ["asset"], ["factor", "factor"], "factor"),
+        (duplicate_header, ["a"], ["b"], "a"),
+    ):
+        with pytest.raises(BadDimension, match=repr(column)):
+            ingest_csv(io.StringIO(text), assets, factors)
 
 
 def test_ingest_without_time_column():

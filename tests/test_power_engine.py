@@ -10,12 +10,7 @@ from factorlens import calibrate_many, compute_all, generate_dataset, precision_
 from factorlens import powersim
 from factorlens.errors import DomainError, Singular
 from factorlens.powersim import CALIBRATED, CLOSED_FORM, ScenarioConfig, run_power_study
-from factorlens.report import (
-    TESTS,
-    calibrated_criticals,
-    closed_form_criticals,
-    observed_statistics,
-)
+from factorlens.report import TESTS, calibrated_criticals, closed_form_criticals
 from factorlens.teststats import FactorModelSpec, _stacked_cholesky
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
@@ -26,12 +21,17 @@ def _grid(scenario):
     return KTILDE_GRID if scenario == "s4" else GRID
 
 
+def _observed(stats):
+    """The statistic each test compares with its critical value."""
+    return {"T_el": stats.t_el, "T_pr": stats.t_pr, "T_LR": stats.t_lr}
+
+
 def _reference(cfg, grid, criticals):
     """Observed statistics [grid point][test] -> array over replicates, and rejection counts."""
     stats = []
     for value in grid:
         rows = [
-            observed_statistics(compute_all(precision_stats_from_data(X, F if cfg.K else None)))
+            _observed(compute_all(precision_stats_from_data(X, F if cfg.K else None)))
             for X, F in (generate_dataset(cfg, value, rep) for rep in range(cfg.reps))
         ]
         stats.append({t: np.array([row[t] for row in rows]) for t in TESTS})

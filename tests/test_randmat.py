@@ -129,9 +129,10 @@ def test_stream_independence():
 def test_v11_null_determinism_and_dof():
     ps1 = sample_V11_null(4, 20, 2, SeedSpec(1, 5))
     ps2 = sample_V11_null(4, 20, 2, SeedSpec(1, 5))
-    assert np.array_equal(ps1.V11.data, ps2.V11.data)
+    assert np.array_equal(ps1.v[0], ps2.v[0])
     assert ps1.dof_n == 20 - 2 - 4 + 1
-    assert_allclose(ps1.V11.data @ ps1.V11_inv.data, np.eye(4), rtol=1e-9, atol=1e-9)
+    e = ps1.L[0] @ ps1.L[0].T
+    assert_allclose(ps1.v[0] @ e, np.eye(4), rtol=1e-9, atol=1e-9)
 
 
 def test_v11_null_demeaned_uses_T_minus_one():
@@ -152,7 +153,7 @@ def test_v11_diagonal_reciprocal_is_chi_square():
     vals = np.empty(reps)
     for r in range(reps):
         ps = sample_V11_null(1, T, K, SeedSpec(29, r))
-        vals[r] = ps.diag_v11_inv[0]
+        vals[r] = ps.diag_e[0, 0]
     assert abs(vals.mean() - m) <= 4.0 * math.sqrt(2.0 * m / reps)
 
 

@@ -5,6 +5,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ def test_run_tests_calibrated_consistency(shared_tables):
     doc = report.to_json_dict()
     assert doc["schema"] == "factorlens/1"
     assert doc["model"]["p"] == 4
+
+
+def test_run_tests_auto_uses_supplied_tables_beyond_the_calibration_budget():
+    # T = 1000 > 200 (p + K): without tables auto would fall back to highdim
+    p, K, T = 3, 1, 1000
+    tables = calibrate_many(
+        TESTS, p, T, K, alphas=(0.05,), reps=1000, master_seed=3, keep_null_sample=True
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_tests(_null_panel(p=p, K=K, T=T), tables=tables)
+    assert {d.source for d in report.tests.values()} == {"calibrated"}
+    assert report.calibration == {"master_seed": 3, "reps": 1000}
 
 
 def test_run_tests_closed_form_sources():

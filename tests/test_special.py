@@ -305,7 +305,7 @@ def test_power_matches_simulation_oracle():
     # small-lambda setting keeps the power informative (not saturated)
     import factorlens as fl
     from factorlens.randmat import bartlett_factor
-    from factorlens.teststats import PrecisionStats, stat_t_ij, stat_t_j
+    from factorlens.teststats import stat_t_ij, stat_t_j, stats_from_factors
 
     p, T, K = 5, 30, 1
     dof = T - K - p + 1
@@ -321,12 +321,7 @@ def test_power_matches_simulation_oracle():
         gen = fl.SeedSpec(2718, r).generator()
         a = bartlett_factor(p, T - K, gen)
         w = chol @ (a @ a.T) @ chol.T
-        v11 = np.linalg.inv(w)
-        ps = PrecisionStats(
-            p=p, T=T, K=K, demeaned=False, dof_n=dof,
-            V11=fl.SymMatrix(v11), V11_inv=fl.SymMatrix(w),
-            diag_v11=np.diagonal(v11).copy(), diag_v11_inv=np.diagonal(w).copy(),
-        )
+        ps = stats_from_factors(np.linalg.cholesky(w)[None], T, K)
         t12[r] = stat_t_ij(ps, 2, 1)
         t1[r] = stat_t_j(ps, 1)
     for sample, q in ((t12, 1), (t1, p - 1)):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from factorlens import (
     FactorModelSpec,
-    PrecisionStats,
     SeedSpec,
     SymMatrix,
     compute_all,
@@ -23,6 +21,8 @@ from factorlens import (
     stat_t_j,
     stat_t_lr,
     stat_t_pr,
+    stats_from_factors,
+    stats_from_precision,
 )
 from factorlens.errors import (
     BadDimension,
@@ -30,7 +30,7 @@ from factorlens.errors import (
     DegenerateCorrection,
     Singular,
 )
-from factorlens.teststats import all_t_j, pairwise_t_ij
+from factorlens.teststats import _pair_formula
 from conftest import rand_spd
 
 # V11 = [[2,1],[1,2]] with dof_n = 11 (T=12, K=0) is the worked 2x2 case
@@ -38,14 +38,14 @@ V2 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 def _ps2(T=12, K=0):
-    return PrecisionStats.from_v11(SymMatrix(V2), T=T, K=K)
+    return stats_from_precision(V2, T=T, K=K)
 
 
 def _ps_from(v11, dof_n):
     # pick T = dof_n + p - 1, K = 0 so that T - K - p + 1 = dof_n
     v11 = np.asarray(v11)
     p = v11.shape[0]
-    return PrecisionStats.from_v11(SymMatrix(v11), T=dof_n + p - 1, K=0)
+    return stats_from_precision(v11, T=dof_n + p - 1, K=0)
 
 
 def test_factor_model_spec_validation():
@@ -144,7 +144,8 @@ def test_ln_t_lr_star_two_forms_agree(rng):
         p = int(rng.integers(2, 8))
         ps = _ps_from(rand_spd(rng, p).data, dof_n=int(rng.integers(1, 30)))
         direct = stat_ln_t_lr_star(ps)
-        corr = correlation_from_spd(ps.V11_inv)
+        e = ps.L[0] @ ps.L[0].T
+        corr = correlation_from_spd(SymMatrix(e))
         alt = -(ps.t_eff / 2.0) * log_det_spd(corr)
         assert abs(direct - alt) <= 1e-9 * max(1.0, abs(direct))
 
@@ -159,19 +160,9 @@ def test_t_lr_rho_arithmetic():
 
 
 def test_t_lr_degenerate_correction():
-    # force rho <= 0 through a hand-built bundle with inconsistent fields
-    ps = _ps2()
-    bad = PrecisionStats(
-        p=50,
-        T=12,
-        K=0,
-        demeaned=False,
-        dof_n=1,
-        V11=ps.V11,
-        V11_inv=ps.V11_inv,
-        diag_v11=ps.diag_v11,
-        diag_v11_inv=ps.diag_v11_inv,
-    )
+    # rho <= 0 needs 6(T_eff - K) <= 2p + 5 and dof_n >= 1 needs T_eff - K >= p,
+    # so p = 1, T_eff = 1, K = 0 is the only consistent input
+    bad = stats_from_factors(np.ones((1, 1, 1)), 1, 0)
     with pytest.raises(DegenerateCorrection):
         stat_t_lr(bad)
 
@@ -208,22 +199,22 @@ def test_scale_invariance_family(seed, p):
 def test_compute_all_retains_marginals():
     ps = _ps2()
     stats = compute_all(ps)
-    assert pairwise_t_ij(ps).shape == (1,)
-    assert all_t_j(ps).shape == (2,)
-    assert_allclose(stats.t_el, pairwise_t_ij(ps).max())
-    assert_allclose(stats.t_pr, all_t_j(ps).max())
+    assert ps.t_ij[0].shape == (1,)
+    assert ps.t_j[0].shape == (2,)
+    assert_allclose(stats.t_el, ps.t_ij[0].max())
+    assert_allclose(stats.t_pr, ps.t_j[0].max())
 
 
 def test_pairwise_order_matches_argmax_convention():
     rng = np.random.default_rng(3)
     ps = _ps_from(rand_spd(rng, 5).data, dof_n=12)
-    pairs = pairwise_t_ij(ps)
+    pairs = ps.t_ij[0]
     rows, cols = np.tril_indices(5, -1)
     k = int(np.argmax(pairs))
     value, arg = stat_t_el(ps)
     assert arg == (rows[k] + 1, cols[k] + 1)
     assert_allclose(value, pairs[k])
-    cols_stats = all_t_j(ps)
+    cols_stats = ps.t_j[0]
     assert_allclose(cols_stats.max(), stat_t_pr(ps)[0])
 
 
@@ -235,7 +226,7 @@ def test_from_data_scalar_case():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((1, 10))
     ps = precision_stats_from_data(x, None)
-    assert_allclose(ps.V11.data[0, 0], 1.0 / (x**2).sum(), rtol=1e-12)
+    assert_allclose(ps.v[0, 0, 0], 1.0 / (x**2).sum(), rtol=1e-12)
 
 
 def test_from_data_demeaned_matches_direct_summation():
@@ -250,7 +241,7 @@ def test_from_data_demeaned_matches_direct_summation():
     ) / (T - 1)
     v_expected = np.linalg.inv((T - 1) * s_tilde)
     ps = precision_stats_from_data(X, F, demeaned=True)
-    assert_allclose(ps.V11.data, v_expected[:p, :p], rtol=1e-9)
+    assert_allclose(ps.v[0], v_expected[:p, :p], rtol=1e-9)
     assert ps.dof_n == (T - 1) - K - p + 1
 
 
@@ -344,8 +335,8 @@ def test_data_path_matches_numpy_reference(seed, p, K, slack, demeaned):
     ps = precision_stats_from_data(X, F if K else None, demeaned=demeaned)
     got = compute_all(ps)
     tij, tj, ln_star, t_lr = _reference_statistics(X, F, demeaned)
-    assert_allclose(pairwise_t_ij(ps), tij, rtol=1e-7, atol=1e-9)
-    assert_allclose(all_t_j(ps), np.maximum(tj, 0.0), rtol=1e-7, atol=1e-9)
+    assert_allclose(ps.t_ij[0], tij, rtol=1e-7, atol=1e-9)
+    assert_allclose(ps.t_j[0], np.maximum(tj, 0.0), rtol=1e-7, atol=1e-9)
     assert_allclose(got.ln_t_lr_star, max(ln_star, 0.0), rtol=1e-7, atol=1e-9)
     assert_allclose(got.t_lr, max(t_lr, 0.0), rtol=1e-7, atol=1e-9)
     rows, cols = np.tril_indices(p, -1)
@@ -393,8 +384,6 @@ def _t_el_stacks(p, rng):
 
 @pytest.mark.parametrize("p", [2, 3, 20])
 def test_t_el_equals_max_of_pair_statistics_bitwise(p):
-    from factorlens.teststats import stats_from_factors
-
     rng = np.random.default_rng(p)
     for L in _t_el_stacks(p, rng):
         kernel = stats_from_factors(L, 60, 2)
@@ -402,15 +391,22 @@ def test_t_el_equals_max_of_pair_statistics_bitwise(p):
             assert np.array_equal(kernel.t_el, kernel.t_ij.max(axis=1))
 
 
-def test_precision_stats_leaves_the_callers_diagonals_writeable():
-    ps = _ps2()
-    diag_v, diag_e = ps.diag_v11.copy(), ps.diag_v11_inv.copy()
-    built = dataclasses.replace(ps, diag_v11=diag_v, diag_v11_inv=diag_e)
-    for given, stored, original in (
-        (diag_v, built.diag_v11, ps.diag_v11),
-        (diag_e, built.diag_v11_inv, ps.diag_v11_inv),
-    ):
-        assert given.flags.writeable
-        assert np.array_equal(given, original)
-        assert not stored.flags.writeable
-        assert np.array_equal(stored, original)
+@pytest.mark.parametrize("p", [2, 5, 20])
+def test_readers_take_the_kernel_entries_bitwise(p):
+    # stat_t_ij reads the pair at tril position (i-1)(i-2)/2 + j-1; computing
+    # the pair alone from its 2-by-2 block (j-1, i-1) is the engine's T_ij_21
+    rng = np.random.default_rng(40 + p)
+    T, K = 3 * p + 10, 2
+    F = rng.standard_normal((K, T))
+    X = rng.standard_normal((p, K)) @ F + rng.standard_normal((p, T))
+    X[1:] += 0.4 * X[0]  # planted correlation, so no pair is zero
+    s = precision_stats_from_data(X, F)
+    for i in range(2, p + 1):
+        for j in range(1, i):
+            pair = [j - 1, i - 1]
+            block = s.v[0][np.ix_(pair, pair)]
+            alone = _pair_formula(block, s.diag_v[0][pair], s.dof_n)[0]
+            assert stat_t_ij(s, i, j) == alone, (i, j)
+    assert compute_all(s).t_el == s.t_ij[0].max()
+    for j in range(1, p + 1):
+        assert stat_t_j(s, j) == s.t_j[0, j - 1]
