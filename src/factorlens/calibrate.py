@@ -130,11 +130,11 @@ class CriticalValueTable:
 
 
 def _default_chunk(p: int) -> int:
-    # Keep a chunk's work arrays near 64 MiB. Per replicate the kernel holds
-    # three p-by-p arrays (factor, its inverse, V) and up to four arrays of
-    # p(p-1)/2 pair values at once.
-    per_replicate = 8 * (3 * p * p + 2 * p * (p - 1))
-    return max(1, min(4096, 64 * 2**20 // per_replicate))
+    # Keep a chunk's work arrays near 48 MiB. Per replicate the kernel holds
+    # two p-by-p arrays (factor and V) and up to four arrays of p(p-1)/2 pair
+    # values at once.
+    per_replicate = 8 * (2 * p * p + 2 * p * (p - 1))
+    return max(1, min(4096, 48 * 2**20 // per_replicate))
 
 
 def simulate_null_statistics(

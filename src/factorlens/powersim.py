@@ -237,8 +237,9 @@ def run_power_study(
 def _chunk_size(p: int, K: int, T: int) -> int:
     # Keep a chunk's work arrays near 16 MiB. Per replicate: the (K+p)-by-T
     # draw block, the stacked scatter and its factor, and for one grid point
-    # the kernel's three p-by-p arrays and up to four arrays of p(p-1)/2 pairs.
-    per_replicate = 8 * ((K + p) * T + 2 * (K + p) ** 2 + 3 * p * p + 2 * p * (p - 1))
+    # the kernel's two p-by-p arrays (factor and V) and up to four arrays of
+    # p(p-1)/2 pairs.
+    per_replicate = 8 * ((K + p) * T + 2 * (K + p) ** 2 + 2 * p * p + 2 * p * (p - 1))
     return max(1, min(4096, 16 * 2**20 // per_replicate))
 
 

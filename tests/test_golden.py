@@ -26,34 +26,46 @@ def _sha(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
+# Statistics that read the precision block V.
 NULL_SAMPLE_HASHES = {
     (6, 40, 2, False): {
-        "T_el": "e038fdc7cc66bf6b8a0cfec3479d5ff338b9909bbc128b80daf5de9ca84d763f",
-        "T_pr": "a5bf3276735b202a8d3f838ed7a738bbbeee54df482f4ba294bff71cf8b642f2",
-        "T_LR": "4c1076137583d531de36905a2f9ea486d307940899266339ca399367edac39e1",
-        "ln_T_LR_star": "275d8da3e76643b7c458580aeeacea623d3cce12725118e3df63094521843cb6",
-        "T_LR_standardized": "856addbbb097813ad9d52403ce0270d41b731c5220ddc6f3e18d21d33172e5da",
-        "T_ij_21": "154d0edac9a6688ab6499e0c06aff91acd00ea4261fc962c23ff795a8958f5bc",
-        "T_j_1": "622e0f835167b6004fcb5852faf4be298f08e725c7b42a7092bb44875dbb1e49",
+        "T_el": "d2df5e7ef292d99d2abc54432568c0b58dd4c269fa2cee5f65f066bdce2c09af",
+        "T_pr": "94f85a993f9ef72fb5352a717aeb4fcde242c6948717166385253f4e6fe6c2c0",
+        "T_ij_21": "c704b8e094a5966858b9e4d04ceb26e91b45dc252feb7496f681e5f3f2e923e5",
+        "T_j_1": "310d12367967be9f565cc489fdb470d727302413642de6f206c02ed93bd107cb",
     },
     # boundary: p + K = T_eff - 1, the largest p the model allows (dof_n = 2)
     (2, 5, 2, False): {
-        "T_el": "ef58c22c7dbae0cc24227a0e191af43c15fffc7e38a7f06573327fb2b6f2af3b",
-        "T_pr": "3210e94357b330cc40881cf495669e61db462f8ee8348ee1cfced4196f6355b1",
+        "T_el": "d62eef581567da97dd8facab9aff8a3d10cfc602d519270923d2d73169cc40b1",
+        "T_pr": "69fea282deee642dd5baef957b84890d15259dc1b1f8fbeaac78dc1bf44b2313",
+        "T_ij_21": "d62eef581567da97dd8facab9aff8a3d10cfc602d519270923d2d73169cc40b1",
+        "T_j_1": "a749020fbb9ada4bcc413ae5149779459144fbe3813cd59aff5156e70c74f6e8",
+    },
+    (4, 30, 1, True): {
+        "T_el": "ace2749f88ebac36c96387077ba473b90a5f9986c5a3b3a7fca617e6f55dab96",
+        "T_pr": "b9b2e59ed6c2532867fbf30409ee1bf3ea952c46b47a85236c3056c798417d71",
+        "T_ij_21": "3d47b6bbfc54a3311c707a72117a5f2b81369f7fdf4e8b2dcea4861c9122ffd2",
+        "T_j_1": "d7ebcf25f54d7d91e49f8fff24aa5eb54670b9d293c18a4fd7cc608b5f2bdd00",
+    },
+}
+
+# The likelihood-ratio family reads diag E and ln det E only, never V, so
+# these must not move when the way V is computed changes.
+LIKELIHOOD_RATIO_HASHES = {
+    (6, 40, 2, False): {
+        "T_LR": "4c1076137583d531de36905a2f9ea486d307940899266339ca399367edac39e1",
+        "ln_T_LR_star": "275d8da3e76643b7c458580aeeacea623d3cce12725118e3df63094521843cb6",
+        "T_LR_standardized": "856addbbb097813ad9d52403ce0270d41b731c5220ddc6f3e18d21d33172e5da",
+    },
+    (2, 5, 2, False): {
         "T_LR": "94539bf33565c49e547a4e975582cb667d96fd575d8bb3c302f0a6f126e63de2",
         "ln_T_LR_star": "5befefd4aa10ec0711836a0a0cc3cd65208a8284d864d32ea144ce80bd2ff9f3",
         "T_LR_standardized": "3128ce2501d5219b65edc5a0887638e38f6efa5a9a625d04faec908bc48fa5a1",
-        "T_ij_21": "ef58c22c7dbae0cc24227a0e191af43c15fffc7e38a7f06573327fb2b6f2af3b",
-        "T_j_1": "3ee4500e59c942915a0c4e2c0b0e4833deddcc88e0754a0bfcd660f4f2af5ba1",
     },
     (4, 30, 1, True): {
-        "T_el": "4bfb97e7350cd64dfd3687fd3dd026dc3fd1008536c527e3b9ac4d4a1dbbf24a",
-        "T_pr": "97c638dc7046aca08adfb87be0faea820167e61a190d7f29313b721e05b8455a",
         "T_LR": "008b2b0e59fab1ee559ba3e80d68b18363ab8e45d391fde56bb88f7ccc2fd845",
         "ln_T_LR_star": "399bda582231b7d87af65adab2d628499821ad145a8af36a9be196eb9825458e",
         "T_LR_standardized": "a4502a21934e02a5ff72c7278aff7a1c9c52fe8bef71b8430d5bbc3ebe73d789",
-        "T_ij_21": "718ae59e79ad85cf2af3709e1ca7a4e0970183abb78b6e176d2a70c0a6799a5a",
-        "T_j_1": "9d473a9796647a29e4017a597e0fdf3063da3077105a7fb10e8817dc38873f3a",
     },
 }
 
@@ -64,7 +76,9 @@ def test_golden_null_samples(setting):
     out = fl.simulate_null_statistics(
         ALL_STATISTICS, p, T, K, reps=300, master_seed=11, demeaned=demeaned
     )
-    assert {s: _sha(out[s]) for s in ALL_STATISTICS} == NULL_SAMPLE_HASHES[setting]
+    assert {s: _sha(out[s]) for s in ALL_STATISTICS} == {
+        **NULL_SAMPLE_HASHES[setting], **LIKELIHOOD_RATIO_HASHES[setting]
+    }
 
 
 def test_golden_power_rates_s1_closed_form():

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from factorlens import (
     FactorModelSpec,
+    FactorStats,
     SeedSpec,
     SymMatrix,
     compute_all,
@@ -28,8 +29,10 @@ from factorlens.errors import (
     BadDimension,
     BadIndex,
     DegenerateCorrection,
+    NotPositiveDefinite,
     Singular,
 )
+from factorlens.randmat import bartlett_factor
 from factorlens.teststats import _pair_formula
 from conftest import rand_spd
 
@@ -410,3 +413,51 @@ def test_readers_take_the_kernel_entries_bitwise(p):
     assert compute_all(s).t_el == s.t_ij[0].max()
     for j in range(1, p + 1):
         assert stat_t_j(s, j) == s.t_j[0, j - 1]
+
+
+@pytest.mark.parametrize(
+    "p, T, K, m",
+    [(2, 5, 2, 500), (6, 40, 2, 200), (100, 518, 1, 20)],  # dof_n = 2, 33, 418
+)
+def test_kernel_matches_plain_numpy_inverse(p, T, K, m):
+    L = np.stack(
+        [bartlett_factor(p, T - K, SeedSpec(7, r).generator()) for r in range(m)]
+    )
+    kernel = stats_from_factors(L, T, K)
+    v = np.linalg.inv(L @ np.swapaxes(L, 1, 2))
+    diag_v = np.diagonal(v, axis1=1, axis2=2)
+    rows, cols = np.tril_indices(p, -1)
+    g2 = v[:, rows, cols] ** 2 / (diag_v[:, rows] * diag_v[:, cols])
+    t_ij = kernel.dof_n * g2 / (1.0 - g2)
+    diag_e = (L * L).sum(axis=2)
+    t_j = kernel.dof_n / (p - 1) * np.maximum(diag_v * diag_e - 1.0, 0.0)
+
+    assert np.array_equal(kernel.v, np.swapaxes(kernel.v, 1, 2))
+    assert np.array_equal(kernel.diag_v, np.diagonal(kernel.v, axis1=1, axis2=2))
+    assert_allclose(kernel.diag_v, diag_v, rtol=1e-10)
+    assert_allclose(kernel.t_el, t_ij.max(axis=1), rtol=1e-10)
+    assert_allclose(kernel.t_j, t_j, rtol=1e-10)
+    # Entries near zero carry the inverse's rounding error relative to the
+    # matrix, not to themselves: off-diagonal V is compared on the scale of
+    # sqrt(v_ii v_jj), and t_ij, whose null law has mean near 1, with an
+    # absolute term as well.
+    scale = np.sqrt(diag_v[:, :, None] * diag_v[:, None, :])
+    assert_allclose(kernel.v / scale, v / scale, rtol=1e-10, atol=1e-10)
+    assert_allclose(kernel.t_ij, t_ij, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0, np.nan, 1e-300])
+def test_stats_from_factors_rejects_unusable_diagonal(entry):
+    L = np.broadcast_to(np.linalg.cholesky(2.0 * np.eye(3) + 0.5), (4, 3, 3)).copy()
+    L[2, 1, 1] = entry
+    with pytest.raises(NotPositiveDefinite, match="replicate 2"):
+        stats_from_factors(L, 20, 1)
+
+
+def test_kernel_names_a_factor_lapack_cannot_invert():
+    L = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
+    L[1, 2, 2] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = FactorStats(L, 20, 1)
+    with pytest.raises(NotPositiveDefinite, match="replicate 1"):
+        kernel.v
