@@ -131,8 +131,8 @@ class CriticalValueTable:
 
 def _default_chunk(p: int) -> int:
     # Keep a chunk's work arrays near 48 MiB. Per replicate the kernel holds
-    # two p-by-p arrays (factor and V) and up to four arrays of p(p-1)/2 pair
-    # values at once.
+    # two p-by-p arrays (factor and V's lower triangle) and, while it forms
+    # g^2, three arrays of p(p-1)/2 pair values; the budget counts four.
     per_replicate = 8 * (2 * p * p + 2 * p * (p - 1))
     return max(1, min(4096, 48 * 2**20 // per_replicate))
 
@@ -166,7 +166,7 @@ def simulate_null_statistics(
         "T_el": lambda k: k.t_el,
         # pair (2, 1) alone, from its 2-by-2 block: the operands of t_ij[:, 0]
         # without transforming every pair
-        "T_ij_21": lambda k: _pair_formula(k.v[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
+        "T_ij_21": lambda k: _pair_formula(k.v_lower[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
         "T_pr": lambda k: k.t_j.max(axis=1),
         "T_j_1": lambda k: k.t_j[:, 0],
         "ln_T_LR_star": lambda k: k.ln_t_lr_star,

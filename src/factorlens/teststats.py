@@ -3,10 +3,10 @@
 All statistics are functions of the p-by-p leading block V11 of the inverse
 scaled sample covariance of the stacked (responses, factors) data. Its
 inverse is the residual scatter E of the responses on the factors, so a
-lower factor L of E is all the kernel needs. Step one turns L into the
-precision block V = L^-T L^-1 (a LAPACK triangular inverse and one product
-per factor), diag V, diag E and ln det E; step two applies the formulas to
-those four arrays. Under the null, the Bartlett factor of an
+lower factor L of E is all the kernel needs. Step one turns L into V's lower
+triangle (V = L^-T L^-1, by a LAPACK triangular inverse and an in-place BLAS
+dsyrk per factor), diag V, diag E and ln det E; step two applies the
+formulas to those four arrays. Under the null, the Bartlett factor of an
 identity-parameter Wishart draw is such a factor, so calibration and real
 data share the kernel. FactorStats is the only statistics object:
 precision_stats_from_data returns the kernel's statistics of one dataset
@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtrtri
 
 from .errors import (
@@ -99,17 +100,24 @@ def _t_lr_formula(ln_t_lr_star, p: int, t_eff: int, K: int):
     return 2.0 * rho * ((t_eff - K) / t_eff) * ln_t_lr_star
 
 
+# A usable factor's diagonal entries are positive and their squares, the
+# Cholesky pivots, are finite normal floats: a pivot that underflows (to zero
+# or a subnormal) makes V overflow, and a NaN or negative entry has no log.
+_DIAG_RANGE = np.sqrt([np.finfo(float).tiny, np.finfo(float).max])
+
+
 class FactorStats:
     """Statistics of m datasets from lower factors L[m, p, p] of their residual scatters.
 
     V and the pair and column statistics are computed on first use and kept,
-    so ln T_LR* costs no inverse. Each factor's V is L^-T L^-1 from LAPACK's
-    triangular inverse (dtrtri) and one matrix product; the lower triangle is
-    mirrored onto the upper, so v is symmetric bit for bit. LAPACK's dpotri
-    does both steps in one call, but OpenBLAS runs its product step (dlauum)
-    on every BLAS thread, which made calibration at p = 20 about 12% slower
-    end to end on a 2-core machine. Pairs are ordered (2,1), (3,1), (3,2),
-    ... on the last axis.
+    so ln T_LR* costs no inverse. Every statistic reads only v_lower, V's
+    lower triangle: per factor, LAPACK's triangular inverse (dtrtri), then a
+    BLAS rank-k update (dsyrk) writes L^-T L^-1 in place, at half a full
+    product's flops and bit for bit its lower triangle; v mirrors it on first
+    read. dpotri would do both steps in one call, but OpenBLAS runs its dlauum
+    step on every BLAS thread, which made calibration at p = 20 about 12%
+    slower on 2 cores; dtrtri(L.T, lower=0) differs from this inverse by an
+    ulp. Pairs are ordered (2,1), (3,1), (3,2), ... on the last axis.
     """
 
     def __init__(self, L: np.ndarray, t_eff: int, K: int) -> None:
@@ -118,31 +126,46 @@ class FactorStats:
         self.K = K
         self.dof_n = denominator_dof(t_eff, K, self.p)
         self.L = L
+        diag = np.diagonal(L, axis1=1, axis2=2)
+        bad = np.argwhere(~((diag >= _DIAG_RANGE[0]) & (diag <= _DIAG_RANGE[1])))
+        if bad.size:
+            r, j = bad[0]
+            raise NotPositiveDefinite(
+                f"factor of replicate {r} has diagonal entry {float(diag[r, j])!r} at index "
+                f"{j}, outside [{_DIAG_RANGE[0]:.3g}, {_DIAG_RANGE[1]:.3g}]"
+            )
         # step one: factors -> (V, diag V, diag E, ln det E)
         self.diag_e = np.einsum("rij,rij->ri", L, L)
-        self.ln_det_e = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+        self.ln_det_e = 2.0 * np.log(diag).sum(axis=1)
         self.ln_t_lr_star = _ln_lr_star_formula(self.diag_e, self.ln_det_e, t_eff)
 
     @cached_property
-    def v(self) -> np.ndarray:
-        v = np.empty(self.L.shape)
+    def v_lower(self) -> np.ndarray:
+        """V's lower triangle, diagonal included; the strict upper triangle is zero."""
+        # Fortran-ordered slices: in any other layout f2py hands dsyrk a copy,
+        # which it fills and returns while v stays zero
+        v = np.zeros(self.L.shape).transpose(0, 2, 1)
         for r, factor in enumerate(self.L):
-            l_inv, info = dtrtri(factor, lower=1)
-            if info:
-                raise NotPositiveDefinite(f"factor of replicate {r} is singular (dtrtri info {info})")
-            np.matmul(l_inv.T, l_inv, out=v[r])
+            l_inv, _ = dtrtri(factor, lower=1)  # the diagonal check rules out info > 0
+            dsyrk(1.0, l_inv, trans=1, lower=1, c=v[r], overwrite_c=1)
+        return v
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        """V, symmetric: a copy of v_lower mirrored onto its upper triangle."""
+        v = self.v_lower.copy()
         rows, cols = np.triu_indices(self.p, 1)
         v[:, rows, cols] = v[:, cols, rows]
         return v
 
     @cached_property
     def diag_v(self) -> np.ndarray:
-        return np.diagonal(self.v, axis1=1, axis2=2)
+        return np.diagonal(self.v_lower, axis1=1, axis2=2)
 
     # step two
     @cached_property
     def _g2(self) -> np.ndarray:
-        return _pair_g2(self.v, self.diag_v)
+        return _pair_g2(self.v_lower, self.diag_v)
 
     @cached_property
     def t_ij(self) -> np.ndarray:
@@ -172,12 +195,6 @@ class FactorStats:
         return _t_lr_formula(self.ln_t_lr_star, self.p, self.t_eff, self.K)
 
 
-# A usable factor's diagonal entries are positive and their squares, the
-# Cholesky pivots, are finite normal floats: a pivot that underflows (to zero
-# or a subnormal) makes V overflow, and a NaN or negative entry has no log.
-_DIAG_RANGE = np.sqrt([np.finfo(float).tiny, np.finfo(float).max])
-
-
 def stats_from_factors(L: np.ndarray, t_eff: int, K: int) -> FactorStats:
     """The statistics kernel: lower factors L[m, p, p] of E, computed lazily."""
     if L.ndim != 3 or L.shape[1] != L.shape[2]:
@@ -185,14 +202,6 @@ def stats_from_factors(L: np.ndarray, t_eff: int, K: int) -> FactorStats:
     dof_n = denominator_dof(t_eff, K, L.shape[-1])
     if dof_n < 1:
         raise BadDimension(f"dof_n must be >= 1, got {dof_n}")
-    diag = np.diagonal(L, axis1=1, axis2=2)
-    bad = np.argwhere(~((diag >= _DIAG_RANGE[0]) & (diag <= _DIAG_RANGE[1])))
-    if bad.size:
-        r, j = bad[0]
-        raise NotPositiveDefinite(
-            f"factor of replicate {r} has diagonal entry {float(diag[r, j])!r} at index "
-            f"{j}, outside [{_DIAG_RANGE[0]:.3g}, {_DIAG_RANGE[1]:.3g}]"
-        )
     return FactorStats(L, t_eff, K)
 
 

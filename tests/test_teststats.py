@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dtrtri
 
 from factorlens import (
     FactorModelSpec,
@@ -32,8 +34,10 @@ from factorlens.errors import (
     NotPositiveDefinite,
     Singular,
 )
+from factorlens.asymptotics import tlr_standardize
+from factorlens.calibrate import MARGINAL_STATISTICS, STATISTICS, simulate_null_statistics
 from factorlens.randmat import bartlett_factor
-from factorlens.teststats import _pair_formula
+from factorlens.teststats import ResidualScatter, _pair_formula, residual_factors
 from conftest import rand_spd
 
 # V11 = [[2,1],[1,2]] with dof_n = 11 (T=12, K=0) is the worked 2x2 case
@@ -455,9 +459,93 @@ def test_stats_from_factors_rejects_unusable_diagonal(entry):
 
 
 def test_kernel_names_a_factor_lapack_cannot_invert():
-    L = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
-    L[1, 2, 2] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = FactorStats(L, 20, 1)
-    with pytest.raises(NotPositiveDefinite, match="replicate 1"):
-        kernel.v
+    # the constructor checks the factor before it takes a log, so a zero,
+    # negative, NaN or subnormal pivot raises there and warns of nothing
+    for entry in [0.0, -1.0, np.nan, 1e-300]:
+        L = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
+        L[1, 2, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="replicate 1"):
+                FactorStats(L, 20, 1)
+
+
+def _reference_stats(L, t_eff, K):
+    """V, t_ij, t_el and t_j of each factor, V from dtrtri and a full product."""
+    p = L.shape[-1]
+    dof_n = t_eff - K - p + 1
+    v = np.empty(L.shape)
+    for r, factor in enumerate(L):
+        l_inv, info = dtrtri(factor, lower=1)
+        assert info == 0
+        np.matmul(l_inv.T, l_inv, out=v[r])
+    diag_v = np.diagonal(v, axis1=1, axis2=2)
+    rows, cols = np.tril_indices(p, -1)
+    g2 = v[:, rows, cols] ** 2 / (diag_v[:, rows] * diag_v[:, cols])
+    t_ij = dof_n * g2 / (1.0 - g2)
+    diag_e = np.einsum("rij,rij->ri", L, L)
+    t_j = dof_n / (p - 1) * np.maximum(diag_v * diag_e - 1.0, 0.0)
+    return v, t_ij, t_ij.max(axis=1), t_j
+
+
+def _kernel_inputs(source, p, rng):
+    """A kernel of factors of one layout, with the factors it ran on."""
+    m = 12
+    if source == "bartlett":  # C-contiguous, as the calibration engine draws them
+        T, K = 2 * p + 8, 1
+        L = np.stack([bartlett_factor(p, T - K, SeedSpec(11, r).generator()) for r in range(m)])
+        return stats_from_factors(L, T, K), L
+    T, K = 2 * p + 10, 2
+    if source == "residual_factors":  # non-contiguous trailing blocks
+        L = residual_factors(rng.standard_normal((m, K + p, T)), K)
+        assert not L.flags.c_contiguous
+        return stats_from_factors(L, T, K), L
+    n = p + 5  # subsets of a wider panel
+    scatter = ResidualScatter(rng.standard_normal((n, T)), rng.standard_normal((K, T)))
+    subsets = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :p], axis=1)
+    kernel = scatter.subset_stats(subsets)
+    return kernel, kernel.L
+
+
+@pytest.mark.parametrize("source", ["bartlett", "residual_factors", "subset_stats"])
+@pytest.mark.parametrize("p", [2, 6, 20, 37, 100])
+def test_kernel_equals_full_product_reference_bitwise(source, p):
+    # the kernel forms V's lower triangle by a symmetric rank-k update in
+    # place; a full product of the same triangular inverse is its reference
+    kernel, L = _kernel_inputs(source, p, np.random.default_rng(p))
+    v, t_ij, t_el, t_j = _reference_stats(L, kernel.t_eff, kernel.K)
+    lower = np.tril_indices(p)
+    assert np.array_equal(kernel.v_lower[:, lower[0], lower[1]], v[:, lower[0], lower[1]])
+    assert not np.triu(kernel.v_lower, 1).any()
+    assert np.array_equal(kernel.t_ij, t_ij)
+    assert np.array_equal(kernel.t_el, t_el)
+    assert np.array_equal(kernel.t_j, t_j)
+    # the public V is the lower triangle mirrored, so symmetric, and diag_v
+    # its diagonal
+    assert np.array_equal(kernel.v, np.tril(v) + np.swapaxes(np.tril(v, -1), 1, 2))
+    assert np.array_equal(kernel.diag_v, np.diagonal(kernel.v, axis1=1, axis2=2))
+
+
+def test_null_samples_at_p100_equal_the_reference_path_bitwise():
+    # the golden hashes pin p <= 6; this pins every column at the paper's
+    # high-dimensional design against the reference V on the same draws
+    p, T, K, reps, seed = 100, 518, 1, 50, 1234
+    statistics = STATISTICS + MARGINAL_STATISTICS
+    samples = simulate_null_statistics(statistics, p, T, K, reps=reps, master_seed=seed)
+    L = np.stack([bartlett_factor(p, T - K, SeedSpec(seed, r).generator()) for r in range(reps)])
+    v, t_ij, t_el, t_j = _reference_stats(L, T, K)
+    ln_det_e = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    diag_e = np.einsum("rij,rij->ri", L, L)
+    ln_lr = np.maximum(-(T / 2.0) * (ln_det_e - np.log(diag_e).sum(axis=1)), 0.0)
+    rho = 1.0 - (2.0 * p + 5.0) / (6.0 * (T - K))
+    expected = {
+        "T_el": t_el,
+        "T_ij_21": t_ij[:, 0],
+        "T_pr": t_j.max(axis=1),
+        "T_j_1": t_j[:, 0],
+        "ln_T_LR_star": ln_lr,
+        "T_LR": 2.0 * rho * ((T - K) / T) * ln_lr,
+        "T_LR_standardized": tlr_standardize(ln_lr, p, T, K, False),
+    }
+    for name in statistics:
+        assert np.array_equal(samples[name], expected[name]), name
