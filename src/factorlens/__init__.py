@@ -29,18 +29,10 @@ from .calibrate import (
     simulate_null_statistics,
 )
 from .errors import FactorLensError
-from .linalg import (
-    LowerTriangular,
-    SymMatrix,
-    cholesky,
-    correlation_from_spd,
-    invert_spd,
-    log_det_spd,
-    top_left_block,
-)
+from .linalg import cholesky, invert_spd
 from .panel import ReturnsPanel, export_panel_csv, ingest_csv
 from .powersim import PowerCurve, ScenarioConfig, build_sigma_u, generate_dataset, run_power_study
-from .randmat import SeedSpec, sample_mvn, sample_V11_null, sample_wishart_identity
+from .randmat import SeedSpec, sample_V11_null
 from .report import TestReport, batch_subset_test, run_tests
 from .special import (
     ZjDensityParams,
@@ -49,7 +41,6 @@ from .special import (
     density_Z,
     f_cdf,
     f_quantile,
-    ln_gamma,
     marginal_power_Z,
     normal_cdf,
     normal_quantile,

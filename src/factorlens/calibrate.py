@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     EmptySample,
     MissingNullSample,
+    ParseError,
 )
 from .randmat import SeedSpec, bartlett_factor
 from .special import chi2_quantile, f_quantile
@@ -328,14 +329,24 @@ def save_tables_json(tables, path) -> None:
 
 
 def load_tables_json(path) -> list[CriticalValueTable]:
-    """Read tables written by save_tables_json (or a single-table document)."""
+    """Read tables written by save_tables_json (or a single-table document).
+
+    A file that is not such a document raises ParseError naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict) and "tables" in payload:
-        docs = payload["tables"]
-    else:
-        docs = [payload]
-    return [CriticalValueTable.from_json_dict(d) for d in docs]
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ParseError(f"{path}: not a JSON document: {exc}") from None
+    docs = payload.get("tables", [payload]) if isinstance(payload, dict) else None
+    if not (isinstance(docs, list) and all(isinstance(d, dict) for d in docs)):
+        raise ParseError(f"{path}: expected a table object or an object with a 'tables' list")
+    try:
+        return [CriticalValueTable.from_json_dict(d) for d in docs]
+    except KeyError as exc:
+        raise ParseError(f"{path}: a table has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed table: {exc}") from None
 
 
 def tables_to_csv(tables, path) -> None:

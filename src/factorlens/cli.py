@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -35,6 +36,9 @@ from .report import REQUESTS, TESTS, batch_subset_test, calibrate_tests, run_tes
 from .teststats import FactorModelSpec
 
 _PROG = "factorlens"
+# A start:step:stop grid with more points is a usage error: run_power_study
+# keeps one p-by-p factor per point.
+MAX_GRID_POINTS = 1000
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -67,8 +71,12 @@ def _parse_grid(text: str, integer: bool = False) -> list:
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
         start, step, stop = (float(x) for x in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError(f"grid {text!r} must have a finite start, step and stop")
         if step <= 0:
             raise ValueError("grid step must be positive")
+        if (stop - start) / step >= MAX_GRID_POINTS:  # the loop makes floor(that) + 1 points
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
         values = []
         x = start
         while x <= stop + 1e-12:
@@ -307,7 +315,7 @@ def main(argv=None) -> int:
         if args.command == "batch-test":
             return _cmd_batch(args)
         parser.error(f"unknown command {args.command!r}")
-    except FactorLensError as exc:
+    except (FactorLensError, OSError) as exc:  # OSError: an unreadable input or output path
         print(f"{_PROG}: error: {exc}", file=sys.stderr)
         return 1
     return 2

@@ -1,96 +1,30 @@
-"""Dense symmetric positive-definite matrix kernel.
+"""Cholesky factors and inverses of symmetric positive-definite arrays.
 
-Covariance, precision and correlation matrices in this package are small
-dense float64 matrices (design envelope p <= ~2000). Factorizations are
-backed by LAPACK through numpy/scipy; the positive-definiteness tolerance
-is enforced on the Cholesky pivots. All operations are pure functions of
-immutable values and never alias their inputs.
+Covariance and precision matrices in this package are small dense float64
+arrays (design envelope p <= ~2000). Factorizations are backed by LAPACK
+through numpy/scipy; positive definiteness is judged on the Cholesky pivots
+against PIVOT_RTOL, one rule for single matrices and for stacks. Only the
+lower triangle of an input is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import BadDimension, NotPositiveDefinite
+from .errors import NotPositiveDefinite, Singular
 
 # A Cholesky pivot at or below this fraction of the largest diagonal entry
 # counts as "not positive definite".
 PIVOT_RTOL = 1e-12
 
 
-def _mirror_upper(a: np.ndarray) -> np.ndarray:
-    """Copy the upper triangle onto the lower one, making symmetry exact."""
-    out = np.triu(a)
-    out += np.triu(a, 1).T
-    return out
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric matrix value; symmetry is exact by construction.
-
-    Only the upper triangle of the input is read; it is mirrored onto the
-    lower triangle, so ``data[i, j] == data[j, i]`` holds bitwise. The
-    backing array is frozen (read-only).
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise BadDimension(f"expected a square matrix, got shape {a.shape}")
-        a = _mirror_upper(a)
-        a.flags.writeable = False
-        object.__setattr__(self, "data", a)
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
-    def diagonal(cls, entries) -> "SymMatrix":
-        return cls(np.diag(np.asarray(entries, dtype=np.float64)))
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def diag(self) -> np.ndarray:
-        return np.diagonal(self.data).copy()
-
-
-@dataclass(frozen=True)
-class LowerTriangular:
-    """Lower-triangular factor with strictly positive diagonal."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise BadDimension(f"expected a square matrix, got shape {a.shape}")
-        a = np.tril(a)
-        if np.any(np.diagonal(a) <= 0.0):
-            raise NotPositiveDefinite("triangular factor has a non-positive diagonal entry")
-        a.flags.writeable = False
-        object.__setattr__(self, "data", a)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-
-def cholesky(m: SymMatrix) -> LowerTriangular:
-    """Lower Cholesky factor L with L @ L.T == m.
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L with L @ L.T == a.
 
     Raises NotPositiveDefinite when a pivot falls at or below
     PIVOT_RTOL times the largest diagonal entry.
     """
-    a = m.data
     max_diag = float(np.max(np.diagonal(a)))
     if max_diag <= 0.0:
         raise NotPositiveDefinite("largest diagonal entry is not positive")
@@ -104,39 +38,38 @@ def cholesky(m: SymMatrix) -> LowerTriangular:
             f"Cholesky pivot {float(np.min(pivots)):.3e} below tolerance "
             f"{PIVOT_RTOL * max_diag:.3e}"
         )
-    return LowerTriangular(factor)
+    return factor
 
 
-def invert_spd(m: SymMatrix) -> SymMatrix:
-    """Inverse of a symmetric positive-definite matrix via its Cholesky factor."""
-    factor = cholesky(m)
-    inv, info = lapack.dpotri(factor.data, lower=1)
+def invert_spd(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive-definite array via its Cholesky factor."""
+    inv, info = lapack.dpotri(cholesky(a), lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"dpotri failed with info={info}")
     # dpotri fills only the lower triangle of the inverse.
-    full = np.tril(inv) + np.tril(inv, -1).T
-    return SymMatrix(full)
+    return np.tril(inv) + np.tril(inv, -1).T
 
 
-def log_det_spd(m: SymMatrix) -> float:
-    """Natural log of the determinant, computed as 2 * sum(log diag(L))."""
-    factor = cholesky(m)
-    return 2.0 * float(np.sum(np.log(np.diagonal(factor.data))))
+def stacked_cholesky(
+    scatters: np.ndarray, max_diag: np.ndarray, min_pivot: float = np.inf
+) -> np.ndarray:
+    """Lower factors of a stack of scatters under the stacked pivot rule.
 
-
-def correlation_from_spd(m: SymMatrix) -> SymMatrix:
-    """Correlation matrix m[i,j] / sqrt(m[i,i] m[j,j]) with exact unit diagonal."""
-    d = np.diagonal(m.data)
-    if np.any(d <= 0.0):
-        raise NotPositiveDefinite("matrix has a non-positive diagonal entry")
-    s = 1.0 / np.sqrt(d)
-    r = m.data * np.outer(s, s)
-    np.fill_diagonal(r, 1.0)
-    return SymMatrix(r)
-
-
-def top_left_block(m: SymMatrix, k: int) -> SymMatrix:
-    """Leading k-by-k principal submatrix."""
-    if not 1 <= k <= m.dim:
-        raise BadDimension(f"block size {k} outside [1, {m.dim}]")
-    return SymMatrix(m.data[:k, :k])
+    A dataset fails, as its stacked scatter fails cholesky, when a Cholesky
+    pivot is at or below PIVOT_RTOL times the stacked scatter's largest
+    diagonal entry max_diag. min_pivot carries pivots factored elsewhere
+    (the factor block's, when only the Schur complement is given).
+    """
+    try:
+        L = np.linalg.cholesky(scatters)
+    except np.linalg.LinAlgError:
+        raise Singular("a stacked covariance is not positive definite") from None
+    pivots = np.minimum(np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1), min_pivot)
+    bound = PIVOT_RTOL * max_diag
+    bad = np.flatnonzero(pivots <= bound)
+    if bad.size:
+        raise Singular(
+            f"a stacked covariance is not positive definite: Cholesky "
+            f"pivot {pivots[bad[0]]:.3e} below tolerance {bound[bad[0]]:.3e}"
+        )
+    return L

@@ -9,7 +9,7 @@ points (common random numbers) and runs are reproducible.
 
 Every scenario runs as batched kernel runs on those datasets, a chunk of
 replicates at a time. In s1-s3 a dataset is X = B F + D C Z with
-D = diag(eta) and C the Cholesky factor of build_sigma_u. The residual maker
+D = diag(eta) and C the lower factor from build_sigma_u. The residual maker
 of F removes B F, so the residual scatter is E = D C (Z M_F Z^T) C^T D. If A
 is the trailing p-by-p block of the Cholesky factor of the stacked scatter of
 [F; Z], then D C A is lower triangular with a positive diagonal and factors
@@ -28,7 +28,7 @@ import numpy as np
 
 from .calibrate import CriticalValueTable
 from .errors import BadDimension, DomainError
-from .linalg import SymMatrix, cholesky, invert_spd
+from .linalg import cholesky, invert_spd
 from .randmat import SeedSpec
 from .report import TESTS, calibrated_criticals, closed_form_criticals, kernel_observed
 from .teststats import (
@@ -90,13 +90,14 @@ def _check_k_tilde(k_tilde: int) -> None:
         raise DomainError(f"k_tilde must be an integer in [0, {MAX_K_TILDE}], got {k_tilde}")
 
 
-def build_sigma_u(scenario: str, p: int, rho: float) -> SymMatrix:
-    """Correlation-structure factor of the residual covariance.
+def build_sigma_u(scenario: str, p: int, rho: float) -> np.ndarray:
+    """Lower Cholesky factor C of the residual correlation structure C C^T.
 
-    Returns only the correlation part; the per-replicate scale draws are
-    applied separately. s1 changes the (1,2) entry, s2 prescribes the first
+    Only the correlation part; the per-replicate scale draws are applied
+    separately. s1 changes the (1,2) entry, s2 prescribes the first
     row/column of the inverse and inverts it without renormalizing the
-    diagonal, s3 is the AR(1) profile rho^|i-j|.
+    diagonal, s3 is the AR(1) profile rho^|i-j|. Factoring also rejects a
+    structure that is not positive definite (none is, for |rho| <= 0.5).
     """
     scenario = canonical_scenario(scenario)
     _check_rho(rho)
@@ -105,9 +106,8 @@ def build_sigma_u(scenario: str, p: int, rho: float) -> SymMatrix:
     if p < 2:
         raise BadDimension(f"need p >= 2, got {p}")
     if scenario == "s1_single_corr":
-        delta = np.eye(p)
-        delta[0, 1] = delta[1, 0] = rho
-        out = SymMatrix(delta)
+        sigma = np.eye(p)
+        sigma[0, 1] = sigma[1, 0] = rho
     elif scenario == "s2_column":
         m = np.eye(p)
         if rho != 0.0:
@@ -115,12 +115,11 @@ def build_sigma_u(scenario: str, p: int, rho: float) -> SymMatrix:
             signs = np.sign(np.sign(rho) ** j)
             m[0, 1:] = signs * abs(rho) / np.sqrt(1.0 + 3.0 * (p - 1) * rho**2 / 2.0)
             m[1:, 0] = m[0, 1:]
-        out = invert_spd(SymMatrix(m))
+        sigma = invert_spd(m)
     else:  # s3_ar1
         idx = np.arange(p)
-        out = SymMatrix(np.power(rho, np.abs(idx[:, None] - idx[None, :])) if rho != 0.0 else np.eye(p))
-    cholesky(out)  # guard: reject non-PD structure (cannot occur for |rho| <= 0.5)
-    return out
+        sigma = np.power(rho, np.abs(idx[:, None] - idx[None, :])) if rho != 0.0 else np.eye(p)
+    return cholesky(sigma)
 
 
 def _draw_replicate(rng: np.random.Generator, p: int, k_total: int, T: int):
@@ -151,7 +150,7 @@ def generate_dataset(
     else:
         _check_rho(rho_or_ktilde)
         k_total = K
-        corr_factor = cholesky(build_sigma_u(cfg.scenario, p, rho_or_ktilde)).data
+        corr_factor = build_sigma_u(cfg.scenario, p, rho_or_ktilde)
     eta, loadings, factors, shocks = _draw_replicate(rng, p, k_total, T)
     if corr_factor is None:
         residuals = eta[:, None] * shocks
@@ -212,7 +211,7 @@ def run_power_study(
             _check_k_tilde(k_tilde)
         corr_factors = None
     else:
-        corr_factors = [cholesky(build_sigma_u(cfg.scenario, cfg.p, rho)).data for rho in grid]
+        corr_factors = [build_sigma_u(cfg.scenario, cfg.p, rho) for rho in grid]
     counts = {test: np.zeros(len(grid)) for test in TESTS}
     chunk = _chunk_size(cfg.p, cfg.K, cfg.T)
     for start in range(0, cfg.reps, chunk):

@@ -1,4 +1,4 @@
-"""Seeded random generation: substreams, Wishart draws, multivariate normals.
+"""Seeded random generation: substreams and Wishart draws.
 
 Substreams are derived from a (master_seed, stream_index) pair through
 numpy's SeedSequence spawning, so any replicate is a pure function of the
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension
-from .linalg import LowerTriangular, SymMatrix
 from .teststats import FactorStats, effective_sample_size, stats_from_factors
 
 _UINT64_BOUND = 2**64
@@ -70,12 +69,6 @@ def bartlett_factor(
     return a
 
 
-def sample_wishart_identity(p: int, n: int, seed: SeedSpec) -> SymMatrix:
-    """One draw from Wishart_p(n, I)."""
-    a = bartlett_factor(p, n, seed.generator())
-    return SymMatrix(a @ a.T)
-
-
 def sample_V11_null(
     p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False
 ) -> FactorStats:
@@ -93,16 +86,3 @@ def sample_V11_null(
         raise BadDimension(f"need p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
     a = bartlett_factor(p, t_eff - K, seed.generator())
     return stats_from_factors(a[None], t_eff, K)
-
-
-def sample_mvn(
-    mean: np.ndarray, cov_chol: LowerTriangular, seed: SeedSpec
-) -> np.ndarray:
-    """One multivariate normal draw mean + L @ z with z standard normal."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.ndim != 1 or mean.shape[0] != cov_chol.dim:
-        raise BadDimension(
-            f"mean has shape {mean.shape} but factor dimension is {cov_chol.dim}"
-        )
-    rng = seed.generator()
-    return mean + cov_chol.data @ rng.standard_normal(mean.shape[0])

@@ -30,13 +30,6 @@ _NB_TAIL = 1e-17
 _MAX_MIXTURE_TERMS = 10**6
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return float(sp.gammaln(x))
-
-
 def _check_args(name: str, dofs: tuple, x=None, p: float | None = None) -> None:
     """Domain checks shared by the F, chi-square and normal laws; x may be an array."""
     if any(d <= 0 for d in dofs):

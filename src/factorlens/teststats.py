@@ -25,14 +25,8 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtrtri
 
-from .errors import (
-    BadDimension,
-    BadIndex,
-    DegenerateCorrection,
-    NotPositiveDefinite,
-    Singular,
-)
-from .linalg import PIVOT_RTOL, SymMatrix, cholesky, invert_spd
+from .errors import BadDimension, BadIndex, DegenerateCorrection, NotPositiveDefinite, Singular
+from .linalg import cholesky, invert_spd, stacked_cholesky
 
 
 def effective_sample_size(T: int, demeaned: bool) -> int:
@@ -205,31 +199,6 @@ def stats_from_factors(L: np.ndarray, t_eff: int, K: int) -> FactorStats:
     return FactorStats(L, t_eff, K)
 
 
-def _stacked_cholesky(
-    scatters: np.ndarray, max_diag: np.ndarray, min_pivot: float = np.inf
-) -> np.ndarray:
-    """Lower factors of a stack of scatters under the stacked pivot rule.
-
-    A dataset fails, as its stacked scatter fails linalg.cholesky, when a
-    Cholesky pivot is at or below PIVOT_RTOL times the stacked scatter's
-    largest diagonal entry max_diag. min_pivot carries pivots factored
-    elsewhere (the factor block's, when only the Schur complement is given).
-    """
-    try:
-        L = np.linalg.cholesky(scatters)
-    except np.linalg.LinAlgError:
-        raise Singular("a stacked covariance is not positive definite") from None
-    pivots = np.minimum(np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1), min_pivot)
-    bound = PIVOT_RTOL * max_diag
-    bad = np.flatnonzero(pivots <= bound)
-    if bad.size:
-        raise Singular(
-            f"a stacked covariance is not positive definite: Cholesky "
-            f"pivot {pivots[bad[0]]:.3e} below tolerance {bound[bad[0]]:.3e}"
-        )
-    return L
-
-
 def residual_factors(Y: np.ndarray, K: int) -> np.ndarray:
     """Lower factors of the residual scatters of a stack Y[m, K+p, T], factors first.
 
@@ -240,7 +209,7 @@ def residual_factors(Y: np.ndarray, K: int) -> np.ndarray:
     """
     scatters = np.matmul(Y, np.swapaxes(Y, 1, 2))
     max_diag = np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
-    return _stacked_cholesky(scatters, max_diag)[:, K:, K:]
+    return stacked_cholesky(scatters, max_diag)[:, K:, K:]
 
 
 def _check_diagonal_product(diag_v: np.ndarray, diag_e: np.ndarray) -> None:
@@ -329,10 +298,14 @@ def stats_from_precision(
 ) -> FactorStats:
     """The kernel's statistics of a given precision block V11 (inverted once).
 
-    The factor of E = V11^-1 comes from a Cholesky factorization of the
-    inverse, so a diagonal V11 gives statistics that are exactly zero.
+    Only the upper triangle of V11 is read. The factor of E = V11^-1 comes
+    from a Cholesky factorization of the inverse, so a diagonal V11 gives
+    statistics that are exactly zero.
     """
-    L = cholesky(invert_spd(SymMatrix(v11))).data
+    v11 = np.asarray(v11, dtype=np.float64)
+    if v11.ndim != 2 or v11.shape[0] != v11.shape[1] or v11.shape[0] < 1:
+        raise BadDimension(f"expected a square matrix, got shape {v11.shape}")
+    L = cholesky(invert_spd(np.triu(v11) + np.triu(v11, 1).T))
     kernel = stats_from_factors(L[None], effective_sample_size(T, demeaned), K)
     _check_diagonal_product(kernel.diag_v, kernel.diag_e)
     return kernel
@@ -375,7 +348,7 @@ class ResidualScatter:
 
         A subset fails by the stacked pivot rule, its K factor pivots included.
         """
-        return _stacked_cholesky(
+        return stacked_cholesky(
             self.e[subsets[:, :, None], subsets[:, None, :]],
             np.maximum(self._xx_diag[subsets].max(axis=1), self._ff_max_diag),
             self._ff_min_pivot,

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from factorlens import SymMatrix
 
-
-def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> SymMatrix:
-    """Random SPD matrix A = G G^T + jitter * I."""
+def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
+    """Random SPD matrix A = G G^T + jitter * I, symmetric bit for bit."""
     g = rng.standard_normal((p, p))
-    return SymMatrix(g @ g.T + jitter * np.eye(p))
+    a = g @ g.T + jitter * np.eye(p)
+    return np.triu(a) + np.triu(a, 1).T
 
 
 def plain_bartlett(p: int, n: int, rng: np.random.Generator) -> np.ndarray:

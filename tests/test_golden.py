@@ -1,14 +1,21 @@
 """Golden outputs recorded from the engine, the power study and the data path.
 
 The hashes are SHA-256 digests of the little-endian float64 bytes of each
-output array; they pin the calibration engine's null samples and the
-power-study rates bit for bit. The data-path statistics are pinned to a
-relative tolerance, since refactors of the linear algebra may move the
-last digits. Regenerate a value only for a deliberate change of the law or
-the substream layout, and say so where the change is recorded.
+output array; they pin the calibration engine's null samples, the
+power-study rates, generated s2 and s3 datasets with their statistics, and
+stats_from_precision bit for bit. The data-path statistics of hand-built
+panels are pinned to a relative tolerance, since refactors of the linear
+algebra may move the last digits. Regenerate a value only for a deliberate
+change of the law or the substream layout, and say so where the change is
+recorded.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +140,70 @@ def test_golden_data_path_statistics(setting):
     assert_allclose(
         [s.t_el, s.t_pr, s.ln_t_lr_star, s.t_lr], [t_el, t_pr, ln_star, t_lr], rtol=1e-9
     )
+
+
+def _data_path_digest(scenario: str, rho: float, draws: int = 3) -> str:
+    """SHA-256 over each draw's X and its compute_all statistics, draw by draw."""
+    cfg = ScenarioConfig(scenario, p=5, K=2, T=30, master_seed=9)
+    h = hashlib.sha256()
+    for rep in range(draws):
+        X, F = fl.generate_dataset(cfg, rho, rep)
+        s = fl.compute_all(fl.precision_stats_from_data(X, F))
+        stats = [s.t_el, *s.t_el_argmax, s.t_pr, s.t_pr_argmax, s.ln_t_lr_star, s.t_lr]
+        h.update(np.ascontiguousarray(X, dtype="<f8").tobytes())
+        h.update(np.asarray(stats, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _asymmetric_precision_digest() -> str:
+    """SHA-256 of stats_from_precision on a V11 whose lower triangle is noise."""
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((5, 5))
+    v11 = g @ g.T + 0.5 * np.eye(5)
+    v11[np.tril_indices(5, -1)] = rng.uniform(-3.0, 3.0, 10)  # never read
+    s = fl.stats_from_precision(v11, T=40, K=2)
+    return _sha(np.concatenate([s.t_ij[0], s.t_j[0], s.ln_t_lr_star, s.t_lr, s.v[0].ravel()]))
+
+
+def one_thread_digests() -> dict[str, str]:
+    return {
+        **{f"{scenario} {rho}": _data_path_digest(scenario, rho)
+           for scenario, rho in (("s2", -0.35), ("s2", 0.45), ("s3", -0.4), ("s3", 0.25))},
+        "stats_from_precision": _asymmetric_precision_digest(),
+    }
+
+
+# s2 builds its correlation structure through invert_spd, s3 directly.
+ONE_THREAD_HASHES = {
+    "s2 -0.35": "9ba8a16b1a3f617a52c965b5de0faa4adb3c14cecaf45b8b1961bd8c7c30cd04",
+    "s2 0.45": "0cb2452deb86ad2549074d0e7924d9aab7a6ea30112c9cf42914fbb1860951cf",
+    "s3 -0.4": "83f41976899575b01934d7af4fcb01f7de51144abb0144abfe4e231a17090c5d",
+    "s3 0.25": "c8a878093a5990634b1b53165cbadd76bdc579004ebc9a8e410819bdc31465f3",
+    "stats_from_precision": "4436b46a183dd4de8170fccddce58a6edc82fd14483e4f8d552b740cf0f5a76c",
+}
+
+
+@pytest.fixture(scope="module")
+def computed_on_one_thread() -> dict[str, str]:
+    """one_thread_digests() from a child process on one BLAS thread.
+
+    invert_spd's LAPACK dpotri rounds differently with the OpenBLAS thread
+    count, so these bits are pinned at one thread, on any host.
+    """
+    package_root = str(Path(fl.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+    }
+    code = "import json, test_golden; print(json.dumps(test_golden.one_thread_digests()))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_THREAD_HASHES))
+def test_golden_one_thread_digests(computed_on_one_thread, name):
+    assert computed_on_one_thread[name] == ONE_THREAD_HASHES[name]

@@ -11,7 +11,8 @@ from factorlens import powersim
 from factorlens.errors import DomainError, Singular
 from factorlens.powersim import CALIBRATED, CLOSED_FORM, ScenarioConfig, run_power_study
 from factorlens.report import TESTS, calibrated_criticals, closed_form_criticals
-from factorlens.teststats import FactorModelSpec, _stacked_cholesky
+from factorlens.linalg import stacked_cholesky
+from factorlens.teststats import FactorModelSpec
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
 KTILDE_GRID = (0, 1, 3)
@@ -125,12 +126,12 @@ def test_stacked_pivot_rule_raises_singular():
     Y[1, 3] = Y[1, 2]  # second dataset: two identical rows
     scatters = Y @ np.swapaxes(Y, 1, 2)
     max_diag = np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
-    L = _stacked_cholesky(scatters[:1], max_diag[:1])
+    L = stacked_cholesky(scatters[:1], max_diag[:1])
     assert_allclose(L[0] @ L[0].T, scatters[0], rtol=1e-12)
     with pytest.raises(Singular):
-        _stacked_cholesky(scatters, max_diag)
+        stacked_cholesky(scatters, max_diag)
     with pytest.raises(Singular):  # a pivot factored elsewhere counts too
-        _stacked_cholesky(scatters[:1], max_diag[:1], min_pivot=0.0)
+        stacked_cholesky(scatters[:1], max_diag[:1], min_pivot=0.0)
 
 
 def test_memory_stays_bounded_for_many_replicates():

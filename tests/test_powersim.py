@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import build_sigma_u, cholesky, generate_dataset, run_power_study
+from factorlens import build_sigma_u, generate_dataset, run_power_study
 from factorlens.errors import BadDimension, DomainError, MissingCalibration
 from factorlens.powersim import CLOSED_FORM, ScenarioConfig, canonical_scenario
 
@@ -22,23 +22,29 @@ def test_config_validation():
         ScenarioConfig(scenario="s1", p=20, K=15, T=30)
 
 
+def _sigma(scenario, p, rho):
+    """C C^T for the factor C of build_sigma_u, which must be lower triangular."""
+    c = build_sigma_u(scenario, p, rho)
+    assert np.array_equal(c, np.tril(c)) and np.all(np.diagonal(c) > 0.0)
+    return c @ c.T
+
+
 def test_sigma_u_zero_rho_is_identity():
     for scenario in ("s1", "s2", "s3"):
-        assert_allclose(build_sigma_u(scenario, 6, 0.0).data, np.eye(6))
+        assert_allclose(_sigma(scenario, 6, 0.0), np.eye(6))
 
 
 def test_sigma_u_s1():
-    delta = build_sigma_u("s1", 4, 0.35)
+    delta = _sigma("s1", 4, 0.35)
     expected = np.eye(4)
     expected[0, 1] = expected[1, 0] = 0.35
-    assert_allclose(delta.data, expected)
+    assert_allclose(delta, expected, atol=1e-15)
 
 
 def test_sigma_u_s2_first_row_of_inverse():
     # p=10, rho=0.5: inverse first-row entries are 0.5/sqrt(4.375)
     p, rho = 10, 0.5
-    delta = build_sigma_u("s2", p, rho)
-    m = np.linalg.inv(delta.data)
+    m = np.linalg.inv(_sigma("s2", p, rho))
     expected = rho / math.sqrt(1.0 + 3.0 * (p - 1) * rho**2 / 2.0)
     assert_allclose(expected, 0.239046, atol=1e-6)
     assert_allclose(m[0, 1:], np.full(p - 1, expected), rtol=1e-9)
@@ -50,7 +56,7 @@ def test_sigma_u_s2_first_row_of_inverse():
 
 def test_sigma_u_s2_sign_alternation_for_negative_rho():
     p, rho = 6, -0.4
-    m = np.linalg.inv(build_sigma_u("s2", p, rho).data)
+    m = np.linalg.inv(_sigma("s2", p, rho))
     signs = np.sign(m[0, 1:])
     assert_allclose(signs, [-1.0, 1.0, -1.0, 1.0, -1.0])
 
@@ -62,20 +68,19 @@ def test_sigma_u_s2_diagonal_dominance_bound():
             rho = float(round(rho, 2))
             if rho == 0.0:
                 continue
-            m = np.linalg.inv(build_sigma_u("s2", p, rho).data)
+            m = np.linalg.inv(_sigma("s2", p, rho))  # positive definite, or _sigma raises
             total = float((m[0, 1:] ** 2).sum())
             assert total < 2.0 / 3.0
-            cholesky(build_sigma_u("s2", p, rho))  # positive definite
 
 
 def test_sigma_u_s3_ar1():
-    delta = build_sigma_u("s3", 5, 0.5)
-    assert_allclose(delta.data[0, 2], 0.25)
-    assert_allclose(delta.data[0, 4], 0.5**4)
-    assert_allclose(np.diag(delta.data), np.ones(5))
-    neg = build_sigma_u("s3", 4, -0.5)
-    assert_allclose(neg.data[0, 1], -0.5)
-    assert_allclose(neg.data[0, 2], 0.25)
+    delta = _sigma("s3", 5, 0.5)
+    assert_allclose(delta[0, 2], 0.25)
+    assert_allclose(delta[0, 4], 0.5**4)
+    assert_allclose(np.diag(delta), np.ones(5))
+    neg = _sigma("s3", 4, -0.5)
+    assert_allclose(neg[0, 1], -0.5)
+    assert_allclose(neg[0, 2], 0.25)
 
 
 def test_sigma_u_rejects_s4_and_large_rho():

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import (
-    LowerTriangular,
-    SeedSpec,
-    f_cdf,
-    ks_statistic,
-    sample_mvn,
-    sample_V11_null,
-    sample_wishart_identity,
-)
+from factorlens import SeedSpec, f_cdf, ks_statistic, sample_V11_null
 from factorlens.calibrate import ks_asymptotic_pvalue
 from factorlens.errors import BadDimension
 from factorlens.randmat import _bartlett_layout, bartlett_factor
@@ -35,10 +27,14 @@ def test_seedspec_validation():
         SeedSpec(0, 2**64)
 
 
+def _wishart(p: int, n: int, seed: SeedSpec) -> np.ndarray:
+    """One draw from Wishart_p(n, I) through its Bartlett factor."""
+    a = bartlett_factor(p, n, seed.generator())
+    return a @ a.T
+
+
 def test_wishart_fixed_seed_bit_identical():
-    w1 = sample_wishart_identity(4, 9, SeedSpec(5, 1))
-    w2 = sample_wishart_identity(4, 9, SeedSpec(5, 1))
-    assert np.array_equal(w1.data, w2.data)
+    assert np.array_equal(_wishart(4, 9, SeedSpec(5, 1)), _wishart(4, 9, SeedSpec(5, 1)))
 
 
 @pytest.mark.parametrize("p, n", [(1, 5), (2, 2), (5, 9), (20, 103)])
@@ -64,7 +60,7 @@ def test_bartlett_layout_is_cached_and_read_only():
 
 def test_wishart_rejects_insufficient_dof():
     with pytest.raises(BadDimension):
-        sample_wishart_identity(5, 4, SeedSpec(0, 0))
+        bartlett_factor(5, 4, SeedSpec(0, 0).generator())
 
 
 def test_wishart_scalar_mean():
@@ -72,9 +68,7 @@ def test_wishart_scalar_mean():
     n, reps = 12, 100_000
     rng = SeedSpec(11, 0).generator()
     draws = rng.chisquare(n, size=reps)  # scalar-case law, drawn directly
-    single = np.array(
-        [sample_wishart_identity(1, n, SeedSpec(11, r)).data[0, 0] for r in range(4000)]
-    )
+    single = np.array([_wishart(1, n, SeedSpec(11, r))[0, 0] for r in range(4000)])
     tol = 3.0 * math.sqrt(2.0 * n / reps) * n
     assert abs(draws.mean() - n) <= tol
     assert abs(single.mean() - n) <= 3.0 * math.sqrt(2.0 * n / single.size) * n
@@ -84,7 +78,7 @@ def test_wishart_mean_matrix():
     p, n, reps = 5, 20, 10_000
     acc = np.zeros((p, p))
     for r in range(reps):
-        acc += sample_wishart_identity(p, n, SeedSpec(3, r)).data
+        acc += _wishart(p, n, SeedSpec(3, r))
     mean = acc / reps
     # E[W] = n I; se of a diagonal entry is sqrt(2n/reps)
     tol = 4.0 * math.sqrt(2.0 * n / reps)
@@ -168,22 +162,3 @@ def test_tij_null_law_ks():
     d = ks_statistic(np.sort(vals), lambda x: np.array([f_cdf(v, 1, dof) for v in x]))
     assert ks_asymptotic_pvalue(d, reps) > 0.001
 
-
-def test_sample_mvn_moments_and_determinism():
-    L = LowerTriangular(np.array([[1.0, 0.0], [0.8, 0.6]]))
-    mean = np.array([1.0, -2.0])
-    x1 = sample_mvn(mean, L, SeedSpec(2, 2))
-    x2 = sample_mvn(mean, L, SeedSpec(2, 2))
-    assert_allclose(x1, x2)
-    reps = 100_000
-    rng = SeedSpec(2, 3).generator()
-    draws = mean + rng.standard_normal((reps, 2)) @ L.data.T
-    assert np.abs(draws.mean(axis=0) - mean).max() <= 4.0 / math.sqrt(reps) * 1.2
-    cov = np.cov(draws.T)
-    assert_allclose(cov, L.data @ L.data.T, atol=0.02)
-
-
-def test_sample_mvn_dimension_check():
-    L = LowerTriangular(np.eye(3))
-    with pytest.raises(BadDimension):
-        sample_mvn(np.zeros(2), L, SeedSpec(0, 0))

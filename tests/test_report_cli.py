@@ -19,7 +19,7 @@ from factorlens import (
     ingest_csv,
     run_tests,
 )
-from factorlens.cli import _build_parser, main
+from factorlens.cli import MAX_GRID_POINTS, _build_parser, _parse_grid, main
 from factorlens.errors import DomainError, MissingCalibration
 from factorlens.panel import ReturnsPanel
 from factorlens.powersim import ScenarioConfig, generate_dataset
@@ -352,6 +352,10 @@ def test_cli_power_and_usage_error(tmp_path):
         # non-integer extra-factor counts are not rounded
         (["power", "--scenario", "s4", "--ktilde-grid", "0.4,1.6"], "--ktilde-grid"),
         (["power", "--scenario", "s4", "--ktilde-grid", "0:0.5:1"], "--ktilde-grid"),
+        # rejected before expansion: an infinite stop used to expand forever
+        (["power", "--scenario", "s1", "--rho-grid=0:0.1:inf"], "--rho-grid"),
+        (["power", "--scenario", "s1", "--rho-grid=nan:0.1:0.5"], "--rho-grid"),
+        (["power", "--scenario", "s1", "--rho-grid=0:1e-6:0.5"], "--rho-grid"),
     ],
 )
 def test_cli_malformed_grid_or_alphas_is_a_usage_error(tmp_path, capsys, argv, flag):
@@ -361,6 +365,13 @@ def test_cli_malformed_grid_or_alphas_is_a_usage_error(tmp_path, capsys, argv, f
     assert err.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
+
+
+def test_grid_point_bound():
+    assert _parse_grid("-0.5:0.25:0.5") == [-0.5, -0.25, 0.0, 0.25, 0.5]
+    assert len(_parse_grid(f"0:1:{MAX_GRID_POINTS - 1}", integer=True)) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        _parse_grid(f"0:1:{MAX_GRID_POINTS}", integer=True)
 
 
 def _readme_commands() -> list[list[str]]:
@@ -479,6 +490,49 @@ def test_cli_computational_error_exit_code(tmp_path):
         ]
     )
     assert rc == 1  # too few rows -> computational error
+
+
+@pytest.mark.parametrize(
+    "table_text, message",
+    [
+        ("not json {", "not a JSON document"),
+        ('[{"statistic": "T_el"}]', "expected a table object"),
+        ('{"p": 4, "T": 60, "K": 1}', "has no 'statistic' entry"),
+    ],
+    ids=["not-json", "top-level-list", "no-statistic"],
+)
+def test_cli_bad_table_file_is_a_clean_error(tmp_path, capsys, table_text, message):
+    panel_path = tmp_path / "panel.csv"
+    _write_panel_csv(panel_path, _null_panel(p=4, K=1, T=60, seed=3))
+    (tmp_path / "table.json").write_text(table_text)
+    argv = [
+        "test", "--input", str(panel_path), "--assets", "a0,a1,a2,a3", "--factors", "f0",
+        "--table", str(tmp_path / "table.json"), "--out", str(tmp_path / "r.json"),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("factorlens: error: ") and "table.json" in err and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_missing_input_is_a_clean_error(tmp_path, capsys):
+    argv = [
+        "test", "--input", str(tmp_path / "absent.csv"), "--assets", "a0,a1",
+        "--criticals", "closed-form", "--out", str(tmp_path / "r.json"),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("factorlens: error: ") and "absent.csv" in err
+
+
+def test_cli_out_in_missing_directory_is_a_clean_error(tmp_path, capsys):
+    argv = [
+        "power", "--scenario", "s1", "--p", "4", "--T", "40", "--K", "1",
+        "--rho-grid", "0", "--reps", "5", "--criticals", "closed-form",
+        "--out", str(tmp_path / "absent" / "power.csv"),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("factorlens: error: ")
 
 
 def test_cli_entrypoint_runs_as_module(tmp_path):

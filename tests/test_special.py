@@ -13,7 +13,6 @@ from factorlens import (
     density_Z,
     f_cdf,
     f_quantile,
-    ln_gamma,
     marginal_power_Z,
     normal_cdf,
     normal_quantile,
@@ -77,23 +76,6 @@ def _normal_quantile_oracle(p):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# ln_gamma
-# ---------------------------------------------------------------------------
-
-def test_ln_gamma_values():
-    assert ln_gamma(1.0) == 0.0
-    assert_allclose(ln_gamma(0.5), math.log(math.sqrt(math.pi)), atol=1e-14)
-    assert_allclose(ln_gamma(11.0), math.log(3628800.0), atol=1e-12)
-
-
-def test_ln_gamma_domain():
-    with pytest.raises(DomainError):
-        ln_gamma(0.0)
-    with pytest.raises(DomainError):
-        ln_gamma(-2.5)
 
 
 # ---------------------------------------------------------------------------

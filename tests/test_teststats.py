@@ -12,10 +12,7 @@ from factorlens import (
     FactorModelSpec,
     FactorStats,
     SeedSpec,
-    SymMatrix,
     compute_all,
-    correlation_from_spd,
-    log_det_spd,
     precision_stats_from_data,
     sample_V11_null,
     stat_ln_t_lr_star,
@@ -67,6 +64,17 @@ def test_factor_model_spec_validation():
         FactorModelSpec(p=2, K=-1, T=10)
 
 
+def test_stats_from_precision_reads_upper_triangle():
+    noisy = np.array([[2.0, 1.0], [999.0, 2.0]])
+    assert np.array_equal(stats_from_precision(noisy, T=12, K=0).v, _ps2().v)
+
+
+def test_stats_from_precision_rejects_nonsquare():
+    for shape in ((2, 3), (3,), (0, 0), (1, 2, 2)):
+        with pytest.raises(BadDimension):
+            stats_from_precision(np.ones(shape), T=12, K=0)
+
+
 def test_t_ij_worked_example():
     ps = _ps2()
     assert ps.dof_n == 11
@@ -107,7 +115,7 @@ def test_t_j_worked_example():
 def test_t_j_equals_t_ij_for_p2():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        ps = _ps_from(rand_spd(rng, 2).data, dof_n=int(rng.integers(2, 40)))
+        ps = _ps_from(rand_spd(rng, 2), dof_n=int(rng.integers(2, 40)))
         tj = stat_t_j(ps, 1)
         tij = stat_t_ij(ps, 2, 1)
         assert abs(tj - tij) <= 1e-12 * max(1.0, abs(tij))
@@ -149,11 +157,13 @@ def test_ln_t_lr_star_two_forms_agree(rng):
     # determinant-ratio form vs correlation-determinant form
     for _ in range(100):
         p = int(rng.integers(2, 8))
-        ps = _ps_from(rand_spd(rng, p).data, dof_n=int(rng.integers(1, 30)))
+        ps = _ps_from(rand_spd(rng, p), dof_n=int(rng.integers(1, 30)))
         direct = stat_ln_t_lr_star(ps)
         e = ps.L[0] @ ps.L[0].T
-        corr = correlation_from_spd(SymMatrix(e))
-        alt = -(ps.t_eff / 2.0) * log_det_spd(corr)
+        s = 1.0 / np.sqrt(np.diagonal(e))
+        corr = e * np.outer(s, s)
+        np.fill_diagonal(corr, 1.0)
+        alt = -(ps.t_eff / 2.0) * np.linalg.slogdet(corr)[1]
         assert abs(direct - alt) <= 1e-9 * max(1.0, abs(direct))
 
 
@@ -190,7 +200,7 @@ def test_t_lr_null_mean_matches_chi_square():
 def test_scale_invariance_family(seed, p):
     # every statistic is invariant under V11 -> D V11 D with positive diagonal D
     rng = np.random.default_rng(seed)
-    v11 = rand_spd(rng, p).data
+    v11 = rand_spd(rng, p)
     d = rng.uniform(0.2, 5.0, p)
     dof = int(rng.integers(2, 30))
     base = compute_all(_ps_from(v11, dof))
@@ -214,7 +224,7 @@ def test_compute_all_retains_marginals():
 
 def test_pairwise_order_matches_argmax_convention():
     rng = np.random.default_rng(3)
-    ps = _ps_from(rand_spd(rng, 5).data, dof_n=12)
+    ps = _ps_from(rand_spd(rng, 5), dof_n=12)
     pairs = ps.t_ij[0]
     rows, cols = np.tril_indices(5, -1)
     k = int(np.argmax(pairs))
