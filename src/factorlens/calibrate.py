@@ -5,7 +5,8 @@ the precision block, the null distribution can be simulated once and for
 all from Wishart draws with identity parameter; critical values are the
 empirical upper quantiles of those null samples. Replicate r always uses
 random substream r of the master seed, so tables are bit-identical no
-matter how the replicates are scheduled or chunked.
+matter how the replicates are scheduled or chunked; the substreams of a
+chunk are seeded together, bit for bit as one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     MissingNullSample,
     ParseError,
 )
-from .randmat import SeedSpec, bartlett_factor
+from .randmat import bartlett_factor, substreams
 from .special import chi2_quantile, f_quantile
 from .teststats import FactorModelSpec, _pair_formula, stats_from_factors
 
@@ -181,13 +182,9 @@ def simulate_null_statistics(
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         factors = np.zeros((stop - start, p, p))
-        for r in range(start, stop):
-            bartlett_factor(
-                p,
-                t_eff - K,
-                SeedSpec(master_seed, r).generator(),
-                out=factors[r - start],
-            )
+        # indexed, so that no view of factors outlives the del below
+        for i, rng in enumerate(substreams(master_seed, start, stop)):
+            bartlett_factor(p, t_eff - K, rng, out=factors[i])
         kernel = stats_from_factors(factors, t_eff, K)
         for s in statistics:
             out[s][start:stop] = columns[s](kernel)

@@ -29,7 +29,7 @@ import numpy as np
 from .calibrate import CriticalValueTable
 from .errors import BadDimension, DomainError
 from .linalg import cholesky, invert_spd
-from .randmat import SeedSpec
+from .randmat import SeedSpec, substreams
 from .report import TESTS, calibrated_criticals, closed_form_criticals, kernel_observed
 from .teststats import (
     FactorModelSpec,
@@ -259,8 +259,7 @@ def _grid_factors(cfg: ScenarioConfig, grid: tuple, corr_factors, start: int, st
                 block[i, K:] = X
             yield gi, residual_factors(block, K)
         return
-    for i, rep in enumerate(range(start, stop)):
-        rng = SeedSpec(cfg.master_seed, rep).generator()
+    for i, rng in enumerate(substreams(cfg.master_seed, start, stop)):
         _, _, factors, shocks = _draw_replicate(rng, p, K, cfg.T)
         block[i, :K] = factors
         block[i, K:] = shocks

@@ -29,7 +29,7 @@ from .calibrate import (
 )
 from .errors import DomainError, MissingCalibration
 from .panel import ReturnsPanel
-from .randmat import SeedSpec
+from .randmat import substreams
 from .special import chi2_quantile, chi2_sf, f_quantile, f_sf, normal_cdf, normal_quantile
 # unused here; bound only because perfbench/spans.py traces these names in this module
 from .special import chi2_cdf, f_cdf
@@ -384,12 +384,8 @@ def batch_subset_test(
     for start in range(0, num_subsets, chunk):
         stop = min(start + chunk, num_subsets)
         subsets = np.array([
-            np.sort(
-                SeedSpec(subset_seed, i).generator().choice(
-                    panel.p, size=subset_size, replace=False
-                )
-            )
-            for i in range(start, stop)
+            np.sort(rng.choice(panel.p, size=subset_size, replace=False))
+            for rng in substreams(subset_seed, start, stop)
         ])
         kernel = scatter.subset_stats(subsets)
         observed = kernel_observed(kernel)

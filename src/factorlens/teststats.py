@@ -154,7 +154,8 @@ class FactorStats:
 
     @cached_property
     def diag_v(self) -> np.ndarray:
-        return np.diagonal(self.v_lower, axis1=1, axis2=2)
+        # a contiguous copy: the pair gathers read it p(p-1) times per replicate
+        return np.diagonal(self.v_lower, axis1=1, axis2=2).copy()
 
     # step two
     @cached_property

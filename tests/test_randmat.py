@@ -4,10 +4,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import SeedSpec, f_cdf, ks_statistic, sample_V11_null
+import factorlens.calibrate
+import factorlens.powersim
+import factorlens.report
+from factorlens import (
+    ReturnsPanel,
+    SeedSpec,
+    batch_subset_test,
+    f_cdf,
+    ks_statistic,
+    run_power_study,
+    sample_V11_null,
+    simulate_null_statistics,
+)
 from factorlens.calibrate import ks_asymptotic_pvalue
 from factorlens.errors import BadDimension
-from factorlens.randmat import _bartlett_layout, bartlett_factor
+from factorlens.powersim import CLOSED_FORM, ScenarioConfig
+from factorlens.randmat import _bartlett_layout, bartlett_factor, substreams
 from factorlens.teststats import stat_t_ij
 from conftest import plain_bartlett
 
@@ -51,11 +64,27 @@ def test_bartlett_layout_is_cached_and_read_only():
     layout = _bartlett_layout(6, 10)
     assert _bartlett_layout(6, 10) is layout
     diag, df, tril = layout
+    # flat indices i*p + j into the row-major factor
+    rows, cols = np.tril_indices(6, -1)
+    assert np.array_equal(diag, np.ravel_multi_index(np.diag_indices(6), (6, 6)))
     assert np.array_equal(df, 10 - np.arange(6))
-    for arr in (*diag, df, *tril):
+    assert np.array_equal(tril, np.ravel_multi_index((rows, cols), (6, 6)))
+    for arr in layout:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.zeros((4, 4), order="F"), np.zeros((4, 8))[:, ::2], np.zeros((4, 5))],
+    ids=["fortran", "strided", "wrong-shape"],
+)
+def test_bartlett_factor_rejects_an_out_it_cannot_write_in_place(out):
+    # a flat view of a non-C-contiguous array would be a copy, and the draw lost
+    with pytest.raises(BadDimension, match="C-contiguous"):
+        bartlett_factor(4, 9, SeedSpec(0, 0).generator(), out=out)
+    assert not out.any()
 
 
 def test_wishart_rejects_insufficient_dof():
@@ -162,3 +191,102 @@ def test_tij_null_law_ks():
     d = ks_statistic(np.sort(vals), lambda x: np.array([f_cdf(v, 1, dof) for v in x]))
     assert ks_asymptotic_pvalue(d, reps) > 0.001
 
+
+
+def _draws(rng: np.random.Generator) -> list:
+    """A stream's first draws through the calls the package makes, and 32-bit draws."""
+    # a float32 takes half of a 64-bit output and PCG64 buffers the other half,
+    # so a stream must start, and the next one start again, with no half buffered
+    return [
+        rng.random(3, dtype=np.float32),
+        rng.standard_normal(7),
+        rng.chisquare(30.0 - np.arange(5)),
+        rng.choice(50, 10, replace=False),
+        rng.random(3, dtype=np.float32),
+    ]
+
+
+def _assert_same_draws(a: list, b: list) -> None:
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0, 6), (2**32 - 3, 2**32 + 3), (2**64 - 2, 2**64)],
+    ids=["first", "across-2**32", "last"],
+)
+def test_substreams_match_seedspec_generators(master_seed, start, stop):
+    # across 2**32 the spawn key grows from one uint32 word to two
+    block = [_draws(rng) for rng in substreams(master_seed, start, stop)]
+    ref = [_draws(SeedSpec(master_seed, r).generator()) for r in range(start, stop)]
+    assert len(block) == stop - start
+    for got, want in zip(block, ref):
+        _assert_same_draws(got, want)
+
+
+@pytest.mark.parametrize("start", [0, 7, 2**64])
+def test_substreams_empty_block(start):
+    assert list(substreams(3, start, start)) == []
+
+
+@pytest.mark.parametrize(
+    "master_seed, start, stop",
+    [(-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 0, 2**64 + 1), (0, 5, 4)],
+)
+def test_substreams_bounds_raise_at_the_call(master_seed, start, stop):
+    with pytest.raises(BadDimension):
+        substreams(master_seed, start, stop)
+
+
+def test_substreams_reseat_one_generator():
+    # every yielded generator is one object, re-seated as the block advances
+    block = substreams(9, 4, 7)
+    first = next(block)
+    first.standard_normal(3)  # advancing one stream leaves the next one's seed alone
+    second = next(block)
+    assert second is first
+    _assert_same_draws(_draws(second), _draws(SeedSpec(9, 5).generator()))
+    assert next(block) is first
+    with pytest.raises(StopIteration):
+        next(block)
+
+
+def _reference_substreams(master_seed, start, stop):
+    return (SeedSpec(master_seed, r).generator() for r in range(start, stop))
+
+
+def _hot_loop_outputs():
+    """Outputs of the three loops that seed replicates through substreams."""
+    null = simulate_null_statistics(
+        ("T_el", "T_pr", "T_LR"), 5, 30, 1, reps=50, master_seed=2**32 + 5, chunk_size=16
+    )
+    cfg = ScenarioConfig("s1", p=4, K=1, T=30, reps=30, master_seed=8, alpha=0.2)
+    power = run_power_study(cfg, (-0.5, 0.0, 0.5), critical_source=CLOSED_FORM)
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((60, 9))
+    panel = ReturnsPanel(
+        labels=tuple(f"c{i}" for i in range(9)),
+        times=tuple(str(t) for t in range(60)),
+        values=values,
+        asset_columns=tuple(range(8)),
+        factor_columns=(8,),
+        demean=True,
+    )
+    batch = batch_subset_test(
+        panel, 4, 40, critical_source="closed-form", subset_seed=2**64 - 1
+    )
+    return null, power.rates, batch.quantiles
+
+
+def test_hot_loops_match_a_seedspec_reference_loop(monkeypatch):
+    block = _hot_loop_outputs()
+    for module in (factorlens.calibrate, factorlens.powersim, factorlens.report):
+        monkeypatch.setattr(module, "substreams", _reference_substreams)
+    ref = _hot_loop_outputs()
+    for got, want in zip(block, ref):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.array_equal(got[key], want[key]), key
