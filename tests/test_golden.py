@@ -5,7 +5,9 @@ output array; they pin the calibration engine's null samples, the
 power-study rates, generated s2 and s3 datasets with their statistics, and
 stats_from_precision bit for bit. The data-path statistics of hand-built
 panels are pinned to a relative tolerance, since refactors of the linear
-algebra may move the last digits. Regenerate a value only for a deliberate
+algebra may move the last digits. The test and batch-test outputs are
+pinned as SHA-256 digests of the text written: the report JSON as the CLI
+writes it, and the batch CSV, whose p-values print at 10 digits. Regenerate a value only for a deliberate
 change of the law or the substream layout, and say so where the change is
 recorded.
 """
@@ -140,6 +142,70 @@ def test_golden_data_path_statistics(setting):
     assert_allclose(
         [s.t_el, s.t_pr, s.ln_t_lr_star, s.t_lr], [t_el, t_pr, ln_star, t_lr], rtol=1e-9
     )
+
+
+def _golden_panel(p, K, T, demean, seed) -> fl.ReturnsPanel:
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((K, T))
+    X = rng.uniform(-1, 1, (p, K)) @ F + rng.standard_normal((p, T)) + 0.3
+    X[1] += 0.3 * X[0]
+    return fl.ReturnsPanel(
+        labels=tuple(f"c{i}" for i in range(p + K)),
+        times=tuple(str(t) for t in range(T)),
+        values=np.vstack([X, F]).T,
+        asset_columns=tuple(range(p)),
+        factor_columns=tuple(range(p, p + K)),
+        demean=demean,
+    )
+
+
+# source -> digest of the report JSON at p=6, K=2, T=60, demeaned
+REPORT_HASHES = {
+    "calibrated": "6fbd6ef82a5685f820b6dc47cf2deba3cb834ae4efda687ee3cfc5395942738d",
+    "closed-form": "dbf1f14f3bfbcc57dfce5241df1bcd678d72a9a9f4088481271e4794214e5210",
+    "highdim": "b810ced9db96c19f312d63ec2838c3370073fa942575137027388ec0eca3f78e",
+}
+
+
+@pytest.mark.parametrize("source", sorted(REPORT_HASHES))
+def test_golden_report_json(source):
+    report = fl.run_tests(
+        _golden_panel(6, 2, 60, True, seed=21), critical_source=source,
+        calibration_reps=1000, calibration_seed=3,
+    )
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_HASHES[source]
+
+
+# (source, demeaned, K, p, T, subset_size, num_subsets) -> digest of the CSV.
+# The calibrated boundary row has subset_size + K = T_eff - 1 (dof_n = 2);
+# the highdim rows take the concentration and the boundary regime.
+BATCH_HASHES = {
+    ("calibrated", True, 1, 28, 30, 27, 20):
+        "f4b68d359f3ef0529550f71bca45c1560e5e4274d427f806c4d2d5d0d662ba21",
+    ("calibrated", False, 2, 10, 60, 4, 40):
+        "bb7d1897783cdde06af1c127e21b827421410645716c95f434c9d58a61d6ae17",
+    ("closed-form", True, 2, 12, 80, 5, 60):
+        "d7e79c3123fd9919f0bb3ecc53b01987fe3d65f52a516ae3e475138581f85257",
+    ("closed-form", False, 0, 10, 50, 4, 60):
+        "60b4333b8113efcc216d1be59619af42cb1f058186d302f6a1a1e599c746cdac",
+    ("highdim", True, 1, 14, 60, 8, 40):
+        "7db3540506c3a27c9b2c57c22a2c1ee9229aaa272de289ba255ba7104d16dcf0",
+    ("highdim", False, 0, 14, 35, 10, 40):
+        "008a8467443900b665529840bf32db1a54e4efac69d8ccc610bdf7bb1a1597c8",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(BATCH_HASHES))
+def test_golden_batch_csv(tmp_path, setting):
+    source, demeaned, K, p, T, subset_size, num_subsets = setting
+    summary = fl.batch_subset_test(
+        _golden_panel(p, K, T, demeaned, seed=p + K + T), subset_size, num_subsets,
+        critical_source=source, calibration_reps=1000, calibration_seed=3, subset_seed=7,
+    )
+    path = tmp_path / "batch.csv"
+    summary.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BATCH_HASHES[setting]
 
 
 def _data_path_digest(scenario: str, rho: float, draws: int = 3) -> str:
