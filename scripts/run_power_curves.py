@@ -16,8 +16,9 @@ import os
 
 import numpy as np
 
-from factorlens import calibrate_many, run_power_study
-from factorlens.powersim import CALIBRATED, CLOSED_FORM, ScenarioConfig
+from factorlens import FactorModelSpec, calibrate_many, run_power_study
+from factorlens.powersim import ScenarioConfig
+from factorlens.report import resolve_criticals
 
 
 def main() -> int:
@@ -45,6 +46,11 @@ def main() -> int:
         reps=args.calibration_reps,
         master_seed=args.seed,
     )
+    model = FactorModelSpec(p=args.p, K=args.K, T=args.T)
+    criticals = {
+        "calibrated": resolve_criticals("calibrated", model, args.alpha, tables=tables),
+        "closed_form": resolve_criticals("closed-form", model, args.alpha),
+    }
     for scenario, grid in (
         ("s1", rho_grid),
         ("s2", rho_grid),
@@ -60,9 +66,8 @@ def main() -> int:
             master_seed=args.seed,
             alpha=args.alpha,
         )
-        for source, kwargs in ((CALIBRATED, {"tables": tables}), (CLOSED_FORM, {})):
-            curve = run_power_study(cfg, grid, critical_source=source, **kwargs)
-            tag = "calibrated" if source == CALIBRATED else "closed_form"
+        for tag, resolved in criticals.items():
+            curve = run_power_study(cfg, grid, resolved)
             path = os.path.join(args.out_dir, f"{scenario}_{tag}.csv")
             curve.to_csv(path)
             print(f"{scenario} [{tag}]: wrote {path}")

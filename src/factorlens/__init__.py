@@ -33,7 +33,7 @@ from .linalg import cholesky, invert_spd
 from .panel import ReturnsPanel, export_panel_csv, ingest_csv
 from .powersim import PowerCurve, ScenarioConfig, build_sigma_u, generate_dataset, run_power_study
 from .randmat import SeedSpec, sample_V11_null
-from .report import TestReport, batch_subset_test, run_tests
+from .report import TestReport, batch_subset_test, resolve_criticals, run_tests
 from .special import (
     ZjDensityParams,
     chi2_cdf,

@@ -10,8 +10,8 @@ sigma = -2 { p/(T-K) + ln(1 - p/(T-K)) }. A Monte-Carlo check (10^4 null
 replicates at p/(T-K) = 0.2) shows the standardized statistic matches
 N(0, 1) when that constant is treated as a variance (divide by its square
 root, KS distance 0.013) and not when treated as a standard deviation
-(KS distance 0.32, sample sd 4.6). The variance reading is therefore the
-default; the literal reading stays available via sigma_convention.
+(KS distance 0.32, sample sd 4.6). tlr_standardize therefore reads it as
+a variance.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ BOUNDARY_DOF_CUTOFF = 30
 # Minimum boundary slack for a usable log-determinant CLT standardization.
 MIN_BOUNDARY_D_FOR_LR = 4
 
+# how tlr_standardize reads sigma; the report's regime block records it
 SIGMA_AS_VARIANCE = "variance"
-SIGMA_AS_DEVIATION = "deviation"
 
 
 @dataclass(frozen=True)
@@ -173,31 +173,17 @@ def lr_clt_sigma(p: int, T: int, K: int, demeaned: bool = False):
     return -2.0 * (p / n + math.log1p(-p / n))
 
 
-def tlr_standardize(
-    ln_t_lr_star,
-    p: int,
-    T: int,
-    K: int,
-    demeaned: bool = False,
-    sigma_convention: str = SIGMA_AS_VARIANCE,
-):
+def tlr_standardize(ln_t_lr_star, p: int, T: int, K: int, demeaned: bool = False):
     """Standardize the log likelihood-ratio statistic to an asymptotic N(0, 1).
 
-    Returns ((2/T_eff) * ln_t_lr_star + mean) / scale. With the default
-    sigma_convention="variance" the scale is sqrt(sigma); "deviation"
-    divides by sigma itself (the literal reading, kept for comparison).
-    Accepts scalars or arrays in ln_t_lr_star.
+    Returns ((2/T_eff) * ln_t_lr_star + mean) / sqrt(sigma), reading sigma
+    as a variance (module docstring). Accepts scalars or arrays in
+    ln_t_lr_star.
     """
     mean = lr_clt_mean(p, T, K, demeaned)
     sigma = lr_clt_sigma(p, T, K, demeaned)
-    if sigma_convention == SIGMA_AS_VARIANCE:
-        scale = math.sqrt(sigma)
-    elif sigma_convention == SIGMA_AS_DEVIATION:
-        scale = sigma
-    else:
-        raise DomainError(f"unknown sigma_convention {sigma_convention!r}")
     t_eff = effective_sample_size(T, demeaned)
-    return ((2.0 / t_eff) * np.asarray(ln_t_lr_star) + mean) / scale
+    return ((2.0 / t_eff) * np.asarray(ln_t_lr_star) + mean) / math.sqrt(sigma)
 
 
 def tij_noncentral_approx_power(

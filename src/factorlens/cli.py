@@ -25,15 +25,8 @@ from .calibrate import (
 )
 from .errors import FactorLensError
 from .panel import ingest_csv
-from .powersim import (
-    CALIBRATED,
-    CLOSED_FORM,
-    ScenarioConfig,
-    canonical_scenario,
-    run_power_study,
-)
-from .report import REQUESTS, TESTS, batch_subset_test, calibrate_tests, run_tests
-from .teststats import FactorModelSpec
+from .powersim import ScenarioConfig, canonical_scenario, run_power_study
+from .report import REQUESTS, TESTS, batch_subset_test, resolve_criticals, run_tests
 
 _PROG = "factorlens"
 # A start:step:stop grid with more points is a usage error: run_power_study
@@ -268,12 +261,11 @@ def _cmd_power(args, parser) -> int:
         master_seed=args.seed,
         alpha=args.alpha,
     )
-    tables = None
-    source = CALIBRATED if args.criticals == "calibrated" else CLOSED_FORM
-    if source == CALIBRATED:
-        model = FactorModelSpec(p=cfg.p, K=cfg.K, T=cfg.T)
-        tables = calibrate_tests(model, cfg.alpha, args.calibration_reps, args.calibration_seed)
-    curve = run_power_study(cfg, grid, critical_source=source, tables=tables)
+    criticals = resolve_criticals(
+        args.criticals, cfg.model, cfg.alpha,
+        calibration_reps=args.calibration_reps, calibration_seed=args.calibration_seed,
+    )
+    curve = run_power_study(cfg, grid, criticals)
     _atomic_write(args.out, curve.to_csv)
     for test in TESTS:
         rates = " ".join(f"{r:.3f}" for r in curve.rates[test])

@@ -50,22 +50,19 @@ def invert_spd(a: np.ndarray) -> np.ndarray:
     return np.tril(inv) + np.tril(inv, -1).T
 
 
-def stacked_cholesky(
-    scatters: np.ndarray, max_diag: np.ndarray, min_pivot: float = np.inf
-) -> np.ndarray:
+def stacked_cholesky(scatters: np.ndarray) -> np.ndarray:
     """Lower factors of a stack of scatters under the stacked pivot rule.
 
     A dataset fails, as its stacked scatter fails cholesky, when a Cholesky
-    pivot is at or below PIVOT_RTOL times the stacked scatter's largest
-    diagonal entry max_diag. min_pivot carries pivots factored elsewhere
-    (the factor block's, when only the Schur complement is given).
+    pivot is at or below PIVOT_RTOL times the scatter's largest diagonal
+    entry.
     """
     try:
         L = np.linalg.cholesky(scatters)
     except np.linalg.LinAlgError:
         raise Singular("a stacked covariance is not positive definite") from None
-    pivots = np.minimum(np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1), min_pivot)
-    bound = PIVOT_RTOL * max_diag
+    pivots = np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1)
+    bound = PIVOT_RTOL * np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
     bad = np.flatnonzero(pivots <= bound)
     if bad.size:
         raise Singular(

@@ -198,12 +198,8 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     else:
         times = [str(t) for t in range(len(records))]
 
-    p, K = len(asset_names), len(factor_names)
-    if values.shape[0] <= p + K:
-        raise TooFewRows(f"need T > p + K, got T={values.shape[0]}, p+K={p + K}")
-    labels = tuple(header)
     return ReturnsPanel(
-        labels=labels,
+        labels=tuple(header),
         times=tuple(times),
         values=values,
         asset_columns=tuple(positions[n] for n in asset_names),

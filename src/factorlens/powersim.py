@@ -17,7 +17,9 @@ E, and every statistic is invariant to D. So each replicate's [F; Z] is
 factored once, and each grid point only multiplies its C onto the factors;
 the statistics agree with the per-dataset data path up to rounding (about
 1e-12 relative). Scenario s4 changes the fitted model, so each grid point
-factors its own datasets [F; X], as the data path does.
+factors its own datasets [F; X], as the data path does. Critical values
+come resolved from report.resolve_criticals, calibrated or closed-form,
+as test and batch-test take theirs.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import CriticalValueTable
-from .errors import BadDimension, DomainError
+from .errors import BadDimension, DomainError, MissingCalibration
 from .linalg import cholesky, invert_spd
 from .randmat import SeedSpec, substreams
-from .report import TESTS, calibrated_criticals, closed_form_criticals, kernel_observed
+from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals, kernel_observed
 from .teststats import (
     FactorModelSpec,
     _check_diagonal_product,
@@ -43,8 +44,8 @@ from .teststats import compute_all, precision_stats_from_data
 SCENARIOS = ("s1_single_corr", "s2_column", "s3_ar1", "s4_extra_factors")
 _ALIASES = {"s1": "s1_single_corr", "s2": "s2_column", "s3": "s3_ar1", "s4": "s4_extra_factors"}
 
-CALIBRATED = "calibrated"
-CLOSED_FORM = "bonferroni_or_asymptotic"
+# the critical_source column of the power CSV, per accepted source
+_CSV_SOURCES = {REQUEST_CALIBRATED: "calibrated", REQUEST_CLOSED_FORM: "bonferroni_or_asymptotic"}
 
 MAX_ABS_RHO = 0.5
 MAX_K_TILDE = 10
@@ -77,6 +78,11 @@ class ScenarioConfig:
             raise DomainError("reps must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+
+    @property
+    def model(self) -> FactorModelSpec:
+        """The fitted model's dimensions; the data are not demeaned."""
+        return FactorModelSpec(p=self.p, K=self.K, T=self.T)
 
 
 def _check_rho(rho: float) -> None:
@@ -182,27 +188,25 @@ class PowerCurve:
             fh.write("\n".join(lines) + "\n")
 
 
-def run_power_study(
-    cfg: ScenarioConfig,
-    grid,
-    critical_source: str = CALIBRATED,
-    tables: dict[str, CriticalValueTable] | None = None,
-) -> PowerCurve:
+def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCurve:
     """Rejection frequency of each test at every grid point.
 
     The grid holds rho values (s1-s3) or extra-factor counts (s4); every
-    value is checked before any simulation. With
-    critical_source='calibrated', matching tables must be supplied;
-    otherwise Bonferroni (max statistics) and chi-square (likelihood ratio)
-    critical values are used. Replicates run batched (module docstring).
+    value is checked before any simulation. criticals come from
+    report.resolve_criticals: calibrated, or closed-form (Bonferroni for
+    the max statistics, chi-square for the likelihood ratio), resolved at
+    cfg.model and cfg.alpha. Replicates run batched (module docstring).
     """
-    model = FactorModelSpec(p=cfg.p, K=cfg.K, T=cfg.T)
-    if critical_source == CALIBRATED:
-        criticals = calibrated_criticals(tables, model, cfg.alpha)
-    elif critical_source == CLOSED_FORM:
-        criticals = closed_form_criticals(model, cfg.alpha)
-    else:
-        raise DomainError(f"unknown critical source {critical_source!r}")
+    model = cfg.model
+    if criticals.source not in _CSV_SOURCES:
+        raise DomainError(
+            f"a power study takes calibrated or closed-form criticals, got {criticals.source!r}"
+        )
+    if (criticals.model, criticals.alpha) != (model, cfg.alpha):
+        raise MissingCalibration(
+            f"criticals were resolved for {criticals.model} at alpha={criticals.alpha}; "
+            f"the study has {model} at alpha={cfg.alpha}"
+        )
     grid = tuple(grid)
     if not grid:
         raise DomainError("grid must be nonempty")
@@ -220,14 +224,14 @@ def run_power_study(
             kernel = stats_from_factors(factors, model.t_eff, cfg.K)
             _check_diagonal_product(kernel.diag_v, kernel.diag_e)
             for test, observed in kernel_observed(kernel).items():
-                counts[test][gi] += np.count_nonzero(observed > criticals[test])
+                counts[test][gi] += np.count_nonzero(observed > criticals.values[test])
             del factors, kernel  # release each array once used, so chunks stay near the budget
     rates = {t: counts[t] / cfg.reps for t in TESTS}
     ses = {t: np.sqrt(rates[t] * (1.0 - rates[t]) / cfg.reps) for t in TESTS}
     return PowerCurve(
         scenario=cfg,
         grid=grid,
-        critical_source=critical_source,
+        critical_source=_CSV_SOURCES[criticals.source],
         rates=rates,
         mc_std_errors=ses,
     )

@@ -4,8 +4,10 @@ run_tests computes all statistics of a panel and compares each global test
 against critical values from one of three sources: Monte-Carlo calibration
 (exact at any dimension), closed forms (Bonferroni for the max statistics,
 chi-square for the likelihood ratio), or the high-dimensional limit laws.
-P-values from the last two are survival functions, not 1 - cdf, so tiny
-ones keep their value instead of rounding to 0.
+resolve_criticals is the one place a source is chosen and its critical
+values computed, for run_tests, batch_subset_test and the power study
+alike. P-values from the last two sources are survival functions, not
+1 - cdf, so tiny ones keep their value instead of rounding to 0.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .calibrate import (
     DEFAULT_REPS,
 )
 from .errors import DomainError, MissingCalibration
+from .linalg import stacked_cholesky
 from .panel import ReturnsPanel
 from .randmat import substreams
 from .special import chi2_quantile, chi2_sf, f_quantile, f_sf, normal_cdf, normal_quantile
@@ -36,10 +39,12 @@ from .special import chi2_cdf, f_cdf
 from .teststats import (
     FactorModelSpec,
     FactorStats,
-    ResidualScatter,
     TestStatistics,
+    _check_diagonal_product,
     compute_all,
     precision_stats_from_data,
+    stacked_data,
+    stats_from_factors,
 )
 
 TESTS = ("T_el", "T_pr", "T_LR")
@@ -118,20 +123,21 @@ class TestReport:
         }
 
 
-def _resolve_request(request: str, model: FactorModelSpec, have_tables: bool = False) -> str:
-    """The source a request names; auto uses supplied tables, else the budget rule."""
-    if request not in REQUESTS:
-        raise DomainError(f"unknown critical source {request!r}; pick one of {REQUESTS}")
-    if request != REQUEST_AUTO:
-        return request
-    if have_tables or model.T <= _AUTO_CALIBRATION_T_FACTOR * (model.p + model.K):
-        return REQUEST_CALIBRATED
-    warnings.warn(
-        "sample too large for default calibration budget; falling back to "
-        "high-dimensional asymptotic critical values",
-        stacklevel=3,
-    )
-    return REQUEST_HIGHDIM
+@dataclass(frozen=True)
+class Criticals:
+    """Critical values of the three tests from one source, for one model and alpha.
+
+    source is a request other than auto. tables are the calibration tables
+    of a calibrated source and regime the limit regime of a highdim one;
+    each is None for the other sources.
+    """
+
+    source: str
+    model: FactorModelSpec
+    alpha: float
+    values: dict[str, float]
+    tables: dict[str, CriticalValueTable] | None = None
+    regime: asymptotics.Regime | None = None
 
 
 def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -> None:
@@ -148,53 +154,72 @@ def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -
         )
 
 
+def resolve_criticals(
+    request: str,
+    model: FactorModelSpec,
+    alpha: float,
+    *,
+    tables: dict[str, CriticalValueTable] | None = None,
+    calibration_reps: int = DEFAULT_REPS,
+    calibration_seed: int = DEFAULT_MASTER_SEED,
+) -> Criticals:
+    """The source a request names, with the critical value of each test at alpha.
+
+    auto uses supplied tables, else calibration up to T = 200 (p + K) and
+    the high-dimensional limits above it, with a warning. A calibrated
+    source without tables calibrates the three tests at the model's
+    dimensions, null samples kept; supplied tables must match the model.
+    """
+    if request not in REQUESTS:
+        raise DomainError(f"unknown critical source {request!r}; pick one of {REQUESTS}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if request == REQUEST_AUTO:
+        if tables is not None or model.T <= _AUTO_CALIBRATION_T_FACTOR * (model.p + model.K):
+            request = REQUEST_CALIBRATED
+        else:
+            warnings.warn(
+                "sample too large for default calibration budget; falling back to "
+                "high-dimensional asymptotic critical values",
+                stacklevel=3,
+            )
+            request = REQUEST_HIGHDIM
+    regime = None
+    if request == REQUEST_CALIBRATED:
+        if tables is None:
+            tables = calibrate_many(
+                TESTS, model.p, model.T, model.K, demeaned=model.demeaned, alphas=(alpha,),
+                reps=calibration_reps, master_seed=calibration_seed, keep_null_sample=True,
+            )
+        values = {}
+        for name in TESTS:
+            table = tables.get(name)
+            if table is None:
+                raise MissingCalibration(f"no calibration table supplied for {name}")
+            _check_table(table, model, name)
+            values[name] = table.critical_value(alpha)
+    elif request == REQUEST_CLOSED_FORM:
+        values = {
+            "T_el": bonferroni_critical_el(alpha, model.p, model.T, model.K, model.demeaned),
+            "T_pr": bonferroni_critical_pr(alpha, model.p, model.T, model.K, model.demeaned),
+            "T_LR": lr_chi2_critical(alpha, model.p),
+        }
+    else:
+        regime = asymptotics.select_regime(model.p, model.T, model.K, model.demeaned)
+        pairs = model.p * (model.p - 1) / 2.0
+        if regime.kind == asymptotics.CONCENTRATION:
+            el_critical = chi2_quantile(1.0 - alpha / pairs, 1)
+            pr_critical = normal_quantile(1.0 - alpha / model.p)
+        else:
+            el_critical = f_quantile(1.0 - alpha / pairs, 1, regime.d + 1.0)
+            pr_critical = asymptotics.tj_boundary_critical(alpha / model.p, regime.d)
+        values = {"T_el": el_critical, "T_pr": pr_critical, "T_LR": normal_quantile(1.0 - alpha)}
+    return Criticals(request, model, alpha, values, tables, regime)
+
+
 def kernel_observed(kernel: FactorStats) -> dict[str, np.ndarray]:
     """The statistic each global test compares with its critical value, per dataset."""
     return {"T_el": kernel.t_el, "T_pr": kernel.t_j.max(axis=1), "T_LR": kernel.t_lr}
-
-
-def calibrated_criticals(
-    tables: dict[str, CriticalValueTable] | None, model: FactorModelSpec, alpha: float
-) -> dict[str, float]:
-    """Critical value of each test from its calibration table, checked against model."""
-    if tables is None:
-        raise MissingCalibration(
-            "calibrated critical values need a table per test; calibrate first"
-        )
-    criticals = {}
-    for name in TESTS:
-        table = tables.get(name)
-        if table is None:
-            raise MissingCalibration(f"no calibration table supplied for {name}")
-        _check_table(table, model, name)
-        criticals[name] = table.critical_value(alpha)
-    return criticals
-
-
-def calibrate_tests(
-    model: FactorModelSpec, alpha: float, reps: int, master_seed: int
-) -> dict[str, CriticalValueTable]:
-    """Calibration tables of the three tests at the model's dimensions, samples kept."""
-    return calibrate_many(
-        TESTS,
-        model.p,
-        model.T,
-        model.K,
-        demeaned=model.demeaned,
-        alphas=(alpha,),
-        reps=reps,
-        master_seed=master_seed,
-        keep_null_sample=True,
-    )
-
-
-def closed_form_criticals(model: FactorModelSpec, alpha: float) -> dict[str, float]:
-    """Bonferroni critical values for the max statistics, chi-square for T_LR."""
-    return {
-        "T_el": bonferroni_critical_el(alpha, model.p, model.T, model.K, model.demeaned),
-        "T_pr": bonferroni_critical_pr(alpha, model.p, model.T, model.K, model.demeaned),
-        "T_LR": lr_chi2_critical(alpha, model.p),
-    }
 
 
 def run_tests(
@@ -211,25 +236,18 @@ def run_tests(
     With calibrated criticals the p-values are empirical right-tail
     proportions of the retained null samples; otherwise they come from the
     closed-form or limiting distributions (Bonferroni-corrected for the max
-    statistics). Under auto, supplied tables are always used. Decisions go
+    statistics). Criticals come from resolve_criticals, and decisions go
     through _decide on the kernel's arrays, as batch_subset_test's do.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     model = FactorModelSpec(p=panel.p, K=panel.K, T=panel.T, demeaned=panel.demean)
     X, F = panel.data_matrices()
     kernel = precision_stats_from_data(X, F if panel.K else None, demeaned=panel.demean)
     stats = compute_all(kernel)
-    source = _resolve_request(critical_source, model, tables is not None)
-
-    regime = None
-    if source == REQUEST_CALIBRATED and tables is None:
-        tables = calibrate_tests(model, alpha, calibration_reps, calibration_seed)
-    elif source == REQUEST_HIGHDIM:
-        regime = asymptotics.select_regime(model.p, model.T, model.K, model.demeaned)
-    decided = _decide(
-        source, kernel_observed(kernel), kernel.ln_t_lr_star, model, alpha, tables, regime
+    criticals = resolve_criticals(
+        critical_source, model, alpha, tables=tables,
+        calibration_reps=calibration_reps, calibration_seed=calibration_seed,
     )
+    decided = _decide(criticals, kernel_observed(kernel), kernel.ln_t_lr_star)
     decisions = {
         name: TestDecision(
             float(d.statistic[0]), d.critical_value, d.source, float(d.p_value[0]),
@@ -240,10 +258,11 @@ def run_tests(
 
     calibration_meta = None
     regime_meta = None
-    if source == REQUEST_CALIBRATED:
-        any_table = tables[TESTS[0]]
+    if criticals.source == REQUEST_CALIBRATED:
+        any_table = criticals.tables[TESTS[0]]
         calibration_meta = {"master_seed": any_table.master_seed, "reps": any_table.reps}
-    elif source == REQUEST_HIGHDIM:
+    elif criticals.source == REQUEST_HIGHDIM:
+        regime = criticals.regime
         regime_meta = {
             "kind": regime.kind,
             "c": regime.c,
@@ -270,54 +289,51 @@ class _Decisions:
     p_value: np.ndarray
 
 
-def _decide(
-    source, observed, ln_t_lr_star, model, alpha, tables=None, regime=None
-) -> dict[str, _Decisions]:
+def _decide(criticals: Criticals, observed, ln_t_lr_star) -> dict[str, _Decisions]:
     """Each test's decisions for m datasets of one model, p-values in one call per test.
 
     observed maps each test to its m statistics; ln_t_lr_star holds the m
-    values the high-dimensional T_LR standardizes.
+    values the high-dimensional T_LR standardizes. Under the highdim source
+    T_pr (concentration regime) and T_LR are compared standardized.
     """
-    if source == REQUEST_CALIBRATED:
-        criticals = calibrated_criticals(tables, model, alpha)
+    model, values = criticals.model, criticals.values
+    if criticals.source == REQUEST_CALIBRATED:
         return {
             name: _Decisions(
-                observed[name], criticals[name], SOURCE_CALIBRATED,
-                empirical_pvalue(observed[name], tables[name]),
+                observed[name], values[name], SOURCE_CALIBRATED,
+                empirical_pvalue(observed[name], criticals.tables[name]),
             )
             for name in TESTS
         }
     pairs = model.p * (model.p - 1) / 2.0
     t_el, t_pr = observed["T_el"], observed["T_pr"]
-    if source == REQUEST_CLOSED_FORM:
-        criticals, dof_n = closed_form_criticals(model, alpha), model.dof_n
+    if criticals.source == REQUEST_CLOSED_FORM:
+        dof_n = model.dof_n
         rows = {
             "T_el": (t_el, SOURCE_BONFERRONI, pairs * f_sf(t_el, 1, dof_n)),
             "T_pr": (t_pr, SOURCE_BONFERRONI, model.p * f_sf(t_pr, model.p - 1, dof_n)),
             "T_LR": (observed["T_LR"], SOURCE_CHI2, chi2_sf(observed["T_LR"], pairs)),
         }
-        return {
-            name: _Decisions(stat, criticals[name], src, np.minimum(1.0, p_value))
-            for name, (stat, src, p_value) in rows.items()
-        }
-    # highdim: the regime's limit laws; T_pr (concentration) and T_LR standardized
-    if regime.kind == asymptotics.CONCENTRATION:
-        el_critical = chi2_quantile(1.0 - alpha / pairs, 1)
-        t_pr = asymptotics.tj_standardize(t_pr, model.p, model.T, model.K, demeaned=model.demeaned)
-        pr_critical, pr_tail = normal_quantile(1.0 - alpha / model.p), normal_cdf(-t_pr)
     else:
-        el_critical = f_quantile(1.0 - alpha / pairs, 1, regime.d + 1.0)
-        pr_critical = asymptotics.tj_boundary_critical(alpha / model.p, regime.d)
-        pr_tail = asymptotics.tj_boundary_pvalue(t_pr, regime.d)
-    z_lr = asymptotics.tlr_standardize(ln_t_lr_star, model.p, model.T, model.K, model.demeaned)
-    rows = {
-        "T_el": (t_el, el_critical, pairs * asymptotics.tij_null_pvalue(t_el, regime)),
-        "T_pr": (t_pr, pr_critical, model.p * pr_tail),
-        "T_LR": (z_lr, normal_quantile(1.0 - alpha), normal_cdf(-z_lr)),
-    }
+        regime = criticals.regime
+        if regime.kind == asymptotics.CONCENTRATION:
+            t_pr = asymptotics.tj_standardize(
+                t_pr, model.p, model.T, model.K, demeaned=model.demeaned
+            )
+            pr_tail = normal_cdf(-t_pr)
+        else:
+            pr_tail = asymptotics.tj_boundary_pvalue(t_pr, regime.d)
+        z_lr = asymptotics.tlr_standardize(
+            ln_t_lr_star, model.p, model.T, model.K, model.demeaned
+        )
+        rows = {
+            "T_el": (t_el, SOURCE_HIGHDIM, pairs * asymptotics.tij_null_pvalue(t_el, regime)),
+            "T_pr": (t_pr, SOURCE_HIGHDIM, model.p * pr_tail),
+            "T_LR": (z_lr, SOURCE_HIGHDIM, normal_cdf(-z_lr)),
+        }
     return {
-        name: _Decisions(stat, critical, SOURCE_HIGHDIM, np.minimum(1.0, p_value))
-        for name, (stat, critical, p_value) in rows.items()
+        name: _Decisions(stat, values[name], src, np.minimum(1.0, p_value))
+        for name, (stat, src, p_value) in rows.items()
     }
 
 
@@ -356,11 +372,12 @@ def batch_subset_test(
 
     Subsets are drawn uniformly without replacement from the asset columns
     (factors always included); subset i uses substream (subset_seed, i).
-    With calibrated criticals the table is computed once for the subset
-    dimensions and reused. The residual scatter of all assets is formed
-    once; subsets then run through the statistics kernel in chunks, with
-    the same statistics, p-values and Singular failures as run_tests on
-    each subset panel, up to rounding.
+    Criticals are resolved once for the subset dimensions. The stacked
+    scatter of [F; X] is formed once; per chunk, each subset's stacked
+    scatter is gathered from it, factor rows first, and factored as
+    residual_factors factors a panel's. The statistics, p-values and
+    Singular failures are those of run_tests on each subset panel, up to
+    rounding.
     """
     if not 2 <= subset_size <= panel.p:
         raise DomainError(
@@ -368,33 +385,31 @@ def batch_subset_test(
         )
     if num_subsets < 1:
         raise DomainError("num_subsets must be positive")
-    sub_model = FactorModelSpec(
-        p=subset_size, K=panel.K, T=panel.T, demeaned=panel.demean
+    K = panel.K
+    sub_model = FactorModelSpec(p=subset_size, K=K, T=panel.T, demeaned=panel.demean)
+    criticals = resolve_criticals(
+        critical_source, sub_model, alpha,
+        calibration_reps=calibration_reps, calibration_seed=calibration_seed,
     )
-    source = _resolve_request(critical_source, sub_model)
-    tables = regime = None
-    if source == REQUEST_CALIBRATED:
-        tables = calibrate_tests(sub_model, alpha, calibration_reps, calibration_seed)
-    elif source == REQUEST_HIGHDIM:
-        regime = asymptotics.select_regime(subset_size, panel.T, panel.K, panel.demean)
     X, F = panel.data_matrices()
-    scatter = ResidualScatter(X, F, demeaned=panel.demean)
+    Y = stacked_data(X, F, panel.demean)
+    scatter = Y @ Y.T
     pvals = {test: np.empty(num_subsets) for test in TESTS}
-    chunk = _default_chunk(subset_size)
+    chunk = _default_chunk(K + subset_size)
     for start in range(0, num_subsets, chunk):
         stop = min(start + chunk, num_subsets)
         subsets = np.array([
             np.sort(rng.choice(panel.p, size=subset_size, replace=False))
             for rng in substreams(subset_seed, start, stop)
         ])
-        kernel = scatter.subset_stats(subsets)
-        observed = kernel_observed(kernel)
-        decided = _decide(
-            source, observed, kernel.ln_t_lr_star, sub_model, alpha, tables, regime
-        )
+        rows = np.hstack([np.broadcast_to(np.arange(K), (stop - start, K)), K + subsets])
+        factors = stacked_cholesky(scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
+        kernel = stats_from_factors(factors, sub_model.t_eff, K)
+        _check_diagonal_product(kernel.diag_v, kernel.diag_e)
+        decided = _decide(criticals, kernel_observed(kernel), kernel.ln_t_lr_star)
         for test in TESTS:
             pvals[test][start:stop] = decided[test].p_value
-        del kernel, observed, decided  # release this chunk's arrays before the next
+        del factors, kernel, decided  # release this chunk's arrays before the next
     quantiles = {}
     for test in TESTS:
         q = np.quantile(pvals[test], [0.0, 0.25, 0.5, 0.75, 1.0])

@@ -8,7 +8,12 @@ triangle (V = L^-T L^-1, by a LAPACK triangular inverse and an in-place BLAS
 dsyrk per factor), diag V, diag E and ln det E; step two applies the
 formulas to those four arrays. Under the null, the Bartlett factor of an
 identity-parameter Wishart draw is such a factor, so calibration and real
-data share the kernel. FactorStats is the only statistics object:
+data share the kernel. Data reach it through one factorization: the
+stacked scatter of [F; X], factor rows first, factored under the stacked
+pivot rule (linalg.stacked_cholesky), whose trailing block factors E.
+residual_factors does this for test and the power engine, and batch-test
+applies the same factorization to subset blocks of the panel's stacked
+scatter. FactorStats is the only statistics object:
 precision_stats_from_data returns the kernel's statistics of one dataset
 (m = 1), and the stat_* functions and compute_all only read its row 0.
 Indices in the public API are 1-based to match the usual (i, j) labelling
@@ -21,11 +26,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtrtri
 
-from .errors import BadDimension, BadIndex, DegenerateCorrection, NotPositiveDefinite, Singular
+from .errors import BadDimension, BadIndex, DegenerateCorrection, NotPositiveDefinite
 from .linalg import cholesky, invert_spd, stacked_cholesky
 
 
@@ -208,9 +212,13 @@ def residual_factors(Y: np.ndarray, K: int) -> np.ndarray:
     dataset whose stacked scatter breaks the stacked pivot rule raises
     Singular.
     """
-    scatters = np.matmul(Y, np.swapaxes(Y, 1, 2))
-    max_diag = np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
-    return stacked_cholesky(scatters, max_diag)[:, K:, K:]
+    return stacked_cholesky(np.matmul(Y, np.swapaxes(Y, 1, 2)))[:, K:, K:]
+
+
+def stacked_data(X: np.ndarray, F: np.ndarray, demeaned: bool) -> np.ndarray:
+    """The stacked data [F; X], factors first, each row centered when demeaned."""
+    Y = np.vstack([F, X])
+    return Y - Y.mean(axis=1, keepdims=True) if demeaned else Y
 
 
 def _check_diagonal_product(diag_v: np.ndarray, diag_e: np.ndarray) -> None:
@@ -286,9 +294,7 @@ def precision_stats_from_data(
     t_eff = effective_sample_size(T, demeaned)
     if p + K >= t_eff:
         raise BadDimension(f"need p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
-    Y = np.vstack([F, X])
-    if demeaned:
-        Y = Y - Y.mean(axis=1, keepdims=True)
+    Y = stacked_data(X, F, demeaned)
     kernel = stats_from_factors(residual_factors(Y[None], K), t_eff, K)
     _check_diagonal_product(kernel.diag_v, kernel.diag_e)
     return kernel
@@ -310,56 +316,6 @@ def stats_from_precision(
     kernel = stats_from_factors(L[None], effective_sample_size(T, demeaned), K)
     _check_diagonal_product(kernel.diag_v, kernel.diag_e)
     return kernel
-
-
-class ResidualScatter:
-    """Residual scatter E of every response on the factors, for asset subsets.
-
-    One factorization of the K-by-K factor scatter S_ff gives
-    E = S_xx - W^T W with W = L_ff^-1 S_fx: the Schur complement that the
-    stacked scatter's Cholesky factorization forms in its trailing block.
-    For an asset subset S, E[S, S] is the residual scatter of those assets
-    alone, so only the subsets drawn, not all p assets together, need a
-    positive-definite stacked scatter. X is p-by-T, F is K-by-T with K >= 0.
-    """
-
-    def __init__(self, X: np.ndarray, F: np.ndarray, demeaned: bool = False) -> None:
-        K = F.shape[0]
-        self.t_eff = effective_sample_size(X.shape[1], demeaned)
-        self.K = K
-        Y = np.vstack([F, X])
-        if demeaned:
-            Y = Y - Y.mean(axis=1, keepdims=True)
-        scatter = Y @ Y.T
-        self._xx_diag = np.diagonal(scatter)[K:].copy()
-        self._ff_max_diag = float(np.max(np.diagonal(scatter)[:K], initial=-np.inf))
-        self._ff_min_pivot = np.inf
-        self.e = scatter[K:, K:]
-        if K:
-            try:
-                l_ff = np.linalg.cholesky(scatter[:K, :K])
-            except np.linalg.LinAlgError:
-                raise Singular("factor scatter is not positive definite") from None
-            self._ff_min_pivot = float(np.min(np.diagonal(l_ff) ** 2))
-            w = solve_triangular(l_ff, scatter[:K, K:], lower=True)
-            self.e = self.e - w.T @ w
-
-    def _factors(self, subsets: np.ndarray) -> np.ndarray:
-        """Lower factors of E[S, S] for each row S of subsets (ascending indices).
-
-        A subset fails by the stacked pivot rule, its K factor pivots included.
-        """
-        return stacked_cholesky(
-            self.e[subsets[:, :, None], subsets[:, None, :]],
-            np.maximum(self._xx_diag[subsets].max(axis=1), self._ff_max_diag),
-            self._ff_min_pivot,
-        )
-
-    def subset_stats(self, subsets: np.ndarray) -> FactorStats:
-        """The statistics kernel over the subsets, one row of asset indices each."""
-        kernel = stats_from_factors(self._factors(subsets), self.t_eff, self.K)
-        _check_diagonal_product(kernel.diag_v, kernel.diag_e)
-        return kernel
 
 
 def _check_pairs(s: FactorStats) -> None:

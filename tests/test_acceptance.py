@@ -21,7 +21,7 @@ from factorlens.calibrate import ks_asymptotic_pvalue
 from factorlens.panel import ReturnsPanel, export_panel_csv, ingest_csv
 from factorlens.powersim import ScenarioConfig, generate_dataset, run_power_study
 from factorlens.randmat import bartlett_factor
-from factorlens.report import TESTS, run_tests
+from factorlens.report import TESTS, resolve_criticals, run_tests
 
 
 def _record(criterion: str, ok: bool, detail: str) -> None:
@@ -308,7 +308,8 @@ def test_criterion_7_power_orderings(tables_p10):
         cfg = ScenarioConfig(
             scenario=scenario, p=p, K=K, T=T, reps=reps, master_seed=107, alpha=0.05
         )
-        curve = run_power_study(cfg, [value], tables=tables_p10)
+        criticals = resolve_criticals("calibrated", cfg.model, cfg.alpha, tables=tables_p10)
+        curve = run_power_study(cfg, [value], criticals)
         results[scenario] = {t: float(curve.rates[t][0]) for t in TESTS}
     r1, r2, r3, r4 = (results[s] for s in ("s1", "s2", "s3", "s4"))
     checks = {

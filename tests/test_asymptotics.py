@@ -22,7 +22,6 @@ from factorlens import (
 from factorlens.asymptotics import (
     BOUNDARY,
     CONCENTRATION,
-    SIGMA_AS_DEVIATION,
     lr_clt_mean,
     lr_clt_sigma,
     tj_boundary_critical,
@@ -174,13 +173,13 @@ def test_lr_clt_sigma_positive_on_unit_interval():
 
 
 def test_tlr_standardize_conventions_differ_by_sqrt_sigma():
+    # sigma is read as a variance; the literal reading as a deviation would
+    # divide by sigma itself
     p, T, K = 100, 510, 10
     sigma = lr_clt_sigma(p, T, K)
     z_var = tlr_standardize(50.0, p, T, K)
-    z_dev = tlr_standardize(50.0, p, T, K, sigma_convention=SIGMA_AS_DEVIATION)
+    z_dev = ((2.0 / T) * 50.0 + lr_clt_mean(p, T, K)) / sigma
     assert_allclose(z_dev * math.sqrt(sigma), z_var, rtol=1e-12)
-    with pytest.raises(DomainError):
-        tlr_standardize(50.0, p, T, K, sigma_convention="junk")
     with pytest.raises(DomainError):
         tlr_standardize(50.0, 600, 510, 10)
 

@@ -42,8 +42,8 @@ def _record_decisions(monkeypatch):
     calls = []
     decide = report._decide
 
-    def recording(source, observed, ln_t_lr_star, *args):
-        decided = decide(source, observed, ln_t_lr_star, *args)
+    def recording(criticals, observed, ln_t_lr_star):
+        decided = decide(criticals, observed, ln_t_lr_star)
         calls.append((observed, ln_t_lr_star, decided))
         return decided
 
@@ -79,10 +79,10 @@ def test_batch_matches_per_subset_run_tests(
     monkeypatch.undo()
     tables = None
     if source == "calibrated":
-        tables = report.calibrate_tests(
-            report.FactorModelSpec(p=subset_size, K=K, T=T, demeaned=demeaned),
-            0.05, calib["calibration_reps"], calib["calibration_seed"],
-        )
+        tables = report.resolve_criticals(
+            source, report.FactorModelSpec(p=subset_size, K=K, T=T, demeaned=demeaned),
+            0.05, **calib,
+        ).tables
     refs = [
         run_tests(panel.subset(idx), critical_source=source, tables=tables)
         for idx in _subsets(p, subset_size, num_subsets, 9)

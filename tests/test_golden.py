@@ -7,9 +7,9 @@ stats_from_precision bit for bit. The data-path statistics of hand-built
 panels are pinned to a relative tolerance, since refactors of the linear
 algebra may move the last digits. The test and batch-test outputs are
 pinned as SHA-256 digests of the text written: the report JSON as the CLI
-writes it, and the batch CSV, whose p-values print at 10 digits. Regenerate a value only for a deliberate
-change of the law or the substream layout, and say so where the change is
-recorded.
+writes it, and the batch CSV, whose p-values print at 10 digits.
+Regenerate a value only for a deliberate change of the law or the
+substream layout, and say so where the change is recorded.
 """
 
 import hashlib
@@ -24,7 +24,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import factorlens as fl
-from factorlens.powersim import CALIBRATED, CLOSED_FORM, ScenarioConfig, run_power_study
+from factorlens.powersim import ScenarioConfig, run_power_study
+from factorlens.report import resolve_criticals
 
 ALL_STATISTICS = (
     "T_el", "T_pr", "T_LR", "ln_T_LR_star", "T_LR_standardized", "T_ij_21", "T_j_1"
@@ -92,7 +93,8 @@ def test_golden_null_samples(setting):
 
 def test_golden_power_rates_s1_closed_form():
     cfg = ScenarioConfig("s1", p=4, K=2, T=30, reps=60, master_seed=5)
-    curve = run_power_study(cfg, (-0.5, 0.0, 0.5), critical_source=CLOSED_FORM)
+    criticals = resolve_criticals("closed-form", cfg.model, cfg.alpha)
+    curve = run_power_study(cfg, (-0.5, 0.0, 0.5), criticals)
     assert {t: _sha(r) for t, r in curve.rates.items()} == {
         "T_el": "09856728937e9c895bcbaf5b21a49eb41f0141ae83bf7e9ef70dd5332b02e926",
         "T_pr": "ab478eefaaf3db61fb28301932f199812ef721bbac3b97c686974925d9bb9e67",
@@ -105,7 +107,8 @@ def test_golden_power_rates_s4_calibrated():
     tables = fl.calibrate_many(
         ("T_el", "T_pr", "T_LR"), 3, 25, 1, alphas=(0.05,), reps=1000, master_seed=8
     )
-    curve = run_power_study(cfg, (0, 2), critical_source=CALIBRATED, tables=tables)
+    criticals = resolve_criticals("calibrated", cfg.model, cfg.alpha, tables=tables)
+    curve = run_power_study(cfg, (0, 2), criticals)
     assert {t: _sha(r) for t, r in curve.rates.items()} == {
         "T_el": "d7dee936ca91cce5242cc51a8312690ea5755850b14943a02b4c157653342c77",
         "T_pr": "e706caf4ac6d6e647dc9ebec3e8b1e1d3de41241c4fbda4bb2a6c2e2f16cb2f7",
@@ -196,15 +199,17 @@ BATCH_HASHES = {
 }
 
 
-@pytest.mark.parametrize("setting", sorted(BATCH_HASHES))
-def test_golden_batch_csv(tmp_path, setting):
-    source, demeaned, K, p, T, subset_size, num_subsets = setting
+@pytest.mark.parametrize(
+    "source, demeaned, K, p, T, subset_size, num_subsets", sorted(BATCH_HASHES)
+)
+def test_golden_batch_csv(tmp_path, source, demeaned, K, p, T, subset_size, num_subsets):
     summary = fl.batch_subset_test(
         _golden_panel(p, K, T, demeaned, seed=p + K + T), subset_size, num_subsets,
         critical_source=source, calibration_reps=1000, calibration_seed=3, subset_seed=7,
     )
     path = tmp_path / "batch.csv"
     summary.to_csv(path)
+    setting = (source, demeaned, K, p, T, subset_size, num_subsets)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == BATCH_HASHES[setting]
 
 

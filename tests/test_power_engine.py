@@ -9,10 +9,9 @@ from numpy.testing import assert_allclose
 from factorlens import calibrate_many, compute_all, generate_dataset, precision_stats_from_data
 from factorlens import powersim
 from factorlens.errors import DomainError, Singular
-from factorlens.powersim import CALIBRATED, CLOSED_FORM, ScenarioConfig, run_power_study
-from factorlens.report import TESTS, calibrated_criticals, closed_form_criticals
+from factorlens.powersim import ScenarioConfig, run_power_study
+from factorlens.report import TESTS, resolve_criticals
 from factorlens.linalg import stacked_cholesky
-from factorlens.teststats import FactorModelSpec
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
 KTILDE_GRID = (0, 1, 3)
@@ -40,11 +39,8 @@ def _reference(cfg, grid, criticals):
     return stats, counts
 
 
-def _criticals(cfg, source, tables):
-    model = FactorModelSpec(p=cfg.p, K=cfg.K, T=cfg.T)
-    if source == CALIBRATED:
-        return calibrated_criticals(tables, model, cfg.alpha)
-    return closed_form_criticals(model, cfg.alpha)
+def _closed_form(cfg):
+    return resolve_criticals("closed-form", cfg.model, cfg.alpha)
 
 
 def _record_observed(monkeypatch):
@@ -76,18 +72,21 @@ def _record_observed(monkeypatch):
         ("s4", 5, 2, 8),  # p + K = T - 1, with up to 5 + 3 simulated factors
     ],
 )
-@pytest.mark.parametrize("source", [CLOSED_FORM, CALIBRATED])
+@pytest.mark.parametrize("source", ["bonferroni_or_asymptotic", "calibrated"])
 def test_engine_matches_per_dataset_loop(monkeypatch, scenario, p, K, T, source):
     cfg = ScenarioConfig(scenario, p=p, K=K, T=T, reps=60, master_seed=17, alpha=0.2)
-    tables = None
-    if source == CALIBRATED:
+    if source == "calibrated":
         tables = calibrate_many(TESTS, p, T, K, alphas=(cfg.alpha,), reps=2000, master_seed=4)
+        criticals = resolve_criticals("calibrated", cfg.model, cfg.alpha, tables=tables)
+    else:
+        criticals = _closed_form(cfg)
     grid = _grid(scenario)
     seen = _record_observed(monkeypatch)
-    curve = run_power_study(cfg, grid, critical_source=source, tables=tables)
+    curve = run_power_study(cfg, grid, criticals)
     assert len(seen) == len(grid)  # one chunk: one kernel run per grid point
+    assert curve.critical_source == source
 
-    stats, counts = _reference(cfg, grid, _criticals(cfg, source, tables))
+    stats, counts = _reference(cfg, grid, criticals.values)
     for test in TESTS:
         assert np.array_equal(curve.rates[test] * cfg.reps, counts[test]), test
         for gi in range(len(grid)):
@@ -100,10 +99,10 @@ def test_engine_matches_per_dataset_loop(monkeypatch, scenario, p, K, T, source)
 def test_counts_do_not_depend_on_chunk_size(monkeypatch, chunk):
     for scenario in ("s3", "s4"):
         cfg = ScenarioConfig(scenario, p=5, K=1, T=30, reps=23, master_seed=8, alpha=0.1)
-        whole = run_power_study(cfg, _grid(scenario), critical_source=CLOSED_FORM)
+        whole = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
         with monkeypatch.context() as m:
             m.setattr(powersim, "_chunk_size", lambda p, K, T: chunk)
-            chunked = run_power_study(cfg, _grid(scenario), critical_source=CLOSED_FORM)
+            chunked = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
         for test in TESTS:
             assert np.array_equal(whole.rates[test], chunked.rates[test]), (scenario, test)
 
@@ -117,7 +116,7 @@ def test_every_grid_value_is_checked_before_simulating(monkeypatch):
     for scenario, grid in (("s1", [0.0, 0.6]), ("s4", [0, 1, 11]), ("s4", [0, 1.5])):
         cfg = ScenarioConfig(scenario, p=4, K=1, T=30, reps=5)
         with pytest.raises(DomainError):
-            run_power_study(cfg, grid, critical_source=CLOSED_FORM)
+            run_power_study(cfg, grid, _closed_form(cfg))
 
 
 def test_stacked_pivot_rule_raises_singular():
@@ -125,13 +124,10 @@ def test_stacked_pivot_rule_raises_singular():
     Y = rng.standard_normal((2, 4, 20))
     Y[1, 3] = Y[1, 2]  # second dataset: two identical rows
     scatters = Y @ np.swapaxes(Y, 1, 2)
-    max_diag = np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
-    L = stacked_cholesky(scatters[:1], max_diag[:1])
+    L = stacked_cholesky(scatters[:1])
     assert_allclose(L[0] @ L[0].T, scatters[0], rtol=1e-12)
     with pytest.raises(Singular):
-        stacked_cholesky(scatters, max_diag)
-    with pytest.raises(Singular):  # a pivot factored elsewhere counts too
-        stacked_cholesky(scatters[:1], max_diag[:1], min_pivot=0.0)
+        stacked_cholesky(scatters)
 
 
 def test_memory_stays_bounded_for_many_replicates():
@@ -140,7 +136,7 @@ def test_memory_stays_bounded_for_many_replicates():
     cfg = ScenarioConfig("s1", p=4, K=1, T=250, reps=10_000, master_seed=5)
     tracemalloc.start()
     try:
-        run_power_study(cfg, (0.0, 0.5), critical_source=CLOSED_FORM)
+        run_power_study(cfg, (0.0, 0.5), _closed_form(cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

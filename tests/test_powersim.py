@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import build_sigma_u, generate_dataset, run_power_study
+from factorlens import build_sigma_u, calibrate_many, generate_dataset, run_power_study
 from factorlens.errors import BadDimension, DomainError, MissingCalibration
-from factorlens.powersim import CLOSED_FORM, ScenarioConfig, canonical_scenario
+from factorlens.powersim import ScenarioConfig, canonical_scenario
+from factorlens.report import TESTS, resolve_criticals
+
+
+def _closed_form(cfg):
+    return resolve_criticals("closed-form", cfg.model, cfg.alpha)
 
 
 def test_scenario_aliases():
@@ -114,7 +119,7 @@ def test_generate_dataset_s4_returns_fitted_factors_only():
 
 def test_power_monotone_along_grid():
     cfg = ScenarioConfig(scenario="s1", p=5, K=2, T=60, reps=300, master_seed=24)
-    curve = run_power_study(cfg, [0.3, 0.4, 0.5], critical_source=CLOSED_FORM)
+    curve = run_power_study(cfg, [0.3, 0.4, 0.5], _closed_form(cfg))
     for test in ("T_el", "T_pr"):
         r = curve.rates[test]
         se = np.sqrt(np.maximum(r * (1 - r), 1e-9) / cfg.reps)
@@ -125,7 +130,7 @@ def test_power_monotone_along_grid():
 def test_power_study_size_at_null_point():
     # rho = 0 is the null: closed-form criticals keep size at or below alpha
     cfg = ScenarioConfig(scenario="s1", p=5, K=2, T=60, reps=400, master_seed=21)
-    curve = run_power_study(cfg, [0.0], critical_source=CLOSED_FORM)
+    curve = run_power_study(cfg, [0.0], _closed_form(cfg))
     for test in ("T_el", "T_pr", "T_LR"):
         rate = curve.rates[test][0]
         assert rate <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 400) + 0.02
@@ -133,7 +138,7 @@ def test_power_study_size_at_null_point():
 
 def test_power_study_monotone_and_symmetric_s1():
     cfg = ScenarioConfig(scenario="s1", p=5, K=2, T=60, reps=300, master_seed=22)
-    curve = run_power_study(cfg, [-0.5, 0.0, 0.5], critical_source=CLOSED_FORM)
+    curve = run_power_study(cfg, [-0.5, 0.0, 0.5], _closed_form(cfg))
     for test in ("T_el", "T_pr", "T_LR"):
         r = curve.rates[test]
         se = math.sqrt(max(r[0] * (1 - r[0]), 0.25) / cfg.reps)
@@ -141,24 +146,40 @@ def test_power_study_monotone_and_symmetric_s1():
         assert r[2] >= r[1] - 2.0 * se  # power above size
 
 
-def test_power_study_requires_tables_for_calibrated():
-    cfg = ScenarioConfig(scenario="s1", p=5, K=2, T=60, reps=10)
-    with pytest.raises(MissingCalibration):
-        run_power_study(cfg, [0.1], critical_source="calibrated")
+def test_power_study_resolved_calibration_matches_supplied_tables():
+    cfg = ScenarioConfig(scenario="s1", p=5, K=2, T=60, reps=40, master_seed=3)
+    tables = calibrate_many(TESTS, 5, 60, 2, alphas=(0.05,), reps=1000, master_seed=7)
+    supplied = resolve_criticals("calibrated", cfg.model, cfg.alpha, tables=tables)
+    calibrated = resolve_criticals(
+        "calibrated", cfg.model, cfg.alpha, calibration_reps=1000, calibration_seed=7
+    )
+    assert calibrated.values == supplied.values
+    want = run_power_study(cfg, [0.0, 0.4], supplied)
+    got = run_power_study(cfg, [0.0, 0.4], calibrated)
+    assert got.critical_source == want.critical_source == "calibrated"
+    for test in TESTS:
+        assert np.array_equal(got.rates[test], want.rates[test]), test
 
 
 def test_power_study_rejects_mismatched_tables():
-    from factorlens import calibrate_many
-
     cfg = ScenarioConfig(scenario="s1", p=5, K=2, T=60, reps=10)
-    tables = calibrate_many(("T_el", "T_pr", "T_LR"), 4, 60, 2, alphas=(0.05,), reps=1000)
+    tables = calibrate_many(TESTS, 4, 60, 2, alphas=(0.05,), reps=1000)
     with pytest.raises(MissingCalibration):
-        run_power_study(cfg, [0.1], tables=tables)
+        resolve_criticals("calibrated", cfg.model, cfg.alpha, tables=tables)
+    # criticals resolved for another model or alpha, or from the limit laws
+    other = ScenarioConfig(scenario="s1", p=4, K=2, T=60, reps=10)
+    elsewhere = resolve_criticals("calibrated", other.model, 0.05, tables=tables)
+    with pytest.raises(MissingCalibration):
+        run_power_study(cfg, [0.1], elsewhere)
+    with pytest.raises(MissingCalibration):
+        run_power_study(cfg, [0.1], resolve_criticals("closed-form", cfg.model, 0.1))
+    with pytest.raises(DomainError):
+        run_power_study(cfg, [0.1], resolve_criticals("highdim", cfg.model, cfg.alpha))
 
 
 def test_power_curve_csv(tmp_path):
     cfg = ScenarioConfig(scenario="s4", p=4, K=1, T=40, reps=50, master_seed=3)
-    curve = run_power_study(cfg, [1, 3], critical_source=CLOSED_FORM)
+    curve = run_power_study(cfg, [1, 3], _closed_form(cfg))
     path = tmp_path / "power.csv"
     curve.to_csv(path)
     lines = path.read_text().strip().splitlines()

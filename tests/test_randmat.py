@@ -19,7 +19,8 @@ from factorlens import (
 )
 from factorlens.calibrate import ks_asymptotic_pvalue
 from factorlens.errors import BadDimension
-from factorlens.powersim import CLOSED_FORM, ScenarioConfig
+from factorlens.powersim import ScenarioConfig
+from factorlens.report import resolve_criticals
 from factorlens.randmat import _bartlett_layout, bartlett_factor, substreams
 from factorlens.teststats import stat_t_ij
 from conftest import plain_bartlett
@@ -264,7 +265,8 @@ def _hot_loop_outputs():
         ("T_el", "T_pr", "T_LR"), 5, 30, 1, reps=50, master_seed=2**32 + 5, chunk_size=16
     )
     cfg = ScenarioConfig("s1", p=4, K=1, T=30, reps=30, master_seed=8, alpha=0.2)
-    power = run_power_study(cfg, (-0.5, 0.0, 0.5), critical_source=CLOSED_FORM)
+    criticals = resolve_criticals("closed-form", cfg.model, cfg.alpha)
+    power = run_power_study(cfg, (-0.5, 0.0, 0.5), criticals)
     rng = np.random.default_rng(12)
     values = rng.standard_normal((60, 9))
     panel = ReturnsPanel(

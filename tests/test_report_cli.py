@@ -398,7 +398,8 @@ def test_readme_commands_parse():
 
 
 def test_cli_power_calibrated_matches_library(tmp_path):
-    from factorlens.powersim import CALIBRATED, run_power_study
+    from factorlens.powersim import run_power_study
+    from factorlens.report import resolve_criticals
 
     out = tmp_path / "power.csv"
     rc = main(
@@ -418,7 +419,8 @@ def test_cli_power_calibrated_matches_library(tmp_path):
     cfg = ScenarioConfig(scenario="s1", p=4, K=2, T=40, reps=30, master_seed=3)
     tables = calibrate_many(TESTS, 4, 40, 2, alphas=(0.05,), reps=1000, master_seed=5)
     expected = tmp_path / "expected.csv"
-    run_power_study(cfg, [0.0, 0.4], critical_source=CALIBRATED, tables=tables).to_csv(expected)
+    criticals = resolve_criticals("calibrated", cfg.model, cfg.alpha, tables=tables)
+    run_power_study(cfg, [0.0, 0.4], criticals).to_csv(expected)
     assert out.read_text() == expected.read_text()
     assert ",calibrated," in out.read_text()
 

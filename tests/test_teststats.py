@@ -34,7 +34,8 @@ from factorlens.errors import (
 from factorlens.asymptotics import tlr_standardize
 from factorlens.calibrate import MARGINAL_STATISTICS, STATISTICS, simulate_null_statistics
 from factorlens.randmat import bartlett_factor
-from factorlens.teststats import ResidualScatter, _pair_formula, residual_factors
+from factorlens.linalg import stacked_cholesky
+from factorlens.teststats import _pair_formula, residual_factors
 from conftest import rand_spd
 
 # V11 = [[2,1],[1,2]] with dof_n = 11 (T=12, K=0) is the worked 2x2 case
@@ -510,11 +511,14 @@ def _kernel_inputs(source, p, rng):
         L = residual_factors(rng.standard_normal((m, K + p, T)), K)
         assert not L.flags.c_contiguous
         return stats_from_factors(L, T, K), L
-    n = p + 5  # subsets of a wider panel
-    scatter = ResidualScatter(rng.standard_normal((n, T)), rng.standard_normal((K, T)))
+    # asset subsets of a wider panel, their stacked scatters gathered from
+    # the panel's, factor rows first, as batch_subset_test gathers them
+    n = p + 5
+    Y = rng.standard_normal((K + n, T))
     subsets = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :p], axis=1)
-    kernel = scatter.subset_stats(subsets)
-    return kernel, kernel.L
+    rows = np.hstack([np.broadcast_to(np.arange(K), (m, K)), K + subsets])
+    L = stacked_cholesky((Y @ Y.T)[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
+    return stats_from_factors(L, T, K), L
 
 
 @pytest.mark.parametrize("source", ["bartlett", "residual_factors", "subset_stats"])
