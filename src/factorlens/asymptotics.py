@@ -17,12 +17,11 @@ a variance.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDof, DomainError
+from .errors import DegenerateDof, DomainError, warn_at_caller
 from .special import chi2_cdf, chi2_quantile, chi2_sf, f_sf, normal_cdf
 from .teststats import effective_sample_size
 
@@ -78,10 +77,9 @@ def select_regime(p: int, T: int, K: int, demeaned: bool = False) -> Regime:
         raise DomainError(f"need p < T_eff - K, got p={p}, T_eff-K={t_eff - K}")
     if slack < BOUNDARY_DOF_CUTOFF:
         if slack < MIN_BOUNDARY_D_FOR_LR:
-            warnings.warn(
+            warn_at_caller(
                 f"boundary slack d={slack} is below {MIN_BOUNDARY_D_FOR_LR}; the "
-                "log-determinant CLT standardization is unreliable here",
-                stacklevel=2,
+                "log-determinant CLT standardization is unreliable here"
             )
         return Regime.boundary(float(slack))
     return Regime.concentration(p / (t_eff - K))

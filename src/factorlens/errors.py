@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types and the warning helper shared across the package."""
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
+def warn_at_caller(message: str) -> None:
+    """warnings.warn, attributed to the nearest calling frame outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class FactorLensError(Exception):
@@ -18,7 +32,14 @@ class NotPositiveDefinite(FactorLensError):
 
 
 class Singular(NotPositiveDefinite):
-    """Sample covariance of the stacked data is numerically singular."""
+    """Sample covariance of the stacked data is numerically singular.
+
+    index is the position of the first failing dataset in a stack.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 class DomainError(FactorLensError):

@@ -55,18 +55,28 @@ def stacked_cholesky(scatters: np.ndarray) -> np.ndarray:
 
     A dataset fails, as its stacked scatter fails cholesky, when a Cholesky
     pivot is at or below PIVOT_RTOL times the scatter's largest diagonal
-    entry.
+    entry. Singular.index is the first failing dataset's position.
     """
     try:
         L = np.linalg.cholesky(scatters)
     except np.linalg.LinAlgError:
-        raise Singular("a stacked covariance is not positive definite") from None
+        if len(scatters) == 1:
+            raise Singular("a stacked covariance is not positive definite", 0) from None
+        # the batched call fails the whole stack; factor one at a time to find the first failure
+        for i, scatter in enumerate(scatters):
+            try:
+                stacked_cholesky(scatter[None])
+            except Singular as exc:
+                raise Singular(str(exc), i) from None
+        raise  # unreachable: a stack fails only where one of its datasets fails
     pivots = np.min(np.diagonal(L, axis1=1, axis2=2) ** 2, axis=1)
     bound = PIVOT_RTOL * np.diagonal(scatters, axis1=1, axis2=2).max(axis=1)
     bad = np.flatnonzero(pivots <= bound)
     if bad.size:
+        i = int(bad[0])
         raise Singular(
             f"a stacked covariance is not positive definite: Cholesky "
-            f"pivot {pivots[bad[0]]:.3e} below tolerance {bound[bad[0]]:.3e}"
+            f"pivot {pivots[i]:.3e} below tolerance {bound[i]:.3e}",
+            i,
         )
     return L

@@ -4,6 +4,14 @@ Input files are UTF-8, comma-separated, with a header row and one column
 per series; an optional leading column of timestamps (any string) is kept
 only for ordering. Rows are ascending in time. Every referenced cell must
 parse as a finite decimal; errors report the offending row and column.
+
+A file is read once, and its cells take one of two paths. A plain file
+(no quote, NUL or bare carriage return, one record per line, every line
+as many cells as the header, every value finite) is parsed by numpy's C
+loadtxt. Any other file, or a plain one the C parser declines, goes
+through csv.reader and _parse_cells, one cell at a time, which raises the
+located ParseError or MissingValue. A value is float() of the stripped
+cell on either path, bit for bit.
 """
 
 from __future__ import annotations
@@ -132,23 +140,44 @@ def _parse_cells(records, header, positions, wanted) -> np.ndarray:
     return values
 
 
-def _parse_values(records, header, positions, wanted) -> np.ndarray:
-    """The referenced cells as floats, parsed row by row.
+def _is_plain(lines) -> bool:
+    """Whether csv.reader would split each line at its commas alone.
 
-    float() strips the whitespace str.strip() does, so a cell it accepts
-    as finite gets the value _parse_cell gives it. On the first failure,
-    _parse_cells parses the file again and raises the located error.
+    A plain file has one record per line, each line ending in its only
+    newline, and no quote, NUL or carriage return outside a CRLF ending.
+    No line is longer than csv.reader's field size limit, so no cell is.
     """
-    columns = [positions[name] for name in wanted]
-    if all(len(record) == len(header) for record in records):
-        try:
-            values = np.array([[float(record[c]) for c in columns] for record in records])
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values
-    return _parse_cells(records, header, positions, wanted)
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return False
+    text = "".join(lines)
+    if '"' in text or "\0" in text:
+        return False
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return False
+    return (
+        all(0 <= line.find("\n") == len(line) - 1 for line in lines[:-1])
+        and "\n" not in lines[-1][:-1]
+    )
+
+
+def _loadtxt_values(lines, n_cells: int, columns: list[int]):
+    """The cells at columns of plain data lines, by numpy's C parser; None when in doubt.
+
+    The parser strips what str.strip() strips and hands an ASCII cell to
+    the routine float() uses, so a value it gives is _parse_cell's bit for
+    bit. It skips blank lines, hence the shape check.
+    """
+    if not all(line.count(",") == n_cells - 1 for line in lines):
+        return None
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", usecols=columns, comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if values.shape != (len(lines), len(columns)) or not np.isfinite(values).all():
+        return None
+    return values
 
 
 def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> ReturnsPanel:
@@ -171,9 +200,11 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
         raise BadDimension(f"columns listed as both asset and factor: {sorted(overlap)}")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            lines = list(fh)
     else:
-        rows = list(csv.reader(source))
+        lines = list(source)
+    plain = _is_plain(lines)
+    rows = list(csv.reader(lines[:1] if plain else lines))
     if not rows:
         raise ParseError("file is empty; a header row is required")
     header = [h.strip() for h in rows[0]]
@@ -185,16 +216,22 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
         if in_header[name] > 1:
             raise BadDimension(f"column {name!r} appears more than once in the header")
     positions = {name: i for i, name in enumerate(header)}
-    time_pos = None
-    if header and header[0] not in wanted:
-        time_pos = 0
+    has_time = header[0] not in wanted
 
-    records = rows[1:]
+    records = lines[1:] if plain else rows[1:]
     if not records:
         raise TooFewRows("file has a header but no data rows")
-    values = _parse_values(records, header, positions, wanted)
-    if time_pos is not None:
-        times = [record[time_pos].strip() for record in records]
+    columns = [positions[name] for name in wanted]
+    values = _loadtxt_values(records, len(header), columns) if plain else None
+    if values is None:  # the per-cell path, which raises the located error
+        if plain:
+            records = list(csv.reader(records))
+        values = _parse_cells(records, header, positions, wanted)
+        first_cells = (record[0] for record in records)
+    else:
+        first_cells = (line[: line.index(",")] for line in records)
+    if has_time:
+        times = [cell.strip() for cell in first_cells]
     else:
         times = [str(t) for t in range(len(records))]
 

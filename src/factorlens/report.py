@@ -12,7 +12,6 @@ alike. P-values from the last two sources are survival functions, not
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .calibrate import (
     DEFAULT_MASTER_SEED,
     DEFAULT_REPS,
 )
-from .errors import DomainError, MissingCalibration
+from .errors import DomainError, MissingCalibration, Singular, warn_at_caller
 from .linalg import stacked_cholesky
 from .panel import ReturnsPanel
 from .randmat import substreams
@@ -178,10 +177,9 @@ def resolve_criticals(
         if tables is not None or model.T <= _AUTO_CALIBRATION_T_FACTOR * (model.p + model.K):
             request = REQUEST_CALIBRATED
         else:
-            warnings.warn(
+            warn_at_caller(
                 "sample too large for default calibration budget; falling back to "
-                "high-dimensional asymptotic critical values",
-                stacklevel=3,
+                "high-dimensional asymptotic critical values"
             )
             request = REQUEST_HIGHDIM
     regime = None
@@ -377,7 +375,8 @@ def batch_subset_test(
     scatter is gathered from it, factor rows first, and factored as
     residual_factors factors a panel's. The statistics, p-values and
     Singular failures are those of run_tests on each subset panel, up to
-    rounding.
+    rounding; a Singular failure names the first failing subset's index
+    and assets.
     """
     if not 2 <= subset_size <= panel.p:
         raise DomainError(
@@ -403,7 +402,12 @@ def batch_subset_test(
             for rng in substreams(subset_seed, start, stop)
         ])
         rows = np.hstack([np.broadcast_to(np.arange(K), (stop - start, K)), K + subsets])
-        factors = stacked_cholesky(scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
+        try:
+            factors = stacked_cholesky(scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
+        except Singular as exc:
+            i = start + exc.index
+            names = ", ".join(panel.asset_names[j] for j in subsets[exc.index])
+            raise Singular(f"subset {i} (assets {names}): {exc}", i) from None
         kernel = stats_from_factors(factors, sub_model.t_eff, K)
         _check_diagonal_product(kernel.diag_v, kernel.diag_e)
         decided = _decide(criticals, kernel_observed(kernel), kernel.ln_t_lr_star)

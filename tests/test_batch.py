@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import SeedSpec, batch_subset_test, run_tests
+from factorlens import SeedSpec, batch_subset_test, ingest_csv, run_tests
 from factorlens import report
+from factorlens.cli import main
 from factorlens.errors import Singular
 from factorlens.panel import ReturnsPanel
 from factorlens.report import TESTS
@@ -137,6 +138,40 @@ def test_batch_raises_singular_only_when_a_subset_holds_both_copies():
         batch_subset_test(
             panel, subset_size, num_subsets, critical_source="closed-form", subset_seed=hit
         )
+
+
+def test_batch_singular_names_the_subset_and_its_assets(tmp_path, capsys):
+    # asset A5 copies A2: the first subset holding both stops the command
+    p, T = 8, 60
+    rng = np.random.default_rng(0)
+    f = rng.normal(size=T)
+    x = np.outer(rng.normal(size=p), f) + rng.normal(size=(p, T))
+    x[5] = x[2]
+    path = tmp_path / "panel.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("date," + ",".join(f"A{i}" for i in range(p)) + ",MKT\n")
+        for t in range(T):
+            cells = [repr(float(v)) for v in x[:, t]] + [repr(float(f[t]))]
+            fh.write(f"d{t}," + ",".join(cells) + "\n")
+    subsets = _subsets(p, 3, 40, 1)
+    first = next(i for i, idx in enumerate(subsets) if {2, 5} <= set(idx.tolist()))
+    names = ", ".join(f"A{j}" for j in subsets[first])
+    argv = [
+        "batch-test", "--input", str(path), "--assets", ",".join(f"A{i}" for i in range(p)),
+        "--factors", "MKT", "--criticals", "closed-form", "--subset-size", "3",
+        "--num-subsets", "40", "--subset-seed", "1", "--out", str(tmp_path / "batch.csv"),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"factorlens: error: subset {first} (assets {names}): "
+        "a stacked covariance is not positive definite"
+    )
+    panel = ingest_csv(path, [f"A{i}" for i in range(p)], ["MKT"])
+    with pytest.raises(Singular) as exc:
+        batch_subset_test(panel, 3, 40, critical_source="closed-form", subset_seed=1)
+    assert exc.value.index == first
+    assert f"(assets {names})" in str(exc.value)
 
 
 def test_batch_chunks_bound_memory():

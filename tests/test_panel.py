@@ -1,7 +1,10 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from factorlens import ingest_csv, export_panel_csv
@@ -119,6 +122,146 @@ def test_ingest_odd_cells_parse_as_the_per_cell_path_does():
         bad_text = "time,a,b,skip,f\n" + "\n".join(",".join(r) for r in bad)
         with pytest.raises(error, match="row 7, column 'a'"):
             ingest_csv(io.StringIO(bad_text), ["a", "b"], ["f"])
+
+
+def _per_cell(text, wanted):
+    """The per-cell path on every row: csv.reader, then _parse_cells."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    header = [h.strip() for h in rows[0]]
+    return _parse_cells(rows[1:], header, {n: i for i, n in enumerate(header)}, wanted)
+
+
+_WS = st.sampled_from(["", " ", "\t", "  ", "\u00a0", "\x0c", "\x1c"])
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6E}"),
+    st.from_regex(r"[+-]?([0-9]{1,3}(\.[0-9]{0,3})?|\.[0-9]{1,3})([eE][+-]?[0-9]{1,2})?",
+                  fullmatch=True),
+)
+# at most one odd cell per file, so that most files stay plain
+_ODD = st.sampled_from([
+    "1_0", "-2_5.5", "\uff11.\uff15", "\uff12\uff13", "1e999", "0x1p-2", "1.5.2",
+    '"0.25"', ' "0.25"', '" 1e-3 "',
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cells=st.lists(
+        st.lists(st.tuples(_WS, _NUMBER, _WS).map("".join), min_size=3, max_size=3),
+        min_size=5, max_size=12,
+    ),
+    odd=st.none() | st.tuples(st.integers(0, 35), _ODD),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing_newline=st.booleans(),
+)
+def test_ingest_equals_float_cell_for_cell(cells, odd, newline, trailing_newline):
+    # a cell's value is float() of the stripped cell, as _parse_cell gives it;
+    # a file with any cell it rejects gets the per-cell path's located error
+    if odd is not None:
+        k, cell = odd
+        cells[k // 3 % len(cells)][k % 3] = cell
+    lines = ["t,a,b,f"] + [f"d{i}," + ",".join(row) for i, row in enumerate(cells)]
+    text = newline.join(lines) + (newline if trailing_newline else "")
+    try:
+        want = np.array([
+            [float(cell.strip()) for cell in row[1:]]
+            for row in list(csv.reader(io.StringIO(text, newline="")))[1:]
+        ])
+    except ValueError:
+        want = None
+    if want is not None and np.isfinite(want).all():
+        panel = ingest_csv(io.StringIO(text, newline=""), ["a", "b"], ["f"])
+        assert panel.values.tobytes() == want.tobytes()
+        assert panel.times == tuple(f"d{i}" for i in range(len(cells)))
+        return
+    with pytest.raises((ParseError, MissingValue)) as per_cell:
+        _per_cell(text, ["a", "b", "f"])
+    with pytest.raises(type(per_cell.value)) as got:
+        ingest_csv(io.StringIO(text, newline=""), ["a", "b"], ["f"])
+    assert str(got.value) == str(per_cell.value)
+
+
+_ROWS = [f"d{i},{0.01 * i + 0.003},{-0.02 * i + 0.001},{0.005 * i - 0.004}" for i in range(1, 7)]
+
+
+def _text(rows=_ROWS, end="\n", header="date,a,b,f"):
+    return header + "\n" + "\n".join(rows) + end
+
+
+def _replace(i, row):
+    rows = list(_ROWS)
+    rows[i] = row
+    return rows
+
+
+@pytest.mark.parametrize(
+    "text, assets, error, message",
+    [
+        (_text(_ROWS[:2] + [""] + _ROWS[2:]), ["a", "b"], ParseError,
+         "row 4 has 0 cells, header has 4"),
+        (_text() + "\n", ["a", "b"], ParseError, "row 8 has 0 cells, header has 4"),
+        (_text(_replace(3, _ROWS[3] + ",0.5")), ["a", "b"], ParseError,
+         "row 5 has 5 cells, header has 4"),
+        (_text(_replace(3, _ROWS[3].rsplit(",", 1)[0])), ["a", "b"], ParseError,
+         "row 5 has 3 cells, header has 4"),
+        (_text(_replace(2, "d3,#0.5,0.1,0.2")), ["a", "b"], ParseError,
+         "cannot parse '#0.5' as a number at row 4, column 'a'"),
+        # one column: np.loadtxt skips a blank line, the per-cell path does not
+        ("a\n0.1\n0.2\n\n0.3\n", ["a"], ParseError, "row 4 has 0 cells, header has 1"),
+        ("a\n0.1\n0.2\n \n0.3\n", ["a"], MissingValue, "missing value at row 4, column 'a'"),
+    ]
+    + [
+        (_text(_replace(4, f"d5,0.1,{token},0.2")), ["a", "b"], MissingValue,
+         "missing value at row 6, column 'b'")
+        for token in ("", "na", "n/a", "nan", "null", "none", ".", " NA ", "NaN", "None", "N/A")
+    ],
+)
+def test_ingest_guard_cases_keep_their_errors(text, assets, error, message):
+    factors = ["f"] if "f" in text.split("\n")[0] else []
+    with pytest.raises(error) as err:
+        ingest_csv(io.StringIO(text, newline=""), assets, factors)
+    assert str(err.value) == message
+
+
+def test_ingest_guard_cases_keep_their_values(tmp_path):
+    base = ingest_csv(io.StringIO(_text()), ["a", "b"], ["f"])
+    assert base.times == tuple(f"d{i}" for i in range(1, 7))
+    assert base.values.tobytes() == _per_cell(_text(), ["a", "b", "f"]).tobytes()
+    same = {
+        "crlf": _text().replace("\n", "\r\n"),
+        "cr": _text().replace("\n", "\r"),
+        "no trailing newline": _text(end=""),
+    }
+    for name, text in same.items():
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        sources = [io.StringIO(text, newline=""), path, str(path)]
+        with open(path, encoding="utf-8") as universal, \
+                open(path, encoding="utf-8", newline="") as untranslated:
+            sources += [universal, untranslated]
+            for source in sources:
+                panel = ingest_csv(source, ["a", "b"], ["f"])
+                assert panel.values.tobytes() == base.values.tobytes(), name
+                assert panel.times == base.times, name
+
+    quoted = _text(_replace(0, '"2020-01-03, Fri",0.013,0.02,0.03'))
+    panel = ingest_csv(io.StringIO(quoted), ["a", "b"], ["f"])
+    assert panel.times[:2] == ("2020-01-03, Fri", "d2")
+    assert panel.values.tobytes() == _per_cell(quoted, ["a", "b", "f"]).tobytes()
+
+    hashed = _text(_replace(2, "#d3,0.5,0.1,0.2"))
+    panel = ingest_csv(io.StringIO(hashed), ["a", "b"], ["f"])
+    assert panel.times[2] == "#d3"
+    assert panel.values[2].tolist() == [0.5, 0.1, 0.2]
+
+
+def test_ingest_cell_over_the_csv_field_limit_takes_the_per_cell_path():
+    # csv.reader refuses a cell longer than its field size limit, plain file or not
+    long_cell = "1" + "0" * csv.field_size_limit()
+    text = _text(_replace(1, f"d2,{long_cell},0.1,0.2"))
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        ingest_csv(io.StringIO(text), ["a", "b"], ["f"])
 
 
 def test_roundtrip_export_ingest():

@@ -130,6 +130,25 @@ def test_stacked_pivot_rule_raises_singular():
         stacked_cholesky(scatters)
 
 
+def test_stacked_singular_names_the_first_failing_dataset():
+    rng = np.random.default_rng(4)
+    Y = rng.standard_normal((4, 3, 20))
+    good = Y @ np.swapaxes(Y, 1, 2)
+    tiny = np.diag([1.0, 1.0, 1e-14])  # factors, but its last pivot fails the rule
+    indefinite = -np.eye(3)  # the batched factorization raises for the whole stack
+    for stack, first, pivot_rule in (
+        ([good[0], good[1], tiny, good[2]], 2, True),
+        ([good[0], indefinite, good[1], good[2]], 1, False),
+        ([good[0], good[1], tiny, indefinite], 2, True),
+        ([good[0], indefinite, tiny, good[1]], 1, False),
+        ([indefinite], 0, False),
+    ):
+        with pytest.raises(Singular) as err:
+            stacked_cholesky(np.array(stack))
+        assert err.value.index == first
+        assert ("pivot" in str(err.value)) == pivot_rule
+
+
 def test_memory_stays_bounded_for_many_replicates():
     # 10 000 replicates of a 5-by-250 draw block are 100 MB at once; chunks
     # keep the engine's arrays near 16 MiB

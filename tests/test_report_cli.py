@@ -23,7 +23,9 @@ from factorlens.cli import MAX_GRID_POINTS, _build_parser, _parse_grid, main
 from factorlens.errors import DomainError, MissingCalibration
 from factorlens.panel import ReturnsPanel
 from factorlens.powersim import ScenarioConfig, generate_dataset
-from factorlens.report import TESTS
+from factorlens.asymptotics import select_regime
+from factorlens.report import TESTS, resolve_criticals
+from factorlens.teststats import FactorModelSpec
 
 
 def _null_panel(p=4, K=2, T=60, seed=5, rep=0) -> ReturnsPanel:
@@ -120,6 +122,25 @@ def test_run_tests_highdim_sources():
         assert report.tests[name].source == "highdim_asymptotic"
         d = report.tests[name]
         assert d.reject == (d.statistic_value > d.critical_value)
+
+
+def test_warnings_name_the_callers_line():
+    # a boundary slack T - K - p of 3 warns in select_regime, and auto above
+    # T = 200 (p + K) without tables warns in resolve_criticals; both name
+    # the line here that called into the package
+    small = _null_panel(p=8, K=1, T=12)
+    calls = (
+        lambda: run_tests(small, critical_source="highdim"),
+        lambda: batch_subset_test(small, 8, 3, critical_source="highdim"),
+        lambda: resolve_criticals("highdim", FactorModelSpec(p=8, K=1, T=12), 0.05),
+        lambda: select_regime(8, 12, 1),
+        lambda: run_tests(_null_panel(p=2, K=1, T=700)),
+        lambda: resolve_criticals("auto", FactorModelSpec(p=2, K=1, T=700), 0.05),
+    )
+    for call in calls:
+        with pytest.warns(UserWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_run_tests_detects_alternative(shared_tables):
