@@ -12,7 +12,6 @@ from .asymptotics import (
     Regime,
     select_regime,
     tij_noncentral_approx_power,
-    tij_null_pvalue,
     tj_boundary_pvalue,
     tj_noncentral_approx_power,
     tj_standardize,
@@ -20,12 +19,9 @@ from .asymptotics import (
 )
 from .calibrate import (
     CriticalValueTable,
-    bonferroni_critical_el,
-    bonferroni_critical_pr,
     calibrate_many,
     empirical_pvalue,
     ks_statistic,
-    lr_chi2_critical,
     simulate_null_statistics,
 )
 from .errors import FactorLensError

@@ -1,9 +1,12 @@
-"""High-dimensional limit laws and standardizations of the test statistics.
+"""High-dimensional regimes and the standardizations of the test statistics.
 
 Two regimes are supported: the concentration regime where p/(T-K) tends to
 a constant c in (0, 1), and the boundary regime where T - K - p tends to a
 finite d. The log-determinant CLT standardization follows the
 random-matrix central limit theorem for correlation-matrix determinants.
+The limit laws' critical values and p-values are written once, in the
+highdim laws of report.resolve_criticals, which read the standardizations
+and the column statistic's boundary tail from here.
 
 The CLT's scale constant is stated in the literature as
 sigma = -2 { p/(T-K) + ln(1 - p/(T-K)) }. A Monte-Carlo check (10^4 null
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDof, DomainError, warn_at_caller
-from .special import chi2_cdf, chi2_quantile, chi2_sf, f_sf, normal_cdf
+from .special import chi2_cdf, normal_cdf
 from .teststats import effective_sample_size
 
 CONCENTRATION = "concentration_c"
@@ -85,15 +88,6 @@ def select_regime(p: int, T: int, K: int, demeaned: bool = False) -> Regime:
     return Regime.concentration(p / (t_eff - K))
 
 
-def tij_null_pvalue(t, regime: Regime):
-    """Upper-tail p-value of pair statistics under the regime's limit law; t may be an array."""
-    if np.any(np.asarray(t) < 0):
-        raise DomainError(f"pair statistic must be nonnegative, got {np.min(t)}")
-    if regime.kind == CONCENTRATION:
-        return chi2_sf(t, 1)
-    return f_sf(t, 1, regime.d + 1.0)
-
-
 def tj_mean_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> float:
     """Exact mean of the column statistic under the null (finite sample)."""
     slack = effective_sample_size(T, demeaned) - K - p
@@ -116,30 +110,15 @@ def tj_variance_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> fl
     )
 
 
-def tj_standardize(
-    t_j: float,
-    p: int,
-    T: int,
-    K: int,
-    mode: str = "finite_sample_adjusted",
-    demeaned: bool = False,
-) -> float:
-    """Z-score of a column statistic in the concentration regime.
+def tj_standardize(t_j, p: int, T: int, K: int, demeaned: bool = False):
+    """Z-score of column statistics in the concentration regime.
 
-    mode="limit" uses sqrt(p-1)(t_j - 1) scaled to the limiting variance
-    2/(1-c); mode="finite_sample_adjusted" centers at the exact null mean
-    and scales by the exact null variance.
+    Centers at the exact null mean and scales by the exact null variance
+    (finite sample); t_j may be an array.
     """
-    if mode == "limit":
-        c = p / (effective_sample_size(T, demeaned) - K)
-        if not 0.0 < c < 1.0:
-            raise DomainError(f"limit mode needs p/(T_eff-K) in (0,1), got {c}")
-        return math.sqrt(p - 1.0) * (t_j - 1.0) * math.sqrt((1.0 - c) / 2.0)
-    if mode == "finite_sample_adjusted":
-        mu = tj_mean_adjustment(p, T, K, demeaned)
-        var = tj_variance_adjustment(p, T, K, demeaned)
-        return math.sqrt(p - 1.0) * (t_j - mu) / math.sqrt(var)
-    raise DomainError(f"unknown mode {mode!r}")
+    mu = tj_mean_adjustment(p, T, K, demeaned)
+    var = tj_variance_adjustment(p, T, K, demeaned)
+    return math.sqrt(p - 1.0) * (t_j - mu) / math.sqrt(var)
 
 
 def tj_boundary_pvalue(t_j, d: float):
@@ -229,10 +208,3 @@ def tj_noncentral_approx_power(
     if crit == 0.0:
         return 1.0
     return chi2_cdf((1.0 + lambda_j) * (regime.d + 1.0) / crit, regime.d + 1.0)
-
-
-def tj_boundary_critical(alpha: float, d: float) -> float:
-    """Null critical value of a column statistic under the boundary limit."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return (d + 1.0) / chi2_quantile(alpha, d + 1.0)

@@ -6,7 +6,8 @@ all from Wishart draws with identity parameter; critical values are the
 empirical upper quantiles of those null samples. Replicate r always uses
 random substream r of the master seed, so tables are bit-identical no
 matter how the replicates are scheduled or chunked; the substreams of a
-chunk are seeded together, bit for bit as one at a time.
+chunk are seeded together, bit for bit as one at a time. The closed-form
+and limit laws live with the calibrated ones in report.resolve_criticals.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import (
     ParseError,
 )
 from .randmat import bartlett_factor, substreams
-from .special import chi2_quantile, f_quantile
 from .teststats import FactorModelSpec, _pair_formula, stats_from_factors
 
 DEFAULT_MASTER_SEED = 42
@@ -261,35 +261,6 @@ def empirical_pvalue(observed, table: CriticalValueTable, add_one: bool = False)
     else:
         share = count / sample.size
     return float(share) if np.ndim(observed) == 0 else share
-
-
-def bonferroni_critical_el(
-    alpha: float, p: int, T: int, K: int, demeaned: bool = False
-) -> float:
-    """Bonferroni critical value for the max pair statistic."""
-    dof = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).dof_n
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return f_quantile(1.0 - 2.0 * alpha / (p * (p - 1)), 1, dof)
-
-
-def bonferroni_critical_pr(
-    alpha: float, p: int, T: int, K: int, demeaned: bool = False
-) -> float:
-    """Bonferroni critical value for the max column statistic."""
-    dof = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).dof_n
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return f_quantile(1.0 - alpha / p, p - 1, dof)
-
-
-def lr_chi2_critical(alpha: float, p: int) -> float:
-    """Chi-square critical value for the corrected likelihood-ratio statistic."""
-    if p < 2:
-        raise DomainError(f"need p >= 2, got {p}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    return chi2_quantile(1.0 - alpha, p * (p - 1) / 2.0)
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:

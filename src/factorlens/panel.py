@@ -140,6 +140,15 @@ def _parse_cells(records, header, positions, wanted) -> np.ndarray:
     return values
 
 
+def _read_records(lines, first_row: int) -> list[list[str]]:
+    """csv.reader's records of lines; its csv.Error becomes a ParseError naming the file row."""
+    reader = csv.reader(lines)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{exc} at row {first_row + reader.line_num - 1}") from None
+
+
 def _is_plain(lines) -> bool:
     """Whether csv.reader would split each line at its commas alone.
 
@@ -204,7 +213,7 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     else:
         lines = list(source)
     plain = _is_plain(lines)
-    rows = list(csv.reader(lines[:1] if plain else lines))
+    rows = _read_records(lines[:1] if plain else lines, 1)
     if not rows:
         raise ParseError("file is empty; a header row is required")
     header = [h.strip() for h in rows[0]]
@@ -225,7 +234,7 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     values = _loadtxt_values(records, len(header), columns) if plain else None
     if values is None:  # the per-cell path, which raises the located error
         if plain:
-            records = list(csv.reader(records))
+            records = _read_records(records, 2)
         values = _parse_cells(records, header, positions, wanted)
         first_cells = (record[0] for record in records)
     else:

@@ -19,7 +19,8 @@ the statistics agree with the per-dataset data path up to rounding (about
 1e-12 relative). Scenario s4 changes the fitted model, so each grid point
 factors its own datasets [F; X], as the data path does. Critical values
 come resolved from report.resolve_criticals, calibrated or closed-form,
-as test and batch-test take theirs.
+as test and batch-test take theirs, and each test counts a rejection
+when the statistic its law reads exceeds its critical value.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import BadDimension, DomainError, MissingCalibration
 from .linalg import cholesky, invert_spd
 from .randmat import SeedSpec, substreams
-from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals, kernel_observed
+from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals
 from .teststats import (
     FactorModelSpec,
     _check_diagonal_product,
@@ -223,8 +224,8 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
         for gi, factors in _grid_factors(cfg, grid, corr_factors, start, stop):
             kernel = stats_from_factors(factors, model.t_eff, cfg.K)
             _check_diagonal_product(kernel.diag_v, kernel.diag_e)
-            for test, observed in kernel_observed(kernel).items():
-                counts[test][gi] += np.count_nonzero(observed > criticals.values[test])
+            for test, law in criticals.laws.items():
+                counts[test][gi] += np.count_nonzero(law.read(kernel) > criticals.values[test])
             del factors, kernel  # release each array once used, so chunks stay near the budget
     rates = {t: counts[t] / cfg.reps for t in TESTS}
     ses = {t: np.sqrt(rates[t] * (1.0 - rates[t]) / cfg.reps) for t in TESTS}

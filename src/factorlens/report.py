@@ -4,14 +4,18 @@ run_tests computes all statistics of a panel and compares each global test
 against critical values from one of three sources: Monte-Carlo calibration
 (exact at any dimension), closed forms (Bonferroni for the max statistics,
 chi-square for the likelihood ratio), or the high-dimensional limit laws.
-resolve_criticals is the one place a source is chosen and its critical
-values computed, for run_tests, batch_subset_test and the power study
-alike. P-values from the last two sources are survival functions, not
+resolve_criticals is the one place a source is chosen, for run_tests,
+batch_subset_test and the power study alike. It writes each law once, as a
+Law per test: the statistic read from a kernel, a Bonferroni count, the
+upper tail of one coordinate and its upper point. A test's critical value
+and every p-value follow from that one law, so the two cannot disagree.
+P-values from the closed-form and limit laws are survival functions, not
 1 - cdf, so tiny ones keep their value instead of rounding to 0.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +24,8 @@ from . import asymptotics
 from .calibrate import (
     CriticalValueTable,
     _default_chunk,
-    bonferroni_critical_el,
-    bonferroni_critical_pr,
     calibrate_many,
     empirical_pvalue,
-    lr_chi2_critical,
     DEFAULT_MASTER_SEED,
     DEFAULT_REPS,
 )
@@ -123,8 +124,33 @@ class TestReport:
 
 
 @dataclass(frozen=True)
+class Law:
+    """One test's reference law under one source.
+
+    read gives the statistic the test compares for each dataset of a
+    kernel: raw, or standardized under highdim. tail is the upper tail of
+    one coordinate of the law and upper its upper point, tail(upper(a)) = a.
+    Over count coordinates (a Bonferroni count, 1 for a single one), the
+    critical value at alpha is upper(alpha / count) and the p-value of a
+    statistic min(1, count * tail(statistic)).
+    """
+
+    source: str
+    read: Callable[[FactorStats], np.ndarray]
+    count: float
+    tail: Callable[[np.ndarray], np.ndarray]
+    upper: Callable[[float], float]
+
+    def critical(self, alpha: float) -> float:
+        return self.upper(alpha / self.count)
+
+    def p_value(self, statistic: np.ndarray) -> np.ndarray:
+        return np.minimum(1.0, self.count * self.tail(statistic))
+
+
+@dataclass(frozen=True)
 class Criticals:
-    """Critical values of the three tests from one source, for one model and alpha.
+    """The law and critical value of each of the three tests from one source, at one alpha.
 
     source is a request other than auto. tables are the calibration tables
     of a calibrated source and regime the limit regime of a highdim one;
@@ -134,6 +160,7 @@ class Criticals:
     source: str
     model: FactorModelSpec
     alpha: float
+    laws: dict[str, Law]
     values: dict[str, float]
     tables: dict[str, CriticalValueTable] | None = None
     regime: asymptotics.Regime | None = None
@@ -153,6 +180,26 @@ def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -
         )
 
 
+# the raw statistic each test compares, per dataset of a kernel
+_RAW = {"T_el": lambda k: k.t_el, "T_pr": lambda k: k.t_j.max(axis=1), "T_LR": lambda k: k.t_lr}
+
+
+def _calibrated_law(read, table: CriticalValueTable) -> Law:
+    return Law(
+        SOURCE_CALIBRATED, read, 1, lambda t: empirical_pvalue(t, table), table.critical_value
+    )
+
+
+def _f_law(source: str, read, count: float, d1: float, d2: float) -> Law:
+    return Law(
+        source, read, count, lambda t: f_sf(t, d1, d2), lambda a: f_quantile(1.0 - a, d1, d2)
+    )
+
+
+def _chi2_law(source: str, read, count: float, k: float) -> Law:
+    return Law(source, read, count, lambda t: chi2_sf(t, k), lambda a: chi2_quantile(1.0 - a, k))
+
+
 def resolve_criticals(
     request: str,
     model: FactorModelSpec,
@@ -162,12 +209,17 @@ def resolve_criticals(
     calibration_reps: int = DEFAULT_REPS,
     calibration_seed: int = DEFAULT_MASTER_SEED,
 ) -> Criticals:
-    """The source a request names, with the critical value of each test at alpha.
+    """The source a request names, with each test's law and critical value at alpha.
 
     auto uses supplied tables, else calibration up to T = 200 (p + K) and
     the high-dimensional limits above it, with a warning. A calibrated
     source without tables calibrates the three tests at the model's
     dimensions, null samples kept; supplied tables must match the model.
+    The laws: a calibrated table's empirical tail; the exact F(1, dof_n)
+    and F(p - 1, dof_n) marginals with Bonferroni counts and chi-square
+    with p(p - 1)/2 degrees of freedom (closed-form); the chi-square(1) or
+    F(1, d + 1), normal or (d + 1)/chi-square(d + 1), and normal limits
+    (highdim, concentration or boundary regime).
     """
     if request not in REQUESTS:
         raise DomainError(f"unknown critical source {request!r}; pick one of {REQUESTS}")
@@ -182,42 +234,46 @@ def resolve_criticals(
                 "high-dimensional asymptotic critical values"
             )
             request = REQUEST_HIGHDIM
+    p, T, K, demeaned, dof_n = model.p, model.T, model.K, model.demeaned, model.dof_n
+    pairs = p * (p - 1) / 2.0
     regime = None
     if request == REQUEST_CALIBRATED:
         if tables is None:
             tables = calibrate_many(
-                TESTS, model.p, model.T, model.K, demeaned=model.demeaned, alphas=(alpha,),
+                TESTS, p, T, K, demeaned=demeaned, alphas=(alpha,),
                 reps=calibration_reps, master_seed=calibration_seed, keep_null_sample=True,
             )
-        values = {}
         for name in TESTS:
             table = tables.get(name)
             if table is None:
                 raise MissingCalibration(f"no calibration table supplied for {name}")
             _check_table(table, model, name)
-            values[name] = table.critical_value(alpha)
+        laws = {name: _calibrated_law(read, tables[name]) for name, read in _RAW.items()}
     elif request == REQUEST_CLOSED_FORM:
-        values = {
-            "T_el": bonferroni_critical_el(alpha, model.p, model.T, model.K, model.demeaned),
-            "T_pr": bonferroni_critical_pr(alpha, model.p, model.T, model.K, model.demeaned),
-            "T_LR": lr_chi2_critical(alpha, model.p),
+        laws = {
+            "T_el": _f_law(SOURCE_BONFERRONI, _RAW["T_el"], pairs, 1, dof_n),
+            "T_pr": _f_law(SOURCE_BONFERRONI, _RAW["T_pr"], p, p - 1, dof_n),
+            "T_LR": _chi2_law(SOURCE_CHI2, _RAW["T_LR"], 1, pairs),
         }
     else:
-        regime = asymptotics.select_regime(model.p, model.T, model.K, model.demeaned)
-        pairs = model.p * (model.p - 1) / 2.0
+        regime = asymptotics.select_regime(p, T, K, demeaned)
+        normal = (lambda z: normal_cdf(-z), lambda a: normal_quantile(1.0 - a))
         if regime.kind == asymptotics.CONCENTRATION:
-            el_critical = chi2_quantile(1.0 - alpha / pairs, 1)
-            pr_critical = normal_quantile(1.0 - alpha / model.p)
+            el = _chi2_law(SOURCE_HIGHDIM, _RAW["T_el"], pairs, 1)
+            z_pr = lambda k: asymptotics.tj_standardize(_RAW["T_pr"](k), p, T, K, demeaned)
+            pr = Law(SOURCE_HIGHDIM, z_pr, p, *normal)
         else:
-            el_critical = f_quantile(1.0 - alpha / pairs, 1, regime.d + 1.0)
-            pr_critical = asymptotics.tj_boundary_critical(alpha / model.p, regime.d)
-        values = {"T_el": el_critical, "T_pr": pr_critical, "T_LR": normal_quantile(1.0 - alpha)}
-    return Criticals(request, model, alpha, values, tables, regime)
-
-
-def kernel_observed(kernel: FactorStats) -> dict[str, np.ndarray]:
-    """The statistic each global test compares with its critical value, per dataset."""
-    return {"T_el": kernel.t_el, "T_pr": kernel.t_j.max(axis=1), "T_LR": kernel.t_lr}
+            d1 = regime.d + 1.0
+            el = _f_law(SOURCE_HIGHDIM, _RAW["T_el"], pairs, 1, d1)
+            pr = Law(
+                SOURCE_HIGHDIM, _RAW["T_pr"], p,
+                lambda t: asymptotics.tj_boundary_pvalue(t, regime.d),
+                lambda a: d1 / chi2_quantile(a, d1),
+            )
+        z_lr = lambda k: asymptotics.tlr_standardize(k.ln_t_lr_star, p, T, K, demeaned)
+        laws = {"T_el": el, "T_pr": pr, "T_LR": Law(SOURCE_HIGHDIM, z_lr, 1, *normal)}
+    values = {name: law.critical(alpha) for name, law in laws.items()}
+    return Criticals(request, model, alpha, laws, values, tables, regime)
 
 
 def run_tests(
@@ -234,8 +290,9 @@ def run_tests(
     With calibrated criticals the p-values are empirical right-tail
     proportions of the retained null samples; otherwise they come from the
     closed-form or limiting distributions (Bonferroni-corrected for the max
-    statistics). Criticals come from resolve_criticals, and decisions go
-    through _decide on the kernel's arrays, as batch_subset_test's do.
+    statistics). Each test's critical value and p-value come from its one
+    law in resolve_criticals, and decisions go through _decide on the
+    kernel, as batch_subset_test's do.
     """
     model = FactorModelSpec(p=panel.p, K=panel.K, T=panel.T, demeaned=panel.demean)
     X, F = panel.data_matrices()
@@ -245,14 +302,13 @@ def run_tests(
         critical_source, model, alpha, tables=tables,
         calibration_reps=calibration_reps, calibration_seed=calibration_seed,
     )
-    decided = _decide(criticals, kernel_observed(kernel), kernel.ln_t_lr_star)
-    decisions = {
-        name: TestDecision(
-            float(d.statistic[0]), d.critical_value, d.source, float(d.p_value[0]),
-            bool(d.statistic[0] > d.critical_value),
+    decisions = {}
+    for name, (statistic, p_value) in _decide(criticals, kernel).items():
+        critical = criticals.values[name]
+        decisions[name] = TestDecision(
+            float(statistic[0]), critical, criticals.laws[name].source, float(p_value[0]),
+            bool(statistic[0] > critical),
         )
-        for name, d in decided.items()
-    }
 
     calibration_meta = None
     regime_meta = None
@@ -277,62 +333,13 @@ def run_tests(
     )
 
 
-@dataclass(frozen=True)
-class _Decisions:
-    """One test over m datasets: its statistics, critical value and p-values."""
-
-    statistic: np.ndarray
-    critical_value: float
-    source: str
-    p_value: np.ndarray
-
-
-def _decide(criticals: Criticals, observed, ln_t_lr_star) -> dict[str, _Decisions]:
-    """Each test's decisions for m datasets of one model, p-values in one call per test.
-
-    observed maps each test to its m statistics; ln_t_lr_star holds the m
-    values the high-dimensional T_LR standardizes. Under the highdim source
-    T_pr (concentration regime) and T_LR are compared standardized.
-    """
-    model, values = criticals.model, criticals.values
-    if criticals.source == REQUEST_CALIBRATED:
-        return {
-            name: _Decisions(
-                observed[name], values[name], SOURCE_CALIBRATED,
-                empirical_pvalue(observed[name], criticals.tables[name]),
-            )
-            for name in TESTS
-        }
-    pairs = model.p * (model.p - 1) / 2.0
-    t_el, t_pr = observed["T_el"], observed["T_pr"]
-    if criticals.source == REQUEST_CLOSED_FORM:
-        dof_n = model.dof_n
-        rows = {
-            "T_el": (t_el, SOURCE_BONFERRONI, pairs * f_sf(t_el, 1, dof_n)),
-            "T_pr": (t_pr, SOURCE_BONFERRONI, model.p * f_sf(t_pr, model.p - 1, dof_n)),
-            "T_LR": (observed["T_LR"], SOURCE_CHI2, chi2_sf(observed["T_LR"], pairs)),
-        }
-    else:
-        regime = criticals.regime
-        if regime.kind == asymptotics.CONCENTRATION:
-            t_pr = asymptotics.tj_standardize(
-                t_pr, model.p, model.T, model.K, demeaned=model.demeaned
-            )
-            pr_tail = normal_cdf(-t_pr)
-        else:
-            pr_tail = asymptotics.tj_boundary_pvalue(t_pr, regime.d)
-        z_lr = asymptotics.tlr_standardize(
-            ln_t_lr_star, model.p, model.T, model.K, model.demeaned
-        )
-        rows = {
-            "T_el": (t_el, SOURCE_HIGHDIM, pairs * asymptotics.tij_null_pvalue(t_el, regime)),
-            "T_pr": (t_pr, SOURCE_HIGHDIM, model.p * pr_tail),
-            "T_LR": (z_lr, SOURCE_HIGHDIM, normal_cdf(-z_lr)),
-        }
-    return {
-        name: _Decisions(stat, values[name], src, np.minimum(1.0, p_value))
-        for name, (stat, src, p_value) in rows.items()
-    }
+def _decide(criticals: Criticals, kernel: FactorStats) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each test's statistics and p-values for the m datasets of one kernel, one call per test."""
+    decided = {}
+    for name, law in criticals.laws.items():
+        statistic = law.read(kernel)
+        decided[name] = statistic, law.p_value(statistic)
+    return decided
 
 
 @dataclass(frozen=True)
@@ -410,9 +417,9 @@ def batch_subset_test(
             raise Singular(f"subset {i} (assets {names}): {exc}", i) from None
         kernel = stats_from_factors(factors, sub_model.t_eff, K)
         _check_diagonal_product(kernel.diag_v, kernel.diag_e)
-        decided = _decide(criticals, kernel_observed(kernel), kernel.ln_t_lr_star)
+        decided = _decide(criticals, kernel)
         for test in TESTS:
-            pvals[test][start:stop] = decided[test].p_value
+            pvals[test][start:stop] = decided[test][1]
         del factors, kernel, decided  # release this chunk's arrays before the next
     quantiles = {}
     for test in TESTS:

@@ -176,7 +176,9 @@ def test_criterion_3_table3_tel(table3_null):
     sample = table3_null["T_el"]
     reps = sample.size
     n_pairs = p * (p - 1) // 2
-    bonferroni = fl.bonferroni_critical_el(0.05, p, T, K)
+    bonferroni = fl.resolve_criticals(
+        "closed-form", fl.FactorModelSpec(p=p, K=K, T=T), 0.05
+    ).values["T_el"]
     c_ind = fl.f_quantile(0.95 ** (1.0 / n_pairs), 1, T - K - p + 1)
     tol = 3.0 * math.sqrt(0.05 * 0.95 / reps)
     rate_bon = float(np.mean(sample > bonferroni))
@@ -440,12 +442,11 @@ def test_criterion_10_bonferroni_conservatism(tables_p20):
     fresh = fl.simulate_null_statistics(
         ("T_el", "T_pr"), p, T, K, reps=reps, master_seed=110
     )
+    closed_form = fl.resolve_criticals("closed-form", fl.FactorModelSpec(p=p, K=K, T=T), 0.05)
     ok = True
     details = []
-    for name, bon in (
-        ("T_el", fl.bonferroni_critical_el(0.05, p, T, K)),
-        ("T_pr", fl.bonferroni_critical_pr(0.05, p, T, K)),
-    ):
+    for name in ("T_el", "T_pr"):
+        bon = closed_form.values[name]
         cal = tables_p20[name].critical_value(0.05)
         rate_bon = float(np.mean(fresh[name] > bon))
         rate_cal = float(np.mean(fresh[name] > cal))

@@ -13,7 +13,6 @@ from factorlens import (
     normal_quantile,
     select_regime,
     tij_noncentral_approx_power,
-    tij_null_pvalue,
     tj_boundary_pvalue,
     tj_noncentral_approx_power,
     tj_standardize,
@@ -24,11 +23,22 @@ from factorlens.asymptotics import (
     CONCENTRATION,
     lr_clt_mean,
     lr_clt_sigma,
-    tj_boundary_critical,
     tj_mean_adjustment,
     tj_variance_adjustment,
 )
 from factorlens.errors import DegenerateDof, DomainError
+from factorlens.report import resolve_criticals
+from factorlens.teststats import FactorModelSpec
+
+
+def _law(source, test, p, T, K=0):
+    """One test's law under a source at (p, T, K), resolved at alpha 0.05."""
+    return resolve_criticals(source, FactorModelSpec(p=p, K=K, T=T), 0.05).laws[test]
+
+
+# the highdim T_el law at c = 0.2 and at boundary slack d = 5
+EL_CONCENTRATION = _law("highdim", "T_el", 10, 50)
+EL_BOUNDARY = _law("highdim", "T_el", 10, 15)
 
 
 def test_regime_construction():
@@ -52,36 +62,30 @@ def test_select_regime_cutoff():
         select_regime(200, 212, 10)  # d = 2 < 4 warns
 
 
-def test_tij_null_pvalue():
-    reg = Regime.concentration(0.3)
-    assert tij_null_pvalue(0.0, reg) == 1.0
-    assert_allclose(tij_null_pvalue(chi2_quantile(0.95, 1), reg), 0.05, atol=1e-12)
-    bd = Regime.boundary(9.0)
-    assert_allclose(tij_null_pvalue(f_quantile(0.95, 1, 10), bd), 0.05, atol=1e-12)
-    with pytest.raises(DomainError):
-        tij_null_pvalue(-1.0, reg)
+def test_highdim_el_law_tail():
+    assert EL_CONCENTRATION.tail(0.0) == 1.0
+    assert_allclose(EL_CONCENTRATION.tail(chi2_quantile(0.95, 1)), 0.05, atol=1e-12)
+    bd = _law("highdim", "T_el", 10, 19)  # d = 9
+    assert_allclose(bd.tail(f_quantile(0.95, 1, 10)), 0.05, atol=1e-12)
 
 
-def test_tij_null_pvalue_is_a_survival_function():
+def test_highdim_el_law_tail_is_a_survival_function():
     # 1 - cdf would round these to 0; chdtrc(1, 100) = 1.52e-23
-    reg, bd = Regime.concentration(0.2), Regime.boundary(5.0)
     for t in (0.5, 3.0, 40.0, 100.0, 300.0):
-        assert_allclose(tij_null_pvalue(t, reg), float(chdtrc(1, t)), rtol=1e-12)
-        assert_allclose(tij_null_pvalue(t, bd), float(fdtrc(1, 6.0, t)), rtol=1e-12)
-    assert 0.0 < tij_null_pvalue(100.0, reg) < 1e-22
+        assert_allclose(EL_CONCENTRATION.tail(t), float(chdtrc(1, t)), rtol=1e-12)
+        assert_allclose(EL_BOUNDARY.tail(t), float(fdtrc(1, 6.0, t)), rtol=1e-12)
+    assert 0.0 < EL_CONCENTRATION.tail(100.0) < 1e-22
 
 
 def test_tij_f_limit_close_to_chi2_for_large_denominator():
-    # F(1, n) and chi-square(1) tails differ by < 0.01 uniformly once n >= 400
-    reg_c = Regime.concentration(0.2)
-    reg_d = Regime.boundary(399.0)  # F(1, 400)
+    # F(1, n) and chi-square(1) tails differ by < 0.01 uniformly once n >= 400:
+    # the highdim T_el limit against the exact closed-form marginal at dof_n = 400
+    limit, exact = _law("highdim", "T_el", 10, 409), _law("closed-form", "T_el", 10, 409)
     for t in np.linspace(0.0, 30.0, 121):
-        diff = abs(tij_null_pvalue(float(t), reg_c) - tij_null_pvalue(float(t), reg_d))
-        assert diff < 0.01
+        assert abs(limit.tail(float(t)) - exact.tail(float(t))) < 0.01
 
 
 def test_tj_standardize_trivial_points():
-    assert tj_standardize(1.0, 100, 500, 10, mode="limit") == 0.0
     mu = tj_mean_adjustment(100, 500, 10)
     assert_allclose(tj_standardize(mu, 100, 500, 10), 0.0, atol=1e-12)
 
@@ -94,24 +98,21 @@ def test_tj_adjustment_values():
     assert_allclose(var, 2.0 * 488.0 * 391.0**2 / (387.0 * 389.0**2), rtol=1e-15)
 
 
-def test_tj_standardize_mode_agreement_when_slack_large():
-    # limit and adjusted modes agree within 0.05 over the null bulk of t_j
+def test_tj_standardize_agrees_with_the_limit_form_when_slack_large():
+    # the limit form sqrt(p-1)(t_j - 1) sqrt((1-c)/2), c = p/(T-K), agrees
+    # with the finite-sample form within 0.05 over the null bulk of t_j
     p, T, K = 25, 300, 10  # slack T-K-p = 265 >= 200
+    c = p / (T - K)
     mu = tj_mean_adjustment(p, T, K)
     sd = math.sqrt(tj_variance_adjustment(p, T, K) / (p - 1))
     for t in np.linspace(mu - 2 * sd, mu + 2 * sd, 41):
-        a = tj_standardize(float(t), p, T, K, mode="limit")
-        b = tj_standardize(float(t), p, T, K, mode="finite_sample_adjusted")
-        assert abs(a - b) <= 0.05
+        limit = math.sqrt(p - 1.0) * (t - 1.0) * math.sqrt((1.0 - c) / 2.0)
+        assert abs(limit - tj_standardize(float(t), p, T, K)) <= 0.05
 
 
 def test_tj_standardize_errors():
     with pytest.raises(DegenerateDof):
-        tj_standardize(1.0, 10, 14, 1)  # slack 3, adjusted mode impossible
-    with pytest.raises(DomainError):
-        tj_standardize(1.0, 10, 10, 0, mode="limit")  # c = 1 outside (0, 1)
-    with pytest.raises(DomainError):
-        tj_standardize(1.0, 10, 100, 0, mode="nonsense")
+        tj_standardize(1.0, 10, 14, 1)  # slack 3: no finite null variance
 
 
 def test_tj_boundary_pvalue_inversion():
@@ -124,16 +125,16 @@ def test_tj_boundary_pvalue_inversion():
 
 
 @pytest.mark.parametrize(
-    "pvalue",
+    "pvalue, checks_domain",
     [
-        lambda t: tij_null_pvalue(t, Regime.concentration(0.2)),
-        lambda t: tij_null_pvalue(t, Regime.boundary(5.0)),
-        lambda t: tj_boundary_pvalue(t, 5.0),
-        lambda t: tj_boundary_pvalue(t, 0.5),
+        (EL_CONCENTRATION.tail, False),
+        (EL_BOUNDARY.tail, False),
+        (lambda t: tj_boundary_pvalue(t, 5.0), True),
+        (lambda t: tj_boundary_pvalue(t, 0.5), True),
     ],
     ids=["tij-concentration", "tij-boundary", "tj-boundary-5", "tj-boundary-0.5"],
 )
-def test_pvalue_array_input_matches_scalar_calls(pvalue):
+def test_pvalue_array_input_matches_scalar_calls(pvalue, checks_domain):
     t = np.concatenate([[1e-300, 0.01, 0.5, 1.0, 3.0, 40.0, 300.0, 1e6, np.inf],
                         np.random.default_rng(5).gamma(2.0, 2.0, 49)])
     got = pvalue(t)
@@ -143,16 +144,17 @@ def test_pvalue_array_input_matches_scalar_calls(pvalue):
     assert got.tobytes() == np.array(want).tobytes()
     assert got.reshape(2, -1).tobytes() == pvalue(t.reshape(2, -1)).tobytes()
     assert isinstance(pvalue(np.float64(3.0)), float)
-    for bad in (np.array([1.0, -1e-300, 2.0]), np.array([[3.0], [-2.0]])):
-        with pytest.raises(DomainError):
-            pvalue(bad)
+    if checks_domain:
+        for bad in (np.array([1.0, -1e-300, 2.0]), np.array([[3.0], [-2.0]])):
+            with pytest.raises(DomainError):
+                pvalue(bad)
 
 
 def test_boundary_pvalue_rejects_a_zero_entry():
     with pytest.raises(DomainError):
         tj_boundary_pvalue(np.array([2.0, 0.0, 1.0]), 4.0)
     # a zero pair statistic is in the domain
-    assert tij_null_pvalue(np.array([0.0, 1.0]), Regime.concentration(0.2))[0] == 1.0
+    assert EL_CONCENTRATION.tail(np.array([0.0, 1.0]))[0] == 1.0
 
 
 def test_lr_clt_constants_worked_example():
@@ -232,9 +234,10 @@ def test_tj_noncentral_power_boundary_inversion():
 
 
 def test_tj_boundary_critical_size():
-    d = 6.0
-    crit = tj_boundary_critical(0.05, d)
-    assert_allclose(tj_boundary_pvalue(crit, d), 0.05, atol=1e-12)
+    # the highdim T_pr critical value at boundary slack d = 6 over p = 10 columns
+    d, p = 6.0, 10
+    crit = resolve_criticals("highdim", FactorModelSpec(p=p, K=1, T=17), 0.05).values["T_pr"]
+    assert_allclose(tj_boundary_pvalue(crit, d), 0.05 / p, atol=1e-12)
 
 
 def test_tlr_standardized_null_sample_moments():

@@ -7,15 +7,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from factorlens import (
+    FactorModelSpec,
     SeedSpec,
-    bonferroni_critical_el,
-    bonferroni_critical_pr,
     calibrate_many,
     chi2_quantile,
     empirical_pvalue,
     f_quantile,
     ks_statistic,
-    lr_chi2_critical,
+    resolve_criticals,
     sample_V11_null,
     simulate_null_statistics,
 )
@@ -228,22 +227,27 @@ def test_empirical_pvalue_requires_sample():
         empirical_pvalue(1.0, t)
 
 
+def _closed_form(test, alpha, p, T, K):
+    """The closed-form critical value of one test."""
+    return resolve_criticals("closed-form", FactorModelSpec(p=p, K=K, T=T), alpha).values[test]
+
+
 def test_bonferroni_el_formula():
     dof = T - K - P + 1
     assert_allclose(
-        bonferroni_critical_el(0.05, P, T, K),
+        _closed_form("T_el", 0.05, P, T, K),
         f_quantile(1.0 - 2.0 * 0.05 / (P * (P - 1)), 1, dof),
         rtol=1e-12,
     )
     # p = 2 reduces to a single comparison
     assert_allclose(
-        bonferroni_critical_el(0.05, 2, T, K),
+        _closed_form("T_el", 0.05, 2, T, K),
         f_quantile(0.95, 1, T - K - 2 + 1),
         rtol=1e-12,
     )
     # alpha=0.05, p=10, dof=16 at level 1 - 0.1/90
     assert_allclose(
-        bonferroni_critical_el(0.05, 10, 16 + 10 + 3 - 1, 3),
+        _closed_form("T_el", 0.05, 10, 16 + 10 + 3 - 1, 3),
         f_quantile(1.0 - 0.1 / 90.0, 1, 16),
         rtol=1e-12,
     )
@@ -253,35 +257,37 @@ def test_bonferroni_el_monotone_in_p():
     # larger p, fixed dof: critical value grows
     dof = 20
     values = [
-        bonferroni_critical_el(0.05, p, dof + p + K - 1, K) for p in (2, 5, 10, 30)
+        _closed_form("T_el", 0.05, p, dof + p + K - 1, K) for p in (2, 5, 10, 30)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_bonferroni_pr_formula():
     assert_allclose(
-        bonferroni_critical_pr(0.05, 20, 104, 1),
+        _closed_form("T_pr", 0.05, 20, 104, 1),
         f_quantile(1.0 - 0.05 / 20.0, 19, 84),
         rtol=1e-12,
     )
     assert_allclose(
-        bonferroni_critical_pr(0.05, 2, T, K),
+        _closed_form("T_pr", 0.05, 2, T, K),
         f_quantile(1.0 - 0.025, 1, T - K - 1),
         rtol=1e-12,
     )
 
 
 def test_lr_chi2_critical():
-    assert_allclose(lr_chi2_critical(0.05, 2), chi2_quantile(0.95, 1), rtol=1e-12)
-    assert_allclose(lr_chi2_critical(0.05, 20), chi2_quantile(0.95, 190), rtol=1e-12)
-    values = [lr_chi2_critical(a, 5) for a in (0.1, 0.05, 0.01)]
+    assert_allclose(_closed_form("T_LR", 0.05, 2, T, K), chi2_quantile(0.95, 1), rtol=1e-12)
+    assert_allclose(
+        _closed_form("T_LR", 0.05, 20, 104, 1), chi2_quantile(0.95, 190), rtol=1e-12
+    )
+    values = [_closed_form("T_LR", a, 5, T, K) for a in (0.1, 0.05, 0.01)]
     assert values[0] < values[1] < values[2]
 
 
 def test_bonferroni_dominates_calibrated(tables):
     # conservatism: closed-form criticals sit above the calibrated ones
-    assert bonferroni_critical_el(0.05, P, T, K) >= tables["T_el"].critical_value(0.05) - 0.2
-    assert bonferroni_critical_pr(0.05, P, T, K) >= tables["T_pr"].critical_value(0.05) - 0.05
+    assert _closed_form("T_el", 0.05, P, T, K) >= tables["T_el"].critical_value(0.05) - 0.2
+    assert _closed_form("T_pr", 0.05, P, T, K) >= tables["T_pr"].critical_value(0.05) - 0.05
 
 
 def test_ks_statistic_basics():

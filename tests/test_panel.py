@@ -260,8 +260,21 @@ def test_ingest_cell_over_the_csv_field_limit_takes_the_per_cell_path():
     # csv.reader refuses a cell longer than its field size limit, plain file or not
     long_cell = "1" + "0" * csv.field_size_limit()
     text = _text(_replace(1, f"d2,{long_cell},0.1,0.2"))
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(ParseError, match=r"^field larger than field limit \(\d+\) at row 3$"):
         ingest_csv(io.StringIO(text), ["a", "b"], ["f"])
+
+
+@pytest.mark.parametrize("row", [1, 2, len(_ROWS) + 1])
+def test_ingest_csv_reader_error_is_a_parse_error_naming_the_file_row(tmp_path, row):
+    # a cell too long for csv.reader in the header, the first or the last data row
+    lines = _text().splitlines(keepends=True)
+    cells = lines[row - 1].split(",")
+    cells[1] = "9" * (csv.field_size_limit() + 1)
+    lines[row - 1] = ",".join(cells)
+    path = tmp_path / "panel.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"^field larger than field limit \(\d+\) at row {row}$"):
+        ingest_csv(path, ["a", "b"], ["f"])
 
 
 def test_roundtrip_export_ingest():

@@ -1,5 +1,6 @@
 """run_power_study on s1-s4 against a plain loop over the per-dataset data path."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -43,18 +44,23 @@ def _closed_form(cfg):
     return resolve_criticals("closed-form", cfg.model, cfg.alpha)
 
 
-def _record_observed(monkeypatch):
-    """Record what the engine compares with the criticals, one dict per kernel run."""
-    seen = []
-    original = powersim.kernel_observed
+def _recording(criticals):
+    """criticals whose laws record what the engine compares, per test one array per kernel run."""
+    seen = {test: [] for test in criticals.laws}
 
-    def recording(kernel):
-        observed = original(kernel)
-        seen.append({t: v.copy() for t, v in observed.items()})
-        return observed
+    def recording(test, read):
+        def read_and_record(kernel):
+            observed = read(kernel)
+            seen[test].append(observed.copy())
+            return observed
 
-    monkeypatch.setattr(powersim, "kernel_observed", recording)
-    return seen
+        return read_and_record
+
+    laws = {
+        test: dataclasses.replace(law, read=recording(test, law.read))
+        for test, law in criticals.laws.items()
+    }
+    return dataclasses.replace(criticals, laws=laws), seen
 
 
 @pytest.mark.parametrize(
@@ -73,7 +79,7 @@ def _record_observed(monkeypatch):
     ],
 )
 @pytest.mark.parametrize("source", ["bonferroni_or_asymptotic", "calibrated"])
-def test_engine_matches_per_dataset_loop(monkeypatch, scenario, p, K, T, source):
+def test_engine_matches_per_dataset_loop(scenario, p, K, T, source):
     cfg = ScenarioConfig(scenario, p=p, K=K, T=T, reps=60, master_seed=17, alpha=0.2)
     if source == "calibrated":
         tables = calibrate_many(TESTS, p, T, K, alphas=(cfg.alpha,), reps=2000, master_seed=4)
@@ -81,16 +87,17 @@ def test_engine_matches_per_dataset_loop(monkeypatch, scenario, p, K, T, source)
     else:
         criticals = _closed_form(cfg)
     grid = _grid(scenario)
-    seen = _record_observed(monkeypatch)
+    criticals, seen = _recording(criticals)
     curve = run_power_study(cfg, grid, criticals)
-    assert len(seen) == len(grid)  # one chunk: one kernel run per grid point
+    # one chunk: one kernel run per grid point
+    assert [len(seen[test]) for test in TESTS] == [len(grid)] * len(TESTS)
     assert curve.critical_source == source
 
     stats, counts = _reference(cfg, grid, criticals.values)
     for test in TESTS:
         assert np.array_equal(curve.rates[test] * cfg.reps, counts[test]), test
         for gi in range(len(grid)):
-            assert_allclose(seen[gi][test], stats[gi][test], rtol=1e-9, atol=0.0)
+            assert_allclose(seen[test][gi], stats[gi][test], rtol=1e-9, atol=0.0)
     # the alternatives are detected at all, so the counts compare something
     assert counts["T_LR"].sum() > 0
 

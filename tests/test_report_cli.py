@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -122,6 +123,35 @@ def test_run_tests_highdim_sources():
         assert report.tests[name].source == "highdim_asymptotic"
         d = report.tests[name]
         assert d.reject == (d.statistic_value > d.critical_value)
+
+
+@pytest.mark.parametrize(
+    "p, T, K, demeaned, regime",
+    [
+        (2, 30, 0, False, "boundary_d"),  # p = 2: one pair
+        (2, 300, 0, True, "concentration_c"),
+        (10, 14, 3, False, "boundary_d"),  # dof_n = 2, boundary slack d = 1
+        (30, 45, 0, False, "boundary_d"),
+        (100, 140, 2, False, "concentration_c"),
+        (6, 80, 1, True, "concentration_c"),
+    ],
+)
+@pytest.mark.parametrize("source", ["closed-form", "highdim"])
+def test_each_law_gives_alpha_at_its_own_critical_value(p, T, K, demeaned, regime, source):
+    # the critical value and the p-value of a test come from one law, so the
+    # p-value of a statistic at the critical value is alpha
+    model = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned)
+    for alpha in (0.1, 0.05, 0.01):
+        if source == "highdim" and T - demeaned - K - p < 4:  # boundary slack below 4
+            with pytest.warns(UserWarning, match="boundary slack d="):
+                criticals = resolve_criticals(source, model, alpha)
+        else:
+            criticals = resolve_criticals(source, model, alpha)
+        assert source == "closed-form" or criticals.regime.kind == regime
+        for name in TESTS:
+            at_critical = np.array([criticals.values[name]])
+            p_value = criticals.laws[name].p_value(at_critical)
+            assert_allclose(p_value, [alpha], rtol=1e-9, atol=0.0, err_msg=name)
 
 
 def test_warnings_name_the_callers_line():
@@ -546,6 +576,23 @@ def test_cli_missing_input_is_a_clean_error(tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("factorlens: error: ") and "absent.csv" in err
+
+
+def test_cli_cell_over_the_csv_field_limit_is_a_clean_error(tmp_path, capsys):
+    panel_path = tmp_path / "panel.csv"
+    _write_panel_csv(panel_path, _null_panel(p=2, K=0, T=30, seed=3))
+    lines = panel_path.read_text().splitlines(keepends=True)
+    lines[4] = "d3," + "1" * (csv.field_size_limit() + 1) + ",0.5\n"
+    panel_path.write_text("".join(lines))
+    argv = [
+        "test", "--input", str(panel_path), "--assets", "a0,a1",
+        "--criticals", "closed-form", "--out", str(tmp_path / "r.json"),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("factorlens: error: field larger than field limit (")
+    assert err.endswith(" at row 5\n")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_out_in_missing_directory_is_a_clean_error(tmp_path, capsys):
