@@ -41,6 +41,14 @@ STATISTICS = ("T_el", "T_pr", "T_LR", "ln_T_LR_star", "T_LR_standardized")
 # engine for distribution checks (first pair, first column).
 MARGINAL_STATISTICS = ("T_ij_21", "T_j_1")
 
+# the raw statistic each global test compares, per dataset of a kernel
+READERS = {"T_el": lambda k: k.t_el, "T_pr": lambda k: k.t_j.max(axis=1), "T_LR": lambda k: k.t_lr}
+
+
+def standardized_lr(p: int, T: int, K: int, demeaned: bool = False):
+    """Reader of the standardized T_LR of each dataset of a kernel at (p, T, K)."""
+    return lambda k: asymptotics.tlr_standardize(k.ln_t_lr_star, p, T, K, demeaned)
+
 _SCHEMA = "factorlens/1"
 _DF_CONVENTION = "wishart(T_eff - K) for the inverse precision block"
 
@@ -165,17 +173,13 @@ def simulate_null_statistics(
     if reps < 1:
         raise DomainError("reps must be positive")
     columns = {
-        "T_el": lambda k: k.t_el,
+        **READERS,
         # pair (2, 1) alone, from its 2-by-2 block: the operands of t_ij[:, 0]
         # without transforming every pair
         "T_ij_21": lambda k: _pair_formula(k.v_lower[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
-        "T_pr": lambda k: k.t_j.max(axis=1),
         "T_j_1": lambda k: k.t_j[:, 0],
         "ln_T_LR_star": lambda k: k.ln_t_lr_star,
-        "T_LR": lambda k: k.t_lr,
-        "T_LR_standardized": lambda k: asymptotics.tlr_standardize(
-            k.ln_t_lr_star, p, T, K, demeaned
-        ),
+        "T_LR_standardized": standardized_lr(p, T, K, demeaned),
     }
     chunk = chunk_size or _default_chunk(p)
     out = {s: np.empty(reps) for s in statistics}

@@ -8,7 +8,7 @@ resolve_criticals is the one place a source is chosen, for run_tests,
 batch_subset_test and the power study alike. It writes each law once, as a
 Law per test: the statistic read from a kernel, a Bonferroni count, the
 upper tail of one coordinate and its upper point. A test's critical value
-and every p-value follow from that one law, so the two cannot disagree.
+and every p-value follow from that one law; Law says when they match exactly.
 P-values from the closed-form and limit laws are survival functions, not
 1 - cdf, so tiny ones keep their value instead of rounding to 0.
 """
@@ -22,10 +22,12 @@ import numpy as np
 
 from . import asymptotics
 from .calibrate import (
+    READERS,
     CriticalValueTable,
     _default_chunk,
     calibrate_many,
     empirical_pvalue,
+    standardized_lr,
     DEFAULT_MASTER_SEED,
     DEFAULT_REPS,
 )
@@ -129,7 +131,10 @@ class Law:
 
     read gives the statistic the test compares for each dataset of a
     kernel: raw, or standardized under highdim. tail is the upper tail of
-    one coordinate of the law and upper its upper point, tail(upper(a)) = a.
+    one coordinate of the law and upper its upper point, tail(upper(a)) = a
+    for the closed-form and highdim laws. A calibrated law's upper is its
+    table's stored quantile and its tail the share of its null sample at or
+    above a statistic, which agree only to within about 1 / reps.
     Over count coordinates (a Bonferroni count, 1 for a single one), the
     critical value at alpha is upper(alpha / count) and the p-value of a
     statistic min(1, count * tail(statistic)).
@@ -178,16 +183,6 @@ def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -
             f"K={table.K}, demeaned={table.demeaned}; data has p={model.p}, "
             f"T={model.T}, K={model.K}, demeaned={model.demeaned}"
         )
-
-
-# the raw statistic each test compares, per dataset of a kernel
-_RAW = {"T_el": lambda k: k.t_el, "T_pr": lambda k: k.t_j.max(axis=1), "T_LR": lambda k: k.t_lr}
-
-
-def _calibrated_law(read, table: CriticalValueTable) -> Law:
-    return Law(
-        SOURCE_CALIBRATED, read, 1, lambda t: empirical_pvalue(t, table), table.critical_value
-    )
 
 
 def _f_law(source: str, read, count: float, d1: float, d2: float) -> Law:
@@ -243,34 +238,36 @@ def resolve_criticals(
                 TESTS, p, T, K, demeaned=demeaned, alphas=(alpha,),
                 reps=calibration_reps, master_seed=calibration_seed, keep_null_sample=True,
             )
-        for name in TESTS:
+        laws = {}
+        for name, read in READERS.items():
             table = tables.get(name)
             if table is None:
                 raise MissingCalibration(f"no calibration table supplied for {name}")
             _check_table(table, model, name)
-        laws = {name: _calibrated_law(read, tables[name]) for name, read in _RAW.items()}
+            tail = lambda t, table=table: empirical_pvalue(t, table)
+            laws[name] = Law(SOURCE_CALIBRATED, read, 1, tail, table.critical_value)
     elif request == REQUEST_CLOSED_FORM:
         laws = {
-            "T_el": _f_law(SOURCE_BONFERRONI, _RAW["T_el"], pairs, 1, dof_n),
-            "T_pr": _f_law(SOURCE_BONFERRONI, _RAW["T_pr"], p, p - 1, dof_n),
-            "T_LR": _chi2_law(SOURCE_CHI2, _RAW["T_LR"], 1, pairs),
+            "T_el": _f_law(SOURCE_BONFERRONI, READERS["T_el"], pairs, 1, dof_n),
+            "T_pr": _f_law(SOURCE_BONFERRONI, READERS["T_pr"], p, p - 1, dof_n),
+            "T_LR": _chi2_law(SOURCE_CHI2, READERS["T_LR"], 1, pairs),
         }
     else:
         regime = asymptotics.select_regime(p, T, K, demeaned)
         normal = (lambda z: normal_cdf(-z), lambda a: normal_quantile(1.0 - a))
         if regime.kind == asymptotics.CONCENTRATION:
-            el = _chi2_law(SOURCE_HIGHDIM, _RAW["T_el"], pairs, 1)
-            z_pr = lambda k: asymptotics.tj_standardize(_RAW["T_pr"](k), p, T, K, demeaned)
+            el = _chi2_law(SOURCE_HIGHDIM, READERS["T_el"], pairs, 1)
+            z_pr = lambda k: asymptotics.tj_standardize(READERS["T_pr"](k), p, T, K, demeaned)
             pr = Law(SOURCE_HIGHDIM, z_pr, p, *normal)
         else:
             d1 = regime.d + 1.0
-            el = _f_law(SOURCE_HIGHDIM, _RAW["T_el"], pairs, 1, d1)
+            el = _f_law(SOURCE_HIGHDIM, READERS["T_el"], pairs, 1, d1)
             pr = Law(
-                SOURCE_HIGHDIM, _RAW["T_pr"], p,
+                SOURCE_HIGHDIM, READERS["T_pr"], p,
                 lambda t: asymptotics.tj_boundary_pvalue(t, regime.d),
                 lambda a: d1 / chi2_quantile(a, d1),
             )
-        z_lr = lambda k: asymptotics.tlr_standardize(k.ln_t_lr_star, p, T, K, demeaned)
+        z_lr = standardized_lr(p, T, K, demeaned)
         laws = {"T_el": el, "T_pr": pr, "T_LR": Law(SOURCE_HIGHDIM, z_lr, 1, *normal)}
     values = {name: law.critical(alpha) for name, law in laws.items()}
     return Criticals(request, model, alpha, laws, values, tables, regime)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from factorlens import SeedSpec, batch_subset_test, ingest_csv, run_tests
 from factorlens import report
+from factorlens.calibrate import READERS
 from factorlens.cli import main
 from factorlens.errors import Singular
 from factorlens.panel import ReturnsPanel
@@ -46,7 +47,7 @@ def _record_decisions(monkeypatch):
 
     def recording(criticals, kernel):
         decided = decide(criticals, kernel)
-        observed = {"T_el": kernel.t_el, "T_pr": kernel.t_j.max(axis=1), "T_LR": kernel.t_lr}
+        observed = {name: read(kernel) for name, read in READERS.items()}
         calls.append((observed, kernel.ln_t_lr_star, decided))
         return decided
 
