@@ -174,25 +174,27 @@ def simulate_null_statistics(
         raise DomainError("reps must be positive")
     columns = {
         **READERS,
-        # pair (2, 1) alone, from its 2-by-2 block: the operands of t_ij[:, 0]
-        # without transforming every pair
-        "T_ij_21": lambda k: _pair_formula(k.v_lower[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
+        # pair (2, 1) alone, the first in tril order: t_ij[:, 0] without
+        # transforming every pair
+        "T_ij_21": lambda k: _pair_formula(k.v_lower, k.diag_v, k.dof_n, pairs=1)[:, 0],
         "T_j_1": lambda k: k.t_j[:, 0],
         "ln_T_LR_star": lambda k: k.ln_t_lr_star,
         "T_LR_standardized": standardized_lr(p, T, K, demeaned),
     }
-    chunk = chunk_size or _default_chunk(p)
+    chunk = min(chunk_size or _default_chunk(p), reps)
     out = {s: np.empty(reps) for s in statistics}
+    # one buffer for every chunk: Bartlett writes only the lower triangle, so
+    # the strict upper one stays zero
+    buffer = np.zeros((chunk, p, p))
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
-        factors = np.zeros((stop - start, p, p))
-        # indexed, so that no view of factors outlives the del below
+        factors = buffer[: stop - start]
         for i, rng in enumerate(substreams(master_seed, start, stop)):
             bartlett_factor(p, t_eff - K, rng, out=factors[i])
         kernel = stats_from_factors(factors, t_eff, K)
         for s in statistics:
             out[s][start:stop] = columns[s](kernel)
-        del factors, kernel  # release this chunk's arrays before drawing the next
+        del kernel  # release this chunk's arrays before drawing the next
     return out
 
 
@@ -314,11 +316,33 @@ def load_tables_json(path) -> list[CriticalValueTable]:
     if not (isinstance(docs, list) and all(isinstance(d, dict) for d in docs)):
         raise ParseError(f"{path}: expected a table object or an object with a 'tables' list")
     try:
-        return [CriticalValueTable.from_json_dict(d) for d in docs]
+        tables = [CriticalValueTable.from_json_dict(d) for d in docs]
     except KeyError as exc:
         raise ParseError(f"{path}: a table has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed table: {exc}") from None
+    for table in tables:
+        if table.null_sample is None:
+            continue
+        for alpha, stored in zip(table.alphas, table.critical_values):
+            if not _is_type7_quantile(stored, table.null_sample, 1.0 - alpha):
+                raise ParseError(
+                    f"{path}: {table.statistic} critical value {stored!r} at alpha={alpha} "
+                    f"is not the 1 - alpha quantile of the table's null sample"
+                )
+    return tables
+
+
+def _is_type7_quantile(value: float, sample: np.ndarray, level: float) -> bool:
+    """Whether value is np.quantile(sample, level) of a sorted sample, to 1e-12 relative.
+
+    Type 7 interpolates linearly between the order statistics at floor(h)
+    and the next one, with h = (n - 1) * level; only those two are read.
+    """
+    h = (sample.size - 1) * level
+    lo = math.floor(h)
+    a, b = float(sample[lo]), float(sample[min(lo + 1, sample.size - 1)])
+    return abs(value - (a + (b - a) * (h - lo))) <= 1e-12 * max(abs(a), abs(b))
 
 
 def tables_to_csv(tables, path) -> None:

@@ -7,20 +7,25 @@ factor loadings) are redrawn each replicate; replicate r of a study always
 uses substream r of the master seed, so datasets are shared across grid
 points (common random numbers) and runs are reproducible.
 
-Every scenario runs as batched kernel runs on those datasets, a chunk of
-replicates at a time. In s1-s3 a dataset is X = B F + D C Z with
-D = diag(eta) and C the lower factor from build_sigma_u. The residual maker
-of F removes B F, so the residual scatter is E = D C (Z M_F Z^T) C^T D. If A
-is the trailing p-by-p block of the Cholesky factor of the stacked scatter of
-[F; Z], then D C A is lower triangular with a positive diagonal and factors
-E, and every statistic is invariant to D. So each replicate's [F; Z] is
-factored once, and each grid point only multiplies its C onto the factors;
-the statistics agree with the per-dataset data path up to rounding (about
-1e-12 relative). Scenario s4 changes the fitted model, so each grid point
-factors its own datasets [F; X], as the data path does. Critical values
-come resolved from report.resolve_criticals, calibrated or closed-form,
-as test and batch-test take theirs, and each test counts a rejection
-when the statistic its law reads exceeds its critical value.
+Every scenario runs on those datasets a chunk of replicates at a time, with
+one kernel run per chunk over every grid point. In s1-s3 a dataset is
+X = B F + D C Z with D = diag(eta) and C the lower factor from
+build_sigma_u. The residual maker of F removes B F, so the residual scatter
+is E = D C (Z M_F Z^T) C^T D. If A is the trailing p-by-p block of the
+Cholesky factor of the stacked scatter of [F; Z], then D C A is lower
+triangular with a positive diagonal and factors E, and every statistic is
+invariant to D. So a replicate never draws its scales and loadings: its
+substream is advanced past them and one normal fill writes [F; Z], which is
+factored once as A. The kernel then runs on C A for every grid point's C,
+grid-major, and each test's rejections are counted per grid point; the
+statistics agree with the per-dataset data path up to rounding (about
+1e-12 relative). Scenario s4 changes the fitted model, so every grid
+point's datasets [F; X] are factored as the data path does, and the kernel
+runs once over all of them. When one replicate's rows over the whole grid
+would pass the memory budget, the grid runs in groups of points. Critical
+values come resolved from report.resolve_criticals, calibrated or
+closed-form, as test and batch-test take theirs, and each test counts a
+rejection when the statistic its law reads exceeds its critical value.
 """
 
 from __future__ import annotations
@@ -211,21 +216,24 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     grid = tuple(grid)
     if not grid:
         raise DomainError("grid must be nonempty")
-    if cfg.scenario == "s4_extra_factors":
+    s4 = cfg.scenario == "s4_extra_factors"
+    if s4:
         for k_tilde in grid:
             _check_k_tilde(k_tilde)
         corr_factors = None
     else:
-        corr_factors = [build_sigma_u(cfg.scenario, cfg.p, rho) for rho in grid]
+        corr_factors = np.array([build_sigma_u(cfg.scenario, cfg.p, rho) for rho in grid])
     counts = {test: np.zeros(len(grid)) for test in TESTS}
-    chunk = _chunk_size(cfg.p, cfg.K, cfg.T)
+    chunk, group = _chunk_size(cfg.p, cfg.K, cfg.T, len(grid), s4)
     for start in range(0, cfg.reps, chunk):
         stop = min(start + chunk, cfg.reps)
-        for gi, factors in _grid_factors(cfg, grid, corr_factors, start, stop):
+        for first, factors in _grid_factors(cfg, grid, corr_factors, start, stop, group):
             kernel = stats_from_factors(factors, model.t_eff, cfg.K)
             _check_diagonal_product(kernel.diag_v, kernel.diag_e)
             for test, law in criticals.laws.items():
-                counts[test][gi] += np.count_nonzero(law.read(kernel) > criticals.values[test])
+                # rows are grid-major: one row of replicates per grid point
+                rejected = law.read(kernel).reshape(-1, stop - start) > criticals.values[test]
+                counts[test][first : first + len(rejected)] += np.count_nonzero(rejected, axis=1)
             del factors, kernel  # release each array once used, so chunks stay near the budget
     rates = {t: counts[t] / cfg.reps for t in TESTS}
     ses = {t: np.sqrt(rates[t] * (1.0 - rates[t]) / cfg.reps) for t in TESTS}
@@ -238,37 +246,64 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     )
 
 
-def _chunk_size(p: int, K: int, T: int) -> int:
-    # Keep a chunk's work arrays near 16 MiB. Per replicate: the (K+p)-by-T
-    # draw block, the stacked scatter and its factor, and for one grid point
-    # the kernel's two p-by-p arrays (factor and V) and up to four arrays of
-    # p(p-1)/2 pairs.
-    per_replicate = 8 * ((K + p) * T + 2 * (K + p) ** 2 + 2 * p * p + 2 * p * (p - 1))
-    return max(1, min(4096, 16 * 2**20 // per_replicate))
+def _chunk_size(p: int, K: int, T: int, points: int, s4: bool) -> tuple[int, int]:
+    """(replicates per chunk, grid points per kernel run), keeping work arrays near 16 MiB.
+
+    Per replicate and grid point the kernel holds two p-by-p arrays (factor
+    and V) and up to four arrays of p(p-1)/2 pairs. The (K+p)-by-T draw
+    block, its stacked scatter and factor are drawn once per replicate in
+    s1-s3 and once per grid point in s4. When one replicate's rows over the
+    whole grid exceed the budget, the grid runs in groups of points.
+    """
+    budget = 16 * 2**20 // 8
+    draws = (K + p) * T + 2 * (K + p) ** 2
+    per_point = 2 * p * p + 2 * p * (p - 1) + (draws if s4 else 0)
+    shared = 0 if s4 else draws
+    group = max(1, min(points, (budget - shared) // per_point))
+    return max(1, min(4096, budget // (shared + group * per_point))), group
 
 
-def _grid_factors(cfg: ScenarioConfig, grid: tuple, corr_factors, start: int, stop: int):
-    """(grid index, lower factors of E) for replicates start..stop-1, grid point by grid point.
+def _draw_block(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
+    """The [F; Z] blocks of replicates start..stop-1 of s1-s3, shape (stop - start, K + p, T).
 
-    s4 factors the datasets of generate_dataset(cfg, k_tilde, r). s1-s3 make
-    the same draws as generate_dataset(cfg, rho, r), factor each [F; Z] once
-    as A and give C A for each grid point's C. Singular as residual_factors.
+    Row i holds the factors and residual normals that _draw_replicate draws
+    from substream start + i. The scales and loadings drawn before them
+    cancel by invariance, so their p + p K uniform doubles, one 64-bit
+    PCG64 output each, are skipped by advancing the stream, and the normals
+    fill the row in one call.
     """
     p, K = cfg.p, cfg.K
     block = np.empty((stop - start, K + p, cfg.T))
-    if cfg.scenario == "s4_extra_factors":
-        for gi, k_tilde in enumerate(grid):
-            for i, rep in enumerate(range(start, stop)):
-                X, F = generate_dataset(cfg, k_tilde, rep)
-                block[i, :K] = F
-                block[i, K:] = X
-            yield gi, residual_factors(block, K)
-        return
     for i, rng in enumerate(substreams(cfg.master_seed, start, stop)):
-        _, _, factors, shocks = _draw_replicate(rng, p, K, cfg.T)
-        block[i, :K] = factors
-        block[i, K:] = shocks
-    A = residual_factors(block, K)
-    del block
-    for gi, corr_factor in enumerate(corr_factors):
-        yield gi, corr_factor @ A
+        rng.bit_generator.advance(p + p * K)
+        rng.standard_normal(out=block[i])
+    return block
+
+
+def _grid_factors(cfg: ScenarioConfig, grid: tuple, corr_factors, start: int, stop: int,
+                  group: int):
+    """(first grid index, lower factors of E) for replicates start..stop-1, a group at a time.
+
+    Each yield covers up to group grid points from the first, grid-major:
+    stop - start rows per point. s4 factors the datasets of
+    generate_dataset(cfg, k_tilde, r). s1-s3 factor each replicate's [F; Z]
+    of _draw_block once as A and give C A for every grid point's C.
+    Singular as residual_factors.
+    """
+    p, K, T = cfg.p, cfg.K, cfg.T
+    if cfg.scenario == "s4_extra_factors":
+        for first in range(0, len(grid), group):
+            points = grid[first : first + group]
+            block = np.empty((len(points), stop - start, K + p, T))
+            for gi, k_tilde in enumerate(points):
+                for i, rep in enumerate(range(start, stop)):
+                    X, F = generate_dataset(cfg, k_tilde, rep)
+                    block[gi, i, :K] = F
+                    block[gi, i, K:] = X
+            yield first, residual_factors(block.reshape(-1, K + p, T), K)
+            del block
+        return
+    A = residual_factors(_draw_block(cfg, start, stop), K)
+    for first in range(0, len(grid), group):
+        C = corr_factors[first : first + group]
+        yield first, np.matmul(C[:, None], A[None]).reshape(-1, p, p)

@@ -30,6 +30,7 @@ from factorlens.errors import (
     DomainError,
     EmptySample,
     MissingNullSample,
+    ParseError,
 )
 from factorlens.randmat import bartlett_factor
 from factorlens.teststats import compute_all, stats_from_factors
@@ -354,6 +355,34 @@ def test_table_json_rejects_a_bad_null_sample(tmp_path, tables, corrupt):
     path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
     with pytest.raises(DomainError, match="T_el null sample"):
         load_tables_json(path)
+
+
+@pytest.mark.parametrize("kept", [True, False])
+def test_table_json_checks_critical_values_against_the_kept_sample(tmp_path, tables, kept):
+    doc = tables["T_pr"].to_json_dict()
+    doc["critical_values"][1] *= 1.0 + 1e-9  # alpha 0.05
+    if not kept:
+        doc["null_sample"] = None
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
+    if kept:
+        with pytest.raises(ParseError, match=r"bad\.json: T_pr critical value .* alpha=0\.05 "):
+            load_tables_json(path)
+    else:  # nothing to check against: loads as stored
+        assert load_tables_json(path)[0].critical_values == tuple(doc["critical_values"])
+
+
+@pytest.mark.parametrize("reps", [1000, 1001, 1999])
+def test_calibrated_tables_load_at_every_alpha(tmp_path, reps):
+    # default and edge alphas, and statistics that can be zero or negative
+    fresh = calibrate_many(
+        STATISTICS, 4, 30, 1, alphas=(0.5, 0.1, 0.05, 0.01, 0.005, 0.001, 1e-4),
+        reps=reps, master_seed=3, keep_null_sample=True,
+    )
+    path = tmp_path / "tables.json"
+    save_tables_json(fresh.values(), path)
+    for back in load_tables_json(path):
+        assert back.critical_values == fresh[back.statistic].critical_values
 
 
 def test_table_csv_export(tmp_path, tables):

@@ -11,6 +11,7 @@ from factorlens import calibrate_many, compute_all, generate_dataset, precision_
 from factorlens import powersim
 from factorlens.errors import DomainError, Singular
 from factorlens.powersim import ScenarioConfig, run_power_study
+from factorlens.randmat import SeedSpec
 from factorlens.report import TESTS, resolve_criticals
 from factorlens.linalg import stacked_cholesky
 
@@ -89,8 +90,9 @@ def test_engine_matches_per_dataset_loop(scenario, p, K, T, source):
     grid = _grid(scenario)
     criticals, seen = _recording(criticals)
     curve = run_power_study(cfg, grid, criticals)
-    # one chunk: one kernel run per grid point
-    assert [len(seen[test]) for test in TESTS] == [len(grid)] * len(TESTS)
+    # one chunk: one kernel run over every grid point, its rows grid-major
+    assert [len(seen[test]) for test in TESTS] == [1] * len(TESTS)
+    seen = {test: runs[0].reshape(len(grid), cfg.reps) for test, runs in seen.items()}
     assert curve.critical_source == source
 
     stats, counts = _reference(cfg, grid, criticals.values)
@@ -102,16 +104,36 @@ def test_engine_matches_per_dataset_loop(scenario, p, K, T, source):
     assert counts["T_LR"].sum() > 0
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 7])
-def test_counts_do_not_depend_on_chunk_size(monkeypatch, chunk):
-    for scenario in ("s3", "s4"):
+@pytest.mark.parametrize("chunk, group", [(1, 4), (3, 1), (7, 2), (23, 3)])
+def test_counts_do_not_depend_on_chunk_size(monkeypatch, chunk, group):
+    for scenario in ("s1", "s3", "s4"):
         cfg = ScenarioConfig(scenario, p=5, K=1, T=30, reps=23, master_seed=8, alpha=0.1)
         whole = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
         with monkeypatch.context() as m:
-            m.setattr(powersim, "_chunk_size", lambda p, K, T: chunk)
+            m.setattr(powersim, "_chunk_size", lambda p, K, T, points, s4: (chunk, group))
             chunked = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
         for test in TESTS:
             assert np.array_equal(whole.rates[test], chunked.rates[test]), (scenario, test)
+
+
+@pytest.mark.parametrize(
+    "scenario, p, K, T, start, stop",
+    [
+        ("s1", 4, 2, 40, 0, 5),
+        ("s2", 5, 0, 12, 3, 6),  # K = 0: only the scales are skipped
+        ("s3", 3, 1, 9, 2**32 - 2, 2**32 + 2),  # indices with a nonzero high word
+        ("s1", 2, 0, 5, 2**40, 2**40 + 3),
+    ],
+)
+def test_block_draw_matches_draw_replicate(scenario, p, K, T, start, stop):
+    cfg = ScenarioConfig(scenario, p=p, K=K, T=T, reps=1, master_seed=2**63 + 5)
+    block = powersim._draw_block(cfg, start, stop)
+    assert block.shape == (stop - start, K + p, T)
+    for i, rep in enumerate(range(start, stop)):
+        rng = SeedSpec(cfg.master_seed, rep).generator()
+        _, _, factors, shocks = powersim._draw_replicate(rng, p, K, T)
+        assert np.array_equal(block[i, :K], factors)
+        assert np.array_equal(block[i, K:], shocks)
 
 
 def test_every_grid_value_is_checked_before_simulating(monkeypatch):
@@ -120,6 +142,7 @@ def test_every_grid_value_is_checked_before_simulating(monkeypatch):
 
     monkeypatch.setattr(powersim, "generate_dataset", no_simulation)
     monkeypatch.setattr(powersim, "_draw_replicate", no_simulation)
+    monkeypatch.setattr(powersim, "_draw_block", no_simulation)
     for scenario, grid in (("s1", [0.0, 0.6]), ("s4", [0, 1, 11]), ("s4", [0, 1.5])):
         cfg = ScenarioConfig(scenario, p=4, K=1, T=30, reps=5)
         with pytest.raises(DomainError):
@@ -163,6 +186,22 @@ def test_memory_stays_bounded_for_many_replicates():
     tracemalloc.start()
     try:
         run_power_study(cfg, (0.0, 0.5), _closed_form(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+def test_memory_stays_bounded_for_a_long_grid():
+    # one replicate's kernel rows over 200 grid points at p = 60 pass the
+    # budget, so the grid runs in groups; 6 replicates of all 200 points at
+    # once peak at about 120 MiB
+    cfg = ScenarioConfig("s1", p=60, K=1, T=100, reps=6, master_seed=5)
+    grid = np.linspace(-0.5, 0.5, 200)
+    assert powersim._chunk_size(cfg.p, cfg.K, cfg.T, len(grid), False)[1] < len(grid)
+    tracemalloc.start()
+    try:
+        run_power_study(cfg, grid, _closed_form(cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -568,6 +568,30 @@ def test_cli_bad_table_file_is_a_clean_error(tmp_path, capsys, table_text, messa
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_table_whose_critical_values_disagree_with_its_sample_is_an_error(tmp_path, capsys):
+    table_path = tmp_path / "table.json"
+    argv = ["calibrate", "--p", "6", "--T", "80", "--K", "1", "--alphas", "0.05",
+            "--reps", "1000", "--seed", "1", "--keep-null-sample", "--out", str(table_path)]
+    assert main(argv) == 0
+    panel_path = tmp_path / "panel.csv"
+    _write_panel_csv(panel_path, _null_panel(p=6, K=1, T=80, seed=3))
+    test_argv = [
+        "test", "--input", str(panel_path), "--assets", ",".join(f"a{i}" for i in range(6)),
+        "--factors", "f0", "--table", str(table_path), "--out", str(tmp_path / "r.json"),
+    ]
+    assert main(test_argv) == 0  # the table as calibrate wrote it loads
+    payload = json.loads(table_path.read_text())
+    for doc in payload["tables"]:
+        doc["critical_values"] = [v / 2 for v in doc["critical_values"]]
+    table_path.write_text(json.dumps(payload))
+    (tmp_path / "r.json").unlink()
+    assert main(test_argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("factorlens: error: ") and "table.json" in err
+    assert "T_el critical value" in err and "alpha=0.05" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_missing_input_is_a_clean_error(tmp_path, capsys):
     argv = [
         "test", "--input", str(tmp_path / "absent.csv"), "--assets", "a0,a1",
