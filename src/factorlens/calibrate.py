@@ -174,9 +174,9 @@ def simulate_null_statistics(
         raise DomainError("reps must be positive")
     columns = {
         **READERS,
-        # pair (2, 1) alone, the first in tril order: t_ij[:, 0] without
-        # transforming every pair
-        "T_ij_21": lambda k: _pair_formula(k.v_lower, k.diag_v, k.dof_n, pairs=1)[:, 0],
+        # pair (2, 1) alone, from its 2-by-2 block: the operands of t_ij[:, 0]
+        # without transforming every pair
+        "T_ij_21": lambda k: _pair_formula(k.v_lower[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
         "T_j_1": lambda k: k.t_j[:, 0],
         "ln_T_LR_star": lambda k: k.ln_t_lr_star,
         "T_LR_standardized": standardized_lr(p, T, K, demeaned),
@@ -322,27 +322,21 @@ def load_tables_json(path) -> list[CriticalValueTable]:
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed table: {exc}") from None
     for table in tables:
+        if not all(0.0 < a < 1.0 for a in table.alphas):  # NaN fails too
+            raise ParseError(
+                f"{path}: {table.statistic} alphas must lie in (0, 1), got {table.alphas}"
+            )
         if table.null_sample is None:
             continue
-        for alpha, stored in zip(table.alphas, table.critical_values):
-            if not _is_type7_quantile(stored, table.null_sample, 1.0 - alpha):
+        # the values calibrate_many stores: type-7 quantiles of the same sample
+        expected = np.quantile(table.null_sample, [1.0 - a for a in table.alphas])
+        for alpha, stored, want in zip(table.alphas, table.critical_values, expected):
+            if not np.isclose(stored, want, rtol=1e-12, atol=0.0):
                 raise ParseError(
                     f"{path}: {table.statistic} critical value {stored!r} at alpha={alpha} "
                     f"is not the 1 - alpha quantile of the table's null sample"
                 )
     return tables
-
-
-def _is_type7_quantile(value: float, sample: np.ndarray, level: float) -> bool:
-    """Whether value is np.quantile(sample, level) of a sorted sample, to 1e-12 relative.
-
-    Type 7 interpolates linearly between the order statistics at floor(h)
-    and the next one, with h = (n - 1) * level; only those two are read.
-    """
-    h = (sample.size - 1) * level
-    lo = math.floor(h)
-    a, b = float(sample[lo]), float(sample[min(lo + 1, sample.size - 1)])
-    return abs(value - (a + (b - a) * (h - lo))) <= 1e-12 * max(abs(a), abs(b))
 
 
 def tables_to_csv(tables, path) -> None:

@@ -7,8 +7,8 @@ factor loadings) are redrawn each replicate; replicate r of a study always
 uses substream r of the master seed, so datasets are shared across grid
 points (common random numbers) and runs are reproducible.
 
-Every scenario runs on those datasets a chunk of replicates at a time, with
-one kernel run per chunk over every grid point. In s1-s3 a dataset is
+Every scenario runs on those datasets a chunk of replicates at a time; s1-s3
+run the kernel once per chunk over every grid point. In s1-s3 a dataset is
 X = B F + D C Z with D = diag(eta) and C the lower factor from
 build_sigma_u. The residual maker of F removes B F, so the residual scatter
 is E = D C (Z M_F Z^T) C^T D. If A is the trailing p-by-p block of the
@@ -19,13 +19,13 @@ substream is advanced past them and one normal fill writes [F; Z], which is
 factored once as A. The kernel then runs on C A for every grid point's C,
 grid-major, and each test's rejections are counted per grid point; the
 statistics agree with the per-dataset data path up to rounding (about
-1e-12 relative). Scenario s4 changes the fitted model, so every grid
-point's datasets [F; X] are factored as the data path does, and the kernel
-runs once over all of them. When one replicate's rows over the whole grid
-would pass the memory budget, the grid runs in groups of points. Critical
-values come resolved from report.resolve_criticals, calibrated or
-closed-form, as test and batch-test take theirs, and each test counts a
-rejection when the statistic its law reads exceeds its critical value.
+1e-12 relative). When one replicate's rows over the whole grid would pass
+the memory budget, the grid runs in groups of points. Scenario s4 changes
+the fitted model, so each grid point factors its own datasets [F; X], as
+the data path does, and runs the kernel on them. Critical values come
+resolved from report.resolve_criticals, calibrated or closed-form, as test
+and batch-test take theirs, and each test counts a rejection when the
+statistic its law reads exceeds its critical value.
 """
 
 from __future__ import annotations
@@ -224,7 +224,8 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     else:
         corr_factors = np.array([build_sigma_u(cfg.scenario, cfg.p, rho) for rho in grid])
     counts = {test: np.zeros(len(grid)) for test in TESTS}
-    chunk, group = _chunk_size(cfg.p, cfg.K, cfg.T, len(grid), s4)
+    # s4 runs the kernel grid point by grid point, each on its own datasets
+    chunk, group = _chunk_size(cfg.p, cfg.K, cfg.T, 1 if s4 else len(grid))
     for start in range(0, cfg.reps, chunk):
         stop = min(start + chunk, cfg.reps)
         for first, factors in _grid_factors(cfg, grid, corr_factors, start, stop, group):
@@ -246,21 +247,20 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     )
 
 
-def _chunk_size(p: int, K: int, T: int, points: int, s4: bool) -> tuple[int, int]:
+def _chunk_size(p: int, K: int, T: int, points: int) -> tuple[int, int]:
     """(replicates per chunk, grid points per kernel run), keeping work arrays near 16 MiB.
 
-    Per replicate and grid point the kernel holds two p-by-p arrays (factor
-    and V) and up to four arrays of p(p-1)/2 pairs. The (K+p)-by-T draw
-    block, its stacked scatter and factor are drawn once per replicate in
-    s1-s3 and once per grid point in s4. When one replicate's rows over the
-    whole grid exceed the budget, the grid runs in groups of points.
+    Per replicate: the (K+p)-by-T draw block, its stacked scatter and
+    factor, and per grid point of a kernel run the kernel's two p-by-p
+    arrays (factor and V) and up to four arrays of p(p-1)/2 pairs. When one
+    replicate's rows over all points exceed the budget, the points run in
+    groups.
     """
     budget = 16 * 2**20 // 8
     draws = (K + p) * T + 2 * (K + p) ** 2
-    per_point = 2 * p * p + 2 * p * (p - 1) + (draws if s4 else 0)
-    shared = 0 if s4 else draws
-    group = max(1, min(points, (budget - shared) // per_point))
-    return max(1, min(4096, budget // (shared + group * per_point))), group
+    per_point = 2 * p * p + 2 * p * (p - 1)
+    group = max(1, min(points, (budget - draws) // per_point))
+    return max(1, min(4096, budget // (draws + group * per_point))), group
 
 
 def _draw_block(cfg: ScenarioConfig, start: int, stop: int) -> np.ndarray:
@@ -286,22 +286,19 @@ def _grid_factors(cfg: ScenarioConfig, grid: tuple, corr_factors, start: int, st
 
     Each yield covers up to group grid points from the first, grid-major:
     stop - start rows per point. s4 factors the datasets of
-    generate_dataset(cfg, k_tilde, r). s1-s3 factor each replicate's [F; Z]
-    of _draw_block once as A and give C A for every grid point's C.
-    Singular as residual_factors.
+    generate_dataset(cfg, k_tilde, r), one grid point per yield. s1-s3
+    factor each replicate's [F; Z] of _draw_block once as A and give C A
+    for every grid point's C. Singular as residual_factors.
     """
-    p, K, T = cfg.p, cfg.K, cfg.T
+    p, K = cfg.p, cfg.K
     if cfg.scenario == "s4_extra_factors":
-        for first in range(0, len(grid), group):
-            points = grid[first : first + group]
-            block = np.empty((len(points), stop - start, K + p, T))
-            for gi, k_tilde in enumerate(points):
-                for i, rep in enumerate(range(start, stop)):
-                    X, F = generate_dataset(cfg, k_tilde, rep)
-                    block[gi, i, :K] = F
-                    block[gi, i, K:] = X
-            yield first, residual_factors(block.reshape(-1, K + p, T), K)
-            del block
+        block = np.empty((stop - start, K + p, cfg.T))
+        for gi, k_tilde in enumerate(grid):
+            for i, rep in enumerate(range(start, stop)):
+                X, F = generate_dataset(cfg, k_tilde, rep)
+                block[i, :K] = F
+                block[i, K:] = X
+            yield gi, residual_factors(block, K)
         return
     A = residual_factors(_draw_block(cfg, start, stop), K)
     for first in range(0, len(grid), group):

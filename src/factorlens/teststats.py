@@ -55,15 +55,15 @@ def _pair_layout(p: int):
     return rows, cols, flat
 
 
-def _pair_g2(v: np.ndarray, diag_v: np.ndarray, pairs: int | None = None) -> np.ndarray:
-    """Squared partial correlations g^2 = v_ij^2 / (v_ii v_jj), the first pairs in tril order.
+def _pair_g2(v: np.ndarray, diag_v: np.ndarray) -> np.ndarray:
+    """Squared partial correlations g^2 = v_ij^2 / (v_ii v_jj), pairs in tril order.
 
     The pairs are gathered by one flat take from the storage of v's
     transpose, which for the kernel's v_lower (Fortran-ordered per factor)
     is C-ordered, so the reshape is a view; any other layout is copied.
     """
     p = v.shape[-1]
-    rows, cols, flat = (a[:pairs] for a in _pair_layout(p))
+    rows, cols, flat = _pair_layout(p)
     # takes, not fancy indexing, so that every operand is C-ordered; in place
     # on the gathered copies: the same operations, fewer temporaries
     g2 = np.take(np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (p * p,)), flat, axis=-1)
@@ -88,11 +88,9 @@ def _pair_transform(g2, dof_n: int):
     return dof_n * g2 / (1.0 - g2)
 
 
-def _pair_formula(
-    v: np.ndarray, diag_v: np.ndarray, dof_n: int, pairs: int | None = None
-) -> np.ndarray:
-    """dof_n * g^2 / (1 - g^2) with g = v_ij / sqrt(v_ii v_jj), the first pairs in tril order."""
-    return _pair_transform(_pair_g2(v, diag_v, pairs), dof_n)
+def _pair_formula(v: np.ndarray, diag_v: np.ndarray, dof_n: int) -> np.ndarray:
+    """dof_n * g^2 / (1 - g^2) with g = v_ij / sqrt(v_ii v_jj), pairs in tril order."""
+    return _pair_transform(_pair_g2(v, diag_v), dof_n)
 
 
 def _column_formula(diag_v: np.ndarray, diag_e: np.ndarray, dof_n: int) -> np.ndarray:

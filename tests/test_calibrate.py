@@ -372,6 +372,20 @@ def test_table_json_checks_critical_values_against_the_kept_sample(tmp_path, tab
         assert load_tables_json(path)[0].critical_values == tuple(doc["critical_values"])
 
 
+@pytest.mark.parametrize("kept", [True, False])
+@pytest.mark.parametrize("index, alpha", [(2, -0.5), (0, 1.5), (0, float("nan"))])
+def test_table_json_refuses_an_alpha_outside_the_unit_interval(tmp_path, tables, kept, index, alpha):
+    # the edited alpha keeps its place in the order, so only its range is wrong
+    doc = tables["T_pr"].to_json_dict()
+    doc["alphas"][index] = alpha
+    if not kept:
+        doc["null_sample"] = None
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
+    with pytest.raises(ParseError, match=r"bad\.json: T_pr alphas must lie in \(0, 1\)"):
+        load_tables_json(path)
+
+
 @pytest.mark.parametrize("reps", [1000, 1001, 1999])
 def test_calibrated_tables_load_at_every_alpha(tmp_path, reps):
     # default and edge alphas, and statistics that can be zero or negative

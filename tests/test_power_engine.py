@@ -90,9 +90,11 @@ def test_engine_matches_per_dataset_loop(scenario, p, K, T, source):
     grid = _grid(scenario)
     criticals, seen = _recording(criticals)
     curve = run_power_study(cfg, grid, criticals)
-    # one chunk: one kernel run over every grid point, its rows grid-major
-    assert [len(seen[test]) for test in TESTS] == [1] * len(TESTS)
-    seen = {test: runs[0].reshape(len(grid), cfg.reps) for test, runs in seen.items()}
+    # one chunk: s1-s3 make one kernel run over every grid point, its rows
+    # grid-major; s4 one kernel run per grid point
+    runs = len(grid) if scenario == "s4" else 1
+    assert [len(seen[test]) for test in TESTS] == [runs] * len(TESTS)
+    seen = {test: np.concatenate(r).reshape(len(grid), cfg.reps) for test, r in seen.items()}
     assert curve.critical_source == source
 
     stats, counts = _reference(cfg, grid, criticals.values)
@@ -110,7 +112,7 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, chunk, group):
         cfg = ScenarioConfig(scenario, p=5, K=1, T=30, reps=23, master_seed=8, alpha=0.1)
         whole = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
         with monkeypatch.context() as m:
-            m.setattr(powersim, "_chunk_size", lambda p, K, T, points, s4: (chunk, group))
+            m.setattr(powersim, "_chunk_size", lambda p, K, T, points: (chunk, group))
             chunked = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
         for test in TESTS:
             assert np.array_equal(whole.rates[test], chunked.rates[test]), (scenario, test)
@@ -198,7 +200,7 @@ def test_memory_stays_bounded_for_a_long_grid():
     # once peak at about 120 MiB
     cfg = ScenarioConfig("s1", p=60, K=1, T=100, reps=6, master_seed=5)
     grid = np.linspace(-0.5, 0.5, 200)
-    assert powersim._chunk_size(cfg.p, cfg.K, cfg.T, len(grid), False)[1] < len(grid)
+    assert powersim._chunk_size(cfg.p, cfg.K, cfg.T, len(grid))[1] < len(grid)
     tracemalloc.start()
     try:
         run_power_study(cfg, grid, _closed_form(cfg))
