@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .randmat import bartlett_factor, substreams
-from .teststats import FactorModelSpec, _pair_formula, stats_from_factors
+from .teststats import FactorModelSpec, _pair_formula, kernel_doubles, stats_from_factors
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
@@ -139,12 +139,9 @@ class CriticalValueTable:
         )
 
 
-def _default_chunk(p: int) -> int:
-    # Keep a chunk's work arrays near 48 MiB. Per replicate the kernel holds
-    # two p-by-p arrays (factor and V's lower triangle) and, while it forms
-    # g^2, three arrays of p(p-1)/2 pair values; the budget counts four.
-    per_replicate = 8 * (2 * p * p + 2 * p * (p - 1))
-    return max(1, min(4096, 48 * 2**20 // per_replicate))
+def default_chunk(p: int) -> int:
+    """Datasets per kernel run at p, keeping the kernel's work arrays near 48 MiB."""
+    return max(1, min(4096, 48 * 2**20 // (8 * kernel_doubles(p))))
 
 
 def simulate_null_statistics(
@@ -181,7 +178,7 @@ def simulate_null_statistics(
         "ln_T_LR_star": lambda k: k.ln_t_lr_star,
         "T_LR_standardized": standardized_lr(p, T, K, demeaned),
     }
-    chunk = min(chunk_size or _default_chunk(p), reps)
+    chunk = min(chunk_size or default_chunk(p), reps)
     out = {s: np.empty(reps) for s in statistics}
     # one buffer for every chunk: Bartlett writes only the lower triangle, so
     # the strict upper one stays zero

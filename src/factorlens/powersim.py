@@ -41,6 +41,7 @@ from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals
 from .teststats import (
     FactorModelSpec,
     _check_diagonal_product,
+    kernel_doubles,
     residual_factors,
     stats_from_factors,
 )
@@ -251,14 +252,13 @@ def _chunk_size(p: int, K: int, T: int, points: int) -> tuple[int, int]:
     """(replicates per chunk, grid points per kernel run), keeping work arrays near 16 MiB.
 
     Per replicate: the (K+p)-by-T draw block, its stacked scatter and
-    factor, and per grid point of a kernel run the kernel's two p-by-p
-    arrays (factor and V) and up to four arrays of p(p-1)/2 pairs. When one
+    factor, and kernel_doubles(p) per grid point of a kernel run. When one
     replicate's rows over all points exceed the budget, the points run in
     groups.
     """
     budget = 16 * 2**20 // 8
     draws = (K + p) * T + 2 * (K + p) ** 2
-    per_point = 2 * p * p + 2 * p * (p - 1)
+    per_point = kernel_doubles(p)
     group = max(1, min(points, (budget - draws) // per_point))
     return max(1, min(4096, budget // (draws + group * per_point))), group
 

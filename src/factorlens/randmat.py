@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension
-from .teststats import FactorStats, effective_sample_size, stats_from_factors
+from .teststats import FactorStats, checked_t_eff, stats_from_factors
 
 _UINT64_BOUND = 2**64
 
@@ -186,8 +186,6 @@ def sample_V11_null(
     its (irrelevant) diagonal; the Wishart direction is sampled because
     Bartlett gives its factor directly.
     """
-    t_eff = effective_sample_size(T, demeaned)
-    if p + K >= t_eff:
-        raise BadDimension(f"need p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
+    t_eff = checked_t_eff(p, K, T, demeaned)
     a = bartlett_factor(p, t_eff - K, seed.generator())
     return stats_from_factors(a[None], t_eff, K)

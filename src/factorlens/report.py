@@ -24,8 +24,8 @@ from . import asymptotics
 from .calibrate import (
     READERS,
     CriticalValueTable,
-    _default_chunk,
     calibrate_many,
+    default_chunk,
     empirical_pvalue,
     standardized_lr,
     DEFAULT_MASTER_SEED,
@@ -398,7 +398,7 @@ def batch_subset_test(
     Y = stacked_data(X, F, panel.demean)
     scatter = Y @ Y.T
     pvals = {test: np.empty(num_subsets) for test in TESTS}
-    chunk = _default_chunk(K + subset_size)
+    chunk = default_chunk(K + subset_size)
     for start in range(0, num_subsets, chunk):
         stop = min(start + chunk, num_subsets)
         subsets = np.array([
@@ -418,16 +418,9 @@ def batch_subset_test(
         for test in TESTS:
             pvals[test][start:stop] = decided[test][1]
         del factors, kernel, decided  # release this chunk's arrays before the next
-    quantiles = {}
-    for test in TESTS:
-        q = np.quantile(pvals[test], [0.0, 0.25, 0.5, 0.75, 1.0])
-        quantiles[test] = {
-            "min": float(q[0]),
-            "q1": float(q[1]),
-            "median": float(q[2]),
-            "q3": float(q[3]),
-            "max": float(q[4]),
-        }
-    return BatchSummary(
-        subset_size=subset_size, num_subsets=num_subsets, quantiles=quantiles
-    )
+    levels = {"min": 0.0, "q1": 0.25, "median": 0.5, "q3": 0.75, "max": 1.0}
+    quantiles = {
+        test: dict(zip(levels, map(float, np.quantile(pvals[test], list(levels.values())))))
+        for test in TESTS
+    }
+    return BatchSummary(subset_size=subset_size, num_subsets=num_subsets, quantiles=quantiles)

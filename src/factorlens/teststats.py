@@ -4,8 +4,8 @@ All statistics are functions of the p-by-p leading block V11 of the inverse
 scaled sample covariance of the stacked (responses, factors) data. Its
 inverse is the residual scatter E of the responses on the factors, so a
 lower factor L of E is all the kernel needs. Step one turns L into V's lower
-triangle (V = L^-T L^-1, by a LAPACK triangular inverse and an in-place BLAS
-dsyrk per factor), diag V, diag E and ln det E; step two applies the
+triangle (V = L^-T L^-1, by linalg.inverse_lower's triangular inverse and
+in-place rank-k update per factor), diag V, diag E and ln det E; step two applies the
 formulas to those four arrays. Under the null, the Bartlett factor of an
 identity-parameter Wishart draw is such a factor, so calibration and real
 data share the kernel. Data reach it through one factorization: the
@@ -26,11 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dtrtri
 
 from .errors import BadDimension, BadIndex, DegenerateCorrection, NotPositiveDefinite
-from .linalg import cholesky, invert_spd, stacked_cholesky
+from .linalg import cholesky, inverse_lower, invert_spd, mirror_lower, stacked_cholesky
 
 
 def effective_sample_size(T: int, demeaned: bool) -> int:
@@ -41,6 +39,14 @@ def effective_sample_size(T: int, demeaned: bool) -> int:
 def denominator_dof(t_eff: int, K: int, p: int) -> int:
     """Denominator degrees of freedom dof_n of the marginal F laws."""
     return t_eff - K - p + 1
+
+
+def checked_t_eff(p: int, K: int, T: int, demeaned: bool) -> int:
+    """T_eff, once p >= 1, K >= 0 and p + K < T_eff (so dof_n >= 2) hold."""
+    t_eff = effective_sample_size(T, demeaned)
+    if p < 1 or K < 0 or p + K >= t_eff:
+        raise BadDimension(f"need p >= 1, K >= 0, p + K < T_eff; got p={p}, K={K}, T_eff={t_eff}")
+    return t_eff
 
 
 # Step two of the kernel: the formulas, over arrays with any leading batch axes.
@@ -121,18 +127,18 @@ def _t_lr_formula(ln_t_lr_star, p: int, t_eff: int, K: int):
 _DIAG_RANGE = np.sqrt([np.finfo(float).tiny, np.finfo(float).max])
 
 
+def kernel_doubles(p: int) -> int:
+    """Doubles per dataset that chunk budgets count: L, v_lower and four arrays of pairs."""
+    return 2 * p * p + 2 * p * (p - 1)
+
+
 class FactorStats:
     """Statistics of m datasets from lower factors L[m, p, p] of their residual scatters.
 
     V and the pair and column statistics are computed on first use and kept,
     so ln T_LR* costs no inverse. Every statistic reads only v_lower, V's
-    lower triangle: per factor, LAPACK's triangular inverse (dtrtri), then a
-    BLAS rank-k update (dsyrk) writes L^-T L^-1 in place, at half a full
-    product's flops and bit for bit its lower triangle; v mirrors it on first
-    read. dpotri would do both steps in one call, but OpenBLAS runs its dlauum
-    step on every BLAS thread, which made calibration at p = 20 about 12%
-    slower on 2 cores; dtrtri(L.T, lower=0) differs from this inverse by an
-    ulp. Pairs are ordered (2,1), (3,1), (3,2), ... on the last axis.
+    lower triangle from linalg.inverse_lower; v mirrors it on first read.
+    Pairs are ordered (2,1), (3,1), (3,2), ... on the last axis.
     """
 
     def __init__(self, L: np.ndarray, t_eff: int, K: int) -> None:
@@ -157,21 +163,12 @@ class FactorStats:
     @cached_property
     def v_lower(self) -> np.ndarray:
         """V's lower triangle, diagonal included; the strict upper triangle is zero."""
-        # Fortran-ordered slices: in any other layout f2py hands dsyrk a copy,
-        # which it fills and returns while v stays zero
-        v = np.zeros(self.L.shape).transpose(0, 2, 1)
-        for r, factor in enumerate(self.L):
-            l_inv, _ = dtrtri(factor, lower=1)  # the diagonal check rules out info > 0
-            dsyrk(1.0, l_inv, trans=1, lower=1, c=v[r], overwrite_c=1)
-        return v
+        return inverse_lower(self.L)
 
     @cached_property
     def v(self) -> np.ndarray:
         """V, symmetric: a copy of v_lower mirrored onto its upper triangle."""
-        v = self.v_lower.copy()
-        rows, cols = np.triu_indices(self.p, 1)
-        v[:, rows, cols] = v[:, cols, rows]
-        return v
+        return mirror_lower(self.v_lower)
 
     @cached_property
     def diag_v(self) -> np.ndarray:
@@ -258,13 +255,7 @@ class FactorModelSpec:
     def __post_init__(self) -> None:
         if self.p < 2:
             raise BadDimension(f"need at least two response series, got p={self.p}")
-        if self.K < 0:
-            raise BadDimension(f"K must be nonnegative, got {self.K}")
-        if self.p + self.K >= self.t_eff:
-            raise BadDimension(
-                f"need p + K < effective sample size, got p={self.p}, K={self.K}, "
-                f"T_eff={self.t_eff}"
-            )
+        checked_t_eff(self.p, self.K, self.T, self.demeaned)
 
     @property
     def t_eff(self) -> int:
@@ -308,9 +299,7 @@ def precision_stats_from_data(
         raise BadDimension(
             f"responses have T={T} observations but factors have {F.shape[1]}"
         )
-    t_eff = effective_sample_size(T, demeaned)
-    if p + K >= t_eff:
-        raise BadDimension(f"need p + K < T_eff, got p={p}, K={K}, T_eff={t_eff}")
+    t_eff = checked_t_eff(p, K, T, demeaned)
     Y = stacked_data(X, F, demeaned)
     kernel = stats_from_factors(residual_factors(Y[None], K), t_eff, K)
     _check_diagonal_product(kernel.diag_v, kernel.diag_e)
@@ -322,15 +311,17 @@ def stats_from_precision(
 ) -> FactorStats:
     """The kernel's statistics of a given precision block V11 (inverted once).
 
-    Only the upper triangle of V11 is read. The factor of E = V11^-1 comes
-    from a Cholesky factorization of the inverse, so a diagonal V11 gives
-    statistics that are exactly zero.
+    Only the upper triangle of V11 is read, as the lower one of V11^T. The
+    factor of E = V11^-1 comes from a Cholesky factorization of the inverse,
+    so a diagonal V11 gives statistics that are exactly zero. Dimensions are
+    checked as in precision_stats_from_data.
     """
     v11 = np.asarray(v11, dtype=np.float64)
-    if v11.ndim != 2 or v11.shape[0] != v11.shape[1] or v11.shape[0] < 1:
+    if v11.ndim != 2 or v11.shape[0] != v11.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {v11.shape}")
-    L = cholesky(invert_spd(np.triu(v11) + np.triu(v11, 1).T))
-    kernel = stats_from_factors(L[None], effective_sample_size(T, demeaned), K)
+    t_eff = checked_t_eff(v11.shape[0], K, T, demeaned)
+    L = cholesky(invert_spd(v11.T))
+    kernel = stats_from_factors(L[None], t_eff, K)
     _check_diagonal_product(kernel.diag_v, kernel.diag_e)
     return kernel
 

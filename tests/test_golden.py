@@ -3,9 +3,11 @@
 The hashes are SHA-256 digests of the little-endian float64 bytes of each
 output array; they pin the calibration engine's null samples, the
 power-study rates, generated s2 and s3 datasets with their statistics, and
-stats_from_precision bit for bit. The data-path statistics of hand-built
-panels are pinned to a relative tolerance, since refactors of the linear
-algebra may move the last digits. The test and batch-test outputs are
+stats_from_precision bit for bit. Child processes on one and on two BLAS
+threads recompute the s2, s3 and stats_from_precision digests, which must
+match in both. The data-path statistics of hand-built panels are pinned to
+a relative tolerance, since refactors of the linear algebra may move the
+last digits. The test and batch-test outputs are
 pinned as SHA-256 digests of the text written: the report JSON as the CLI
 writes it, and the batch CSV, whose p-values print at 10 digits.
 Regenerate a value only for a deliberate change of the law or the
@@ -236,7 +238,7 @@ def _asymmetric_precision_digest() -> str:
     return _sha(np.concatenate([s.t_ij[0], s.t_j[0], s.ln_t_lr_star, s.t_lr, s.v[0].ravel()]))
 
 
-def one_thread_digests() -> dict[str, str]:
+def data_path_digests() -> dict[str, str]:
     return {
         **{f"{scenario} {rho}": _data_path_digest(scenario, rho)
            for scenario, rho in (("s2", -0.35), ("s2", 0.45), ("s3", -0.4), ("s3", 0.25))},
@@ -245,36 +247,53 @@ def one_thread_digests() -> dict[str, str]:
 
 
 # s2 builds its correlation structure through invert_spd, s3 directly.
-ONE_THREAD_HASHES = {
-    "s2 -0.35": "9ba8a16b1a3f617a52c965b5de0faa4adb3c14cecaf45b8b1961bd8c7c30cd04",
+DATA_PATH_HASHES = {
+    "s2 -0.35": "445e8f52057cbd9581622d07ee80a4bb4e8a8b361a93f20ba8a3003dd97d99b9",
     "s2 0.45": "0cb2452deb86ad2549074d0e7924d9aab7a6ea30112c9cf42914fbb1860951cf",
     "s3 -0.4": "83f41976899575b01934d7af4fcb01f7de51144abb0144abfe4e231a17090c5d",
     "s3 0.25": "c8a878093a5990634b1b53165cbadd76bdc579004ebc9a8e410819bdc31465f3",
-    "stats_from_precision": "4436b46a183dd4de8170fccddce58a6edc82fd14483e4f8d552b740cf0f5a76c",
+    "stats_from_precision": "68384aa293e0bf2beee41fe5aab927dd51b4ebcf3b3200a50f0bca9cd470c556",
 }
 
 
+@pytest.mark.parametrize("name", sorted(DATA_PATH_HASHES))
+def test_golden_data_path_digests(name):
+    assert data_path_digests()[name] == DATA_PATH_HASHES[name]
+
+
+def cross_thread_outputs() -> dict:
+    """The data-path digests, and null samples at p = 200 where BLAS threads split the work."""
+    samples = fl.simulate_null_statistics(("T_el", "T_pr", "T_LR"), 200, 260, 1, reps=300,
+                                          master_seed=11)
+    return {"digests": data_path_digests(), **{s: v.tolist() for s, v in samples.items()}}
+
+
 @pytest.fixture(scope="module")
-def computed_on_one_thread() -> dict[str, str]:
-    """one_thread_digests() from a child process on one BLAS thread.
-
-    invert_spd's LAPACK dpotri rounds differently with the OpenBLAS thread
-    count, so these bits are pinned at one thread, on any host.
-    """
+def computed_per_thread_count() -> dict[int, dict]:
+    """cross_thread_outputs() from child processes on one and on two OpenBLAS threads."""
     package_root = str(Path(fl.__file__).resolve().parents[1])
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
-    }
-    code = "import json, test_golden; print(json.dumps(test_golden.one_thread_digests()))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = "import json, test_golden; print(json.dumps(test_golden.cross_thread_outputs()))"
+    out = {}
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        out[threads] = json.loads(done.stdout)  # floats round-trip exactly through JSON
+    return out
 
 
-@pytest.mark.parametrize("name", sorted(ONE_THREAD_HASHES))
-def test_golden_one_thread_digests(computed_on_one_thread, name):
-    assert computed_on_one_thread[name] == ONE_THREAD_HASHES[name]
+def test_golden_data_path_digests_on_any_blas_thread_count(computed_per_thread_count):
+    for threads, out in computed_per_thread_count.items():
+        assert out["digests"] == DATA_PATH_HASHES, f"{threads} BLAS threads"
+
+
+def test_null_samples_at_p200_agree_across_blas_thread_counts(computed_per_thread_count):
+    # dsyrk splits V's update over threads at this p, so the V-reading
+    # statistics may differ in their last bits; T_LR never reads V
+    one, two = computed_per_thread_count[1], computed_per_thread_count[2]
+    for statistic in ("T_el", "T_pr"):
+        assert_allclose(two[statistic], one[statistic], rtol=1e-13, atol=0)
+    assert two["T_LR"] == one["T_LR"]

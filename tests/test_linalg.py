@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import cholesky, invert_spd
+from factorlens import cholesky, invert_spd, stats_from_factors
 from factorlens.errors import NotPositiveDefinite
+from factorlens.linalg import inverse_lower, mirror_lower
 from conftest import rand_spd
 
 
@@ -73,6 +74,42 @@ def test_invert_roundtrip_and_logdet(rng):
         assert_allclose(back, m, rtol=1e-8, atol=1e-10)
         assert abs(np.linalg.slogdet(m)[1] + np.linalg.slogdet(inv)[1]) <= 1e-8
         assert_allclose(m @ inv, np.eye(len(m)), rtol=1e-9, atol=1e-9)
+
+
+def test_invert_spd_reads_only_the_lower_triangle(rng):
+    m = rand_spd(rng, 6)
+    noisy = m.copy()
+    noisy[np.triu_indices(6, 1)] = rng.uniform(-5.0, 5.0, 15)
+    assert np.array_equal(invert_spd(noisy), invert_spd(m))
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 40])
+def test_invert_spd_is_the_kernel_v_bitwise(rng, p):
+    # one way to invert: the kernel's V of a matrix's Cholesky factor
+    m = rand_spd(rng, p)
+    kernel = stats_from_factors(cholesky(m)[None], 2 * p + 4, 0)
+    assert np.array_equal(invert_spd(m), kernel.v[0])
+
+
+def test_inverse_lower_of_a_stack(rng):
+    # any layout of the factors: the update is written in place into V, so
+    # a copy of its argument would leave V zero
+    m = np.stack([rand_spd(rng, 7) for _ in range(4)])
+    factors = np.linalg.cholesky(m)
+    padded = np.zeros((4, 9, 9))
+    padded[:, 2:, 2:] = factors
+    for layout in (factors, np.asfortranarray(factors), padded[:, 2:, 2:]):
+        v = inverse_lower(layout)
+        assert not np.triu(v, 1).any()
+        assert_allclose(np.tril(v), np.tril(np.linalg.inv(m)), rtol=1e-10, atol=1e-12)
+
+
+def test_mirror_lower_copies_the_lower_triangle():
+    a = np.arange(9.0).reshape(3, 3)
+    mirrored = mirror_lower(a)
+    assert np.array_equal(mirrored, np.tril(a) + np.tril(a, -1).T)
+    assert np.array_equal(a, np.arange(9.0).reshape(3, 3))  # a copy, a unchanged
+    assert np.array_equal(mirror_lower(a[None])[0], mirrored)
 
 
 def test_principal_block_of_spd_is_spd(rng):

@@ -76,6 +76,32 @@ def test_stats_from_precision_rejects_nonsquare():
             stats_from_precision(np.ones(shape), T=12, K=0)
 
 
+@pytest.mark.parametrize("demeaned", [False, True])
+def test_one_dataset_entry_points_share_the_dimension_check(demeaned):
+    # p + K = T_eff would leave dof_n = 1: every entry point needs p + K < T_eff
+    p, K = 5, 2
+    T = p + K + int(demeaned)  # T_eff = p + K
+    v11 = np.eye(p) + 0.1
+    X, F = np.random.default_rng(3).standard_normal((2, 8, T + 1))
+    with pytest.raises(BadDimension):
+        stats_from_precision(v11, T=T, K=K, demeaned=demeaned)
+    with pytest.raises(BadDimension):
+        sample_V11_null(p, T, K, SeedSpec(0, 0), demeaned=demeaned)
+    with pytest.raises(BadDimension):
+        precision_stats_from_data(X[:p, :T], F[:K, :T], demeaned=demeaned)
+    with pytest.raises(BadDimension):
+        FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned)
+    with pytest.raises(BadDimension):
+        stats_from_precision(v11, T=T + 10, K=-1, demeaned=demeaned)
+    # one more observation gives dof_n = 2 at each of them
+    assert stats_from_precision(v11, T=T + 1, K=K, demeaned=demeaned).dof_n == 2
+    assert sample_V11_null(p, T + 1, K, SeedSpec(0, 0), demeaned=demeaned).dof_n == 2
+    assert precision_stats_from_data(X[:p], F[:K], demeaned=demeaned).dof_n == 2
+    assert FactorModelSpec(p=p, K=K, T=T + 1, demeaned=demeaned).dof_n == 2
+    # a scalar precision block stays accepted
+    assert stats_from_precision(np.array([[2.0]]), T=3, K=0).p == 1
+
+
 def test_t_ij_worked_example():
     ps = _ps2()
     assert ps.dof_n == 11
@@ -158,7 +184,7 @@ def test_ln_t_lr_star_two_forms_agree(rng):
     # determinant-ratio form vs correlation-determinant form
     for _ in range(100):
         p = int(rng.integers(2, 8))
-        ps = _ps_from(rand_spd(rng, p), dof_n=int(rng.integers(1, 30)))
+        ps = _ps_from(rand_spd(rng, p), dof_n=int(rng.integers(2, 30)))
         direct = stat_ln_t_lr_star(ps)
         e = ps.L[0] @ ps.L[0].T
         s = 1.0 / np.sqrt(np.diagonal(e))
