@@ -184,7 +184,8 @@ def test_golden_report_json(source):
 
 # (source, demeaned, K, p, T, subset_size, num_subsets) -> digest of the CSV.
 # The calibrated boundary row has subset_size + K = T_eff - 1 (dof_n = 2);
-# the highdim rows take the concentration and the boundary regime.
+# the highdim rows take the concentration and the boundary regime, the
+# boundary one with and without demeaning (T_eff = 34, d = 23 when demeaned).
 BATCH_HASHES = {
     ("calibrated", True, 1, 28, 30, 27, 20):
         "f4b68d359f3ef0529550f71bca45c1560e5e4274d427f806c4d2d5d0d662ba21",
@@ -198,6 +199,8 @@ BATCH_HASHES = {
         "7db3540506c3a27c9b2c57c22a2c1ee9229aaa272de289ba255ba7104d16dcf0",
     ("highdim", False, 0, 14, 35, 10, 40):
         "008a8467443900b665529840bf32db1a54e4efac69d8ccc610bdf7bb1a1597c8",
+    ("highdim", True, 1, 14, 35, 10, 40):
+        "bbd1e10ae38e439758222685e3bfacef4bdd37832cf419066659bc0e55664f2a",
 }
 
 
