@@ -6,7 +6,9 @@ finite d. The log-determinant CLT standardization follows the
 random-matrix central limit theorem for correlation-matrix determinants.
 The limit laws' critical values and p-values are written once, in the
 highdim laws of report.resolve_criticals, which read the standardizations
-and the column statistic's boundary tail from here.
+and the column statistic's boundary tail from here. A function that needs
+the sample size takes the effective one, t_eff: T, or T - 1 for demeaned
+data, as teststats derives it.
 
 The CLT's scale constant is stated in the literature as
 sigma = -2 { p/(T-K) + ln(1 - p/(T-K)) }. A Monte-Carlo check (10^4 null
@@ -26,7 +28,6 @@ import numpy as np
 
 from .errors import DegenerateDof, DomainError, warn_at_caller
 from .special import chi2_cdf, normal_cdf
-from .teststats import effective_sample_size
 
 CONCENTRATION = "concentration_c"
 BOUNDARY = "boundary_d"
@@ -72,9 +73,8 @@ class Regime:
         return cls(kind=BOUNDARY, d=d)
 
 
-def select_regime(p: int, T: int, K: int, demeaned: bool = False) -> Regime:
+def select_regime(p: int, t_eff: int, K: int) -> Regime:
     """Default regime choice: boundary when T_eff - K - p is small."""
-    t_eff = effective_sample_size(T, demeaned)
     slack = t_eff - K - p
     if slack <= 0:
         raise DomainError(f"need p < T_eff - K, got p={p}, T_eff-K={t_eff - K}")
@@ -88,17 +88,16 @@ def select_regime(p: int, T: int, K: int, demeaned: bool = False) -> Regime:
     return Regime.concentration(p / (t_eff - K))
 
 
-def tj_mean_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> float:
+def tj_mean_adjustment(p: int, t_eff: int, K: int) -> float:
     """Exact mean of the column statistic under the null (finite sample)."""
-    slack = effective_sample_size(T, demeaned) - K - p
+    slack = t_eff - K - p
     if slack <= 1:
         raise DegenerateDof(f"mean adjustment needs T_eff - K - p > 1, got {slack}")
     return (slack + 1.0) / (slack - 1.0)
 
 
-def tj_variance_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> float:
+def tj_variance_adjustment(p: int, t_eff: int, K: int) -> float:
     """Exact variance of sqrt(p-1) times the column statistic under the null."""
-    t_eff = effective_sample_size(T, demeaned)
     slack = t_eff - K - p
     if slack <= 3:
         raise DegenerateDof(f"variance adjustment needs T_eff - K - p > 3, got {slack}")
@@ -110,14 +109,14 @@ def tj_variance_adjustment(p: int, T: int, K: int, demeaned: bool = False) -> fl
     )
 
 
-def tj_standardize(t_j, p: int, T: int, K: int, demeaned: bool = False):
+def tj_standardize(t_j, p: int, t_eff: int, K: int):
     """Z-score of column statistics in the concentration regime.
 
     Centers at the exact null mean and scales by the exact null variance
     (finite sample); t_j may be an array.
     """
-    mu = tj_mean_adjustment(p, T, K, demeaned)
-    var = tj_variance_adjustment(p, T, K, demeaned)
+    mu = tj_mean_adjustment(p, t_eff, K)
+    var = tj_variance_adjustment(p, t_eff, K)
     return math.sqrt(p - 1.0) * (t_j - mu) / math.sqrt(var)
 
 
@@ -134,37 +133,36 @@ def tj_boundary_pvalue(t_j, d: float):
     return chi2_cdf((d + 1.0) / t_j, d + 1.0)
 
 
-def lr_clt_mean(p: int, T: int, K: int, demeaned: bool = False):
+def lr_clt_mean(p: int, t_eff: int, K: int):
     """Centering constant of the log-determinant CLT."""
-    n = effective_sample_size(T, demeaned) - K
+    n = t_eff - K
     if not 0 < p < n:
         raise DomainError(f"need 0 < p < T_eff - K, got p={p}, T_eff-K={n}")
     return (p - 1.0 - n + 1.5) * math.log1p(-p / n) - (n - 1.0) / n * p
 
 
-def lr_clt_sigma(p: int, T: int, K: int, demeaned: bool = False):
+def lr_clt_sigma(p: int, t_eff: int, K: int):
     """Scale constant of the log-determinant CLT (a variance, see module note)."""
-    n = effective_sample_size(T, demeaned) - K
+    n = t_eff - K
     if not 0 < p < n:
         raise DomainError(f"need 0 < p < T_eff - K, got p={p}, T_eff-K={n}")
     return -2.0 * (p / n + math.log1p(-p / n))
 
 
-def tlr_standardize(ln_t_lr_star, p: int, T: int, K: int, demeaned: bool = False):
+def tlr_standardize(ln_t_lr_star, p: int, t_eff: int, K: int):
     """Standardize the log likelihood-ratio statistic to an asymptotic N(0, 1).
 
     Returns ((2/T_eff) * ln_t_lr_star + mean) / sqrt(sigma), reading sigma
     as a variance (module docstring). Accepts scalars or arrays in
     ln_t_lr_star.
     """
-    mean = lr_clt_mean(p, T, K, demeaned)
-    sigma = lr_clt_sigma(p, T, K, demeaned)
-    t_eff = effective_sample_size(T, demeaned)
+    mean = lr_clt_mean(p, t_eff, K)
+    sigma = lr_clt_sigma(p, t_eff, K)
     return ((2.0 / t_eff) * np.asarray(ln_t_lr_star) + mean) / math.sqrt(sigma)
 
 
 def tij_noncentral_approx_power(
-    crit: float, lambda_ij: float, p: int, T: int, K: int, demeaned: bool = False
+    crit: float, lambda_ij: float, p: int, t_eff: int, K: int
 ) -> float:
     """Approximate power of the pair test from its shifted chi-square limit.
 
@@ -175,20 +173,12 @@ def tij_noncentral_approx_power(
         raise DomainError(f"crit must be nonnegative, got {crit}")
     if lambda_ij < 0:
         raise DomainError(f"lambda_ij must be nonnegative, got {lambda_ij}")
-    delta = math.sqrt(effective_sample_size(T, demeaned) - K - p + 2.0) * math.sqrt(lambda_ij)
+    delta = math.sqrt(t_eff - K - p + 2.0) * math.sqrt(lambda_ij)
     a = math.sqrt(crit)
     return normal_cdf(delta - a) + normal_cdf(-a - delta)
 
 
-def tj_noncentral_approx_power(
-    crit: float,
-    lambda_j: float,
-    regime: Regime,
-    p: int,
-    T: int,
-    K: int,
-    demeaned: bool = False,
-) -> float:
+def tj_noncentral_approx_power(crit: float, lambda_j: float, regime: Regime, p: int) -> float:
     """Approximate power of the column test under the regime's noncentral limit.
 
     Concentration regime: normal with mean 1 + lambda/c and variance

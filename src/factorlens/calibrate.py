@@ -27,27 +27,28 @@ from .errors import (
     ParseError,
 )
 from .randmat import bartlett_factor, substreams
-from .teststats import FactorModelSpec, _pair_formula, kernel_doubles, stats_from_factors
+from .teststats import FactorModelSpec, kernel_doubles, stats_from_factors
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
 DEFAULT_REPS = 100_000
 MIN_REPS = 1_000
 
-# Statistics a table can be calibrated for.
-STATISTICS = ("T_el", "T_pr", "T_LR", "ln_T_LR_star", "T_LR_standardized")
-
-# Additional single-coordinate statistics available from the simulation
-# engine for distribution checks (first pair, first column).
-MARGINAL_STATISTICS = ("T_ij_21", "T_j_1")
-
-# the raw statistic each global test compares, per dataset of a kernel
-READERS = {"T_el": lambda k: k.t_el, "T_pr": lambda k: k.t_j.max(axis=1), "T_LR": lambda k: k.t_lr}
-
-
-def standardized_lr(p: int, T: int, K: int, demeaned: bool = False):
-    """Reader of the standardized T_LR of each dataset of a kernel at (p, T, K)."""
-    return lambda k: asymptotics.tlr_standardize(k.ln_t_lr_star, p, T, K, demeaned)
+# Every statistic the engine samples, as read from a kernel, one value per
+# dataset. The first five can be calibrated into tables, the first three being
+# the raw statistics the global tests compare; the last two are single
+# coordinates (first pair, first column) for distribution checks.
+READERS = {
+    "T_el": lambda k: k.t_el,
+    "T_pr": lambda k: k.t_j.max(axis=1),
+    "T_LR": lambda k: k.t_lr,
+    "ln_T_LR_star": lambda k: k.ln_t_lr_star,
+    "T_LR_standardized": lambda k: asymptotics.tlr_standardize(k.ln_t_lr_star, k.p, k.t_eff, k.K),
+    "T_ij_21": lambda k: k.t_ij[:, 0],
+    "T_j_1": lambda k: k.t_j[:, 0],
+}
+STATISTICS = tuple(READERS)[:5]
+MARGINAL_STATISTICS = tuple(READERS)[5:]
 
 _SCHEMA = "factorlens/1"
 _DF_CONVENTION = "wishart(T_eff - K) for the inverse precision block"
@@ -162,22 +163,12 @@ def simulate_null_statistics(
     result is independent of the chunking.
     """
     statistics = tuple(statistics)
-    known = set(STATISTICS) | set(MARGINAL_STATISTICS)
     for s in statistics:
-        if s not in known:
+        if s not in READERS:
             raise DomainError(f"unknown statistic {s!r}")
     t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     if reps < 1:
         raise DomainError("reps must be positive")
-    columns = {
-        **READERS,
-        # pair (2, 1) alone, from its 2-by-2 block: the operands of t_ij[:, 0]
-        # without transforming every pair
-        "T_ij_21": lambda k: _pair_formula(k.v_lower[:, :2, :2], k.diag_v[:, :2], k.dof_n)[:, 0],
-        "T_j_1": lambda k: k.t_j[:, 0],
-        "ln_T_LR_star": lambda k: k.ln_t_lr_star,
-        "T_LR_standardized": standardized_lr(p, T, K, demeaned),
-    }
     chunk = min(chunk_size or default_chunk(p), reps)
     out = {s: np.empty(reps) for s in statistics}
     # one buffer for every chunk: Bartlett writes only the lower triangle, so
@@ -190,7 +181,7 @@ def simulate_null_statistics(
             bartlett_factor(p, t_eff - K, rng, out=factors[i])
         kernel = stats_from_factors(factors, t_eff, K)
         for s in statistics:
-            out[s][start:stop] = columns[s](kernel)
+            out[s][start:stop] = READERS[s](kernel)
         del kernel  # release this chunk's arrays before drawing the next
     return out
 
@@ -302,7 +293,9 @@ def save_tables_json(tables, path) -> None:
 def load_tables_json(path) -> list[CriticalValueTable]:
     """Read tables written by save_tables_json (or a single-table document).
 
-    A file that is not such a document raises ParseError naming the file.
+    A file that is not such a document raises ParseError naming the file; a
+    table that its constructor refuses raises that refusal's error, prefixed
+    with the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -318,6 +311,8 @@ def load_tables_json(path) -> list[CriticalValueTable]:
         raise ParseError(f"{path}: a table has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed table: {exc}") from None
+    except (BadDimension, DomainError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     for table in tables:
         if not all(0.0 < a < 1.0 for a in table.alphas):  # NaN fails too
             raise ParseError(

@@ -79,8 +79,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scenario", canonical_scenario(self.scenario))
-        if self.p + self.K >= self.T:
-            raise BadDimension(f"need p + K < T, got p={self.p}, K={self.K}, T={self.T}")
+        self.model  # BadDimension unless p >= 2, K >= 0 and p + K < T
         if self.reps < 1:
             raise DomainError("reps must be positive")
         if not 0.0 < self.alpha < 1.0:

@@ -27,7 +27,6 @@ from .calibrate import (
     calibrate_many,
     default_chunk,
     empirical_pvalue,
-    standardized_lr,
     DEFAULT_MASTER_SEED,
     DEFAULT_REPS,
 )
@@ -239,13 +238,13 @@ def resolve_criticals(
                 reps=calibration_reps, master_seed=calibration_seed, keep_null_sample=True,
             )
         laws = {}
-        for name, read in READERS.items():
+        for name in TESTS:
             table = tables.get(name)
             if table is None:
                 raise MissingCalibration(f"no calibration table supplied for {name}")
             _check_table(table, model, name)
             tail = lambda t, table=table: empirical_pvalue(t, table)
-            laws[name] = Law(SOURCE_CALIBRATED, read, 1, tail, table.critical_value)
+            laws[name] = Law(SOURCE_CALIBRATED, READERS[name], 1, tail, table.critical_value)
     elif request == REQUEST_CLOSED_FORM:
         laws = {
             "T_el": _f_law(SOURCE_BONFERRONI, READERS["T_el"], pairs, 1, dof_n),
@@ -253,11 +252,11 @@ def resolve_criticals(
             "T_LR": _chi2_law(SOURCE_CHI2, READERS["T_LR"], 1, pairs),
         }
     else:
-        regime = asymptotics.select_regime(p, T, K, demeaned)
+        regime = asymptotics.select_regime(p, model.t_eff, K)
         normal = (lambda z: normal_cdf(-z), lambda a: normal_quantile(1.0 - a))
         if regime.kind == asymptotics.CONCENTRATION:
             el = _chi2_law(SOURCE_HIGHDIM, READERS["T_el"], pairs, 1)
-            z_pr = lambda k: asymptotics.tj_standardize(READERS["T_pr"](k), p, T, K, demeaned)
+            z_pr = lambda k: asymptotics.tj_standardize(READERS["T_pr"](k), k.p, k.t_eff, k.K)
             pr = Law(SOURCE_HIGHDIM, z_pr, p, *normal)
         else:
             d1 = regime.d + 1.0
@@ -267,8 +266,8 @@ def resolve_criticals(
                 lambda t: asymptotics.tj_boundary_pvalue(t, regime.d),
                 lambda a: d1 / chi2_quantile(a, d1),
             )
-        z_lr = standardized_lr(p, T, K, demeaned)
-        laws = {"T_el": el, "T_pr": pr, "T_LR": Law(SOURCE_HIGHDIM, z_lr, 1, *normal)}
+        lr = Law(SOURCE_HIGHDIM, READERS["T_LR_standardized"], 1, *normal)
+        laws = {"T_el": el, "T_pr": pr, "T_LR": lr}
     values = {name: law.critical(alpha) for name, law in laws.items()}
     return Criticals(request, model, alpha, laws, values, tables, regime)
 

@@ -94,11 +94,6 @@ def _pair_transform(g2, dof_n: int):
     return dof_n * g2 / (1.0 - g2)
 
 
-def _pair_formula(v: np.ndarray, diag_v: np.ndarray, dof_n: int) -> np.ndarray:
-    """dof_n * g^2 / (1 - g^2) with g = v_ij / sqrt(v_ii v_jj), pairs in tril order."""
-    return _pair_transform(_pair_g2(v, diag_v), dof_n)
-
-
 def _column_formula(diag_v: np.ndarray, diag_e: np.ndarray, dof_n: int) -> np.ndarray:
     """dof_n / (p-1) * (v_jj e_jj - 1), clipped at zero against rounding."""
     p = diag_v.shape[-1]

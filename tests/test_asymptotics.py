@@ -218,10 +218,10 @@ def test_tij_noncentral_power_close_to_exact_density():
 
 def test_tj_noncentral_power_null_case():
     reg = Regime.concentration(0.2)
-    p, T, K = 100, 510, 10
+    p = 100
     # at lambda = 0 the normal approximation gives alpha at the normal critical
     crit = 1.0 + normal_quantile(0.95) * math.sqrt((2.0 / 0.8) / (p - 1.0))
-    assert_allclose(tj_noncentral_approx_power(crit, 0.0, reg, p, T, K), 0.05, atol=1e-9)
+    assert_allclose(tj_noncentral_approx_power(crit, 0.0, reg, p), 0.05, atol=1e-9)
 
 
 def test_tj_noncentral_power_boundary_inversion():
@@ -229,9 +229,9 @@ def test_tj_noncentral_power_boundary_inversion():
     lam = 0.7
     beta = 0.8
     crit = (1.0 + lam) * 5.0 / chi2_quantile(beta, 5.0)
-    power = tj_noncentral_approx_power(crit, lam, reg, 100, 205, 1)
+    power = tj_noncentral_approx_power(crit, lam, reg, 100)
     assert_allclose(power, beta, atol=1e-12)
-    assert tj_noncentral_approx_power(0.0, lam, reg, 100, 205, 1) == 1.0
+    assert tj_noncentral_approx_power(0.0, lam, reg, 100) == 1.0
 
 
 def test_tj_boundary_critical_size():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from factorlens.calibrate import (
     tables_to_csv,
 )
 from factorlens.errors import (
+    BadDimension,
     DomainError,
     EmptySample,
     MissingNullSample,
@@ -115,7 +117,7 @@ def test_engine_matches_plain_reference_loop(monkeypatch, p, T, reps, chunk):
         "T_j_1": kernel.t_j[:, 0],
         "ln_T_LR_star": kernel.ln_t_lr_star,
         "T_LR": kernel.t_lr,
-        "T_LR_standardized": tlr_standardize(kernel.ln_t_lr_star, p, T, K, False),
+        "T_LR_standardized": tlr_standardize(kernel.ln_t_lr_star, p, T, K),
     }
     for name in names:
         assert np.array_equal(out[name], ref[name]), name
@@ -354,6 +356,26 @@ def test_table_json_rejects_a_bad_null_sample(tmp_path, tables, corrupt):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
     with pytest.raises(DomainError, match="T_el null sample"):
+        load_tables_json(path)
+
+
+@pytest.mark.parametrize(
+    "key, edit, error",
+    [
+        ("null_sample", lambda doc: doc["null_sample"][::-1], DomainError),
+        ("reps", lambda doc: 999, DomainError),
+        ("statistic", lambda doc: "T_XX", DomainError),
+        ("alphas", lambda doc: doc["alphas"] + [0.2], BadDimension),
+    ],
+    ids=["descending", "reps-999", "unknown-statistic", "alphas-too-long"],
+)
+def test_table_json_names_the_file_in_each_refusal(tmp_path, tables, key, edit, error):
+    # test --table may read several files: the refusal must say which one
+    doc = tables["T_el"].to_json_dict()
+    doc[key] = edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
+    with pytest.raises(error, match="^" + re.escape(f"{path}: ")):
         load_tables_json(path)
 
 

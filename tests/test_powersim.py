@@ -27,6 +27,14 @@ def test_config_validation():
         ScenarioConfig(scenario="s1", p=20, K=15, T=30)
 
 
+@pytest.mark.parametrize("scenario, p, K, T", [("s1", 5, -1, 50), ("s4", 1, 1, 50)])
+def test_config_takes_only_dimensions_its_model_accepts(scenario, p, K, T):
+    # K < 0 used to fail later in generate_dataset, outside FactorLensError,
+    # and p = 1 used to generate data that no test statistic is defined on
+    with pytest.raises(BadDimension):
+        ScenarioConfig(scenario, p=p, K=K, T=T)
+
+
 def _sigma(scenario, p, rho):
     """C C^T for the factor C of build_sigma_u, which must be lower triangular."""
     c = build_sigma_u(scenario, p, rho)

@@ -35,7 +35,7 @@ from factorlens.asymptotics import tlr_standardize
 from factorlens.calibrate import MARGINAL_STATISTICS, STATISTICS, simulate_null_statistics
 from factorlens.randmat import bartlett_factor
 from factorlens.linalg import stacked_cholesky
-from factorlens.teststats import _pair_formula, residual_factors
+from factorlens.teststats import residual_factors
 from conftest import rand_spd
 
 # V11 = [[2,1],[1,2]] with dof_n = 11 (T=12, K=0) is the worked 2x2 case
@@ -437,8 +437,8 @@ def test_t_el_equals_max_of_pair_statistics_bitwise(p):
 
 @pytest.mark.parametrize("p", [2, 5, 20])
 def test_readers_take_the_kernel_entries_bitwise(p):
-    # stat_t_ij reads the pair at tril position (i-1)(i-2)/2 + j-1; computing
-    # the pair alone from its 2-by-2 block (j-1, i-1) is the engine's T_ij_21
+    # stat_t_ij reads the pair at tril position (i-1)(i-2)/2 + j-1, bit for bit
+    # the pair computed alone from v_ij, v_ii and v_jj
     rng = np.random.default_rng(40 + p)
     T, K = 3 * p + 10, 2
     F = rng.standard_normal((K, T))
@@ -447,9 +447,9 @@ def test_readers_take_the_kernel_entries_bitwise(p):
     s = precision_stats_from_data(X, F)
     for i in range(2, p + 1):
         for j in range(1, i):
-            pair = [j - 1, i - 1]
-            block = s.v[0][np.ix_(pair, pair)]
-            alone = _pair_formula(block, s.diag_v[0][pair], s.dof_n)[0]
+            v_ij, v_ii, v_jj = s.v[0, i - 1, j - 1], s.diag_v[0, i - 1], s.diag_v[0, j - 1]
+            g2 = v_ij * v_ij / (v_ii * v_jj)
+            alone = s.dof_n * g2 / (1.0 - g2)
             assert stat_t_ij(s, i, j) == alone, (i, j)
     assert compute_all(s).t_el == s.t_ij[0].max()
     for j in range(1, p + 1):
@@ -585,7 +585,7 @@ def test_null_samples_at_p100_equal_the_reference_path_bitwise():
         "T_j_1": t_j[:, 0],
         "ln_T_LR_star": ln_lr,
         "T_LR": 2.0 * rho * ((T - K) / T) * ln_lr,
-        "T_LR_standardized": tlr_standardize(ln_lr, p, T, K, False),
+        "T_LR_standardized": tlr_standardize(ln_lr, p, T, K),
     }
     for name in statistics:
         assert np.array_equal(samples[name], expected[name]), name
