@@ -12,22 +12,29 @@ and limit laws live with the calibrated ones in report.resolve_criticals.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import math
+import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import asymptotics
+from . import asymptotics, linalg
 from .errors import (
     BadDimension,
     DomainError,
     EmptySample,
     MissingNullSample,
     ParseError,
+    WorkerFailed,
 )
 from .randmat import bartlett_factor, substreams
-from .teststats import FactorModelSpec, kernel_doubles, stats_from_factors
+from .teststats import FactorModelSpec, _pair_transform, kernel_doubles, stats_from_factors
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
@@ -44,7 +51,7 @@ READERS = {
     "T_LR": lambda k: k.t_lr,
     "ln_T_LR_star": lambda k: k.ln_t_lr_star,
     "T_LR_standardized": lambda k: asymptotics.tlr_standardize(k.ln_t_lr_star, k.p, k.t_eff, k.K),
-    "T_ij_21": lambda k: k.t_ij[:, 0],
+    "T_ij_21": lambda k: _pair_transform(k._g2[:, 0], k.dof_n),
     "T_j_1": lambda k: k.t_j[:, 0],
 }
 STATISTICS = tuple(READERS)[:5]
@@ -160,7 +167,10 @@ def simulate_null_statistics(
 
     Replicate r draws its Bartlett factor from substream (master_seed, r);
     the statistics kernel runs on chunks of factors, but each replicate's
-    result is independent of the chunking.
+    result is independent of the chunking. A run of two or more chunks is
+    split into contiguous, chunk-aligned replicate ranges, one per process
+    (see _processes); this process computes the last range, and forked
+    children compute the others and send their blocks back through pipes.
     """
     statistics = tuple(statistics)
     for s in statistics:
@@ -170,20 +180,130 @@ def simulate_null_statistics(
     if reps < 1:
         raise DomainError("reps must be positive")
     chunk = min(chunk_size or default_chunk(p), reps)
-    out = {s: np.empty(reps) for s in statistics}
-    # one buffer for every chunk: Bartlett writes only the lower triangle, so
-    # the strict upper one stays zero
-    buffer = np.zeros((chunk, p, p))
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        factors = buffer[: stop - start]
-        for i, rng in enumerate(substreams(master_seed, start, stop)):
-            bartlett_factor(p, t_eff - K, rng, out=factors[i])
-        kernel = stats_from_factors(factors, t_eff, K)
-        for s in statistics:
-            out[s][start:stop] = READERS[s](kernel)
-        del kernel  # release this chunk's arrays before drawing the next
-    return out
+
+    def run(start: int, stop: int, block: np.ndarray) -> None:
+        """Replicates [start, stop) into block, one row per statistic, a chunk at a time."""
+        # one buffer for every chunk: Bartlett writes only the lower triangle,
+        # so the strict upper one stays zero
+        buffer = np.zeros((min(chunk, stop - start), p, p))
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            factors = buffer[: hi - lo]
+            for i, rng in enumerate(substreams(master_seed, lo, hi)):
+                bartlett_factor(p, t_eff - K, rng, out=factors[i])
+            kernel = stats_from_factors(factors, t_eff, K)
+            for row, s in zip(block, statistics):
+                row[lo - start : hi - start] = READERS[s](kernel)
+            del kernel  # release this chunk's arrays before drawing the next
+
+    out = np.empty((len(statistics), reps))
+    chunks = -(-reps // chunk)
+    n = min(chunks, _processes())
+    edges = [min(reps, chunk * (i * chunks // n)) for i in range(n + 1)]
+    workers = []
+    try:
+        for start, stop in zip(edges[:-2], edges[1:-1]):
+            workers.append(_Worker(run, start, stop, len(statistics)))
+        run(edges[-2], reps, out[:, edges[-2] :])
+        for worker in workers:
+            worker.join(out)
+    finally:
+        for worker in workers:
+            worker.reap()
+    return dict(zip(statistics, out))
+
+
+def _processes() -> int:
+    """Processes a multi-chunk run may use: 1, or every CPU this process may run on.
+
+    Forking needs Linux and os.fork, and no other Python thread: a fork
+    copies only the calling thread, and a lock another thread holds would
+    stay held in the child. The kernel's BLAS must be pinned to one thread
+    (linalg.SCIPY_BLAS_PIN), or each process would run a thread per core.
+    """
+    if (
+        sys.platform != "linux"
+        or not hasattr(os, "fork")
+        or linalg.SCIPY_BLAS_PIN is None
+        or threading.active_count() > 1
+    ):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+class _Worker:
+    """A forked child that runs work on replicates [start, stop) and pipes back the block."""
+
+    def __init__(self, work, start: int, stop: int, rows: int) -> None:
+        self.start, self.stop, self.rows = start, stop, rows
+        self.pid = self.fd = None
+        parent = os.getpid()
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            os.close(read)
+            self._serve(work, write, parent)  # never returns
+        os.close(write)
+        self.pid, self.fd = pid, read
+
+    def _serve(self, work, fd: int, parent: int) -> None:
+        """The child: one status byte, then the block (0) or the error's text (1); then exit."""
+        status = 1
+        try:
+            # a parent killed by a signal reaps no child, so die with it
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != parent:
+                return
+            try:
+                block = np.empty((self.rows, self.stop - self.start))
+                work(self.start, self.stop, block)
+                head, body = b"\0", block
+            except BaseException as exc:  # the parent reports it, naming the range
+                head, body = b"\1", f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")
+            with open(fd, "wb") as fh:
+                fh.write(head)
+                fh.write(body)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def join(self, out: np.ndarray) -> None:
+        """Read the child's block into out's columns [start, stop) and reap the child."""
+        fh, self.fd = open(self.fd, "rb"), None
+        with fh:
+            data = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        size = 1 + 8 * self.rows * (self.stop - self.start)
+        if data[:1] == b"\0" and len(data) == size and status == 0:
+            out[:, self.start : self.stop] = np.frombuffer(data, offset=1).reshape(self.rows, -1)
+            return
+        if data[:1] == b"\1":
+            reason = data[1:].decode("utf-8", "replace")
+        else:
+            reason = f"the worker process ended with status {os.waitstatus_to_exitcode(status)}"
+        raise WorkerFailed(f"replicates {self.start} to {self.stop - 1}: {reason}")
+
+    def reap(self) -> None:
+        """Stop and wait for the child if it is still unjoined; idempotent."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def calibrate_many(
@@ -285,9 +405,9 @@ def save_tables_json(tables, path) -> None:
     """Write one or more tables as a single JSON document."""
     docs = [t.to_json_dict() for t in tables]
     payload = {"schema": _SCHEMA, "tables": docs}
+    # one line: json.dumps takes the C encoder, which json.dump never does
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_tables_json(path) -> list[CriticalValueTable]:

@@ -8,11 +8,21 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
 def warn_at_caller(message: str) -> None:
-    """warnings.warn, attributed to the nearest calling frame outside this package."""
-    frame, level = sys._getframe(1), 2
-    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+    """warnings.warn, attributed to the nearest calling frame outside this package.
+
+    Frozen frames (<frozen runpy> under python -m) name no file a user can
+    open, so they are passed over; where nothing else calls the package, the
+    warning names the package's outermost frame.
+    """
+    frame, level, named = sys._getframe(1), 2, 2
+    while frame is not None:
+        filename = frame.f_code.co_filename
+        if not filename.startswith("<frozen"):
+            named = level
+            if not filename.startswith(_PACKAGE_DIR):
+                break
         frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
+    warnings.warn(message, stacklevel=named)
 
 
 class FactorLensError(Exception):
@@ -80,3 +90,7 @@ class MissingValue(FactorLensError):
 
 class TooFewRows(FactorLensError):
     """Not enough observations for the requested model dimensions."""
+
+
+class WorkerFailed(FactorLensError):
+    """A worker process of the calibration engine failed; the message names its replicates."""

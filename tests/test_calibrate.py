@@ -1,12 +1,20 @@
+import contextlib
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import factorlens
 from factorlens import (
     FactorModelSpec,
     SeedSpec,
@@ -31,8 +39,10 @@ from factorlens.errors import (
     BadDimension,
     DomainError,
     EmptySample,
+    FactorLensError,
     MissingNullSample,
     ParseError,
+    WorkerFailed,
 )
 from factorlens.randmat import bartlett_factor
 from factorlens.teststats import compute_all, stats_from_factors
@@ -94,6 +104,9 @@ def test_engine_matches_plain_reference_loop(monkeypatch, p, T, reps, chunk):
     import factorlens.calibrate as cal
     from factorlens.asymptotics import tlr_standardize
 
+    # one process, so that the recording kernel sees every chunk; the forked
+    # runs are held to this one by the worker tests below
+    monkeypatch.delattr(os, "fork")
     seen = []
 
     def recording_kernel(L, t_eff, K):
@@ -144,6 +157,166 @@ def test_engine_marginal_statistics_match():
         ps = sample_V11_null(P, T, K, SeedSpec(4, r))
         assert_allclose(out["T_ij_21"][r], stat_t_ij(ps, 2, 1), rtol=1e-9)
         assert_allclose(out["T_j_1"][r], stat_t_j(ps, 1), rtol=1e-9)
+
+
+def test_t_ij_21_reads_the_first_pair_of_the_kernel():
+    from factorlens.calibrate import READERS
+
+    factors = np.stack([plain_bartlett(8, 30, SeedSpec(5, r).generator()) for r in range(6)])
+    kernel = stats_from_factors(factors, 31, 1)
+    assert np.array_equal(READERS["T_ij_21"](kernel), kernel.t_ij[:, 0])
+
+
+def _count_forks(monkeypatch, processes=3):
+    """Let the engine use `processes` processes, and count the children it forks.
+
+    Where scipy's OpenBLAS has no thread pin, a stand-in lets the engine fork
+    all the same; each process then runs BLAS on its default thread count.
+    """
+    import factorlens.linalg as linalg
+
+    if linalg.SCIPY_BLAS_PIN is None:
+        monkeypatch.setattr(linalg, "SCIPY_BLAS_PIN", contextlib.nullcontext())
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+NAMES = STATISTICS + MARGINAL_STATISTICS
+
+
+@pytest.mark.parametrize("p, T, reps, chunk", [(10, 40, 700, 64), (100, 518, 40, 9)])
+def test_forked_chunks_equal_one_chunk_bitwise(monkeypatch, p, T, reps, chunk):
+    ref = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=reps)
+    forks = _count_forks(monkeypatch)
+    out = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=chunk)
+    assert len(forks) == 2  # three processes: this one computes the last range
+    for name in NAMES:
+        assert np.array_equal(out[name], ref[name]), name
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("p, T, reps, chunk", [(10, 40, 700, 64), (100, 518, 40, 9)])
+@pytest.mark.parametrize("away", ["pin", "fork"])
+def test_engine_runs_serially_without_the_pin_or_fork(monkeypatch, p, T, reps, chunk, away):
+    import factorlens.linalg as linalg
+
+    ref = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=reps)
+    forks = _count_forks(monkeypatch)
+    if away == "pin":
+        monkeypatch.setattr(linalg, "SCIPY_BLAS_PIN", None)
+    else:
+        monkeypatch.delattr(os, "fork")
+    out = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=chunk)
+    assert forks == []
+    for name in NAMES:
+        assert np.array_equal(out[name], ref[name]), name
+
+
+@pytest.mark.parametrize("how, reason", [
+    ("raise", "DomainError: kernel refused"),
+    ("kill", "the worker process ended with status -9"),
+])
+def test_a_failing_worker_is_named_and_no_process_outlives_the_call(monkeypatch, how, reason):
+    import factorlens.calibrate as cal
+
+    parent = os.getpid()
+
+    def failing_in_children(L, t_eff, K):
+        if os.getpid() != parent:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise DomainError("kernel refused")
+        return stats_from_factors(L, t_eff, K)
+
+    _count_forks(monkeypatch)
+    monkeypatch.setattr(cal, "stats_from_factors", failing_in_children)
+    with pytest.raises(WorkerFailed, match=f"^replicates 0 to 99: {reason}$") as info:
+        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
+    assert isinstance(info.value, FactorLensError)
+    _assert_no_children_left()
+
+
+def test_a_failure_in_this_process_stops_the_workers(monkeypatch):
+    import factorlens.calibrate as cal
+
+    parent = os.getpid()
+
+    def failing_here(L, t_eff, K):
+        if os.getpid() == parent:
+            raise DomainError("kernel refused here")
+        return stats_from_factors(L, t_eff, K)
+
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cal, "stats_from_factors", failing_here)
+    with pytest.raises(DomainError, match="kernel refused here"):
+        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
+    assert len(forks) == 2
+    _assert_no_children_left()
+
+
+_SLOW_WORKER = """
+import contextlib, os, sys, time
+import factorlens.calibrate as cal
+import factorlens.linalg as linalg
+
+if linalg.SCIPY_BLAS_PIN is None:
+    linalg.SCIPY_BLAS_PIN = contextlib.nullcontext()
+os.sched_getaffinity = lambda pid: {0, 1}
+kernel, parent = cal.stats_from_factors, os.getpid()
+
+def slow_in_the_worker(L, t_eff, K):
+    if os.getpid() != parent:
+        with open(sys.argv[1], "w") as fh:
+            fh.write(str(os.getpid()))
+        time.sleep(60)
+    return kernel(L, t_eff, K)
+
+cal.stats_from_factors = slow_in_the_worker
+cal.simulate_null_statistics(("T_el",), 6, 40, 2, reps=100, master_seed=1, chunk_size=50)
+"""
+
+
+def test_a_worker_dies_with_a_killed_parent(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    package_root = str(Path(factorlens.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", _SLOW_WORKER, str(pid_file)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() or not pid_file.read_text():
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker started"
+            time.sleep(0.05)
+        worker = int(pid_file.read_text())
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+
+    def alive(pid):
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return False
+        return state not in ("Z", "X")
+
+    deadline = time.monotonic() + 10
+    while alive(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not alive(worker)
 
 
 def test_calibrate_determinism(tables):

@@ -637,3 +637,22 @@ def test_cli_entrypoint_runs_as_module(tmp_path):
     )
     assert result.returncode == 0
     assert "factorlens" in result.stdout
+
+
+def test_warnings_under_python_m_name_a_file(tmp_path):
+    # boundary slack d = T - K - p = 3 warns; runpy's frames name no file, so
+    # the warning falls on the package's outermost frame, cli.py's entry line
+    panel = tmp_path / "panel.csv"
+    _write_panel_csv(panel, _null_panel(p=6, K=1, T=10))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "factorlens.cli", "test", "--input", str(panel),
+         "--assets", ",".join(f"a{i}" for i in range(6)), "--factors", "f0",
+         "--criticals", "highdim", "--out", str(tmp_path / "report.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "UserWarning: boundary slack d=3" in result.stderr
+    assert "<frozen" not in result.stderr
+    assert os.path.join("factorlens", "cli.py") in result.stderr

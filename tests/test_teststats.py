@@ -34,6 +34,7 @@ from factorlens.errors import (
 from factorlens.asymptotics import tlr_standardize
 from factorlens.calibrate import MARGINAL_STATISTICS, STATISTICS, simulate_null_statistics
 from factorlens.randmat import bartlett_factor
+from factorlens import linalg
 from factorlens.linalg import stacked_cholesky
 from factorlens.teststats import residual_factors
 from conftest import rand_spd
@@ -508,14 +509,19 @@ def test_kernel_names_a_factor_lapack_cannot_invert():
 
 
 def _reference_stats(L, t_eff, K):
-    """V, t_ij, t_el and t_j of each factor, V from dtrtri and a full product."""
+    """V, t_ij, t_el and t_j of each factor, V from dtrtri and a full product.
+
+    The product runs on one BLAS thread, as the kernel's dsyrk does: at
+    p = 100 a two-thread product rounds differently.
+    """
     p = L.shape[-1]
     dof_n = t_eff - K - p + 1
     v = np.empty(L.shape)
     for r, factor in enumerate(L):
         l_inv, info = dtrtri(factor, lower=1)
         assert info == 0
-        np.matmul(l_inv.T, l_inv, out=v[r])
+        with linalg.NUMPY_BLAS_PIN or linalg._UNPINNED:
+            np.matmul(l_inv.T, l_inv, out=v[r])
     diag_v = np.diagonal(v, axis1=1, axis2=2)
     rows, cols = np.tril_indices(p, -1)
     g2 = v[:, rows, cols] ** 2 / (diag_v[:, rows] * diag_v[:, cols])
