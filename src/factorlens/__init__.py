@@ -21,7 +21,6 @@ from .calibrate import (
     CriticalValueTable,
     calibrate_many,
     empirical_pvalue,
-    ks_statistic,
     simulate_null_statistics,
 )
 from .errors import FactorLensError

@@ -28,7 +28,6 @@ from . import asymptotics, linalg
 from .errors import (
     BadDimension,
     DomainError,
-    EmptySample,
     MissingNullSample,
     ParseError,
     WorkerFailed,
@@ -40,6 +39,10 @@ DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
 DEFAULT_REPS = 100_000
 MIN_REPS = 1_000
+# Fewest replicates worth a process of their own, unless a chunk is smaller.
+# On 2 cores, two 500-replicate shares ran as fast as one process at p = 5 and
+# faster at p = 20; two 350-replicate shares ran slower at p = 5 and 10.
+MIN_SHARE = 500
 
 # Every statistic the engine samples, as read from a kernel, one value per
 # dataset. The first five can be calibrated into tables, the first three being
@@ -167,10 +170,15 @@ def simulate_null_statistics(
 
     Replicate r draws its Bartlett factor from substream (master_seed, r);
     the statistics kernel runs on chunks of factors, but each replicate's
-    result is independent of the chunking. A run of two or more chunks is
-    split into contiguous, chunk-aligned replicate ranges, one per process
-    (see _processes); this process computes the last range, and forked
-    children compute the others and send their blocks back through pipes.
+    result is independent of the chunking. The replicates are split into n
+    contiguous ranges of equal size (to one replicate), each run a chunk at
+    a time, where n is the CPU count of _processes capped so that every
+    range holds at least min(chunk, MIN_SHARE) replicates: a run of fewer
+    than twice that is one range and forks nothing. This process computes
+    the last range, and forked children compute the others and send their
+    blocks back through pipes. The call holds linalg.SCIPY_BLAS_PIN from
+    before the first fork until every child is reaped, so the kernel's
+    nested pins set no thread count in any process.
     """
     statistics = tuple(statistics)
     for s in statistics:
@@ -197,29 +205,33 @@ def simulate_null_statistics(
             del kernel  # release this chunk's arrays before drawing the next
 
     out = np.empty((len(statistics), reps))
-    chunks = -(-reps // chunk)
-    n = min(chunks, _processes())
-    edges = [min(reps, chunk * (i * chunks // n)) for i in range(n + 1)]
+    n = min(_processes(), reps // min(chunk, MIN_SHARE))  # chunk <= reps, so n >= 1
+    edges = [reps * i // n for i in range(n + 1)]
     workers = []
-    try:
-        for start, stop in zip(edges[:-2], edges[1:-1]):
-            workers.append(_Worker(run, start, stop, len(statistics)))
-        run(edges[-2], reps, out[:, edges[-2] :])
-        for worker in workers:
-            worker.join(out)
-    finally:
-        for worker in workers:
-            worker.reap()
+    # entered before the first fork: OpenBLAS shuts its thread pool down at a
+    # fork, and a child leaving its own pin would restore the count and so
+    # restart the pool, whose helper thread spins on the other worker's core
+    with linalg.SCIPY_BLAS_PIN or contextlib.nullcontext():
+        try:
+            for start, stop in zip(edges[:-2], edges[1:-1]):
+                workers.append(_Worker(run, start, stop, len(statistics)))
+            run(edges[-2], reps, out[:, edges[-2] :])
+            for worker in workers:
+                worker.join(out)
+        finally:
+            for worker in workers:
+                worker.reap()
     return dict(zip(statistics, out))
 
 
 def _processes() -> int:
-    """Processes a multi-chunk run may use: 1, or every CPU this process may run on.
+    """Processes a run may use: 1, or every CPU this process may run on.
 
     Forking needs Linux and os.fork, and no other Python thread: a fork
     copies only the calling thread, and a lock another thread holds would
     stay held in the child. The kernel's BLAS must be pinned to one thread
-    (linalg.SCIPY_BLAS_PIN), or each process would run a thread per core.
+    (linalg.SCIPY_BLAS_PIN), or each process would run a thread per core;
+    simulate_null_statistics enters that pin before it forks.
     """
     if (
         sys.platform != "linux"
@@ -375,30 +387,6 @@ def empirical_pvalue(observed, table: CriticalValueTable, add_one: bool = False)
     else:
         share = count / sample.size
     return float(share) if np.ndim(observed) == 0 else share
-
-
-def ks_statistic(sample: np.ndarray, cdf) -> float:
-    """Sup-norm distance between the empirical CDF of a sorted sample and cdf."""
-    s = np.asarray(sample, dtype=np.float64)
-    if s.size == 0:
-        raise EmptySample("ks_statistic needs a nonempty sample")
-    if np.any(np.diff(s) < 0):
-        raise DomainError("sample must be sorted ascending")
-    values = np.asarray(cdf(s), dtype=float)
-    if values.shape != s.shape:
-        values = np.asarray([cdf(x) for x in s], dtype=float)
-    n = s.size
-    grid = np.arange(1, n + 1) / n
-    d_plus = float(np.max(grid - values))
-    d_minus = float(np.max(values - (grid - 1.0 / n)))
-    return max(d_plus, d_minus)
-
-
-def ks_asymptotic_pvalue(d: float, n: int) -> float:
-    """Asymptotic Kolmogorov p-value of a KS distance d on n observations."""
-    from scipy.special import kolmogorov
-
-    return float(kolmogorov(d * math.sqrt(n)))
 
 
 def save_tables_json(tables, path) -> None:

@@ -13,10 +13,14 @@ the thread count and made calibration at p = 20 about 12% slower on 2 cores.
 OpenBLAS splits dsyrk, and numpy's Cholesky factorization, over its threads
 at p >= 100 or so, and the split changes the last bits. So inverse_lower
 runs scipy's bundled OpenBLAS on one thread, and cholesky numpy's: their
-results are then the same on any thread count, and the calibration
-engine's worker processes run one BLAS thread each. The pin is OpenBLAS's
+results are then the same on any thread count. The pin is OpenBLAS's
 openblas_set_num_threads_local, called through ctypes and undone after the
-call; a build that does not export it (another BLAS) runs unpinned.
+call; a build that does not export it (another BLAS) runs unpinned. The
+calibration engine enters SCIPY_BLAS_PIN itself, before it forks its
+worker processes and until it has reaped them, so inverse_lower's pin only
+counts blocks there and each process runs one BLAS thread: OpenBLAS shuts
+its thread pool down at a fork, and a count restored to two after the
+fork would start it again, with a helper thread that spins.
 """
 
 from __future__ import annotations

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import kolmogorov
+
+from factorlens.errors import DomainError, EmptySample
 
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
@@ -16,6 +21,28 @@ def plain_bartlett(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if p > 1:
         a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
     return a
+
+
+def ks_statistic(sample: np.ndarray, cdf) -> float:
+    """Sup-norm distance between the empirical CDF of a sorted sample and cdf."""
+    s = np.asarray(sample, dtype=np.float64)
+    if s.size == 0:
+        raise EmptySample("ks_statistic needs a nonempty sample")
+    if np.any(np.diff(s) < 0):
+        raise DomainError("sample must be sorted ascending")
+    values = np.asarray(cdf(s), dtype=float)
+    if values.shape != s.shape:
+        values = np.asarray([cdf(x) for x in s], dtype=float)
+    n = s.size
+    grid = np.arange(1, n + 1) / n
+    d_plus = float(np.max(grid - values))
+    d_minus = float(np.max(values - (grid - 1.0 / n)))
+    return max(d_plus, d_minus)
+
+
+def ks_asymptotic_pvalue(d: float, n: int) -> float:
+    """Asymptotic Kolmogorov p-value of a KS distance d on n observations."""
+    return float(kolmogorov(d * math.sqrt(n)))
 
 
 @pytest.fixture

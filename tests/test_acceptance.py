@@ -17,11 +17,11 @@ from factorlens.asymptotics import (
     tj_mean_adjustment,
     tj_variance_adjustment,
 )
-from factorlens.calibrate import ks_asymptotic_pvalue
 from factorlens.panel import ReturnsPanel, export_panel_csv, ingest_csv
 from factorlens.powersim import ScenarioConfig, generate_dataset, run_power_study
 from factorlens.randmat import bartlett_factor
 from factorlens.report import TESTS, resolve_criticals, run_tests
+from conftest import ks_asymptotic_pvalue, ks_statistic
 
 
 def _record(criterion: str, ok: bool, detail: str) -> None:
@@ -91,10 +91,10 @@ def test_criterion_1_exact_null_laws():
     out = fl.simulate_null_statistics(
         ("T_ij_21", "T_j_1"), p, T, K, reps=reps, master_seed=101
     )
-    d_ij = fl.ks_statistic(
+    d_ij = ks_statistic(
         np.sort(out["T_ij_21"]), lambda x: np.array([fl.f_cdf(v, 1, dof) for v in x])
     )
-    d_j = fl.ks_statistic(
+    d_j = ks_statistic(
         np.sort(out["T_j_1"]), lambda x: np.array([fl.f_cdf(v, p - 1, dof) for v in x])
     )
     p_ij = ks_asymptotic_pvalue(d_ij, reps)
@@ -207,7 +207,7 @@ def test_criterion_4_tlr_clt():
             ("T_LR_standardized",), p, T, K, reps=10_000, master_seed=seed
         )
         z = np.sort(out["T_LR_standardized"])
-        d = fl.ks_statistic(z, lambda x: np.array([fl.normal_cdf(v) for v in x]))
+        d = ks_statistic(z, lambda x: np.array([fl.normal_cdf(v) for v in x]))
         c = p / (T - K)
         details.append(f"c={c:.2f}: KS={d:.4f}")
         ok = ok and d < 0.03
@@ -224,7 +224,7 @@ def test_criterion_5_tj_adjusted_normal_limit():
     mu = tj_mean_adjustment(p, T, K)
     var = tj_variance_adjustment(p, T, K)
     z = np.sort(math.sqrt(p - 1) * (out["T_j_1"] - mu) / math.sqrt(var))
-    d = fl.ks_statistic(z, lambda x: np.array([fl.normal_cdf(v) for v in x]))
+    d = ks_statistic(z, lambda x: np.array([fl.normal_cdf(v) for v in x]))
     _record(
         "5a (adjusted column statistic vs normal)",
         d < 0.03,
@@ -242,7 +242,7 @@ def test_criterion_5_tj_boundary_limit():
         x = np.asarray(x, dtype=float)
         return np.array([1.0 - fl.chi2_cdf((d_slack + 1.0) / v, d_slack + 1.0) for v in x])
 
-    d = fl.ks_statistic(sample, limit_cdf)
+    d = ks_statistic(sample, limit_cdf)
     _record(
         "5b (boundary column statistic vs scaled inverse chi-square)",
         d < 0.05,

@@ -22,7 +22,6 @@ from factorlens import (
     chi2_quantile,
     empirical_pvalue,
     f_quantile,
-    ks_statistic,
     resolve_criticals,
     sample_V11_null,
     simulate_null_statistics,
@@ -46,7 +45,7 @@ from factorlens.errors import (
 )
 from factorlens.randmat import bartlett_factor
 from factorlens.teststats import compute_all, stats_from_factors
-from conftest import plain_bartlett
+from conftest import ks_statistic, plain_bartlett
 
 P, T, K = 6, 40, 2
 REPS = 2000
@@ -266,6 +265,97 @@ def test_a_failure_in_this_process_stops_the_workers(monkeypatch):
     with pytest.raises(DomainError, match="kernel refused here"):
         simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
     assert len(forks) == 2
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("fails, error", [(None, None), ("child", WorkerFailed), ("here", DomainError)])
+def test_the_pin_is_held_across_every_fork_and_wait(monkeypatch, tmp_path, fails, error):
+    import factorlens.calibrate as cal
+    import factorlens.linalg as linalg
+
+    # each set-threads call, fork and wait appends "pid event" to one file,
+    # so that a child's calls show up here
+    log, parent = tmp_path / "events", os.getpid()
+
+    def note(event):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {event}\n")
+
+    threads = [2]
+
+    def set_threads(n):
+        note(f"set {n}")
+        threads[0], previous = n, threads[0]
+        return previous
+
+    fork, waitpid = os.fork, os.waitpid
+
+    def noting_fork():
+        pid = fork()
+        if pid:
+            note("fork")
+        return pid
+
+    def noting_waitpid(pid, options):
+        note("wait")
+        return waitpid(pid, options)
+
+    def kernel(L, t_eff, K):
+        if fails == ("here" if os.getpid() == parent else "child"):
+            raise DomainError("kernel refused")
+        return stats_from_factors(L, t_eff, K)
+
+    monkeypatch.setattr(linalg, "SCIPY_BLAS_PIN", linalg._ThreadPin(set_threads))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", noting_fork)
+    monkeypatch.setattr(os, "waitpid", noting_waitpid)
+    monkeypatch.setattr(cal, "stats_from_factors", kernel)
+    with pytest.raises(error) if error else contextlib.nullcontext():
+        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
+    events = log.read_text().splitlines()
+    monkeypatch.undo()
+    # one count to 1 before the first fork and one restore after the last
+    # wait, all in this process: the children's nested pins set nothing
+    assert events == [f"{parent} {e}" for e in ("set 1", "fork", "fork", "wait", "wait", "set 2")]
+    _assert_no_children_left()
+
+
+def test_a_one_chunk_run_forks_into_even_halves(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    ref = simulate_null_statistics(NAMES, 20, 104, 1, reps=2000, master_seed=3)
+    forks = _count_forks(monkeypatch, processes=2)
+    out = simulate_null_statistics(NAMES, 20, 104, 1, reps=2000, master_seed=3)
+    assert len(forks) == 1  # 2000 replicates fit one chunk of 4032
+    for name in NAMES:
+        assert np.array_equal(out[name], ref[name]), name
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("reps, forked, chunks_here", [
+    (20_000, [(0, 10_000)], [4096, 4096, 1808]),
+    (8, [], [8]),
+])
+def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, chunks_here):
+    import factorlens.calibrate as cal
+
+    ranges, chunks, parent = [], [], os.getpid()
+
+    class RecordingWorker(cal._Worker):
+        def __init__(self, work, start, stop, rows):
+            ranges.append((start, stop))
+            super().__init__(work, start, stop, rows)
+
+    def kernel(L, t_eff, K):
+        if os.getpid() == parent:
+            chunks.append(len(L))
+        return stats_from_factors(L, t_eff, K)
+
+    forks = _count_forks(monkeypatch, processes=2)
+    monkeypatch.setattr(cal, "_Worker", RecordingWorker)
+    monkeypatch.setattr(cal, "stats_from_factors", kernel)
+    simulate_null_statistics(("T_el",), 10, 40, K, reps=reps, master_seed=8)
+    assert ranges == forked and len(forks) == len(forked)
+    assert chunks == chunks_here  # this process runs the last range, default_chunk(10) = 4096 at a time
     _assert_no_children_left()
 
 

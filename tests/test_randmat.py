@@ -12,18 +12,16 @@ from factorlens import (
     SeedSpec,
     batch_subset_test,
     f_cdf,
-    ks_statistic,
     run_power_study,
     sample_V11_null,
     simulate_null_statistics,
 )
-from factorlens.calibrate import ks_asymptotic_pvalue
 from factorlens.errors import BadDimension
 from factorlens.powersim import ScenarioConfig
 from factorlens.report import resolve_criticals
 from factorlens.randmat import _bartlett_layout, bartlett_factor, substreams
 from factorlens.teststats import stat_t_ij
-from conftest import plain_bartlett
+from conftest import ks_asymptotic_pvalue, ks_statistic, plain_bartlett
 
 
 def test_seedspec_determinism():

@@ -37,7 +37,7 @@ from factorlens.randmat import bartlett_factor
 from factorlens import linalg
 from factorlens.linalg import stacked_cholesky
 from factorlens.teststats import residual_factors
-from conftest import rand_spd
+from conftest import ks_asymptotic_pvalue, ks_statistic, rand_spd
 
 # V11 = [[2,1],[1,2]] with dof_n = 11 (T=12, K=0) is the worked 2x2 case
 V2 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -304,8 +304,7 @@ def test_from_data_rejects_small_T():
 
 def test_from_data_null_law_ks():
     # simulated under the null: T_21 follows the exact F law downstream
-    from factorlens import f_cdf, ks_statistic
-    from factorlens.calibrate import ks_asymptotic_pvalue
+    from factorlens import f_cdf
 
     p, K, T, reps = 3, 1, 20, 2500
     dof = T - K - p + 1
