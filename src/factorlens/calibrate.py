@@ -39,10 +39,13 @@ DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
 DEFAULT_REPS = 100_000
 MIN_REPS = 1_000
-# Fewest replicates worth a process of their own, unless a chunk is smaller.
-# On 2 cores, two 500-replicate shares ran as fast as one process at p = 5 and
-# faster at p = 20; two 350-replicate shares ran slower at p = 5 and 10.
-MIN_SHARE = 500
+# The least work worth a process of its own, in the kernel doubles that chunk
+# budgets count. A replicate costs REPLICATE_OVERHEAD (its substream, Bartlett
+# draw and Python overhead) plus kernel_doubles(p). On 2 cores, two shares of
+# this much work ran about as fast as one process at p = 5, 20 and 100 (about
+# 460, 300 and 29 replicates), and larger shares ran faster.
+REPLICATE_OVERHEAD = 2_500
+MIN_SHARE_WORK = 1_200_000
 
 # Every statistic the engine samples, as read from a kernel, one value per
 # dataset. The first five can be calibrated into tables, the first three being
@@ -155,6 +158,11 @@ def default_chunk(p: int) -> int:
     return max(1, min(4096, 48 * 2**20 // (8 * kernel_doubles(p))))
 
 
+def min_share(p: int) -> int:
+    """Fewest replicates at p that hold MIN_SHARE_WORK, so are worth a process of their own."""
+    return -(-MIN_SHARE_WORK // (REPLICATE_OVERHEAD + kernel_doubles(p)))
+
+
 def simulate_null_statistics(
     statistics,
     p: int,
@@ -173,8 +181,8 @@ def simulate_null_statistics(
     result is independent of the chunking. The replicates are split into n
     contiguous ranges of equal size (to one replicate), each run a chunk at
     a time, where n is the CPU count of _processes capped so that every
-    range holds at least min(chunk, MIN_SHARE) replicates: a run of fewer
-    than twice that is one range and forks nothing. This process computes
+    range holds at least min(chunk, min_share(p)) replicates: a run of
+    fewer than twice that is one range and forks nothing. This process computes
     the last range, and forked children compute the others and send their
     blocks back through pipes. The call holds linalg.SCIPY_BLAS_PIN from
     before the first fork until every child is reaped, so the kernel's
@@ -205,7 +213,7 @@ def simulate_null_statistics(
             del kernel  # release this chunk's arrays before drawing the next
 
     out = np.empty((len(statistics), reps))
-    n = min(_processes(), reps // min(chunk, MIN_SHARE))  # chunk <= reps, so n >= 1
+    n = min(_processes(), reps // min(chunk, min_share(p)))  # chunk <= reps, so n >= 1
     edges = [reps * i // n for i in range(n + 1)]
     workers = []
     # entered before the first fork: OpenBLAS shuts its thread pool down at a
@@ -430,12 +438,13 @@ def load_tables_json(path) -> list[CriticalValueTable]:
             continue
         # the values calibrate_many stores: type-7 quantiles of the same sample
         expected = np.quantile(table.null_sample, [1.0 - a for a in table.alphas])
-        for alpha, stored, want in zip(table.alphas, table.critical_values, expected):
-            if not np.isclose(stored, want, rtol=1e-12, atol=0.0):
-                raise ParseError(
-                    f"{path}: {table.statistic} critical value {stored!r} at alpha={alpha} "
-                    f"is not the 1 - alpha quantile of the table's null sample"
-                )
+        wrong = np.flatnonzero(~np.isclose(table.critical_values, expected, rtol=1e-12, atol=0.0))
+        if wrong.size:
+            i = wrong[0]
+            raise ParseError(
+                f"{path}: {table.statistic} critical value {table.critical_values[i]!r} "
+                f"at alpha={table.alphas[i]} is not the 1 - alpha quantile of the table's null sample"
+            )
     return tables
 
 

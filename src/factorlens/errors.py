@@ -72,10 +72,6 @@ class MissingCalibration(FactorLensError):
     """Calibrated critical values are required but not available."""
 
 
-class EmptySample(FactorLensError):
-    """Empty sample where at least one observation is required."""
-
-
 class ParseError(FactorLensError):
     """CSV cell could not be parsed; message carries the location."""
 

@@ -1,4 +1,4 @@
-"""CSV ingestion of return panels: assets plus named factor columns.
+"""CSV ingestion and export of return panels: assets plus named factor columns.
 
 Input files are UTF-8, comma-separated, with a header row and one column
 per series; an optional leading column of timestamps (any string) is kept
@@ -12,13 +12,19 @@ loadtxt. Any other file, or a plain one the C parser declines, goes
 through csv.reader and _parse_cells, one cell at a time, which raises the
 located ParseError or MissingValue. A value is float() of the stripped
 cell on either path, bit for bit.
+
+Export formats each row of floats with repr in C (map and str.join over
+the values' tolist()), quotes only the cells csv.writer would quote, and
+writes the file as one string.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -33,6 +39,8 @@ from .errors import (
 )
 
 _NA_TOKENS = {"", "na", "n/a", "nan", "null", "none", "."}
+# a cell with none of these csv.writer writes unquoted on every Python version
+_QUOTE_TRIGGERS = re.compile(r'[,"\r\n\0]')
 
 
 @dataclass(frozen=True)
@@ -254,19 +262,37 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     )
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it (QUOTE_MINIMAL) in a row of two or more cells."""
+    if _QUOTE_TRIGGERS.search(text) is None:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]  # less the empty second cell's "," and the line end
+
+
 def export_panel_csv(panel: ReturnsPanel, target) -> None:
-    """Write a panel back out; re-ingesting with the same names reproduces it."""
-    header = ["time"] + list(panel.asset_names) + list(panel.factor_names)
+    """Write a panel to a CSV path or open text file: a time column, then assets, then factors.
 
-    def _write(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t in range(panel.T):
-            row = [panel.times[t]] + [repr(float(v)) for v in panel.values[t]]
-            writer.writerow(row)
-
+    The time column is named "time", or "time_", "time__", ... when an asset
+    or factor name, stripped, is already that. Each value is written as
+    repr(float), each time and name as csv.writer quotes it, with "\\n" line
+    ends; the file is formatted as one string and written once. Re-ingesting
+    it with the panel's asset and factor names gives back its values bit for
+    bit and its times, less what ingest strips from each cell: a time " t0"
+    comes back "t0", and a name " a" must be asked for as "a".
+    """
+    names = panel.asset_names + panel.factor_names
+    taken = {name.strip() for name in names}
+    time = "time"
+    while time in taken:
+        time += "_"
+    lines = [",".join(map(_csv_cell, (time, *names)))]
+    for cell, row in zip(panel.times, panel.values.tolist()):
+        lines.append(f"{_csv_cell(cell)},{','.join(map(repr, row))}")
+    text = "\n".join(lines) + "\n"
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
+            fh.write(text)
     else:
-        _write(target)
+        target.write(text)

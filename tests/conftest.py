@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
-from factorlens.errors import DomainError, EmptySample
+from factorlens.errors import DomainError
 
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
@@ -27,7 +27,7 @@ def ks_statistic(sample: np.ndarray, cdf) -> float:
     """Sup-norm distance between the empirical CDF of a sorted sample and cdf."""
     s = np.asarray(sample, dtype=np.float64)
     if s.size == 0:
-        raise EmptySample("ks_statistic needs a nonempty sample")
+        raise DomainError("ks_statistic needs a nonempty sample")
     if np.any(np.diff(s) < 0):
         raise DomainError("sample must be sorted ascending")
     values = np.asarray(cdf(s), dtype=float)

@@ -37,7 +37,6 @@ from factorlens.calibrate import (
 from factorlens.errors import (
     BadDimension,
     DomainError,
-    EmptySample,
     FactorLensError,
     MissingNullSample,
     ParseError,
@@ -359,6 +358,26 @@ def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, ch
     _assert_no_children_left()
 
 
+@pytest.mark.parametrize("p, T, K, demeaned, statistics, reps, forked", [
+    (20, 104, 1, False, ("T_el", "T_pr", "T_LR"), 2000, 1),  # calibrate-p20
+    (100, 518, 1, False, ("T_el", "T_pr", "T_LR_standardized"), 1000, 1),  # calibrate-p100
+    (10, 260, 3, True, ("T_el", "T_pr", "T_LR"), 10_000, 1),  # the empirical tables
+    (20, 104, 1, False, ("T_el", "T_pr", "T_LR"), 8, 0),  # the warm-ups
+    (100, 518, 1, False, ("T_el", "T_pr", "T_LR_standardized"), 8, 0),
+    (20, 104, 1, False, ("T_el",), 700, 1),  # two shares of 350 pay at p = 20
+    (5, 104, 1, False, ("T_el",), 700, 0),  # but not at p = 5
+])
+def test_a_share_holds_the_least_work_worth_a_process(monkeypatch, p, T, K, demeaned, statistics, reps, forked):
+    import factorlens.calibrate as cal
+
+    assert [cal.min_share(n) for n in (5, 20, 100)] == [464, 296, 29]
+    assert all(cal.min_share(n) >= 1 for n in range(1, 3000, 7))
+    forks = _count_forks(monkeypatch, processes=2)
+    simulate_null_statistics(statistics, p, T, K, reps=reps, master_seed=2, demeaned=demeaned)
+    assert len(forks) == forked
+    _assert_no_children_left()
+
+
 _SLOW_WORKER = """
 import contextlib, os, sys, time
 import factorlens.calibrate as cal
@@ -564,7 +583,7 @@ def test_ks_statistic_basics():
     const = np.full(10, 0.3)
     d_const = ks_statistic(const, lambda x: np.asarray(x))
     assert_allclose(d_const, 0.7, rtol=1e-12)
-    with pytest.raises(EmptySample):
+    with pytest.raises(DomainError):
         ks_statistic(np.array([]), lambda x: x)
     with pytest.raises(DomainError):
         ks_statistic(np.array([2.0, 1.0]), lambda x: x)
@@ -655,6 +674,19 @@ def test_table_json_checks_critical_values_against_the_kept_sample(tmp_path, tab
             load_tables_json(path)
     else:  # nothing to check against: loads as stored
         assert load_tables_json(path)[0].critical_values == tuple(doc["critical_values"])
+
+
+def test_table_json_names_the_first_alpha_whose_critical_value_is_off(tmp_path, tables):
+    doc = tables["T_el"].to_json_dict()
+    for i in (1, 2):  # alphas 0.05 and 0.01, 1e-9 relative apart from the quantile
+        doc["critical_values"][i] *= 1.0 + 1e-9
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
+    stored = doc["critical_values"][1]
+    message = (f"{path}: T_el critical value {stored!r} at alpha=0.05 "
+               "is not the 1 - alpha quantile of the table's null sample")
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        load_tables_json(path)
 
 
 @pytest.mark.parametrize("kept", [True, False])

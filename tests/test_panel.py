@@ -292,6 +292,81 @@ def test_roundtrip_export_ingest():
     assert again.asset_names == panel.asset_names
 
 
+def _reference_export(panel, fh):
+    """The cell-by-cell export: csv.writer, with repr(float(v)) per value."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["time"] + list(panel.asset_names) + list(panel.factor_names))
+    for t in range(panel.T):
+        writer.writerow([panel.times[t]] + [repr(float(v)) for v in panel.values[t]])
+
+
+def _panel(times, values, labels=("date", "a", "b", "f")):
+    return ReturnsPanel(
+        labels=labels,
+        times=tuple(times),
+        values=values,
+        asset_columns=tuple(range(1, len(labels) - 1)),
+        factor_columns=(len(labels) - 1,),
+    )
+
+
+_ODD_TIMES = ["", ",", '"', "\n", "\r\n", " lead", "trail ", "  both  ", "\u00fc\u00df", "\u65e5\u672c", "plain"]
+_ODD_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, -123456789.0]
+
+
+def test_export_writes_the_reference_bytes_to_a_path_and_an_open_file(tmp_path):
+    values = np.resize(_ODD_VALUES + [-v for v in _ODD_VALUES[1:]], (len(_ODD_TIMES), 3))
+    panel = _panel(_ODD_TIMES, values)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", encoding="utf-8", newline="") as fh:
+        _reference_export(panel, fh)
+    to_path, to_file = tmp_path / "path.csv", tmp_path / "file.csv"
+    export_panel_csv(panel, to_path)
+    with open(to_file, "w", encoding="utf-8", newline="") as fh:
+        export_panel_csv(panel, fh)
+    assert to_path.read_bytes() == reference.read_bytes()
+    assert to_file.read_bytes() == reference.read_bytes()
+    # every time comes back less what ingest strips, and every value bit for bit
+    back = ingest_csv(to_path, ["a", "b"], ["f"])
+    assert back.times == tuple(t.strip() for t in _ODD_TIMES)
+    assert np.array_equal(back.values.view(np.int64), panel.values.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    times=st.lists(st.text(max_size=6), min_size=4, max_size=8),
+    data=st.data(),
+)
+def test_export_equals_the_reference_for_any_times_and_values(times, data):
+    values = data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=3 * len(times), max_size=3 * len(times),
+    ))
+    panel = _panel(times, np.reshape(values, (len(times), 3)))
+    got, want = io.StringIO(), io.StringIO()
+    export_panel_csv(panel, got)
+    _reference_export(panel, want)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("labels, assets, factors, header", [
+    (("date", "time", "b", "f"), ["time", "b"], ["f"], "time_,time,b,f"),
+    (("date", "a", "b", "time"), ["a", "b"], ["time"], "time_,a,b,time"),
+    (("date", "time_", "time", "f"), ["time_", "time"], ["f"], "time__,time_,time,f"),
+    (("date", "a", " time ", "f"), ["a", "time"], ["f"], "time_,a, time ,f"),  # ingest strips names
+])
+def test_export_names_the_time_column_apart_from_every_series(labels, assets, factors, header):
+    rng = np.random.default_rng(4)
+    panel = _panel([f"t{i}" for i in range(8)], rng.standard_normal((8, 3)), labels)
+    buffer = io.StringIO()
+    export_panel_csv(panel, buffer)
+    assert buffer.getvalue().splitlines()[0] == header
+    buffer.seek(0)
+    back = ingest_csv(buffer, assets, factors)
+    assert back.asset_names == tuple(assets) and back.factor_names == tuple(factors)
+    assert back.times == panel.times
+    assert np.array_equal(back.values, panel.values)
+
+
 def test_subset_restricts_assets():
     rng = np.random.default_rng(9)
     text = "t,a,b,c,f\n" + "\n".join(
