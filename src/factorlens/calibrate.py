@@ -39,13 +39,10 @@ DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
 DEFAULT_REPS = 100_000
 MIN_REPS = 1_000
-# The least work worth a process of its own, in the kernel doubles that chunk
-# budgets count. A replicate costs REPLICATE_OVERHEAD (its substream, Bartlett
-# draw and Python overhead) plus kernel_doubles(p). On 2 cores, two shares of
-# this much work ran about as fast as one process at p = 5, 20 and 100 (about
-# 460, 300 and 29 replicates), and larger shares ran faster.
-REPLICATE_OVERHEAD = 2_500
-MIN_SHARE_WORK = 1_200_000
+# Fewest replicates worth a process of their own, unless a chunk is smaller.
+# On 2 cores, two 500-replicate shares ran as fast as one process at p = 5 and
+# faster at p = 20; two 350-replicate shares ran slower at p = 5 and 10.
+MIN_SHARE = 500
 
 # Every statistic the engine samples, as read from a kernel, one value per
 # dataset. The first five can be calibrated into tables, the first three being
@@ -158,11 +155,6 @@ def default_chunk(p: int) -> int:
     return max(1, min(4096, 48 * 2**20 // (8 * kernel_doubles(p))))
 
 
-def min_share(p: int) -> int:
-    """Fewest replicates at p that hold MIN_SHARE_WORK, so are worth a process of their own."""
-    return -(-MIN_SHARE_WORK // (REPLICATE_OVERHEAD + kernel_doubles(p)))
-
-
 def simulate_null_statistics(
     statistics,
     p: int,
@@ -181,8 +173,8 @@ def simulate_null_statistics(
     result is independent of the chunking. The replicates are split into n
     contiguous ranges of equal size (to one replicate), each run a chunk at
     a time, where n is the CPU count of _processes capped so that every
-    range holds at least min(chunk, min_share(p)) replicates: a run of
-    fewer than twice that is one range and forks nothing. This process computes
+    range holds at least min(chunk, MIN_SHARE) replicates: a run of fewer
+    than twice that is one range and forks nothing. This process computes
     the last range, and forked children compute the others and send their
     blocks back through pipes. The call holds linalg.SCIPY_BLAS_PIN from
     before the first fork until every child is reaped, so the kernel's
@@ -213,7 +205,7 @@ def simulate_null_statistics(
             del kernel  # release this chunk's arrays before drawing the next
 
     out = np.empty((len(statistics), reps))
-    n = min(_processes(), reps // min(chunk, min_share(p)))  # chunk <= reps, so n >= 1
+    n = min(_processes(), reps // min(chunk, MIN_SHARE))  # chunk <= reps, so n >= 1
     edges = [reps * i // n for i in range(n + 1)]
     workers = []
     # entered before the first fork: OpenBLAS shuts its thread pool down at a

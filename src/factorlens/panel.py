@@ -13,9 +13,9 @@ through csv.reader and _parse_cells, one cell at a time, which raises the
 located ParseError or MissingValue. A value is float() of the stripped
 cell on either path, bit for bit.
 
-Export formats each row of floats with repr in C (map and str.join over
-the values' tolist()), quotes only the cells csv.writer would quote, and
-writes the file as one string.
+Export quotes each time and name through csv.writer, joins each row's
+float reprs in C (map and str.join over the values' tolist()), and writes
+the file as one string.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import csv
 import io
 import math
 import os
-import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -39,8 +38,6 @@ from .errors import (
 )
 
 _NA_TOKENS = {"", "na", "n/a", "nan", "null", "none", "."}
-# a cell with none of these csv.writer writes unquoted on every Python version
-_QUOTE_TRIGGERS = re.compile(r'[,"\r\n\0]')
 
 
 @dataclass(frozen=True)
@@ -262,34 +259,36 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
     )
 
 
-def _csv_cell(text: str) -> str:
-    """text as csv.writer writes it (QUOTE_MINIMAL) in a row of two or more cells."""
-    if _QUOTE_TRIGGERS.search(text) is None:
-        return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
-    return buffer.getvalue()[:-2]  # less the empty second cell's "," and the line end
-
-
 def export_panel_csv(panel: ReturnsPanel, target) -> None:
     """Write a panel to a CSV path or open text file: a time column, then assets, then factors.
 
     The time column is named "time", or "time_", "time__", ... when an asset
-    or factor name, stripped, is already that. Each value is written as
-    repr(float), each time and name as csv.writer quotes it, with "\\n" line
-    ends; the file is formatted as one string and written once. Re-ingesting
-    it with the panel's asset and factor names gives back its values bit for
-    bit and its times, less what ingest strips from each cell: a time " t0"
-    comes back "t0", and a name " a" must be asked for as "a".
+    or factor name, stripped, is already that. Each time and name is written
+    as csv.writer writes it in a row, with "\\n" line ends; each value is
+    repr of the float. Re-ingesting the file with the panel's asset and
+    factor names gives back its values bit for bit and its times, less what
+    ingest strips from each cell: a time " t0" comes back "t0", and a name
+    " a" must be asked for as "a".
     """
     names = panel.asset_names + panel.factor_names
     taken = {name.strip() for name in names}
     time = "time"
     while time in taken:
         time += "_"
-    lines = [",".join(map(_csv_cell, (time, *names)))]
-    for cell, row in zip(panel.times, panel.values.tolist()):
-        lines.append(f"{_csv_cell(cell)},{','.join(map(repr, row))}")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def cell(text: str) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((text, ""))
+        return buffer.getvalue()[:-2]  # less the empty last cell's "," and the line end
+
+    # repr of a float holds no character csv.writer quotes, so the values of
+    # a row are joined in C rather than scanned cell by cell by csv.writer
+    lines = [",".join(map(cell, (time, *names)))]
+    for t, row in zip(panel.times, panel.values.tolist()):
+        lines.append(f"{cell(t)},{','.join(map(repr, row))}")
     text = "\n".join(lines) + "\n"
     if isinstance(target, (str, os.PathLike)):
         with open(target, "w", encoding="utf-8", newline="") as fh:

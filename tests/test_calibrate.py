@@ -364,14 +364,8 @@ def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, ch
     (10, 260, 3, True, ("T_el", "T_pr", "T_LR"), 10_000, 1),  # the empirical tables
     (20, 104, 1, False, ("T_el", "T_pr", "T_LR"), 8, 0),  # the warm-ups
     (100, 518, 1, False, ("T_el", "T_pr", "T_LR_standardized"), 8, 0),
-    (20, 104, 1, False, ("T_el",), 700, 1),  # two shares of 350 pay at p = 20
-    (5, 104, 1, False, ("T_el",), 700, 0),  # but not at p = 5
 ])
-def test_a_share_holds_the_least_work_worth_a_process(monkeypatch, p, T, K, demeaned, statistics, reps, forked):
-    import factorlens.calibrate as cal
-
-    assert [cal.min_share(n) for n in (5, 20, 100)] == [464, 296, 29]
-    assert all(cal.min_share(n) >= 1 for n in range(1, 3000, 7))
+def test_the_benchmark_calls_keep_their_process_counts(monkeypatch, p, T, K, demeaned, statistics, reps, forked):
     forks = _count_forks(monkeypatch, processes=2)
     simulate_null_statistics(statistics, p, T, K, reps=reps, master_seed=2, demeaned=demeaned)
     assert len(forks) == forked
