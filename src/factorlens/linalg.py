@@ -2,18 +2,27 @@
 
 Covariance and precision matrices in this package are small dense float64
 arrays (design envelope p <= ~2000). Factorizations are backed by LAPACK
-through numpy/scipy; positive definiteness is judged on the Cholesky pivots
-against PIVOT_RTOL, one rule for single matrices and for stacks. Only the
-lower triangle of an input is read. Every inverse, the kernel's V and
-invert_spd alike, comes from lower factors through inverse_lower: dtrtri,
-then an in-place dsyrk at half a full product's flops. LAPACK's potri does
-both in one call, but OpenBLAS threads its dlauum step, which rounds with
-the thread count and made calibration at p = 20 about 12% slower on 2 cores.
+through numpy and OpenBLAS; positive definiteness is judged on the Cholesky
+pivots against PIVOT_RTOL, one rule for single matrices and for stacks.
+Only the lower triangle of an input is read. Every inverse, the kernel's V
+and invert_spd alike, comes from lower factors through inverse_lower:
+dtrtri, then an in-place dsyrk at half a full product's flops. LAPACK's
+potri does both in one call, but OpenBLAS threads its dlauum step, which
+rounds with the thread count and made calibration at p = 20 about 12%
+slower on 2 cores.
 
-OpenBLAS splits dsyrk, and numpy's Cholesky factorization, over its threads
-at p >= 100 or so, and the split changes the last bits. So inverse_lower
-runs scipy's bundled OpenBLAS on one thread, and cholesky numpy's: their
-results are then the same on any thread count. The pin is OpenBLAS's
+inverse_lower calls dtrtri and dsyrk through ctypes, in the OpenBLAS that
+scipy's wheels bundle (scipy_dtrtri_ and scipy_dsyrk_, or dtrtri_ and
+dsyrk_ in older wheels), so importing this module loads no scipy.linalg.
+Where scipy bundles no such library, the same two routines come from the
+function pointers that scipy.linalg.cython_lapack and cython_blas export,
+which imports scipy.linalg.
+
+OpenBLAS splits dsyrk, numpy's Cholesky factorization and numpy's matrix
+products over its threads at p >= 100 or so, and the split changes the
+last bits. So inverse_lower runs scipy's bundled OpenBLAS on one thread,
+and cholesky, stacked_cholesky and scatter numpy's: their results are then
+the same on any thread count. The pin is OpenBLAS's
 openblas_set_num_threads_local, called through ctypes and undone after the
 call; a build that does not export it (another BLAS) runs unpinned. The
 calibration engine enters SCIPY_BLAS_PIN itself, before it forks its
@@ -27,15 +36,13 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import importlib.util
 import os
 import threading
 
 import numpy as np
-import scipy
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dtrtri
 
-from .errors import NotPositiveDefinite, Singular
+from .errors import BadDimension, NotPositiveDefinite, Singular
 
 # A Cholesky pivot at or below this fraction of the largest diagonal entry
 # counts as "not positive definite".
@@ -70,31 +77,79 @@ class _ThreadPin:
                 self._set_threads(self._restore)
 
 
-def _thread_pin(package) -> _ThreadPin | None:
-    """The pin of the OpenBLAS bundled in package.libs, or None where it has none."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)), package.__name__ + ".libs")
+def _bundled_openblas(package: str) -> ctypes.CDLL | None:
+    """The OpenBLAS bundled in the package's wheel, opened through ctypes, or None where it has none.
+
+    The package is found, not imported: `import scipy` alone would cost
+    about 15 ms of every command.
+    """
+    site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
+    libs = os.path.join(site, package + ".libs")
     try:
         names = sorted(os.listdir(libs))
     except OSError:
         return None
     for name in names:
-        if "openblas" not in name:
-            continue
-        try:
-            set_threads = ctypes.CDLL(os.path.join(libs, name)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-        return _ThreadPin(set_threads)
+        if "openblas" in name:
+            try:
+                return ctypes.CDLL(os.path.join(libs, name))
+            except OSError:
+                continue
     return None
 
 
+def _thread_pin(lib: ctypes.CDLL | None) -> _ThreadPin | None:
+    """The pin of an opened OpenBLAS, or None where lib is None or exports none."""
+    set_threads = getattr(lib, "openblas_set_num_threads_local", None)
+    if set_threads is None:
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+    return _ThreadPin(set_threads)
+
+
+def _routines(lib: ctypes.CDLL | None) -> tuple:
+    """dtrtri and dsyrk as ctypes functions that return nothing.
+
+    They are lib's exports where it has them, and otherwise the functions
+    behind scipy.linalg's cython_lapack and cython_blas capsules, which
+    run the same LAPACK. Both take every argument by reference, and are
+    called without argtypes: checking the arguments would cost about 2 us
+    a call at p = 10.
+    """
+    for prefix in ("scipy_", ""):
+        dtrtri = getattr(lib, prefix + "dtrtri_", None)
+        dsyrk = getattr(lib, prefix + "dsyrk_", None)
+        if dtrtri is not None and dsyrk is not None:
+            break
+    else:
+        from scipy.linalg import cython_blas, cython_lapack
+
+        api = ctypes.pythonapi
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api)
+        )
+
+        def exported(module, routine):
+            capsule = module.__pyx_capi__[routine]
+            return ctypes.CFUNCTYPE(None)(pointer(capsule, name(capsule)))
+
+        dtrtri, dsyrk = exported(cython_lapack, "dtrtri"), exported(cython_blas, "dsyrk")
+    dtrtri.restype = dsyrk.restype = None
+    return dtrtri, dsyrk
+
+
 # scipy's OpenBLAS runs inverse_lower's dtrtri and dsyrk, numpy's runs the
-# Cholesky factorizations; either is None where its build has no pin, and
-# then runs on its default thread count
-SCIPY_BLAS_PIN = _thread_pin(scipy)
-NUMPY_BLAS_PIN = _thread_pin(np)
+# Cholesky factorizations and scatters; either pin is None where its build
+# has none, and then runs on its default thread count
+_SCIPY_OPENBLAS = _bundled_openblas("scipy")
+SCIPY_BLAS_PIN = _thread_pin(_SCIPY_OPENBLAS)
+NUMPY_BLAS_PIN = _thread_pin(_bundled_openblas("numpy"))
+_ROUTINES = _routines(_SCIPY_OPENBLAS)
 _UNPINNED = contextlib.nullcontext()
+# the constant arguments of inverse_lower's calls
+_LOWER, _NON_UNIT, _TRANSPOSE = (ctypes.byref(ctypes.c_char(flag)) for flag in (b"L", b"N", b"T"))
+_ONE, _ZERO = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -122,13 +177,25 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 def inverse_lower(factors: np.ndarray) -> np.ndarray:
     """Lower triangle of (L L^T)^-1 = L^-T L^-1 per lower factor L; the strict upper is zero."""
-    # Fortran-ordered slices: in any other layout f2py hands dsyrk a copy,
-    # which it fills and returns while v stays zero
+    p = factors.shape[-1]
+    if factors.ndim != 3 or factors.shape[1] != p:
+        # the routines write p^2 doubles per factor through raw pointers
+        raise BadDimension(f"expected a stack of square factors, got shape {factors.shape}")
+    # each v[r] is a Fortran-ordered p-by-p block, 8 p^2 bytes past v[r-1]
     v = np.zeros(factors.shape).transpose(0, 2, 1)
+    work = np.empty((p, p), order="F")
+    n, ld = ctypes.byref(ctypes.c_int(p)), ctypes.byref(ctypes.c_int(max(p, 1)))
+    a, c = ctypes.c_void_p(work.ctypes.data), ctypes.c_void_p(v.ctypes.data)
+    # info stays 0: callers keep L's diagonal nonzero
+    trtri_args = (_LOWER, _NON_UNIT, n, a, ld, ctypes.byref(ctypes.c_int()))
+    syrk_args = (_LOWER, _TRANSPOSE, n, n, _ONE, a, ld, _ZERO, c, ld)
+    dtrtri, dsyrk = _ROUTINES
     with SCIPY_BLAS_PIN or _UNPINNED:
-        for r, factor in enumerate(factors):
-            l_inv, _ = dtrtri(factor, lower=1)  # callers keep L's diagonal nonzero, so info is 0
-            dsyrk(1.0, l_inv, trans=1, lower=1, c=v[r], overwrite_c=1)
+        for factor in factors:
+            work[...] = factor
+            dtrtri(*trtri_args)  # work's lower triangle becomes L^-1
+            dsyrk(*syrk_args)  # v[r]'s lower triangle becomes (L^-1)^T L^-1
+            c.value += 8 * p * p
     return v
 
 
@@ -142,6 +209,12 @@ def invert_spd(a: np.ndarray) -> np.ndarray:
     return mirror_lower(inverse_lower(cholesky(a)[None]))[0]
 
 
+def scatter(Y: np.ndarray) -> np.ndarray:
+    """Y Y^T of a matrix, or of each matrix of a stack, on one thread of numpy's BLAS."""
+    with NUMPY_BLAS_PIN or _UNPINNED:
+        return np.matmul(Y, np.swapaxes(Y, -1, -2))
+
+
 def stacked_cholesky(scatters: np.ndarray) -> np.ndarray:
     """Lower factors of a stack of scatters under the stacked pivot rule.
 
@@ -150,7 +223,8 @@ def stacked_cholesky(scatters: np.ndarray) -> np.ndarray:
     entry. Singular.index is the first failing dataset's position.
     """
     try:
-        L = np.linalg.cholesky(scatters)
+        with NUMPY_BLAS_PIN or _UNPINNED:
+            L = np.linalg.cholesky(scatters)
     except np.linalg.LinAlgError:
         if len(scatters) == 1:
             raise Singular("a stacked covariance is not positive definite", 0) from None

@@ -31,7 +31,7 @@ from .calibrate import (
     DEFAULT_REPS,
 )
 from .errors import DomainError, MissingCalibration, Singular, warn_at_caller
-from .linalg import stacked_cholesky
+from .linalg import scatter, stacked_cholesky
 from .panel import ReturnsPanel
 from .randmat import substreams
 from .special import chi2_quantile, chi2_sf, f_quantile, f_sf, normal_cdf, normal_quantile
@@ -395,7 +395,7 @@ def batch_subset_test(
     )
     X, F = panel.data_matrices()
     Y = stacked_data(X, F, panel.demean)
-    scatter = Y @ Y.T
+    panel_scatter = scatter(Y)
     pvals = {test: np.empty(num_subsets) for test in TESTS}
     chunk = default_chunk(K + subset_size)
     for start in range(0, num_subsets, chunk):
@@ -406,7 +406,7 @@ def batch_subset_test(
         ])
         rows = np.hstack([np.broadcast_to(np.arange(K), (stop - start, K)), K + subsets])
         try:
-            factors = stacked_cholesky(scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
+            factors = stacked_cholesky(panel_scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
         except Singular as exc:
             i = start + exc.index
             names = ", ".join(panel.asset_names[j] for j in subsets[exc.index])

@@ -1,7 +1,9 @@
 """Special functions and the exact noncentral test-density family.
 
 Gamma-function, beta-function, F, chi-square and normal plumbing delegates
-to scipy.special.
+to scipy.special, imported on the first call that needs it: calibrate and
+test against kept-sample tables call none of these laws, and start without
+it.
 
 The noncentral family covers both marginal statistics: the per-pair
 statistic is the q=1 member, the per-column statistic the q=p-1 member,
@@ -15,11 +17,11 @@ overflow nor lose the tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError
 
@@ -28,6 +30,14 @@ from .errors import DomainError
 _NB_TAIL = 1e-17
 # Bounds the memory of one mixture sum (a few arrays of this many floats).
 _MAX_MIXTURE_TERMS = 10**6
+
+
+@functools.cache
+def _sp():
+    """scipy.special, imported on first use."""
+    from scipy import special
+
+    return special
 
 
 def _check_args(name: str, dofs: tuple, x=None, p: float | None = None) -> None:
@@ -52,48 +62,48 @@ def _like(values, x):
 def f_cdf(x, d1: float, d2: float):
     """CDF of the F distribution with d1 and d2 degrees of freedom; x may be an array."""
     _check_args("f_cdf", (d1, d2), x=x)
-    return _like(sp.fdtr(d1, d2, x), x)
+    return _like(_sp().fdtr(d1, d2, x), x)
 
 
 def f_sf(x, d1: float, d2: float):
     """Upper tail of the F law, 1 - f_cdf without the cancellation; x may be an array."""
     _check_args("f_sf", (d1, d2), x=x)
-    return _like(sp.fdtrc(d1, d2, x), x)
+    return _like(_sp().fdtrc(d1, d2, x), x)
 
 
 def f_quantile(p: float, d1: float, d2: float) -> float:
     """Quantile of the F distribution; inverse of f_cdf."""
     _check_args("f_quantile", (d1, d2), p=p)
-    return float(sp.fdtri(d1, d2, p))
+    return float(_sp().fdtri(d1, d2, p))
 
 
 def chi2_cdf(x, k: float):
     """CDF of the chi-square distribution with k degrees of freedom; x may be an array."""
     _check_args("chi2_cdf", (k,), x=x)
-    return _like(sp.chdtr(k, x), x)
+    return _like(_sp().chdtr(k, x), x)
 
 
 def chi2_sf(x, k: float):
     """Upper tail of the chi-square law, 1 - chi2_cdf without cancellation; x may be an array."""
     _check_args("chi2_sf", (k,), x=x)
-    return _like(sp.chdtrc(k, x), x)
+    return _like(_sp().chdtrc(k, x), x)
 
 
 def chi2_quantile(p: float, k: float) -> float:
     """Quantile of the chi-square distribution; inverse of chi2_cdf."""
     _check_args("chi2_quantile", (k,), p=p)
-    return 2.0 * float(sp.gammaincinv(k / 2.0, p))
+    return 2.0 * float(_sp().gammaincinv(k / 2.0, p))
 
 
 def normal_cdf(x):
     """Standard normal CDF; x may be an array."""
-    return _like(sp.ndtr(x), x)
+    return _like(_sp().ndtr(x), x)
 
 
 def normal_quantile(p: float) -> float:
     """Standard normal quantile."""
     _check_args("normal_quantile", (), p=p)
-    return float(sp.ndtri(p))
+    return float(_sp().ndtri(p))
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,7 @@ def _mixture_size(params: ZjDensityParams) -> int:
     rho2 = params.lam / (1.0 + params.lam)
 
     def tail_is_small(k: int) -> bool:
-        return float(sp.betainc(k + 1.0, m, rho2)) < _NB_TAIL
+        return float(_sp().betainc(k + 1.0, m, rho2)) < _NB_TAIL
 
     hi = 0
     while hi <= _MAX_MIXTURE_TERMS and not tail_is_small(hi):
@@ -155,6 +165,7 @@ def _ln_mixture_weights(params: ZjDensityParams, size: int) -> np.ndarray:
         )
     m = (n + q) / 2.0
     k = np.arange(float(size))
+    sp = _sp()
     return (
         sp.gammaln(m + k) - sp.gammaln(m) - sp.gammaln(k + 1.0)
         - m * math.log1p(lam) + sp.xlogy(k, lam / (1.0 + lam))
@@ -192,7 +203,7 @@ def density_Z(x: float, params: ZjDensityParams) -> float:
         a = q / 2.0 + np.arange(float(size))
         # ln of w_k times the Beta(a, n/2) density at B times the Jacobian,
         # which is B(1-B)/x
-        ln_t = ln_w + a * ln_b + (n / 2.0) * ln_1mb - sp.betaln(a, n / 2.0) - math.log(x)
+        ln_t = ln_w + a * ln_b + (n / 2.0) * ln_1mb - _sp().betaln(a, n / 2.0) - math.log(x)
         top = float(ln_t.max())
         if ln_t[-1] < top + math.log(_NB_TAIL):
             return math.exp(top + math.log(float(np.sum(np.exp(ln_t - top)))))
@@ -215,5 +226,5 @@ def marginal_power_Z(crit: float, params: ZjDensityParams) -> float:
     q, n = params.q, params.n
     size = _mixture_size(params)
     w = np.exp(_ln_mixture_weights(params, size))
-    tails = sp.betainc(n / 2.0, q / 2.0 + np.arange(float(size)), n / (n + q * crit))
+    tails = _sp().betainc(n / 2.0, q / 2.0 + np.arange(float(size)), n / (n + q * crit))
     return min(max(float(np.sum(w * tails)), 0.0), 1.0)

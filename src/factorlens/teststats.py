@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BadDimension, BadIndex, DegenerateCorrection, NotPositiveDefinite
-from .linalg import cholesky, inverse_lower, invert_spd, mirror_lower, stacked_cholesky
+from .linalg import cholesky, inverse_lower, invert_spd, mirror_lower, scatter, stacked_cholesky
 
 
 def effective_sample_size(T: int, demeaned: bool) -> int:
@@ -221,7 +221,7 @@ def residual_factors(Y: np.ndarray, K: int) -> np.ndarray:
     dataset whose stacked scatter breaks the stacked pivot rule raises
     Singular.
     """
-    return stacked_cholesky(np.matmul(Y, np.swapaxes(Y, 1, 2)))[:, K:, K:]
+    return stacked_cholesky(scatter(Y))[:, K:, K:]
 
 
 def stacked_data(X: np.ndarray, F: np.ndarray, demeaned: bool) -> np.ndarray:

@@ -5,7 +5,8 @@ output array; they pin the calibration engine's null samples, the
 power-study rates, generated s2 and s3 datasets with their statistics, and
 stats_from_precision bit for bit. Child processes on one and on two BLAS
 threads recompute the s2, s3 and stats_from_precision digests, s2's
-structure at p = 200 and null samples at p = 200, which must match in both.
+structure at p = 200, null samples at p = 200, and the statistics and a
+batch-test summary of a p = 150 panel, which must match in both.
 The data-path statistics of hand-built panels are pinned to a relative
 tolerance, since refactors of the linear algebra may move the last digits.
 The test and batch-test outputs are pinned as SHA-256 digests of the text
@@ -265,13 +266,27 @@ def test_golden_data_path_digests(name):
     assert data_path_digests()[name] == DATA_PATH_HASHES[name]
 
 
+def _wide_panel_outputs() -> dict:
+    """Statistics and a batch-test summary of a 153 by 400 panel (p = 150, K = 3)."""
+    panel = _golden_panel(150, 3, 400, False, seed=5)
+    kernel = fl.precision_stats_from_data(*panel.data_matrices())
+    summary = fl.batch_subset_test(panel, 120, 20, critical_source="closed-form", subset_seed=7)
+    return {
+        "statistics": [kernel.t_el[0], kernel.ln_t_lr_star[0], kernel.t_lr[0],
+                       *kernel.t_j[0], *kernel.t_ij[0]],
+        "batch quantiles": summary.quantiles,
+    }
+
+
 def cross_thread_outputs() -> dict:
-    """The data-path digests, s2's structure and null samples at p = 200, where BLAS threads split the work."""
+    """Outputs where BLAS threads split the work: data-path digests, s2's
+    structure and null samples at p = 200, and the data path at p = 150."""
     samples = fl.simulate_null_statistics(("T_el", "T_pr", "T_LR"), 200, 260, 1, reps=300,
                                           master_seed=11)
     return {
         "digests": {**data_path_digests(), "s2 structure p=200": _sha(fl.build_sigma_u("s2", 200, 0.3))},
         **{s: v.tolist() for s, v in samples.items()},
+        "p=150": _wide_panel_outputs(),
     }
 
 
@@ -309,3 +324,11 @@ def test_null_samples_at_p200_agree_across_blas_thread_counts(computed_per_threa
     one, two = computed_per_thread_count[1], computed_per_thread_count[2]
     for statistic in ("T_el", "T_pr", "T_LR"):
         assert two[statistic] == one[statistic], statistic
+
+
+def test_data_path_at_p150_agrees_across_blas_thread_counts(computed_per_thread_count):
+    # the stacked scatter, its Cholesky factor and batch-test's panel scatter
+    # run on one BLAS thread, so the data path at large p is the same on any count
+    one, two = computed_per_thread_count[1]["p=150"], computed_per_thread_count[2]["p=150"]
+    assert two["statistics"] == one["statistics"]
+    assert two["batch quantiles"] == one["batch quantiles"]

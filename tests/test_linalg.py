@@ -1,11 +1,14 @@
+import ctypes
 import math
+import types
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from factorlens import cholesky, invert_spd, stats_from_factors
-from factorlens.errors import NotPositiveDefinite
+from factorlens.errors import BadDimension, NotPositiveDefinite
+from factorlens import linalg
 from factorlens.linalg import inverse_lower, mirror_lower
 from conftest import rand_spd
 
@@ -102,6 +105,36 @@ def test_inverse_lower_of_a_stack(rng):
         v = inverse_lower(layout)
         assert not np.triu(v, 1).any()
         assert_allclose(np.tril(v), np.tril(np.linalg.inv(m)), rtol=1e-10, atol=1e-12)
+
+
+def _address(function) -> int:
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+@pytest.mark.parametrize("p", [1, 2, 20, 100])
+def test_inverse_lower_on_scipy_linalg_exports_is_the_default_route_bitwise(rng, monkeypatch, p):
+    # with no bundled library the routines are the functions behind
+    # scipy.linalg's Cython capsules; they run the same LAPACK
+    capsules = linalg._routines(None)
+    if linalg._SCIPY_OPENBLAS is not None:
+        assert list(map(_address, capsules)) != list(map(_address, linalg._ROUTINES))
+    factors = np.linalg.cholesky(np.stack([rand_spd(rng, p) for _ in range(3)]))
+    expected, empty = inverse_lower(factors), inverse_lower(np.empty((0, p, p)))
+    monkeypatch.setattr(linalg, "_ROUTINES", capsules)
+    assert np.array_equal(inverse_lower(factors), expected)
+    assert inverse_lower(np.empty((0, p, p))).shape == empty.shape == (0, p, p)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 1, 3), (2, 3, 2)])
+def test_inverse_lower_refuses_what_is_not_a_stack_of_square_factors(shape):
+    with pytest.raises(BadDimension):
+        inverse_lower(np.ones(shape))
+
+
+def test_routines_take_unprefixed_exports():
+    # OpenBLAS in older scipy wheels exports dtrtri_ and dsyrk_ without scipy_
+    dtrtri, dsyrk = linalg._routines(None)
+    assert linalg._routines(types.SimpleNamespace(dtrtri_=dtrtri, dsyrk_=dsyrk)) == (dtrtri, dsyrk)
 
 
 def test_mirror_lower_copies_the_lower_triangle():

@@ -224,6 +224,48 @@ def test_import_loads_neither_scipy_integrate_nor_stats():
     assert out.stdout.strip() == "[]"
 
 
+_COMMANDS_WITHOUT_LINALG_OR_SPECIAL = """
+import json, sys
+import factorlens.calibrate as calibrate
+from factorlens import cli
+
+panel, out = sys.argv[1], sys.argv[2]
+table = ["calibrate", "--p", "6", "--T", "80", "--K", "1", "--alphas", "0.05",
+         "--reps", "2000", "--seed", "1", "--keep-null-sample"]
+for name, processes in (("forked", 2), ("serial", 1)):
+    calibrate._processes = lambda: processes
+    assert cli.main(table + ["--out", f"{out}/{name}.json"]) == 0
+assert cli.main(["test", "--input", panel, "--assets", "a0,a1,a2,a3,a4,a5", "--factors", "f0",
+                 "--table", f"{out}/forked.json", "--out", f"{out}/report.json"]) == 0
+loaded = sorted({"scipy.linalg", "scipy.special"} & set(sys.modules))
+assert cli.main(sys.argv[3:]) == 0
+print(json.dumps(loaded))
+"""
+
+
+def test_calibrate_and_table_test_load_neither_scipy_linalg_nor_special(tmp_path):
+    # together they were most of every command's start-up: the kernel calls
+    # LAPACK through ctypes, and these commands evaluate no law of special
+    panel = tmp_path / "panel.csv"
+    _write_panel_csv(panel, _null_panel(p=6, K=1, T=80))
+    power = ["power", "--scenario", "s1", "--p", "4", "--T", "40", "--K", "1",
+             "--rho-grid=-0.5:0.5:0.5", "--reps", "200", "--seed", "1",
+             "--criticals", "closed-form", "--out"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_WITHOUT_LINALG_OR_SPECIAL, str(panel), str(tmp_path),
+         *power, str(tmp_path / "power_child.csv")],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+    assert json.loads((tmp_path / "report.json").read_text())["tests"]
+    # special, loaded by the child on first use, gives what it gives here
+    assert main(power + [str(tmp_path / "power.csv")]) == 0
+    assert (tmp_path / "power_child.csv").read_bytes() == (tmp_path / "power.csv").read_bytes()
+
+
 def test_run_tests_rejects_mismatched_table(shared_tables):
     panel = _null_panel(p=5, K=1, T=50, seed=9)
     with pytest.raises(MissingCalibration):
