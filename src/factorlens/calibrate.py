@@ -176,9 +176,9 @@ def simulate_null_statistics(
     range holds at least min(chunk, MIN_SHARE) replicates: a run of fewer
     than twice that is one range and forks nothing. This process computes
     the last range, and forked children compute the others and send their
-    blocks back through pipes. The call holds linalg.SCIPY_BLAS_PIN from
-    before the first fork until every child is reaped, so the kernel's
-    nested pins set no thread count in any process.
+    blocks back through pipes. The call holds linalg.BLAS_PIN from before
+    the first fork until every child is reaped, so the nested pins of the
+    kernel's factorizations and inverses set no thread count in any process.
     """
     statistics = tuple(statistics)
     for s in statistics:
@@ -208,10 +208,10 @@ def simulate_null_statistics(
     n = min(_processes(), reps // min(chunk, MIN_SHARE))  # chunk <= reps, so n >= 1
     edges = [reps * i // n for i in range(n + 1)]
     workers = []
-    # entered before the first fork: OpenBLAS shuts its thread pool down at a
-    # fork, and a child leaving its own pin would restore the count and so
-    # restart the pool, whose helper thread spins on the other worker's core
-    with linalg.SCIPY_BLAS_PIN or contextlib.nullcontext():
+    # the one BLAS pin, entered before the first fork: OpenBLAS shuts its
+    # thread pool down at a fork, and a child leaving its own pin would
+    # restart it, with a helper thread that spins on another worker's core
+    with linalg.BLAS_PIN or contextlib.nullcontext():
         try:
             for start, stop in zip(edges[:-2], edges[1:-1]):
                 workers.append(_Worker(run, start, stop, len(statistics)))
@@ -229,14 +229,14 @@ def _processes() -> int:
 
     Forking needs Linux and os.fork, and no other Python thread: a fork
     copies only the calling thread, and a lock another thread holds would
-    stay held in the child. The kernel's BLAS must be pinned to one thread
-    (linalg.SCIPY_BLAS_PIN), or each process would run a thread per core;
+    stay held in the child. BLAS must be pinned to one thread (linalg's
+    one pin, BLAS_PIN), or each process would run a thread per core;
     simulate_null_statistics enters that pin before it forks.
     """
     if (
         sys.platform != "linux"
         or not hasattr(os, "fork")
-        or linalg.SCIPY_BLAS_PIN is None
+        or linalg.BLAS_PIN is None
         or threading.active_count() > 1
     ):
         return 1

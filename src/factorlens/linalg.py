@@ -12,31 +12,31 @@ rounds with the thread count and made calibration at p = 20 about 12%
 slower on 2 cores.
 
 inverse_lower calls dtrtri and dsyrk through ctypes, in the OpenBLAS that
-scipy's wheels bundle (scipy_dtrtri_ and scipy_dsyrk_, or dtrtri_ and
-dsyrk_ in older wheels), so importing this module loads no scipy.linalg.
-Where scipy bundles no such library, the same two routines come from the
-function pointers that scipy.linalg.cython_lapack and cython_blas export,
-which imports scipy.linalg.
+numpy's wheels bundle (ILP64: scipy_dtrtri_64_ and scipy_dsyrk_64_, or
+dtrtri_64_ and dsyrk_64_ in numpy 1.x wheels), so importing this module
+loads no scipy.linalg and a process runs one OpenBLAS. Where numpy bundles
+no such library, the same two routines come from the function pointers
+that scipy.linalg.cython_lapack and cython_blas export (LP64), which
+imports scipy.linalg.
 
-OpenBLAS splits dsyrk, numpy's Cholesky factorization and numpy's matrix
-products over its threads at p >= 100 or so, and the split changes the
-last bits. So inverse_lower runs scipy's bundled OpenBLAS on one thread,
-and cholesky, stacked_cholesky and scatter numpy's: their results are then
-the same on any thread count. The pin is OpenBLAS's
-openblas_set_num_threads_local, called through ctypes and undone after the
-call; a build that does not export it (another BLAS) runs unpinned. The
-calibration engine enters SCIPY_BLAS_PIN itself, before it forks its
-worker processes and until it has reaped them, so inverse_lower's pin only
-counts blocks there and each process runs one BLAS thread: OpenBLAS shuts
-its thread pool down at a fork, and a count restored to two after the
-fork would start it again, with a helper thread that spins.
+OpenBLAS splits dsyrk, Cholesky factorizations and matrix products over its
+threads at p >= 100 or so, and the split changes the last bits. So
+inverse_lower, cholesky, stacked_cholesky and scatter run inside BLAS_PIN,
+on one thread of numpy's OpenBLAS: their results are then the same on any
+thread count. The pin is OpenBLAS's openblas_set_num_threads_local, called
+through ctypes and undone after the call; a build that does not export it
+(another BLAS) runs unpinned. The calibration engine enters BLAS_PIN
+itself, before it forks its worker processes and until it has reaped them,
+so the nested pins only count blocks there and each process runs one BLAS
+thread: OpenBLAS shuts its thread pool down at a fork, and a count restored
+to two after the fork would start it again, with a helper thread that
+spins.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import importlib.util
 import os
 import threading
 
@@ -53,10 +53,10 @@ class _ThreadPin:
     """A bundled OpenBLAS, run on one thread inside `with pin:` blocks.
 
     set_threads is its openblas_set_num_threads_local, which sets the count
-    and returns the previous one. In the pthreads builds of numpy's and
-    scipy's wheels the count is the whole process's, so blocks running at
-    once on several Python threads share it: the first sets the count to
-    one, and the last restores it.
+    and returns the previous one. In the pthreads build of numpy's wheels
+    the count is the whole process's, so blocks running at once on several
+    Python threads share it: the first sets the count to one, and the last
+    restores it.
     """
 
     def __init__(self, set_threads) -> None:
@@ -77,14 +77,9 @@ class _ThreadPin:
                 self._set_threads(self._restore)
 
 
-def _bundled_openblas(package: str) -> ctypes.CDLL | None:
-    """The OpenBLAS bundled in the package's wheel, opened through ctypes, or None where it has none.
-
-    The package is found, not imported: `import scipy` alone would cost
-    about 15 ms of every command.
-    """
-    site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
-    libs = os.path.join(site, package + ".libs")
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled in numpy's wheel, opened through ctypes, or None where it has none."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     try:
         names = sorted(os.listdir(libs))
     except OSError:
@@ -108,18 +103,19 @@ def _thread_pin(lib: ctypes.CDLL | None) -> _ThreadPin | None:
 
 
 def _routines(lib: ctypes.CDLL | None) -> tuple:
-    """dtrtri and dsyrk as ctypes functions that return nothing.
+    """dtrtri and dsyrk as ctypes functions that return nothing, and their integer type.
 
-    They are lib's exports where it has them, and otherwise the functions
-    behind scipy.linalg's cython_lapack and cython_blas capsules, which
-    run the same LAPACK. Both take every argument by reference, and are
-    called without argtypes: checking the arguments would cost about 2 us
-    a call at p = 10.
+    They are lib's ILP64 exports where it has them, taking 64-bit integers,
+    and otherwise the functions behind scipy.linalg's cython_lapack and
+    cython_blas capsules, which run the same LAPACK on 32-bit integers.
+    Both take every argument by reference, and are called without
+    argtypes: checking the arguments would cost about 2 us a call at p = 10.
     """
     for prefix in ("scipy_", ""):
-        dtrtri = getattr(lib, prefix + "dtrtri_", None)
-        dsyrk = getattr(lib, prefix + "dsyrk_", None)
+        dtrtri = getattr(lib, prefix + "dtrtri_64_", None)
+        dsyrk = getattr(lib, prefix + "dsyrk_64_", None)
         if dtrtri is not None and dsyrk is not None:
+            integer = ctypes.c_int64
             break
     else:
         from scipy.linalg import cython_blas, cython_lapack
@@ -135,17 +131,17 @@ def _routines(lib: ctypes.CDLL | None) -> tuple:
             return ctypes.CFUNCTYPE(None)(pointer(capsule, name(capsule)))
 
         dtrtri, dsyrk = exported(cython_lapack, "dtrtri"), exported(cython_blas, "dsyrk")
+        integer = ctypes.c_int
     dtrtri.restype = dsyrk.restype = None
-    return dtrtri, dsyrk
+    return dtrtri, dsyrk, integer
 
 
-# scipy's OpenBLAS runs inverse_lower's dtrtri and dsyrk, numpy's runs the
-# Cholesky factorizations and scatters; either pin is None where its build
-# has none, and then runs on its default thread count
-_SCIPY_OPENBLAS = _bundled_openblas("scipy")
-SCIPY_BLAS_PIN = _thread_pin(_SCIPY_OPENBLAS)
-NUMPY_BLAS_PIN = _thread_pin(_bundled_openblas("numpy"))
-_ROUTINES = _routines(_SCIPY_OPENBLAS)
+# numpy's OpenBLAS runs every factorization, product and inverse here; the
+# pin is None where numpy bundles none, and then BLAS runs on its default
+# thread count
+_OPENBLAS = _bundled_openblas()
+BLAS_PIN = _thread_pin(_OPENBLAS)
+_ROUTINES = _routines(_OPENBLAS)
 _UNPINNED = contextlib.nullcontext()
 # the constant arguments of inverse_lower's calls
 _LOWER, _NON_UNIT, _TRANSPOSE = (ctypes.byref(ctypes.c_char(flag)) for flag in (b"L", b"N", b"T"))
@@ -162,7 +158,7 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     if max_diag <= 0.0:
         raise NotPositiveDefinite("largest diagonal entry is not positive")
     try:
-        with NUMPY_BLAS_PIN or _UNPINNED:
+        with BLAS_PIN or _UNPINNED:
             factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("Cholesky factorization failed") from None
@@ -184,13 +180,13 @@ def inverse_lower(factors: np.ndarray) -> np.ndarray:
     # each v[r] is a Fortran-ordered p-by-p block, 8 p^2 bytes past v[r-1]
     v = np.zeros(factors.shape).transpose(0, 2, 1)
     work = np.empty((p, p), order="F")
-    n, ld = ctypes.byref(ctypes.c_int(p)), ctypes.byref(ctypes.c_int(max(p, 1)))
+    dtrtri, dsyrk, integer = _ROUTINES
+    n, ld = ctypes.byref(integer(p)), ctypes.byref(integer(max(p, 1)))
     a, c = ctypes.c_void_p(work.ctypes.data), ctypes.c_void_p(v.ctypes.data)
     # info stays 0: callers keep L's diagonal nonzero
-    trtri_args = (_LOWER, _NON_UNIT, n, a, ld, ctypes.byref(ctypes.c_int()))
+    trtri_args = (_LOWER, _NON_UNIT, n, a, ld, ctypes.byref(integer()))
     syrk_args = (_LOWER, _TRANSPOSE, n, n, _ONE, a, ld, _ZERO, c, ld)
-    dtrtri, dsyrk = _ROUTINES
-    with SCIPY_BLAS_PIN or _UNPINNED:
+    with BLAS_PIN or _UNPINNED:
         for factor in factors:
             work[...] = factor
             dtrtri(*trtri_args)  # work's lower triangle becomes L^-1
@@ -210,8 +206,8 @@ def invert_spd(a: np.ndarray) -> np.ndarray:
 
 
 def scatter(Y: np.ndarray) -> np.ndarray:
-    """Y Y^T of a matrix, or of each matrix of a stack, on one thread of numpy's BLAS."""
-    with NUMPY_BLAS_PIN or _UNPINNED:
+    """Y Y^T of a matrix, or of each matrix of a stack, on one BLAS thread."""
+    with BLAS_PIN or _UNPINNED:
         return np.matmul(Y, np.swapaxes(Y, -1, -2))
 
 
@@ -223,7 +219,7 @@ def stacked_cholesky(scatters: np.ndarray) -> np.ndarray:
     entry. Singular.index is the first failing dataset's position.
     """
     try:
-        with NUMPY_BLAS_PIN or _UNPINNED:
+        with BLAS_PIN or _UNPINNED:
             L = np.linalg.cholesky(scatters)
     except np.linalg.LinAlgError:
         if len(scatters) == 1:

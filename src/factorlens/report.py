@@ -206,9 +206,11 @@ def resolve_criticals(
     """The source a request names, with each test's law and critical value at alpha.
 
     auto uses supplied tables, else calibration up to T = 200 (p + K) and
-    the high-dimensional limits above it, with a warning. A calibrated
-    source without tables calibrates the three tests at the model's
-    dimensions, null samples kept; supplied tables must match the model.
+    the closed-form laws above it, with a warning: their exact marginals
+    hold their size there, where highdim's T_pr rejects a true null about
+    three times as often as alpha. A calibrated source without tables
+    calibrates the three tests at the model's dimensions, null samples
+    kept; supplied tables must match the model.
     The laws: a calibrated table's empirical tail; the exact F(1, dof_n)
     and F(p - 1, dof_n) marginals with Bonferroni counts and chi-square
     with p(p - 1)/2 degrees of freedom (closed-form); the chi-square(1) or
@@ -225,9 +227,9 @@ def resolve_criticals(
         else:
             warn_at_caller(
                 "sample too large for default calibration budget; falling back to "
-                "high-dimensional asymptotic critical values"
+                "closed-form critical values (exact marginals, no simulation)"
             )
-            request = REQUEST_HIGHDIM
+            request = REQUEST_CLOSED_FORM
     p, T, K, demeaned, dof_n = model.p, model.T, model.K, model.demeaned, model.dof_n
     pairs = p * (p - 1) / 2.0
     regime = None

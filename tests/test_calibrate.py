@@ -168,13 +168,13 @@ def test_t_ij_21_reads_the_first_pair_of_the_kernel():
 def _count_forks(monkeypatch, processes=3):
     """Let the engine use `processes` processes, and count the children it forks.
 
-    Where scipy's OpenBLAS has no thread pin, a stand-in lets the engine fork
-    all the same; each process then runs BLAS on its default thread count.
+    Where BLAS has no thread pin, a stand-in lets the engine fork all the
+    same; each process then runs BLAS on its default thread count.
     """
     import factorlens.linalg as linalg
 
-    if linalg.SCIPY_BLAS_PIN is None:
-        monkeypatch.setattr(linalg, "SCIPY_BLAS_PIN", contextlib.nullcontext())
+    if linalg.BLAS_PIN is None:
+        monkeypatch.setattr(linalg, "BLAS_PIN", contextlib.nullcontext())
     forks = []
     fork = os.fork
 
@@ -216,7 +216,7 @@ def test_engine_runs_serially_without_the_pin_or_fork(monkeypatch, p, T, reps, c
     ref = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=reps)
     forks = _count_forks(monkeypatch)
     if away == "pin":
-        monkeypatch.setattr(linalg, "SCIPY_BLAS_PIN", None)
+        monkeypatch.setattr(linalg, "BLAS_PIN", None)
     else:
         monkeypatch.delattr(os, "fork")
     out = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=chunk)
@@ -304,7 +304,7 @@ def test_the_pin_is_held_across_every_fork_and_wait(monkeypatch, tmp_path, fails
             raise DomainError("kernel refused")
         return stats_from_factors(L, t_eff, K)
 
-    monkeypatch.setattr(linalg, "SCIPY_BLAS_PIN", linalg._ThreadPin(set_threads))
+    monkeypatch.setattr(linalg, "BLAS_PIN", linalg._ThreadPin(set_threads))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", noting_fork)
     monkeypatch.setattr(os, "waitpid", noting_waitpid)
@@ -377,8 +377,8 @@ import contextlib, os, sys, time
 import factorlens.calibrate as cal
 import factorlens.linalg as linalg
 
-if linalg.SCIPY_BLAS_PIN is None:
-    linalg.SCIPY_BLAS_PIN = contextlib.nullcontext()
+if linalg.BLAS_PIN is None:
+    linalg.BLAS_PIN = contextlib.nullcontext()
 os.sched_getaffinity = lambda pid: {0, 1}
 kernel, parent = cal.stats_from_factors, os.getpid()
 

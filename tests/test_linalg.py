@@ -1,5 +1,7 @@
 import ctypes
+import glob
 import math
+import os
 import types
 
 import numpy as np
@@ -111,17 +113,28 @@ def _address(function) -> int:
     return ctypes.cast(function, ctypes.c_void_p).value
 
 
+def _capsules_pin():
+    """One thread for the OpenBLAS bundled in scipy's wheel, which the capsules run; or no pin."""
+    import scipy
+
+    site = os.path.dirname(os.path.dirname(scipy.__file__))
+    libs = glob.glob(os.path.join(site, "scipy.libs", "*openblas*"))
+    return linalg._thread_pin(ctypes.CDLL(libs[0]) if libs else None) or linalg._UNPINNED
+
+
 @pytest.mark.parametrize("p", [1, 2, 20, 100])
 def test_inverse_lower_on_scipy_linalg_exports_is_the_default_route_bitwise(rng, monkeypatch, p):
-    # with no bundled library the routines are the functions behind
-    # scipy.linalg's Cython capsules; they run the same LAPACK
+    # with no bundled library in numpy the routines are the functions behind
+    # scipy.linalg's Cython capsules; they run the same LAPACK on 32-bit
+    # integers, and on one thread give the same bits
     capsules = linalg._routines(None)
-    if linalg._SCIPY_OPENBLAS is not None:
-        assert list(map(_address, capsules)) != list(map(_address, linalg._ROUTINES))
+    if linalg._OPENBLAS is not None:
+        assert list(map(_address, capsules[:2])) != list(map(_address, linalg._ROUTINES[:2]))
     factors = np.linalg.cholesky(np.stack([rand_spd(rng, p) for _ in range(3)]))
     expected, empty = inverse_lower(factors), inverse_lower(np.empty((0, p, p)))
     monkeypatch.setattr(linalg, "_ROUTINES", capsules)
-    assert np.array_equal(inverse_lower(factors), expected)
+    with _capsules_pin():
+        assert np.array_equal(inverse_lower(factors), expected)
     assert inverse_lower(np.empty((0, p, p))).shape == empty.shape == (0, p, p)
 
 
@@ -131,10 +144,15 @@ def test_inverse_lower_refuses_what_is_not_a_stack_of_square_factors(shape):
         inverse_lower(np.ones(shape))
 
 
-def test_routines_take_unprefixed_exports():
-    # OpenBLAS in older scipy wheels exports dtrtri_ and dsyrk_ without scipy_
-    dtrtri, dsyrk = linalg._routines(None)
-    assert linalg._routines(types.SimpleNamespace(dtrtri_=dtrtri, dsyrk_=dsyrk)) == (dtrtri, dsyrk)
+@pytest.mark.parametrize("prefix", ["scipy_", ""])
+def test_routines_take_the_ilp64_exports_on_64_bit_integers(prefix):
+    # numpy 2.x's bundled OpenBLAS exports scipy_dtrtri_64_ and
+    # scipy_dsyrk_64_, numpy 1.x's dtrtri_64_ and dsyrk_64_; the capsules
+    # take 32-bit integers
+    dtrtri, dsyrk, integer = linalg._routines(None)
+    assert ctypes.sizeof(integer) == 4
+    lib = types.SimpleNamespace(**{prefix + "dtrtri_64_": dtrtri, prefix + "dsyrk_64_": dsyrk})
+    assert linalg._routines(lib) == (dtrtri, dsyrk, ctypes.c_int64)
 
 
 def test_mirror_lower_copies_the_lower_triangle():

@@ -26,7 +26,8 @@ from factorlens.panel import ReturnsPanel
 from factorlens.powersim import ScenarioConfig, generate_dataset
 from factorlens.asymptotics import select_regime
 from factorlens.report import TESTS, resolve_criticals
-from factorlens.teststats import FactorModelSpec
+from factorlens.randmat import bartlett_factor, substreams
+from factorlens.teststats import FactorModelSpec, stats_from_factors
 
 
 def _null_panel(p=4, K=2, T=60, seed=5, rep=0) -> ReturnsPanel:
@@ -80,7 +81,7 @@ def test_run_tests_calibrated_consistency(shared_tables):
 
 
 def test_run_tests_auto_uses_supplied_tables_beyond_the_calibration_budget():
-    # T = 1000 > 200 (p + K): without tables auto would fall back to highdim
+    # T = 1000 > 200 (p + K): without tables auto would fall back to closed-form
     p, K, T = 3, 1, 1000
     tables = calibrate_many(
         TESTS, p, T, K, alphas=(0.05,), reps=1000, master_seed=3, keep_null_sample=True
@@ -90,6 +91,25 @@ def test_run_tests_auto_uses_supplied_tables_beyond_the_calibration_budget():
         report = run_tests(_null_panel(p=p, K=K, T=T), tables=tables)
     assert {d.source for d in report.tests.values()} == {"calibrated"}
     assert report.calibration == {"master_seed": 3, "reps": 1000}
+
+
+def test_auto_beyond_the_calibration_budget_is_closed_form_and_holds_its_size():
+    # T = 2201 > 200 (p + K): auto warns and takes the exact marginals, which
+    # reject at most alpha + 3 se of exact null draws there; highdim's T_pr
+    # rejected about 0.14 of them at alpha = 0.05
+    p, T, K, alpha, reps = 10, 2201, 0, 0.05, 4000
+    model = FactorModelSpec(p=p, K=K, T=T)
+    with pytest.warns(UserWarning, match="closed-form"):
+        criticals = resolve_criticals("auto", model, alpha)
+    assert criticals.source == "closed-form"
+    n = model.t_eff - K
+    kernel = stats_from_factors(
+        np.stack([bartlett_factor(p, n, rng) for rng in substreams(17, 0, reps)]), model.t_eff, K
+    )
+    bound = alpha + 3.0 * np.sqrt(alpha * (1.0 - alpha) / reps)
+    for name in TESTS:
+        size = np.mean(criticals.laws[name].read(kernel) > criticals.values[name])
+        assert size <= bound, (name, size)
 
 
 def test_run_tests_closed_form_sources():
@@ -225,7 +245,7 @@ def test_import_loads_neither_scipy_integrate_nor_stats():
 
 
 _COMMANDS_WITHOUT_LINALG_OR_SPECIAL = """
-import json, sys
+import json, os, sys
 import factorlens.calibrate as calibrate
 from factorlens import cli
 
@@ -238,14 +258,20 @@ for name, processes in (("forked", 2), ("serial", 1)):
 assert cli.main(["test", "--input", panel, "--assets", "a0,a1,a2,a3,a4,a5", "--factors", "f0",
                  "--table", f"{out}/forked.json", "--out", f"{out}/report.json"]) == 0
 loaded = sorted({"scipy.linalg", "scipy.special"} & set(sys.modules))
+openblas = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        openblas = sorted({line.split()[-1] for line in fh if "openblas" in line.split()[-1]})
 assert cli.main(sys.argv[3:]) == 0
-print(json.dumps(loaded))
+print(json.dumps([loaded, openblas]))
 """
 
 
 def test_calibrate_and_table_test_load_neither_scipy_linalg_nor_special(tmp_path):
     # together they were most of every command's start-up: the kernel calls
-    # LAPACK through ctypes, and these commands evaluate no law of special
+    # LAPACK through ctypes, and these commands evaluate no law of special;
+    # that LAPACK is numpy's, so the process maps one OpenBLAS and not
+    # scipy's (a closed-form power command maps it with scipy.special)
     panel = tmp_path / "panel.csv"
     _write_panel_csv(panel, _null_panel(p=6, K=1, T=80))
     power = ["power", "--scenario", "s1", "--p", "4", "--T", "40", "--K", "1",
@@ -258,7 +284,10 @@ def test_calibrate_and_table_test_load_neither_scipy_linalg_nor_special(tmp_path
         capture_output=True, text=True, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == []
+    loaded, openblas = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == []
+    if openblas is not None:  # where /proc/self/maps exists
+        assert len(openblas) == 1 and "scipy.libs" not in openblas[0], openblas
     assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
     assert json.loads((tmp_path / "report.json").read_text())["tests"]
     # special, loaded by the child on first use, gives what it gives here

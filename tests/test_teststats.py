@@ -519,7 +519,7 @@ def _reference_stats(L, t_eff, K):
     for r, factor in enumerate(L):
         l_inv, info = dtrtri(factor, lower=1)
         assert info == 0
-        with linalg.NUMPY_BLAS_PIN or linalg._UNPINNED:
+        with linalg.BLAS_PIN or linalg._UNPINNED:
             np.matmul(l_inv.T, l_inv, out=v[r])
     diag_v = np.diagonal(v, axis1=1, axis2=2)
     rows, cols = np.tril_indices(p, -1)
