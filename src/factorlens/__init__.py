@@ -11,9 +11,7 @@ chi-square alternatives, and high-dimensional limit standardizations.
 from .asymptotics import (
     Regime,
     select_regime,
-    tij_noncentral_approx_power,
     tj_boundary_pvalue,
-    tj_noncentral_approx_power,
     tj_standardize,
     tlr_standardize,
 )
@@ -27,7 +25,7 @@ from .errors import FactorLensError
 from .linalg import cholesky, invert_spd
 from .panel import ReturnsPanel, export_panel_csv, ingest_csv
 from .powersim import PowerCurve, ScenarioConfig, build_sigma_u, generate_dataset, run_power_study
-from .randmat import SeedSpec, sample_V11_null
+from .randmat import SeedSpec
 from .report import TestReport, batch_subset_test, resolve_criticals, run_tests
 from .special import (
     ZjDensityParams,
@@ -48,8 +46,6 @@ from .teststats import (
     precision_stats_from_data,
     stat_ln_t_lr_star,
     stat_t_el,
-    stat_t_ij,
-    stat_t_j,
     stat_t_lr,
     stat_t_pr,
     stats_from_factors,

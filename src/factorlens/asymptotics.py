@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDof, DomainError, warn_at_caller
-from .special import chi2_cdf, normal_cdf
+from .special import chi2_cdf
 
 CONCENTRATION = "concentration_c"
 BOUNDARY = "boundary_d"
@@ -159,42 +159,3 @@ def tlr_standardize(ln_t_lr_star, p: int, t_eff: int, K: int):
     mean = lr_clt_mean(p, t_eff, K)
     sigma = lr_clt_sigma(p, t_eff, K)
     return ((2.0 / t_eff) * np.asarray(ln_t_lr_star) + mean) / math.sqrt(sigma)
-
-
-def tij_noncentral_approx_power(
-    crit: float, lambda_ij: float, p: int, t_eff: int, K: int
-) -> float:
-    """Approximate power of the pair test from its shifted chi-square limit.
-
-    Uses sqrt(T_ij) ~ N(delta, 1) with delta = sqrt(T_eff-K-p+2) sqrt(lambda),
-    so P[T_ij > crit] = P[|Z + delta| > sqrt(crit)].
-    """
-    if crit < 0:
-        raise DomainError(f"crit must be nonnegative, got {crit}")
-    if lambda_ij < 0:
-        raise DomainError(f"lambda_ij must be nonnegative, got {lambda_ij}")
-    delta = math.sqrt(t_eff - K - p + 2.0) * math.sqrt(lambda_ij)
-    a = math.sqrt(crit)
-    return normal_cdf(delta - a) + normal_cdf(-a - delta)
-
-
-def tj_noncentral_approx_power(crit: float, lambda_j: float, regime: Regime, p: int) -> float:
-    """Approximate power of the column test under the regime's noncentral limit.
-
-    Concentration regime: normal with mean 1 + lambda/c and variance
-    (2/(1-c) + 4 lambda/c) / (p-1). Boundary regime: scaled inverse
-    chi-square (1 + lambda)(d+1)/chi2_{d+1} (the concentration ratio is 1
-    at the boundary).
-    """
-    if crit < 0:
-        raise DomainError(f"crit must be nonnegative, got {crit}")
-    if lambda_j < 0:
-        raise DomainError(f"lambda_j must be nonnegative, got {lambda_j}")
-    if regime.kind == CONCENTRATION:
-        c = regime.c
-        mean = 1.0 + lambda_j / c
-        sd = math.sqrt((2.0 / (1.0 - c) + 4.0 * lambda_j / c) / (p - 1.0))
-        return normal_cdf((mean - crit) / sd)
-    if crit == 0.0:
-        return 1.0
-    return chi2_cdf((1.0 + lambda_j) * (regime.d + 1.0) / crit, regime.d + 1.0)

@@ -78,7 +78,6 @@ class CriticalValueTable:
     alphas: tuple[float, ...]
     critical_values: tuple[float, ...]
     null_sample: np.ndarray | None = field(default=None, repr=False)
-    df_convention: str = _DF_CONVENTION
 
     def __post_init__(self) -> None:
         if self.statistic not in STATISTICS:
@@ -125,7 +124,7 @@ class CriticalValueTable:
             "master_seed": self.master_seed,
             "alphas": list(self.alphas),
             "critical_values": list(self.critical_values),
-            "df_convention": self.df_convention,
+            "df_convention": _DF_CONVENTION,
             "null_sample": None
             if self.null_sample is None
             else self.null_sample.tolist(),
@@ -146,7 +145,6 @@ class CriticalValueTable:
             alphas=tuple(float(a) for a in doc["alphas"]),
             critical_values=tuple(float(v) for v in doc["critical_values"]),
             null_sample=None if sample is None else np.asarray(sample, dtype=float),
-            df_convention=doc.get("df_convention", _DF_CONVENTION),
         )
 
 
@@ -181,6 +179,8 @@ def simulate_null_statistics(
     kernel's factorizations and inverses set no thread count in any process.
     """
     statistics = tuple(statistics)
+    if not statistics:
+        raise DomainError("no statistics requested")
     for s in statistics:
         if s not in READERS:
             raise DomainError(f"unknown statistic {s!r}")

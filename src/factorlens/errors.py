@@ -33,10 +33,6 @@ class BadDimension(FactorLensError):
     """Dimensions are inconsistent or outside the supported range."""
 
 
-class BadIndex(FactorLensError):
-    """Row or column index outside the valid range."""
-
-
 class NotPositiveDefinite(FactorLensError):
     """Matrix failed the positive-definiteness check."""
 

@@ -1,9 +1,10 @@
 """CSV ingestion and export of return panels: assets plus named factor columns.
 
-Input files are UTF-8, comma-separated, with a header row and one column
-per series; an optional leading column of timestamps (any string) is kept
-only for ordering. Rows are ascending in time. Every referenced cell must
-parse as a finite decimal; errors report the offending row and column.
+Input files are UTF-8, less one leading byte-order mark, comma-separated,
+with a header row and one column per series; an optional leading column of
+timestamps (any string) is kept only for ordering. Rows are ascending in
+time. Every referenced cell must parse as a finite decimal; errors report
+the offending row and column.
 
 A file is read once, and its cells take one of two paths. A plain file
 (no quote, NUL or bare carriage return, one record per line, every line
@@ -217,6 +218,8 @@ def ingest_csv(source, asset_names, factor_names, demean: bool = False) -> Retur
             lines = list(fh)
     else:
         lines = list(source)
+    if lines and lines[0].startswith("\ufeff"):  # as Excel's "CSV UTF-8" writes
+        lines[0] = lines[0][1:]
     plain = _is_plain(lines)
     rows = _read_records(lines[:1] if plain else lines, 1)
     if not rows:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension
-from .teststats import FactorStats, checked_t_eff, stats_from_factors
 
 _UINT64_BOUND = 2**64
 
@@ -172,20 +171,3 @@ def bartlett_factor(
     if p > 1:
         flat[tril] = rng.standard_normal(p * (p - 1) // 2)
     return a
-
-
-def sample_V11_null(
-    p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False
-) -> FactorStats:
-    """The kernel's statistics of one null draw of the sample-precision block.
-
-    Draws W ~ Wishart_p(T_eff - K, I) and runs the kernel on its Bartlett
-    factor, as a factor of E = W, so that V11 = W^{-1}. In inverse
-    Wishart terms V11 has nu = (T_eff - K) + p + 1 degrees of freedom and
-    identity parameter, which is the null law of the precision block up to
-    its (irrelevant) diagonal; the Wishart direction is sampled because
-    Bartlett gives its factor directly.
-    """
-    t_eff = checked_t_eff(p, K, T, demeaned)
-    a = bartlett_factor(p, t_eff - K, seed.generator())
-    return stats_from_factors(a[None], t_eff, K)

@@ -16,8 +16,9 @@ applies the same factorization to subset blocks of the panel's stacked
 scatter. FactorStats is the only statistics object:
 precision_stats_from_data returns the kernel's statistics of one dataset
 (m = 1), and the stat_* functions and compute_all only read its row 0.
-Indices in the public API are 1-based to match the usual (i, j) labelling
-of matrix entries; the pair statistic is defined for 1 <= j < i <= p.
+Argmax locations are 1-based, to match the usual (i, j) labelling of
+matrix entries: pair (i, j), 1 <= j < i <= p, is entry (i-1)(i-2)/2 + j-1
+of t_ij's last axis, and column j is entry j-1 of t_j's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadDimension, BadIndex, DegenerateCorrection, NotPositiveDefinite
+from .errors import BadDimension, DegenerateCorrection, NotPositiveDefinite
 from .linalg import cholesky, inverse_lower, invert_spd, mirror_lower, scatter, stacked_cholesky
 
 
@@ -326,13 +327,6 @@ def _check_pairs(s: FactorStats) -> None:
         raise BadDimension(f"pair and column statistics need p >= 2, got p={s.p}")
 
 
-def stat_t_ij(s: FactorStats, i: int, j: int) -> float:
-    """Pair statistic for 1 <= j < i <= p (1-based indices)."""
-    if not (1 <= j < i <= s.p):
-        raise BadIndex(f"need 1 <= j < i <= p, got i={i}, j={j}, p={s.p}")
-    return float(s.t_ij[0, (i - 1) * (i - 2) // 2 + j - 1])  # tril order
-
-
 def _argmax_smallest_index(values: np.ndarray) -> int:
     """First index attaining the maximum, treating 1-ulp near-ties as ties."""
     vmax = float(values.max())
@@ -346,14 +340,6 @@ def stat_t_el(s: FactorStats) -> tuple[float, tuple[int, int]]:
     k = _argmax_smallest_index(s.t_ij[0])  # scan order is lexicographic in (i, j)
     rows, cols = np.tril_indices(s.p, -1)
     return float(s.t_el[0]), (int(rows[k]) + 1, int(cols[k]) + 1)
-
-
-def stat_t_j(s: FactorStats, j: int) -> float:
-    """Column statistic for 1 <= j <= p (1-based)."""
-    _check_pairs(s)
-    if not 1 <= j <= s.p:
-        raise BadIndex(f"need 1 <= j <= p, got j={j}, p={s.p}")
-    return float(s.t_j[0, j - 1])
 
 
 def stat_t_pr(s: FactorStats) -> tuple[float, int]:

@@ -5,6 +5,8 @@ import pytest
 from scipy.special import kolmogorov
 
 from factorlens.errors import DomainError
+from factorlens.randmat import SeedSpec, bartlett_factor
+from factorlens.teststats import FactorStats, checked_t_eff, stats_from_factors
 
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
@@ -21,6 +23,17 @@ def plain_bartlett(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
     if p > 1:
         a[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
     return a
+
+
+def null_kernel(p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False) -> FactorStats:
+    """The kernel's statistics of one null draw: the Bartlett factor of W_p(T_eff - K, I).
+
+    The factor is drawn from seed's substream as the calibration engine
+    draws replicate seed.stream_index of seed.master_seed, and taken as a
+    factor of E = W, so that V11 = W^-1.
+    """
+    t_eff = checked_t_eff(p, K, T, demeaned)
+    return stats_from_factors(bartlett_factor(p, t_eff - K, seed.generator())[None], t_eff, K)
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:

@@ -10,11 +10,8 @@ from factorlens import (
     chi2_quantile,
     f_cdf,
     f_quantile,
-    normal_quantile,
     select_regime,
-    tij_noncentral_approx_power,
     tj_boundary_pvalue,
-    tj_noncentral_approx_power,
     tj_standardize,
     tlr_standardize,
 )
@@ -191,47 +188,6 @@ def test_tlr_standardize_vectorized():
     z = tlr_standardize(np.array([0.0, 10.0, 20.0]), 100, 510, 10)
     assert z.shape == (3,)
     assert np.all(np.diff(z) > 0)
-
-
-def test_tij_noncentral_power_null_and_limits():
-    crit = chi2_quantile(0.95, 1)
-    assert_allclose(
-        tij_noncentral_approx_power(crit, 0.0, 100, 500, 10), 0.05, atol=1e-9
-    )
-    assert tij_noncentral_approx_power(crit, 50.0, 100, 500, 10) > 0.999999
-    grid = [tij_noncentral_approx_power(crit, l, 100, 500, 10) for l in (0.0, 0.01, 0.05, 0.2)]
-    assert all(b > a for a, b in zip(grid, grid[1:]))
-
-
-def test_tij_noncentral_power_close_to_exact_density():
-    # shifted-chi-square approximation against the exact tail integral
-    from factorlens import ZjDensityParams, marginal_power_Z
-
-    p, T, K = 100, 500, 10
-    dof = T - K - p + 1
-    lam = 0.05
-    crit = f_quantile(0.95, 1, dof)
-    approx = tij_noncentral_approx_power(crit, lam, p, T, K)
-    exact = marginal_power_Z(crit, ZjDensityParams(q=1, n=dof, lam=lam))
-    assert abs(approx - exact) <= 0.03
-
-
-def test_tj_noncentral_power_null_case():
-    reg = Regime.concentration(0.2)
-    p = 100
-    # at lambda = 0 the normal approximation gives alpha at the normal critical
-    crit = 1.0 + normal_quantile(0.95) * math.sqrt((2.0 / 0.8) / (p - 1.0))
-    assert_allclose(tj_noncentral_approx_power(crit, 0.0, reg, p), 0.05, atol=1e-9)
-
-
-def test_tj_noncentral_power_boundary_inversion():
-    reg = Regime.boundary(4.0)
-    lam = 0.7
-    beta = 0.8
-    crit = (1.0 + lam) * 5.0 / chi2_quantile(beta, 5.0)
-    power = tj_noncentral_approx_power(crit, lam, reg, 100)
-    assert_allclose(power, beta, atol=1e-12)
-    assert tj_noncentral_approx_power(0.0, lam, reg, 100) == 1.0
 
 
 def test_tj_boundary_critical_size():

@@ -23,7 +23,6 @@ from factorlens import (
     empirical_pvalue,
     f_quantile,
     resolve_criticals,
-    sample_V11_null,
     simulate_null_statistics,
 )
 from factorlens.calibrate import (
@@ -44,7 +43,7 @@ from factorlens.errors import (
 )
 from factorlens.randmat import bartlett_factor
 from factorlens.teststats import compute_all, stats_from_factors
-from conftest import ks_statistic, plain_bartlett
+from conftest import ks_statistic, null_kernel, plain_bartlett
 
 P, T, K = 6, 40, 2
 REPS = 2000
@@ -66,12 +65,12 @@ def tables():
 
 
 def test_engine_matches_per_replicate_path():
-    # the chunked engine must agree with sample_V11_null + compute_all
+    # the chunked engine must agree with one null draw's kernel + compute_all
     out = simulate_null_statistics(
         ("T_el", "T_pr", "T_LR", "ln_T_LR_star"), P, T, K, reps=50, master_seed=SEED
     )
     for r in range(50):
-        stats = compute_all(sample_V11_null(P, T, K, SeedSpec(SEED, r)))
+        stats = compute_all(null_kernel(P, T, K, SeedSpec(SEED, r)))
         assert_allclose(out["T_el"][r], stats.t_el, rtol=1e-9)
         assert_allclose(out["T_pr"][r], stats.t_pr, rtol=1e-9)
         assert_allclose(out["T_LR"][r], stats.t_lr, rtol=1e-9)
@@ -148,13 +147,11 @@ def test_engine_default_chunk_bounds_memory():
 
 
 def test_engine_marginal_statistics_match():
-    from factorlens.teststats import stat_t_ij, stat_t_j
-
     out = simulate_null_statistics(("T_ij_21", "T_j_1"), P, T, K, reps=20, master_seed=4)
     for r in range(20):
-        ps = sample_V11_null(P, T, K, SeedSpec(4, r))
-        assert_allclose(out["T_ij_21"][r], stat_t_ij(ps, 2, 1), rtol=1e-9)
-        assert_allclose(out["T_j_1"][r], stat_t_j(ps, 1), rtol=1e-9)
+        ps = null_kernel(P, T, K, SeedSpec(4, r))
+        assert_allclose(out["T_ij_21"][r], ps.t_ij[0, 0], rtol=1e-9)
+        assert_allclose(out["T_j_1"][r], ps.t_j[0, 0], rtol=1e-9)
 
 
 def test_t_ij_21_reads_the_first_pair_of_the_kernel():
@@ -465,6 +462,20 @@ def test_calibrate_rejects_bad_inputs():
         calibrate_many(("nonsense",), P, T, K, reps=REPS)["nonsense"]
     with pytest.raises(DomainError):
         calibrate_many(("T_el",), P, T, K, reps=REPS, alphas=(0.0,))["T_el"]
+
+
+@pytest.mark.parametrize("reps", [10, 2000])  # one process; three, as _count_forks sets the CPUs
+def test_engine_refuses_no_statistics_before_the_first_draw(monkeypatch, reps):
+    import factorlens.calibrate as cal
+
+    def no_draw(*args):
+        raise AssertionError("a replicate was drawn")
+
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cal, "substreams", no_draw)
+    with pytest.raises(DomainError, match="no statistics"):
+        simulate_null_statistics((), P, T, K, reps=reps, master_seed=1)
+    assert forks == []
 
 
 def test_size_control_on_fresh_null_draws(tables):

@@ -256,6 +256,26 @@ def test_ingest_guard_cases_keep_their_values(tmp_path):
     assert panel.values[2].tolist() == [0.5, 0.1, 0.2]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        _text(),
+        _text(header='"date","a","b","f"'),  # quoted: the per-cell path
+        _text([row.split(",", 1)[1] for row in _ROWS], header="a,b,f"),  # no time column
+    ],
+)
+def test_ingest_drops_a_leading_byte_order_mark(tmp_path, text):
+    base = ingest_csv(io.StringIO(text, newline=""), ["a", "b"], ["f"])
+    path = tmp_path / "bom.csv"
+    path.write_bytes(("\ufeff" + text).encode("utf-8"))
+    with open(path, encoding="utf-8", newline="") as fh:
+        for source in (io.StringIO("\ufeff" + text, newline=""), path, str(path), fh):
+            panel = ingest_csv(source, ["a", "b"], ["f"])
+            assert panel.labels == base.labels
+            assert panel.times == base.times
+            assert panel.values.tobytes() == base.values.tobytes()
+
+
 def test_ingest_cell_over_the_csv_field_limit_takes_the_per_cell_path():
     # csv.reader refuses a cell longer than its field size limit, plain file or not
     long_cell = "1" + "0" * csv.field_size_limit()

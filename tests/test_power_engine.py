@@ -1,19 +1,30 @@
 """run_power_study on s1-s4 against a plain loop over the per-dataset data path."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import calibrate_many, compute_all, generate_dataset, precision_stats_from_data
+from factorlens import (
+    ZjDensityParams,
+    calibrate_many,
+    compute_all,
+    f_quantile,
+    generate_dataset,
+    marginal_power_Z,
+    precision_stats_from_data,
+)
 from factorlens import powersim
+from factorlens.calibrate import READERS
 from factorlens.errors import DomainError, Singular
 from factorlens.powersim import ScenarioConfig, run_power_study
 from factorlens.randmat import SeedSpec
 from factorlens.report import TESTS, resolve_criticals
 from factorlens.linalg import stacked_cholesky
+from factorlens.teststats import stats_from_factors
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
 KTILDE_GRID = (0, 1, 3)
@@ -208,3 +219,70 @@ def test_memory_stays_bounded_for_a_long_grid():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+# The exact power oracle: single-coordinate rejection rates of the power
+# engine's own kernels against the exact non-null marginal laws (Fisher's
+# negative-binomial mixture of Beta laws, special.marginal_power_Z).
+ORACLE_ALPHA, ORACLE_REPS = 0.05, 20_000
+ORACLE_DIMS = {"p": 10, "K": 5, "T": 100}
+ORACLE_SEEDS = {"s1": 7101, "s2": 7102}
+
+
+def _engine_rates(scenario, grid, reads):
+    """Rate of read(kernel) > crit per grid point on run_power_study's kernels, per named read."""
+    cfg = ScenarioConfig(scenario, **ORACLE_DIMS, reps=ORACLE_REPS,
+                         master_seed=ORACLE_SEEDS[scenario])
+    corr = np.array([powersim.build_sigma_u(scenario, cfg.p, rho) for rho in grid])
+    chunk, group = powersim._chunk_size(cfg.p, cfg.K, cfg.T, len(grid))
+    counts = {name: np.zeros(len(grid)) for name in reads}
+    for start in range(0, cfg.reps, chunk):
+        stop = min(start + chunk, cfg.reps)
+        for first, factors in powersim._grid_factors(cfg, grid, corr, start, stop, group):
+            kernel = stats_from_factors(factors, cfg.model.t_eff, cfg.K)
+            for name, (read, crit) in reads.items():
+                rejected = read(kernel).reshape(-1, stop - start) > crit
+                counts[name][first : first + len(rejected)] += np.count_nonzero(rejected, axis=1)
+    return {name: c / cfg.reps for name, c in counts.items()}
+
+
+def _assert_within_3_se(rate, exact, cell):
+    se = math.sqrt(exact * (1.0 - exact) / ORACLE_REPS)
+    assert abs(rate - exact) <= 3.0 * se, (cell, rate, exact, (rate - exact) / se)
+
+
+def test_s1_pair_and_t_el_rates_match_the_exact_law():
+    # pair (2, 1) has partial correlation rho, so lambda = rho^2 / (1 - rho^2)
+    model = ScenarioConfig("s1", **ORACLE_DIMS).model
+    dof_n = model.dof_n
+    crit = f_quantile(1.0 - ORACLE_ALPHA, 1, dof_n)
+    el_crit = resolve_criticals("closed-form", model, ORACLE_ALPHA).values["T_el"]
+    grid = (0.0, 0.2, 0.3, 0.4)
+    rates = _engine_rates(
+        "s1", grid, {"T_ij_21": (READERS["T_ij_21"], crit), "T_el": (READERS["T_el"], el_crit)}
+    )
+
+    def exact(rho, at):
+        return marginal_power_Z(at, ZjDensityParams(q=1, n=dof_n, lam=rho**2 / (1.0 - rho**2)))
+
+    for gi, rho in enumerate(grid):
+        if rho != 0.3:
+            _assert_within_3_se(rates["T_ij_21"][gi], exact(rho, crit), ("T_ij_21", rho))
+    # T_el rejects whenever pair (2, 1) does, and the other 44 pairs are null,
+    # each exceeding the Bonferroni critical value with probability alpha / 45
+    pi = exact(0.3, el_crit)
+    assert pi <= rates["T_el"][grid.index(0.3)] <= pi + ORACLE_ALPHA
+
+
+def test_s2_column_rate_matches_the_exact_law():
+    # column 1 has squared multiple correlation S = (p - 1) a^2, a the
+    # off-diagonal entry of s2's precision, so lambda = S / (1 - S)
+    model = ScenarioConfig("s2", **ORACLE_DIMS).model
+    p, dof_n = model.p, model.dof_n
+    crit = f_quantile(1.0 - ORACLE_ALPHA, p - 1, dof_n)
+    grid = (0.0, 0.2)
+    rates = _engine_rates("s2", grid, {"T_j_1": (READERS["T_j_1"], crit)})
+    for gi, rho in enumerate(grid):
+        s = (p - 1) * rho**2 / (1.0 + 1.5 * (p - 1) * rho**2)
+        exact = marginal_power_Z(crit, ZjDensityParams(q=p - 1, n=dof_n, lam=s / (1.0 - s)))
+        _assert_within_3_se(rates["T_j_1"][gi], exact, ("T_j_1", rho))

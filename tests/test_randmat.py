@@ -13,15 +13,14 @@ from factorlens import (
     batch_subset_test,
     f_cdf,
     run_power_study,
-    sample_V11_null,
     simulate_null_statistics,
 )
 from factorlens.errors import BadDimension
 from factorlens.powersim import ScenarioConfig
 from factorlens.report import resolve_criticals
+from factorlens.calibrate import STATISTICS
 from factorlens.randmat import _bartlett_layout, bartlett_factor, substreams
-from factorlens.teststats import stat_t_ij
-from conftest import ks_asymptotic_pvalue, ks_statistic, plain_bartlett
+from conftest import ks_asymptotic_pvalue, ks_statistic, null_kernel, plain_bartlett
 
 
 def test_seedspec_determinism():
@@ -149,8 +148,8 @@ def test_stream_independence():
 
 
 def test_v11_null_determinism_and_dof():
-    ps1 = sample_V11_null(4, 20, 2, SeedSpec(1, 5))
-    ps2 = sample_V11_null(4, 20, 2, SeedSpec(1, 5))
+    ps1 = null_kernel(4, 20, 2, SeedSpec(1, 5))
+    ps2 = null_kernel(4, 20, 2, SeedSpec(1, 5))
     assert np.array_equal(ps1.v[0], ps2.v[0])
     assert ps1.dof_n == 20 - 2 - 4 + 1
     e = ps1.L[0] @ ps1.L[0].T
@@ -158,14 +157,19 @@ def test_v11_null_determinism_and_dof():
 
 
 def test_v11_null_demeaned_uses_T_minus_one():
-    ps = sample_V11_null(3, 21, 2, SeedSpec(1, 0), demeaned=True)
+    # the engine draws demeaned data at T from the law of undemeaned data at T - 1
+    demeaned = simulate_null_statistics(STATISTICS, 3, 21, 2, reps=5, master_seed=1, demeaned=True)
+    plain = simulate_null_statistics(STATISTICS, 3, 20, 2, reps=5, master_seed=1)
+    for s in STATISTICS:
+        assert np.array_equal(demeaned[s], plain[s]), s
+    ps = null_kernel(3, 21, 2, SeedSpec(1, 0), demeaned=True)
     assert ps.t_eff == 20
     assert ps.dof_n == 20 - 2 - 3 + 1
 
 
 def test_v11_null_rejects_bad_dims():
     with pytest.raises(BadDimension):
-        sample_V11_null(10, 12, 2, SeedSpec(0, 0))
+        simulate_null_statistics(("T_el",), 10, 12, 2, reps=1, master_seed=0)
 
 
 def test_v11_diagonal_reciprocal_is_chi_square():
@@ -174,7 +178,7 @@ def test_v11_diagonal_reciprocal_is_chi_square():
     m = T - K
     vals = np.empty(reps)
     for r in range(reps):
-        ps = sample_V11_null(1, T, K, SeedSpec(29, r))
+        ps = null_kernel(1, T, K, SeedSpec(29, r))
         vals[r] = ps.diag_e[0, 0]
     assert abs(vals.mean() - m) <= 4.0 * math.sqrt(2.0 * m / reps)
 
@@ -185,8 +189,7 @@ def test_tij_null_law_ks():
     dof = T - K - p + 1
     vals = np.empty(reps)
     for r in range(reps):
-        ps = sample_V11_null(p, T, K, SeedSpec(31, r))
-        vals[r] = stat_t_ij(ps, 2, 1)
+        vals[r] = null_kernel(p, T, K, SeedSpec(31, r)).t_ij[0, 0]
     d = ks_statistic(np.sort(vals), lambda x: np.array([f_cdf(v, 1, dof) for v in x]))
     assert ks_asymptotic_pvalue(d, reps) > 0.001
 

@@ -663,6 +663,16 @@ def test_cli_table_whose_critical_values_disagree_with_its_sample_is_an_error(tm
     assert not (tmp_path / "r.json").exists()
 
 
+def test_cli_calibrate_with_no_statistics_is_a_clean_error(tmp_path, capsys):
+    out = tmp_path / "empty.json"
+    argv = ["calibrate", "--p", "3", "--T", "80", "--K", "1", "--reps", "1000",
+            "--statistics", "", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("factorlens: error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # neither the table nor a temporary file
+
+
 def test_cli_missing_input_is_a_clean_error(tmp_path, capsys):
     argv = [
         "test", "--input", str(tmp_path / "absent.csv"), "--assets", "a0,a1",

@@ -14,11 +14,8 @@ from factorlens import (
     SeedSpec,
     compute_all,
     precision_stats_from_data,
-    sample_V11_null,
     stat_ln_t_lr_star,
     stat_t_el,
-    stat_t_ij,
-    stat_t_j,
     stat_t_lr,
     stat_t_pr,
     stats_from_factors,
@@ -26,7 +23,6 @@ from factorlens import (
 )
 from factorlens.errors import (
     BadDimension,
-    BadIndex,
     DegenerateCorrection,
     NotPositiveDefinite,
     Singular,
@@ -37,7 +33,7 @@ from factorlens.randmat import bartlett_factor
 from factorlens import linalg
 from factorlens.linalg import stacked_cholesky
 from factorlens.teststats import residual_factors
-from conftest import ks_asymptotic_pvalue, ks_statistic, rand_spd
+from conftest import ks_asymptotic_pvalue, ks_statistic, null_kernel, rand_spd
 
 # V11 = [[2,1],[1,2]] with dof_n = 11 (T=12, K=0) is the worked 2x2 case
 V2 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -87,8 +83,6 @@ def test_one_dataset_entry_points_share_the_dimension_check(demeaned):
     with pytest.raises(BadDimension):
         stats_from_precision(v11, T=T, K=K, demeaned=demeaned)
     with pytest.raises(BadDimension):
-        sample_V11_null(p, T, K, SeedSpec(0, 0), demeaned=demeaned)
-    with pytest.raises(BadDimension):
         precision_stats_from_data(X[:p, :T], F[:K, :T], demeaned=demeaned)
     with pytest.raises(BadDimension):
         FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned)
@@ -96,7 +90,6 @@ def test_one_dataset_entry_points_share_the_dimension_check(demeaned):
         stats_from_precision(v11, T=T + 10, K=-1, demeaned=demeaned)
     # one more observation gives dof_n = 2 at each of them
     assert stats_from_precision(v11, T=T + 1, K=K, demeaned=demeaned).dof_n == 2
-    assert sample_V11_null(p, T + 1, K, SeedSpec(0, 0), demeaned=demeaned).dof_n == 2
     assert precision_stats_from_data(X[:p], F[:K], demeaned=demeaned).dof_n == 2
     assert FactorModelSpec(p=p, K=K, T=T + 1, demeaned=demeaned).dof_n == 2
     # a scalar precision block stays accepted
@@ -106,27 +99,18 @@ def test_one_dataset_entry_points_share_the_dimension_check(demeaned):
 def test_t_ij_worked_example():
     ps = _ps2()
     assert ps.dof_n == 11
-    assert_allclose(stat_t_ij(ps, 2, 1), 11.0 / 3.0, rtol=1e-14)
+    assert_allclose(ps.t_ij[0, 0], 11.0 / 3.0, rtol=1e-14)
 
 
 def test_t_ij_zero_for_diagonal():
     ps = _ps_from(np.diag([3.0, 1.0, 0.5]), dof_n=9)
-    for i in range(2, 4):
-        for j in range(1, i):
-            assert stat_t_ij(ps, i, j) == 0.0
-
-
-def test_t_ij_index_validation():
-    ps = _ps2()
-    for i, j in [(1, 1), (1, 2), (3, 1), (2, 0)]:
-        with pytest.raises(BadIndex):
-            stat_t_ij(ps, i, j)
+    assert np.array_equal(ps.t_ij[0], np.zeros(3))  # pairs (2,1), (3,1), (3,2)
 
 
 def test_t_el_worked_and_tie_break():
     ps = _ps2()
     value, arg = stat_t_el(ps)
-    assert_allclose(value, stat_t_ij(ps, 2, 1), rtol=1e-15)
+    assert_allclose(value, ps.t_ij[0, 0], rtol=1e-15)
     assert arg == (2, 1)
     diag = _ps_from(np.diag([1.0, 2.0, 3.0]), dof_n=7)
     value, arg = stat_t_el(diag)
@@ -136,28 +120,28 @@ def test_t_el_worked_and_tie_break():
 def test_t_j_worked_example():
     ps = _ps2()
     # v_11 = 2, first diagonal of the inverse is 2/3
-    assert_allclose(stat_t_j(ps, 1), 11.0 * (2.0 * 2.0 / 3.0 - 1.0), rtol=1e-12)
-    assert_allclose(stat_t_j(ps, 1), 11.0 / 3.0, rtol=1e-12)
+    assert_allclose(ps.t_j[0, 0], 11.0 * (2.0 * 2.0 / 3.0 - 1.0), rtol=1e-12)
+    assert_allclose(ps.t_j[0, 0], 11.0 / 3.0, rtol=1e-12)
 
 
 def test_t_j_equals_t_ij_for_p2():
     rng = np.random.default_rng(7)
     for _ in range(25):
         ps = _ps_from(rand_spd(rng, 2), dof_n=int(rng.integers(2, 40)))
-        tj = stat_t_j(ps, 1)
-        tij = stat_t_ij(ps, 2, 1)
+        tj = ps.t_j[0, 0]
+        tij = ps.t_ij[0, 0]
         assert abs(tj - tij) <= 1e-12 * max(1.0, abs(tij))
         # both columns agree in the 2x2 case
-        assert abs(stat_t_j(ps, 2) - tj) <= 1e-10 * max(1.0, abs(tj))
+        assert abs(ps.t_j[0, 1] - tj) <= 1e-10 * max(1.0, abs(tj))
 
 
 def test_t_j_zero_iff_decoupled_row():
     m = np.eye(4)
     m[0, 1] = m[1, 0] = 0.4
     ps = _ps_from(m, dof_n=11)
-    assert stat_t_j(ps, 3) <= 1e-10
-    assert stat_t_j(ps, 4) <= 1e-10
-    assert stat_t_j(ps, 1) > 0.1
+    assert ps.t_j[0, 2] <= 1e-10
+    assert ps.t_j[0, 3] <= 1e-10
+    assert ps.t_j[0, 0] > 0.1
 
 
 def test_t_pr_worked():
@@ -197,7 +181,7 @@ def test_ln_t_lr_star_two_forms_agree(rng):
 
 def test_t_lr_rho_arithmetic():
     # p=20, T=104, K=1: rho = 1 - 45/618
-    ps = sample_V11_null(20, 104, 1, SeedSpec(0, 0))
+    ps = null_kernel(20, 104, 1, SeedSpec(0, 0))
     rho = 1.0 - 45.0 / 618.0
     expected = 2.0 * rho * (103.0 / 104.0) * stat_ln_t_lr_star(ps)
     assert_allclose(stat_t_lr(ps), expected, rtol=1e-12)
@@ -217,7 +201,7 @@ def test_t_lr_null_mean_matches_chi_square():
     p, T, K, reps = 5, 100, 2, 10_000
     vals = np.empty(reps)
     for r in range(reps):
-        vals[r] = stat_t_lr(sample_V11_null(p, T, K, SeedSpec(101, r)))
+        vals[r] = stat_t_lr(null_kernel(p, T, K, SeedSpec(101, r)))
     f = p * (p - 1) / 2.0
     se = math.sqrt(2.0 * f / reps)  # chi-square variance is 2f
     assert abs(vals.mean() - f) <= 3.0 * se
@@ -315,7 +299,7 @@ def test_from_data_null_law_ks():
         f = gen.standard_normal((K, T))
         u = gen.uniform(1.0, 2.0, p)[:, None] * gen.standard_normal((p, T))
         ps = precision_stats_from_data(b @ f + u, f)
-        vals[r] = stat_t_ij(ps, 2, 1)
+        vals[r] = ps.t_ij[0, 0]
     d = ks_statistic(np.sort(vals), lambda x: np.array([f_cdf(v, 1, dof) for v in x]))
     assert ks_asymptotic_pvalue(d, reps) > 0.001
 
@@ -437,8 +421,9 @@ def test_t_el_equals_max_of_pair_statistics_bitwise(p):
 
 @pytest.mark.parametrize("p", [2, 5, 20])
 def test_readers_take_the_kernel_entries_bitwise(p):
-    # stat_t_ij reads the pair at tril position (i-1)(i-2)/2 + j-1, bit for bit
-    # the pair computed alone from v_ij, v_ii and v_jj
+    # pair (i, j) sits at tril position (i-1)(i-2)/2 + j-1, bit for bit the pair
+    # computed alone from v_ij, v_ii and v_jj, and column j at j-1, bit for bit
+    # the column computed alone from v_jj and e_jj
     rng = np.random.default_rng(40 + p)
     T, K = 3 * p + 10, 2
     F = rng.standard_normal((K, T))
@@ -450,10 +435,12 @@ def test_readers_take_the_kernel_entries_bitwise(p):
             v_ij, v_ii, v_jj = s.v[0, i - 1, j - 1], s.diag_v[0, i - 1], s.diag_v[0, j - 1]
             g2 = v_ij * v_ij / (v_ii * v_jj)
             alone = s.dof_n * g2 / (1.0 - g2)
-            assert stat_t_ij(s, i, j) == alone, (i, j)
+            assert s.t_ij[0, (i - 1) * (i - 2) // 2 + j - 1] == alone, (i, j)
     assert compute_all(s).t_el == s.t_ij[0].max()
     for j in range(1, p + 1):
-        assert stat_t_j(s, j) == s.t_j[0, j - 1]
+        v_jj, e_jj = s.diag_v[0, j - 1], s.diag_e[0, j - 1]
+        alone = (s.dof_n / (p - 1)) * max(v_jj * e_jj - 1.0, 0.0)
+        assert s.t_j[0, j - 1] == alone, j
 
 
 @pytest.mark.parametrize(
