@@ -45,9 +45,6 @@ from .teststats import (
     compute_all,
     precision_stats_from_data,
     stat_ln_t_lr_star,
-    stat_t_el,
-    stat_t_lr,
-    stat_t_pr,
     stats_from_factors,
     stats_from_precision,
 )

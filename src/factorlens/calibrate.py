@@ -181,9 +181,11 @@ def simulate_null_statistics(
     statistics = tuple(statistics)
     if not statistics:
         raise DomainError("no statistics requested")
-    for s in statistics:
+    for i, s in enumerate(statistics):
         if s not in READERS:
             raise DomainError(f"unknown statistic {s!r}")
+        if s in statistics[:i]:
+            raise DomainError(f"statistic {s!r} requested twice")
     t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     if reps < 1:
         raise DomainError("reps must be positive")

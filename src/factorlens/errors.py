@@ -52,10 +52,6 @@ class DomainError(FactorLensError):
     """Argument outside the mathematical domain of a function."""
 
 
-class DegenerateCorrection(FactorLensError):
-    """Bartlett-style correction factor is not positive."""
-
-
 class DegenerateDof(FactorLensError):
     """Too few degrees of freedom for the requested adjustment."""
 

@@ -3,7 +3,8 @@
 Covariance and precision matrices in this package are small dense float64
 arrays (design envelope p <= ~2000). Factorizations are backed by LAPACK
 through numpy and OpenBLAS; positive definiteness is judged on the Cholesky
-pivots against PIVOT_RTOL, one rule for single matrices and for stacks.
+pivots against PIVOT_RTOL, one rule and one routine (stacked_cholesky)
+for single matrices and for stacks.
 Only the lower triangle of an input is read. Every inverse, the kernel's V
 and invert_spd alike, comes from lower factors through inverse_lower:
 dtrtri, then an in-place dsyrk at half a full product's flops. LAPACK's
@@ -149,26 +150,15 @@ _ONE, _ZERO = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L with L @ L.T == a.
+    """Lower Cholesky factor L with L @ L.T == a, under stacked_cholesky's pivot rule.
 
     Raises NotPositiveDefinite when a pivot falls at or below
     PIVOT_RTOL times the largest diagonal entry.
     """
-    max_diag = float(np.max(np.diagonal(a)))
-    if max_diag <= 0.0:
-        raise NotPositiveDefinite("largest diagonal entry is not positive")
     try:
-        with BLAS_PIN or _UNPINNED:
-            factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Cholesky factorization failed") from None
-    pivots = np.diagonal(factor) ** 2
-    if float(np.min(pivots)) <= PIVOT_RTOL * max_diag:
-        raise NotPositiveDefinite(
-            f"Cholesky pivot {float(np.min(pivots)):.3e} below tolerance "
-            f"{PIVOT_RTOL * max_diag:.3e}"
-        )
-    return factor
+        return stacked_cholesky(np.asarray(a)[None])[0]
+    except Singular as exc:
+        raise NotPositiveDefinite(str(exc).replace("a stacked covariance", "the matrix")) from None
 
 
 def inverse_lower(factors: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ residual_factors does this for test and the power engine, and batch-test
 applies the same factorization to subset blocks of the panel's stacked
 scatter. FactorStats is the only statistics object:
 precision_stats_from_data returns the kernel's statistics of one dataset
-(m = 1), and the stat_* functions and compute_all only read its row 0.
+(m = 1), and compute_all only reads its row 0. Dimensions have one rule,
+FactorModelSpec's: p >= 2, K >= 0 and p + K < T_eff. The kernel itself
+needs p >= 2, K >= 0 and dof_n >= 1, which every statistic is defined on.
 Argmax locations are 1-based, to match the usual (i, j) labelling of
 matrix entries: pair (i, j), 1 <= j < i <= p, is entry (i-1)(i-2)/2 + j-1
 of t_ij's last axis, and column j is entry j-1 of t_j's.
@@ -28,26 +30,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BadDimension, DegenerateCorrection, NotPositiveDefinite
+from .errors import BadDimension, NotPositiveDefinite
 from .linalg import cholesky, inverse_lower, invert_spd, mirror_lower, scatter, stacked_cholesky
-
-
-def effective_sample_size(T: int, demeaned: bool) -> int:
-    """Observations left for estimation; demeaning consumes one."""
-    return T - 1 if demeaned else T
 
 
 def denominator_dof(t_eff: int, K: int, p: int) -> int:
     """Denominator degrees of freedom dof_n of the marginal F laws."""
     return t_eff - K - p + 1
-
-
-def checked_t_eff(p: int, K: int, T: int, demeaned: bool) -> int:
-    """T_eff, once p >= 1, K >= 0 and p + K < T_eff (so dof_n >= 2) hold."""
-    t_eff = effective_sample_size(T, demeaned)
-    if p < 1 or K < 0 or p + K >= t_eff:
-        raise BadDimension(f"need p >= 1, K >= 0, p + K < T_eff; got p={p}, K={K}, T_eff={t_eff}")
-    return t_eff
 
 
 # Step two of the kernel: the formulas, over arrays with any leading batch axes.
@@ -108,12 +97,8 @@ def _ln_lr_star_formula(diag_e: np.ndarray, ln_det_e, t_eff: int):
 
 def _t_lr_formula(ln_t_lr_star, p: int, t_eff: int, K: int):
     """2 * rho * ((T_eff - K)/T_eff) * ln T_LR* with rho = 1 - (2p+5)/(6(T_eff-K))."""
+    # rho > 0 on every kernel: p >= 2 and dof_n >= 1 give 6(T_eff - K) >= 6p > 2p + 5
     rho = 1.0 - (2.0 * p + 5.0) / (6.0 * (t_eff - K))
-    if rho <= 0.0:
-        raise DegenerateCorrection(
-            f"correction factor rho={rho:.4f} not positive for p={p}, "
-            f"T_eff={t_eff}, K={K}"
-        )
     return 2.0 * rho * ((t_eff - K) / t_eff) * ln_t_lr_star
 
 
@@ -129,19 +114,27 @@ def kernel_doubles(p: int) -> int:
 
 
 class FactorStats:
-    """Statistics of m datasets from lower factors L[m, p, p] of their residual scatters.
+    """The statistics kernel: m datasets, from lower factors L[m, p, p] of residual scatters.
 
-    V and the pair and column statistics are computed on first use and kept,
-    so ln T_LR* costs no inverse. Every statistic reads only v_lower, V's
-    lower triangle from linalg.inverse_lower; v mirrors it on first read.
-    Pairs are ordered (2,1), (3,1), (3,2), ... on the last axis.
+    The stack must be square with p >= 2, K >= 0 and dof_n >= 1, and each
+    factor's diagonal usable; anything else raises here, so no statistic
+    fails later. V and the pair and column statistics are computed on first
+    use and kept, so ln T_LR* costs no inverse. Every statistic reads only
+    v_lower, V's lower triangle from linalg.inverse_lower; v mirrors it on
+    first read. Pairs are ordered (2,1), (3,1), (3,2), ... on the last axis.
     """
 
     def __init__(self, L: np.ndarray, t_eff: int, K: int) -> None:
+        if L.ndim != 3 or L.shape[1] != L.shape[2]:
+            raise BadDimension(f"expected a stack of square factors, got shape {L.shape}")
         self.p = L.shape[-1]
         self.t_eff = t_eff
         self.K = K
         self.dof_n = denominator_dof(t_eff, K, self.p)
+        if self.p < 2 or K < 0 or self.dof_n < 1:
+            raise BadDimension(
+                f"need p >= 2, K >= 0, dof_n >= 1; got p={self.p}, K={K}, dof_n={self.dof_n}"
+            )
         self.L = L
         diag = np.diagonal(L, axis1=1, axis2=2)
         bad = np.argwhere(~((diag >= _DIAG_RANGE[0]) & (diag <= _DIAG_RANGE[1])))
@@ -201,17 +194,11 @@ class FactorStats:
 
     @property
     def t_lr(self) -> np.ndarray:
+        """Bartlett-corrected likelihood ratio, asymptotically chi-square with p(p-1)/2 dof."""
         return _t_lr_formula(self.ln_t_lr_star, self.p, self.t_eff, self.K)
 
 
-def stats_from_factors(L: np.ndarray, t_eff: int, K: int) -> FactorStats:
-    """The statistics kernel: lower factors L[m, p, p] of E, computed lazily."""
-    if L.ndim != 3 or L.shape[1] != L.shape[2]:
-        raise BadDimension(f"expected a stack of square factors, got shape {L.shape}")
-    dof_n = denominator_dof(t_eff, K, L.shape[-1])
-    if dof_n < 1:
-        raise BadDimension(f"dof_n must be >= 1, got {dof_n}")
-    return FactorStats(L, t_eff, K)
+stats_from_factors = FactorStats
 
 
 def residual_factors(Y: np.ndarray, K: int) -> np.ndarray:
@@ -241,7 +228,10 @@ def _check_diagonal_product(diag_v: np.ndarray, diag_e: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class FactorModelSpec:
-    """Dimensions of a factor-model test problem."""
+    """Dimensions of a factor-model test problem, the one check of (p, K, T, demeaned).
+
+    p >= 2, K >= 0 and p + K < T_eff, so dof_n >= 2.
+    """
 
     p: int
     K: int
@@ -249,13 +239,16 @@ class FactorModelSpec:
     demeaned: bool = False
 
     def __post_init__(self) -> None:
-        if self.p < 2:
-            raise BadDimension(f"need at least two response series, got p={self.p}")
-        checked_t_eff(self.p, self.K, self.T, self.demeaned)
+        if self.p < 2 or self.K < 0 or self.p + self.K >= self.t_eff:
+            raise BadDimension(
+                f"need p >= 2, K >= 0, p + K < T_eff; "
+                f"got p={self.p}, K={self.K}, T_eff={self.t_eff}"
+            )
 
     @property
     def t_eff(self) -> int:
-        return effective_sample_size(self.T, self.demeaned)
+        """Observations left for estimation; demeaning consumes one."""
+        return self.T - 1 if self.demeaned else self.T
 
     @property
     def dof_n(self) -> int:
@@ -295,7 +288,7 @@ def precision_stats_from_data(
         raise BadDimension(
             f"responses have T={T} observations but factors have {F.shape[1]}"
         )
-    t_eff = checked_t_eff(p, K, T, demeaned)
+    t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     Y = stacked_data(X, F, demeaned)
     kernel = stats_from_factors(residual_factors(Y[None], K), t_eff, K)
     _check_diagonal_product(kernel.diag_v, kernel.diag_e)
@@ -315,16 +308,11 @@ def stats_from_precision(
     v11 = np.asarray(v11, dtype=np.float64)
     if v11.ndim != 2 or v11.shape[0] != v11.shape[1]:
         raise BadDimension(f"expected a square matrix, got shape {v11.shape}")
-    t_eff = checked_t_eff(v11.shape[0], K, T, demeaned)
+    t_eff = FactorModelSpec(p=v11.shape[0], K=K, T=T, demeaned=demeaned).t_eff
     L = cholesky(invert_spd(v11.T))
     kernel = stats_from_factors(L[None], t_eff, K)
     _check_diagonal_product(kernel.diag_v, kernel.diag_e)
     return kernel
-
-
-def _check_pairs(s: FactorStats) -> None:
-    if s.p < 2:
-        raise BadDimension(f"pair and column statistics need p >= 2, got p={s.p}")
 
 
 def _argmax_smallest_index(values: np.ndarray) -> int:
@@ -334,23 +322,9 @@ def _argmax_smallest_index(values: np.ndarray) -> int:
     return int(np.flatnonzero(values >= vmax - tol)[0])
 
 
-def stat_t_el(s: FactorStats) -> tuple[float, tuple[int, int]]:
-    """Maximum pair statistic and its (i, j) location, smallest pair on ties."""
-    _check_pairs(s)
-    k = _argmax_smallest_index(s.t_ij[0])  # scan order is lexicographic in (i, j)
-    rows, cols = np.tril_indices(s.p, -1)
-    return float(s.t_el[0]), (int(rows[k]) + 1, int(cols[k]) + 1)
-
-
-def stat_t_pr(s: FactorStats) -> tuple[float, int]:
-    """Maximum column statistic and its column (1-based), smallest j on ties."""
-    _check_pairs(s)
-    values = s.t_j[0]
-    return float(values.max()), _argmax_smallest_index(values) + 1
-
-
+# a function of its own only because perfbench/spans.py traces it (teststats.lr_star)
 def stat_ln_t_lr_star(s: FactorStats) -> float:
-    """Log of the likelihood-ratio statistic.
+    """Log of the likelihood-ratio statistic of the first dataset of s.
 
     Computed as -(T_eff/2) * (ln det E - sum ln diag E), which equals
     -(T_eff/2) * ln det R for the correlation matrix R of E. Nonnegative by
@@ -360,25 +334,20 @@ def stat_ln_t_lr_star(s: FactorStats) -> float:
     return float(s.ln_t_lr_star[0])
 
 
-def stat_t_lr(s: FactorStats) -> float:
-    """Bartlett-corrected likelihood-ratio statistic, asymptotically chi-square.
-
-    Equals 2 * rho * ((T_eff - K)/T_eff) * ln T_LR* with
-    rho = 1 - (2p+5)/(6(T_eff-K)); the reference law has p(p-1)/2 degrees
-    of freedom.
-    """
-    return float(s.t_lr[0])
-
-
 def compute_all(s: FactorStats) -> TestStatistics:
-    """Every statistic of the first dataset of s, with argmax locations."""
-    t_el, el_arg = stat_t_el(s)
-    t_pr, pr_arg = stat_t_pr(s)
+    """Every statistic of the first dataset of s, with argmax locations.
+
+    Ties, up to 1-ulp near-ties, go to the smallest pair or column; pairs
+    are scanned in lexicographic (i, j) order.
+    """
+    rows, cols, _ = _pair_layout(s.p)
+    k = _argmax_smallest_index(s.t_ij[0])
+    t_j = s.t_j[0]
     return TestStatistics(
-        t_el=t_el,
-        t_el_argmax=el_arg,
-        t_pr=t_pr,
-        t_pr_argmax=pr_arg,
+        t_el=float(s.t_el[0]),
+        t_el_argmax=(int(rows[k]) + 1, int(cols[k]) + 1),
+        t_pr=float(t_j.max()),
+        t_pr_argmax=_argmax_smallest_index(t_j) + 1,
         ln_t_lr_star=stat_ln_t_lr_star(s),
-        t_lr=stat_t_lr(s),
+        t_lr=float(s.t_lr[0]),
     )

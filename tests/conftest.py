@@ -6,7 +6,7 @@ from scipy.special import kolmogorov
 
 from factorlens.errors import DomainError
 from factorlens.randmat import SeedSpec, bartlett_factor
-from factorlens.teststats import FactorStats, checked_t_eff, stats_from_factors
+from factorlens.teststats import FactorModelSpec, FactorStats, stats_from_factors
 
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
@@ -32,7 +32,7 @@ def null_kernel(p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False) 
     draws replicate seed.stream_index of seed.master_seed, and taken as a
     factor of E = W, so that V11 = W^-1.
     """
-    t_eff = checked_t_eff(p, K, T, demeaned)
+    t_eff = FactorModelSpec(p, K, T, demeaned).t_eff
     return stats_from_factors(bartlett_factor(p, t_eff - K, seed.generator())[None], t_eff, K)
 
 

@@ -465,7 +465,13 @@ def test_calibrate_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize("reps", [10, 2000])  # one process; three, as _count_forks sets the CPUs
-def test_engine_refuses_no_statistics_before_the_first_draw(monkeypatch, reps):
+@pytest.mark.parametrize(
+    "statistics, refusal",
+    [((), "no statistics"), (("T_pr", "T_el", "T_LR", "T_el", "T_pr"), "'T_el' requested twice")],
+)
+def test_engine_refuses_an_empty_or_repeated_statistic_before_the_first_draw(
+    monkeypatch, reps, statistics, refusal
+):
     import factorlens.calibrate as cal
 
     def no_draw(*args):
@@ -473,8 +479,8 @@ def test_engine_refuses_no_statistics_before_the_first_draw(monkeypatch, reps):
 
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(cal, "substreams", no_draw)
-    with pytest.raises(DomainError, match="no statistics"):
-        simulate_null_statistics((), P, T, K, reps=reps, master_seed=1)
+    with pytest.raises(DomainError, match=refusal):
+        simulate_null_statistics(statistics, P, T, K, reps=reps, master_seed=1)
     assert forks == []
 
 

@@ -226,7 +226,7 @@ def test_memory_stays_bounded_for_a_long_grid():
 # negative-binomial mixture of Beta laws, special.marginal_power_Z).
 ORACLE_ALPHA, ORACLE_REPS = 0.05, 20_000
 ORACLE_DIMS = {"p": 10, "K": 5, "T": 100}
-ORACLE_SEEDS = {"s1": 7101, "s2": 7102}
+ORACLE_SEEDS = {"s1": 7101, "s2": 7102, "s3": 7103}
 
 
 def _engine_rates(scenario, grid, reads):
@@ -251,27 +251,37 @@ def _assert_within_3_se(rate, exact, cell):
     assert abs(rate - exact) <= 3.0 * se, (cell, rate, exact, (rate - exact) / se)
 
 
-def test_s1_pair_and_t_el_rates_match_the_exact_law():
-    # pair (2, 1) has partial correlation rho, so lambda = rho^2 / (1 - rho^2)
-    model = ScenarioConfig("s1", **ORACLE_DIMS).model
+# pair (2, 1)'s noncentrality lambda = g^2 / (1 - g^2), g its partial
+# correlation: rho in s1; rho / sqrt(1 + rho^2) in s3, whose precision is
+# tridiagonal, so lambda = rho^2. s1's grid adds rho = 0.3 for T_el.
+PAIR_ORACLE = {
+    "s1": (lambda rho: rho**2 / (1.0 - rho**2), (0.0, 0.2, 0.3, 0.4)),
+    "s3": (lambda rho: rho**2, (0.0, 0.2, 0.4)),
+}
+
+
+@pytest.mark.parametrize("scenario", ["s1", "s3"])
+def test_pair_and_t_el_rates_match_the_exact_law(scenario):
+    lam, grid = PAIR_ORACLE[scenario]
+    model = ScenarioConfig(scenario, **ORACLE_DIMS).model
     dof_n = model.dof_n
     crit = f_quantile(1.0 - ORACLE_ALPHA, 1, dof_n)
     el_crit = resolve_criticals("closed-form", model, ORACLE_ALPHA).values["T_el"]
-    grid = (0.0, 0.2, 0.3, 0.4)
     rates = _engine_rates(
-        "s1", grid, {"T_ij_21": (READERS["T_ij_21"], crit), "T_el": (READERS["T_el"], el_crit)}
+        scenario, grid, {"T_ij_21": (READERS["T_ij_21"], crit), "T_el": (READERS["T_el"], el_crit)}
     )
 
     def exact(rho, at):
-        return marginal_power_Z(at, ZjDensityParams(q=1, n=dof_n, lam=rho**2 / (1.0 - rho**2)))
+        return marginal_power_Z(at, ZjDensityParams(q=1, n=dof_n, lam=lam(rho)))
 
     for gi, rho in enumerate(grid):
         if rho != 0.3:
             _assert_within_3_se(rates["T_ij_21"][gi], exact(rho, crit), ("T_ij_21", rho))
-    # T_el rejects whenever pair (2, 1) does, and the other 44 pairs are null,
-    # each exceeding the Bonferroni critical value with probability alpha / 45
-    pi = exact(0.3, el_crit)
-    assert pi <= rates["T_el"][grid.index(0.3)] <= pi + ORACLE_ALPHA
+    if scenario == "s1":
+        # T_el rejects whenever pair (2, 1) does, and the other 44 pairs are null,
+        # each exceeding the Bonferroni critical value with probability alpha / 45
+        pi = exact(0.3, el_crit)
+        assert pi <= rates["T_el"][grid.index(0.3)] <= pi + ORACLE_ALPHA
 
 
 def test_s2_column_rate_matches_the_exact_law():

@@ -20,6 +20,7 @@ from factorlens import (
     ingest_csv,
     run_tests,
 )
+from factorlens.calibrate import default_chunk
 from factorlens.cli import MAX_GRID_POINTS, _build_parser, _parse_grid, main
 from factorlens.errors import DomainError, MissingCalibration
 from factorlens.panel import ReturnsPanel
@@ -110,6 +111,42 @@ def test_auto_beyond_the_calibration_budget_is_closed_form_and_holds_its_size():
     for name in TESTS:
         size = np.mean(criticals.laws[name].read(kernel) > criticals.values[name])
         assert size <= bound, (name, size)
+
+
+# The size map: each source's rejection rate of exact null draws, per test,
+# in both regimes and at small and large p / (T - K). closed-form T_el and
+# T_pr (exact marginals under Bonferroni) claim size control at every design
+# and are asserted; every other cell is printed (pytest -s), not asserted.
+# calibrated is exact by construction and not drawn here.
+SIZE_MAP_ALPHA, SIZE_MAP_REPS = 0.05, 4000
+SIZE_MAP_SEEDS = {  # (p, T, K): master seed of the null draws
+    (10, 2201, 0): 2801,
+    (20, 104, 1): 2802,
+    (100, 518, 1): 2803,
+    (30, 45, 1): 2804,
+    (100, 140, 1): 2805,
+}
+
+
+@pytest.mark.parametrize("p, T, K", list(SIZE_MAP_SEEDS))
+def test_size_map_on_exact_null_draws(p, T, K):
+    model = FactorModelSpec(p=p, K=K, T=T)
+    sources = {s: resolve_criticals(s, model, SIZE_MAP_ALPHA) for s in ("closed-form", "highdim")}
+    rejections = {(s, name): 0 for s in sources for name in TESTS}
+    chunk = default_chunk(p)
+    for start in range(0, SIZE_MAP_REPS, chunk):
+        rngs = substreams(SIZE_MAP_SEEDS[p, T, K], start, min(start + chunk, SIZE_MAP_REPS))
+        factors = np.stack([bartlett_factor(p, model.t_eff - K, rng) for rng in rngs])
+        kernel = stats_from_factors(factors, model.t_eff, K)
+        for s, criticals in sources.items():
+            for name, law in criticals.laws.items():
+                rejections[s, name] += np.count_nonzero(law.read(kernel) > criticals.values[name])
+    sizes = {cell: count / SIZE_MAP_REPS for cell, count in rejections.items()}
+    for (s, name), size in sizes.items():
+        print(f"SIZE p={p} T={T} K={K} {s} {name}: {size:.4f}")
+    bound = SIZE_MAP_ALPHA + 3.0 * np.sqrt(SIZE_MAP_ALPHA * (1.0 - SIZE_MAP_ALPHA) / SIZE_MAP_REPS)
+    for name in ("T_el", "T_pr"):
+        assert sizes["closed-form", name] <= bound, (name, sizes["closed-form", name])
 
 
 def test_run_tests_closed_form_sources():
@@ -663,10 +700,13 @@ def test_cli_table_whose_critical_values_disagree_with_its_sample_is_an_error(tm
     assert not (tmp_path / "r.json").exists()
 
 
-def test_cli_calibrate_with_no_statistics_is_a_clean_error(tmp_path, capsys):
-    out = tmp_path / "empty.json"
+@pytest.mark.parametrize("statistics", ["", "T_el,T_el"])
+def test_cli_calibrate_with_no_or_a_repeated_statistic_is_a_clean_error(
+    tmp_path, capsys, statistics
+):
+    out = tmp_path / "tables.json"
     argv = ["calibrate", "--p", "3", "--T", "80", "--K", "1", "--reps", "1000",
-            "--statistics", "", "--out", str(out)]
+            "--statistics", statistics, "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("factorlens: error: ") and err.count("\n") == 1

@@ -15,20 +15,12 @@ from factorlens import (
     compute_all,
     precision_stats_from_data,
     stat_ln_t_lr_star,
-    stat_t_el,
-    stat_t_lr,
-    stat_t_pr,
     stats_from_factors,
     stats_from_precision,
 )
-from factorlens.errors import (
-    BadDimension,
-    DegenerateCorrection,
-    NotPositiveDefinite,
-    Singular,
-)
+from factorlens.errors import BadDimension, FactorLensError, NotPositiveDefinite, Singular
 from factorlens.asymptotics import tlr_standardize
-from factorlens.calibrate import MARGINAL_STATISTICS, STATISTICS, simulate_null_statistics
+from factorlens.calibrate import MARGINAL_STATISTICS, READERS, STATISTICS, simulate_null_statistics
 from factorlens.randmat import bartlett_factor
 from factorlens import linalg
 from factorlens.linalg import stacked_cholesky
@@ -92,8 +84,63 @@ def test_one_dataset_entry_points_share_the_dimension_check(demeaned):
     assert stats_from_precision(v11, T=T + 1, K=K, demeaned=demeaned).dof_n == 2
     assert precision_stats_from_data(X[:p], F[:K], demeaned=demeaned).dof_n == 2
     assert FactorModelSpec(p=p, K=K, T=T + 1, demeaned=demeaned).dof_n == 2
-    # a scalar precision block stays accepted
-    assert stats_from_precision(np.array([[2.0]]), T=3, K=0).p == 1
+    # one series has no pair: refused at every T, as a scalar precision block
+    with pytest.raises(BadDimension):
+        stats_from_precision(np.array([[2.0]]), T=T + 10, K=K, demeaned=demeaned)
+    with pytest.raises(BadDimension):
+        precision_stats_from_data(X[:1], F[:K], demeaned=demeaned)
+    with pytest.raises(BadDimension):
+        precision_stats_from_data(X[0], None, demeaned=demeaned)
+
+
+@pytest.mark.parametrize(
+    "shape, t_eff, K",
+    [
+        ((1, 1, 1), 1, 0),  # p = 1 at dof_n = 1
+        ((1, 1, 1), 50, 2),  # p = 1 at dof_n = 48
+        ((1, 2, 2), 0, -3),  # K < 0 at dof_n = 2
+        ((1, 2, 2), 2, 1),  # dof_n = 0
+        ((2, 2), 10, 0),  # not a stack
+        ((1, 2, 3), 10, 0),  # not square
+    ],
+)
+def test_kernel_refuses_what_no_statistic_is_defined_on(shape, t_eff, K):
+    L = np.zeros(shape)
+    L[..., range(min(shape[-2:])), range(min(shape[-2:]))] = 1.0
+    for entry in (FactorStats, stats_from_factors):
+        with pytest.raises(BadDimension):
+            entry(L, t_eff, K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(0, 3),
+    p=st.integers(0, 5),
+    t_eff=st.integers(-2, 12),
+    K=st.integers(-3, 4),
+)
+@example(seed=0, m=1, p=1, t_eff=50, K=0)  # p = 1: the kernel's pair arrays are empty
+@example(seed=0, m=1, p=2, t_eff=0, K=-3)  # K < 0: T_LR divided by T_eff = 0
+@example(seed=0, m=1, p=2, t_eff=2, K=0)  # the smallest kernel, dof_n = 1
+def test_a_kernel_reads_every_statistic_of_what_it_accepts(seed, m, p, t_eff, K):
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.standard_normal((m, p, p)), -1)
+    L[:, range(p), range(p)] = rng.uniform(0.5, 2.0, (m, p))
+    try:
+        kernel = FactorStats(L, t_eff, K)
+    except BadDimension:
+        assert p < 2 or K < 0 or t_eff - K - p + 1 < 1
+        return
+    for name in ("v_lower", "v", "diag_v", "t_ij", "t_el", "t_j", "ln_t_lr_star", "t_lr"):
+        assert getattr(kernel, name).shape[0] == m, name
+    for read in READERS.values():
+        try:
+            read(kernel)
+        except FactorLensError:
+            pass  # a named refusal: the log-determinant CLT needs p < T_eff - K
+    if m:
+        compute_all(kernel)
 
 
 def test_t_ij_worked_example():
@@ -109,12 +156,11 @@ def test_t_ij_zero_for_diagonal():
 
 def test_t_el_worked_and_tie_break():
     ps = _ps2()
-    value, arg = stat_t_el(ps)
-    assert_allclose(value, ps.t_ij[0, 0], rtol=1e-15)
-    assert arg == (2, 1)
-    diag = _ps_from(np.diag([1.0, 2.0, 3.0]), dof_n=7)
-    value, arg = stat_t_el(diag)
-    assert value == 0.0 and arg == (2, 1)
+    stats = compute_all(ps)
+    assert_allclose(stats.t_el, ps.t_ij[0, 0], rtol=1e-15)
+    assert stats.t_el_argmax == (2, 1)
+    stats = compute_all(_ps_from(np.diag([1.0, 2.0, 3.0]), dof_n=7))
+    assert stats.t_el == 0.0 and stats.t_el_argmax == (2, 1)
 
 
 def test_t_j_worked_example():
@@ -145,12 +191,11 @@ def test_t_j_zero_iff_decoupled_row():
 
 
 def test_t_pr_worked():
-    ps = _ps2()
-    value, arg = stat_t_pr(ps)
-    assert_allclose(value, 11.0 / 3.0, rtol=1e-12)
-    assert arg == 1  # tie between the two columns resolves to the smallest
-    diag = _ps_from(np.diag([2.0, 1.0]), dof_n=5)
-    assert stat_t_pr(diag) == (0.0, 1)
+    stats = compute_all(_ps2())
+    assert_allclose(stats.t_pr, 11.0 / 3.0, rtol=1e-12)
+    assert stats.t_pr_argmax == 1  # tie between the two columns resolves to the smallest
+    stats = compute_all(_ps_from(np.diag([2.0, 1.0]), dof_n=5))
+    assert (stats.t_pr, stats.t_pr_argmax) == (0.0, 1)
 
 
 def test_ln_t_lr_star_worked_2x2():
@@ -184,16 +229,8 @@ def test_t_lr_rho_arithmetic():
     ps = null_kernel(20, 104, 1, SeedSpec(0, 0))
     rho = 1.0 - 45.0 / 618.0
     expected = 2.0 * rho * (103.0 / 104.0) * stat_ln_t_lr_star(ps)
-    assert_allclose(stat_t_lr(ps), expected, rtol=1e-12)
+    assert_allclose(ps.t_lr[0], expected, rtol=1e-12)
     assert_allclose(rho, 0.92718, atol=5e-6)
-
-
-def test_t_lr_degenerate_correction():
-    # rho <= 0 needs 6(T_eff - K) <= 2p + 5 and dof_n >= 1 needs T_eff - K >= p,
-    # so p = 1, T_eff = 1, K = 0 is the only consistent input
-    bad = stats_from_factors(np.ones((1, 1, 1)), 1, 0)
-    with pytest.raises(DegenerateCorrection):
-        stat_t_lr(bad)
 
 
 def test_t_lr_null_mean_matches_chi_square():
@@ -201,7 +238,7 @@ def test_t_lr_null_mean_matches_chi_square():
     p, T, K, reps = 5, 100, 2, 10_000
     vals = np.empty(reps)
     for r in range(reps):
-        vals[r] = stat_t_lr(null_kernel(p, T, K, SeedSpec(101, r)))
+        vals[r] = null_kernel(p, T, K, SeedSpec(101, r)).t_lr[0]
     f = p * (p - 1) / 2.0
     se = math.sqrt(2.0 * f / reps)  # chi-square variance is 2f
     assert abs(vals.mean() - f) <= 3.0 * se
@@ -240,23 +277,15 @@ def test_pairwise_order_matches_argmax_convention():
     pairs = ps.t_ij[0]
     rows, cols = np.tril_indices(5, -1)
     k = int(np.argmax(pairs))
-    value, arg = stat_t_el(ps)
-    assert arg == (rows[k] + 1, cols[k] + 1)
-    assert_allclose(value, pairs[k])
-    cols_stats = ps.t_j[0]
-    assert_allclose(cols_stats.max(), stat_t_pr(ps)[0])
+    stats = compute_all(ps)
+    assert stats.t_el_argmax == (rows[k] + 1, cols[k] + 1)
+    assert_allclose(stats.t_el, pairs[k])
+    assert_allclose(ps.t_j[0].max(), stats.t_pr)
 
 
 # ---------------------------------------------------------------------------
 # precision stats from data
 # ---------------------------------------------------------------------------
-
-def test_from_data_scalar_case():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((1, 10))
-    ps = precision_stats_from_data(x, None)
-    assert_allclose(ps.v[0, 0, 0], 1.0 / (x**2).sum(), rtol=1e-12)
-
 
 def test_from_data_demeaned_matches_direct_summation():
     rng = np.random.default_rng(12)
