@@ -6,8 +6,9 @@ all from Wishart draws with identity parameter; critical values are the
 empirical upper quantiles of those null samples. Replicate r always uses
 random substream r of the master seed, so tables are bit-identical no
 matter how the replicates are scheduled or chunked; the substreams of a
-chunk are seeded together, bit for bit as one at a time. The closed-form
-and limit laws live with the calibrated ones in report.resolve_criticals.
+chunk are seeded together, bit for bit as one at a time. Forked workers
+write their replicate ranges into one shared output. The closed-form and
+limit laws live with the calibrated ones in report.resolve_criticals.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import contextlib
 import ctypes
 import json
 import math
+import mmap
 import os
 import signal
 import sys
@@ -172,11 +174,14 @@ def simulate_null_statistics(
     contiguous ranges of equal size (to one replicate), each run a chunk at
     a time, where n is the CPU count of _processes capped so that every
     range holds at least min(chunk, MIN_SHARE) replicates: a run of fewer
-    than twice that is one range and forks nothing. This process computes
-    the last range, and forked children compute the others and send their
-    blocks back through pipes. The call holds linalg.BLAS_PIN from before
-    the first fork until every child is reaped, so the nested pins of the
-    kernel's factorizations and inverses set no thread count in any process.
+    than twice that is one range and forks nothing. The output is one
+    anonymous shared mapping: this process computes the last range into it
+    and forked children the others, each in its own columns, so a child's
+    exit status 0 means its block is in place; a failing child leaves its
+    error's text in a shared note for WorkerFailed. The call holds
+    linalg.BLAS_PIN from before the first fork until every child is reaped,
+    so the nested pins of the kernel's factorizations and inverses set no
+    thread count in any process.
     """
     statistics = tuple(statistics)
     if not statistics:
@@ -206,7 +211,8 @@ def simulate_null_statistics(
                 row[lo - start : hi - start] = READERS[s](kernel)
             del kernel  # release this chunk's arrays before drawing the next
 
-    out = np.empty((len(statistics), reps))
+    # one shared mapping, so that forked children write their columns in place
+    out = np.frombuffer(mmap.mmap(-1, 8 * len(statistics) * reps)).reshape(-1, reps)
     n = min(_processes(), reps // min(chunk, MIN_SHARE))  # chunk <= reps, so n >= 1
     edges = [reps * i // n for i in range(n + 1)]
     workers = []
@@ -216,10 +222,10 @@ def simulate_null_statistics(
     with linalg.BLAS_PIN or contextlib.nullcontext():
         try:
             for start, stop in zip(edges[:-2], edges[1:-1]):
-                workers.append(_Worker(run, start, stop, len(statistics)))
+                workers.append(_Worker(run, start, stop, out))
             run(edges[-2], reps, out[:, edges[-2] :])
             for worker in workers:
-                worker.join(out)
+                worker.join()
         finally:
             for worker in workers:
                 worker.reap()
@@ -249,70 +255,47 @@ _PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 class _Worker:
-    """A forked child that runs work on replicates [start, stop) and pipes back the block."""
+    """A forked child that runs work on replicates [start, stop) into out's shared columns."""
 
-    def __init__(self, work, start: int, stop: int, rows: int) -> None:
-        self.start, self.stop, self.rows = start, stop, rows
-        self.pid = self.fd = None
+    NOTE_BYTES = 4096  # the most failure text a child leaves, truncated to fit
+
+    def __init__(self, work, start: int, stop: int, out: np.ndarray) -> None:
+        self.start, self.stop = start, stop
+        # shared with the child, which writes "{type}: {message}" here if work raises
+        self.note = mmap.mmap(-1, self.NOTE_BYTES)
         parent = os.getpid()
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read)
-            os.close(write)
-            raise
-        if pid == 0:
-            os.close(read)
-            self._serve(work, write, parent)  # never returns
-        os.close(write)
-        self.pid, self.fd = pid, read
-
-    def _serve(self, work, fd: int, parent: int) -> None:
-        """The child: one status byte, then the block (0) or the error's text (1); then exit."""
+        self.pid = os.fork()
+        if self.pid:
+            return
         status = 1
         try:
             # a parent killed by a signal reaps no child, so die with it
             prctl = ctypes.CDLL(None).prctl
             prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
             prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-            if os.getppid() != parent:
-                return
-            try:
-                block = np.empty((self.rows, self.stop - self.start))
-                work(self.start, self.stop, block)
-                head, body = b"\0", block
-            except BaseException as exc:  # the parent reports it, naming the range
-                head, body = b"\1", f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")
-            with open(fd, "wb") as fh:
-                fh.write(head)
-                fh.write(body)
-            status = 0
+            if os.getppid() == parent:
+                try:
+                    work(start, stop, out[:, start:stop])
+                    status = 0
+                except BaseException as exc:  # the parent reports it, naming the range
+                    text = f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")
+                    self.note.write(text[: self.NOTE_BYTES])
         finally:
             os._exit(status)
 
-    def join(self, out: np.ndarray) -> None:
-        """Read the child's block into out's columns [start, stop) and reap the child."""
-        fh, self.fd = open(self.fd, "rb"), None
-        with fh:
-            data = fh.read()
+    def join(self) -> None:
+        """Reap the child: status 0 means its columns of out are in place."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        size = 1 + 8 * self.rows * (self.stop - self.start)
-        if data[:1] == b"\0" and len(data) == size and status == 0:
-            out[:, self.start : self.stop] = np.frombuffer(data, offset=1).reshape(self.rows, -1)
+        if status == 0:
             return
-        if data[:1] == b"\1":
-            reason = data[1:].decode("utf-8", "replace")
-        else:
+        reason = self.note[:].rstrip(b"\0").decode("utf-8", "replace")
+        if not reason:
             reason = f"the worker process ended with status {os.waitstatus_to_exitcode(status)}"
         raise WorkerFailed(f"replicates {self.start} to {self.stop - 1}: {reason}")
 
     def reap(self) -> None:
         """Stop and wait for the child if it is still unjoined; idempotent."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
         if self.pid is not None:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(self.pid, signal.SIGKILL)

@@ -77,7 +77,7 @@ class MissingValue(FactorLensError):
 
 
 class TooFewRows(FactorLensError):
-    """Not enough observations for the requested model dimensions."""
+    """A CSV file with a header but no data rows."""
 
 
 class WorkerFailed(FactorLensError):

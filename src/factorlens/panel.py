@@ -65,10 +65,6 @@ class ReturnsPanel:
             raise BadDimension("times must have one entry per row")
         if not np.all(np.isfinite(values)):
             raise MissingValue("panel contains non-finite values")
-        if values.shape[0] <= values.shape[1]:
-            raise TooFewRows(
-                f"need T > p + K, got T={values.shape[0]}, p+K={values.shape[1]}"
-            )
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

@@ -222,9 +222,15 @@ def test_engine_runs_serially_without_the_pin_or_fork(monkeypatch, p, T, reps, c
         assert np.array_equal(out[name], ref[name]), name
 
 
+# longer than the worker's 4096-byte failure note, which keeps the 13 bytes
+# of "DomainError: ", 2041 two-byte characters and half of the next one
+_LONG_MESSAGE = "é" * 3000
+
+
 @pytest.mark.parametrize("how, reason", [
-    ("raise", "DomainError: kernel refused"),
-    ("kill", "the worker process ended with status -9"),
+    ("raise", "DomainError: kernel refused$"),
+    ("kill", "the worker process ended with status -9$"),
+    ("raise long", "DomainError: " + "é" * 2041 + "\ufffd$"),
 ])
 def test_a_failing_worker_is_named_and_no_process_outlives_the_call(monkeypatch, how, reason):
     import factorlens.calibrate as cal
@@ -235,12 +241,12 @@ def test_a_failing_worker_is_named_and_no_process_outlives_the_call(monkeypatch,
         if os.getpid() != parent:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            raise DomainError("kernel refused")
+            raise DomainError(_LONG_MESSAGE if how == "raise long" else "kernel refused")
         return stats_from_factors(L, t_eff, K)
 
     _count_forks(monkeypatch)
     monkeypatch.setattr(cal, "stats_from_factors", failing_in_children)
-    with pytest.raises(WorkerFailed, match=f"^replicates 0 to 99: {reason}$") as info:
+    with pytest.raises(WorkerFailed, match=f"^replicates 0 to 99: {reason}") as info:
         simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
     assert isinstance(info.value, FactorLensError)
     _assert_no_children_left()
@@ -337,9 +343,9 @@ def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, ch
     ranges, chunks, parent = [], [], os.getpid()
 
     class RecordingWorker(cal._Worker):
-        def __init__(self, work, start, stop, rows):
+        def __init__(self, work, start, stop, out):
             ranges.append((start, stop))
-            super().__init__(work, start, stop, rows)
+            super().__init__(work, start, stop, out)
 
     def kernel(L, t_eff, K):
         if os.getpid() == parent:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from factorlens import ingest_csv, export_panel_csv
+from factorlens import batch_subset_test, export_panel_csv, ingest_csv, run_tests
 from factorlens.panel import ReturnsPanel, _parse_cells
 from factorlens.errors import (
     BadDimension,
@@ -62,10 +62,20 @@ def test_ingest_missing_column():
 
 
 def test_ingest_too_few_rows():
-    lines = CSV_SMALL.strip().splitlines()
-    text = "\n".join(lines[:3]) + "\n"  # header + 2 rows, p + K = 2
-    with pytest.raises(TooFewRows):
-        ingest_csv(io.StringIO(text), ["asset"], ["factor"])
+    with pytest.raises(TooFewRows, match="no data rows"):
+        ingest_csv(io.StringIO(CSV_SMALL.splitlines()[0] + "\n"), ["asset"], ["factor"])
+    # a panel wider than it is long ingests: the dimension rule is the tested
+    # model's, so all 31 columns fail it and every 5-asset subset passes
+    p, T = 30, 20
+    values = np.random.default_rng(0).normal(size=(T, p + 1))
+    names = [f"A{i}" for i in range(p)]
+    text = ",".join(names) + ",F\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+    panel = ingest_csv(io.StringIO(text), names, ["F"])
+    assert (panel.T, panel.p, panel.K) == (T, p, 1)
+    with pytest.raises(BadDimension, match=r"^need p >= 2, K >= 0, p \+ K < T_eff; got p=30, K=1, T_eff=20$"):
+        run_tests(panel, critical_source="closed-form")
+    summary = batch_subset_test(panel, 5, 20, critical_source="closed-form")
+    assert summary.num_subsets == 20 and set(summary.quantiles) == {"T_el", "T_pr", "T_LR"}
 
 
 def test_ingest_rejects_overlapping_names():

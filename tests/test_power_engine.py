@@ -290,9 +290,16 @@ def test_s2_column_rate_matches_the_exact_law():
     model = ScenarioConfig("s2", **ORACLE_DIMS).model
     p, dof_n = model.p, model.dof_n
     crit = f_quantile(1.0 - ORACLE_ALPHA, p - 1, dof_n)
+    pr_crit = resolve_criticals("closed-form", model, ORACLE_ALPHA).values["T_pr"]
     grid = (0.0, 0.2)
-    rates = _engine_rates("s2", grid, {"T_j_1": (READERS["T_j_1"], crit)})
+    rates = _engine_rates(
+        "s2", grid, {"T_j_1": (READERS["T_j_1"], crit), "T_pr": (READERS["T_pr"], pr_crit)}
+    )
     for gi, rho in enumerate(grid):
         s = (p - 1) * rho**2 / (1.0 + 1.5 * (p - 1) * rho**2)
-        exact = marginal_power_Z(crit, ZjDensityParams(q=p - 1, n=dof_n, lam=s / (1.0 - s)))
-        _assert_within_3_se(rates["T_j_1"][gi], exact, ("T_j_1", rho))
+        law = ZjDensityParams(q=p - 1, n=dof_n, lam=s / (1.0 - s))
+        _assert_within_3_se(rates["T_j_1"][gi], marginal_power_Z(crit, law), ("T_j_1", rho))
+    # T_pr >= T_j_1, so its rate is at least column 1's at T_pr's critical value
+    bound = marginal_power_Z(pr_crit, law)
+    se = math.sqrt(bound * (1.0 - bound) / ORACLE_REPS)
+    assert rates["T_pr"][1] >= bound - 3.0 * se, (rates["T_pr"][1], bound, se)
