@@ -35,16 +35,16 @@ from .errors import (
     WorkerFailed,
 )
 from .randmat import bartlett_factor, substreams
-from .teststats import FactorModelSpec, _pair_transform, kernel_doubles, stats_from_factors
+from .teststats import FactorModelSpec, _pair_transform, default_chunk, stats_from_factors
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
 DEFAULT_REPS = 100_000
 MIN_REPS = 1_000
-# Fewest replicates worth a process of their own, unless a chunk is smaller.
-# On 2 cores, two 500-replicate shares ran as fast as one process at p = 5 and
-# faster at p = 20; two 350-replicate shares ran slower at p = 5 and 10.
-MIN_SHARE = 500
+# Fewest replicates worth a process of their own, or as many as hold 48 MiB of
+# kernel arrays if fewer. On 2 cores, two 500-replicate shares ran as fast as one
+# process at p = 5 and faster at p = 20; two of 350 ran slower at p = 5 and 10.
+MIN_SHARE, MIN_SHARE_BYTES = 500, 48 * 2**20
 
 # Every statistic the engine samples, as read from a kernel, one value per
 # dataset. The first five can be calibrated into tables, the first three being
@@ -150,11 +150,6 @@ class CriticalValueTable:
         )
 
 
-def default_chunk(p: int) -> int:
-    """Datasets per kernel run at p, keeping the kernel's work arrays near 48 MiB."""
-    return max(1, min(4096, 48 * 2**20 // (8 * kernel_doubles(p))))
-
-
 def simulate_null_statistics(
     statistics,
     p: int,
@@ -173,15 +168,16 @@ def simulate_null_statistics(
     result is independent of the chunking. The replicates are split into n
     contiguous ranges of equal size (to one replicate), each run a chunk at
     a time, where n is the CPU count of _processes capped so that every
-    range holds at least min(chunk, MIN_SHARE) replicates: a run of fewer
-    than twice that is one range and forks nothing. The output is one
-    anonymous shared mapping: this process computes the last range into it
-    and forked children the others, each in its own columns, so a child's
-    exit status 0 means its block is in place; a failing child leaves its
-    error's text in a shared note for WorkerFailed. The call holds
-    linalg.BLAS_PIN from before the first fork until every child is reaped,
-    so the nested pins of the kernel's factorizations and inverses set no
-    thread count in any process.
+    range holds at least a share: the least of MIN_SHARE, the replicates
+    whose kernel arrays fill MIN_SHARE_BYTES, reps, and an explicit
+    chunk_size. A run of fewer than two shares is one range and forks
+    nothing. The output is one anonymous shared mapping: this process
+    computes the last range into it and forked children the others, each
+    in its own columns, so a child's exit status 0 means its block is in
+    place; a failing child leaves its error's text in a shared note for
+    WorkerFailed. The call holds linalg.BLAS_PIN from before the first
+    fork until every child is reaped, so the nested pins of the kernel's
+    factorizations and inverses set no thread count in any process.
     """
     statistics = tuple(statistics)
     if not statistics:
@@ -194,6 +190,8 @@ def simulate_null_statistics(
     t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     if reps < 1:
         raise DomainError("reps must be positive")
+    if chunk_size is not None and chunk_size < 1:
+        raise DomainError(f"chunk_size must be positive, got {chunk_size}")
     chunk = min(chunk_size or default_chunk(p), reps)
 
     def run(start: int, stop: int, block: np.ndarray) -> None:
@@ -213,7 +211,8 @@ def simulate_null_statistics(
 
     # one shared mapping, so that forked children write their columns in place
     out = np.frombuffer(mmap.mmap(-1, 8 * len(statistics) * reps)).reshape(-1, reps)
-    n = min(_processes(), reps // min(chunk, MIN_SHARE))  # chunk <= reps, so n >= 1
+    share = min(chunk_size or default_chunk(p, MIN_SHARE_BYTES), MIN_SHARE, reps)
+    n = min(_processes(), reps // share)  # share <= reps, so n >= 1
     edges = [reps * i // n for i in range(n + 1)]
     workers = []
     # the one BLAS pin, entered before the first fork: OpenBLAS shuts its

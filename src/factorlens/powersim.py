@@ -39,6 +39,7 @@ from .linalg import cholesky, invert_spd
 from .randmat import SeedSpec, substreams
 from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals
 from .teststats import (
+    CHUNK_BYTES,
     FactorModelSpec,
     _check_diagonal_product,
     kernel_doubles,
@@ -248,14 +249,14 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
 
 
 def _chunk_size(p: int, K: int, T: int, points: int) -> tuple[int, int]:
-    """(replicates per chunk, grid points per kernel run), keeping work arrays near 16 MiB.
+    """(replicates per chunk, grid points per kernel run), keeping work arrays within CHUNK_BYTES.
 
     Per replicate: the (K+p)-by-T draw block, its stacked scatter and
     factor, and kernel_doubles(p) per grid point of a kernel run. When one
     replicate's rows over all points exceed the budget, the points run in
     groups.
     """
-    budget = 16 * 2**20 // 8
+    budget = CHUNK_BYTES // 8
     draws = (K + p) * T + 2 * (K + p) ** 2
     per_point = kernel_doubles(p)
     group = max(1, min(points, (budget - draws) // per_point))

@@ -25,7 +25,6 @@ from .calibrate import (
     READERS,
     CriticalValueTable,
     calibrate_many,
-    default_chunk,
     empirical_pvalue,
     DEFAULT_MASTER_SEED,
     DEFAULT_REPS,
@@ -43,6 +42,7 @@ from .teststats import (
     TestStatistics,
     _check_diagonal_product,
     compute_all,
+    default_chunk,
     precision_stats_from_data,
     stacked_data,
     stats_from_factors,

@@ -42,7 +42,7 @@ from factorlens.errors import (
     WorkerFailed,
 )
 from factorlens.randmat import bartlett_factor
-from factorlens.teststats import compute_all, stats_from_factors
+from factorlens.teststats import compute_all, kernel_doubles, stats_from_factors
 from conftest import ks_statistic, null_kernel, plain_bartlett
 
 P, T, K = 6, 40, 2
@@ -83,11 +83,11 @@ def test_engine_chunk_size_invariance():
     assert np.array_equal(a["T_el"], b["T_el"])
 
 
-@pytest.mark.parametrize("p, T, reps", [(20, 104, 300), (100, 518, 200)])
+@pytest.mark.parametrize("p, T, reps", [(20, 104, 300), (100, 518, 200), (200, 400, 24)])
 def test_engine_chunk_size_invariance_all_statistics(p, T, reps):
     names = STATISTICS + MARGINAL_STATISTICS
     ref = simulate_null_statistics(names, p, T, K, reps=reps, master_seed=1)
-    for chunk in (7, 64, reps):
+    for chunk in (1, 7, 64, reps):
         out = simulate_null_statistics(
             names, p, T, K, reps=reps, master_seed=1, chunk_size=chunk
         )
@@ -144,6 +144,33 @@ def test_engine_default_chunk_bounds_memory():
     finally:
         tracemalloc.stop()
     assert peak < 96 * 2**20
+
+
+def test_engine_calling_process_stays_near_the_cache_budget():
+    # calibrate-p100's run: the calling process holds one cache-sized chunk's
+    # arrays at a time, and peaks near 4 MiB; chunks of 48 MiB peaked at 43 MiB
+    tracemalloc.start()
+    try:
+        simulate_null_statistics(
+            ("T_el", "T_pr", "T_LR_standardized"), 100, 518, 1, reps=1000, master_seed=1
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_engine_rejects_a_chunk_size_below_one(monkeypatch, chunk_size):
+    import factorlens.calibrate as cal
+
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cal, "bartlett_factor", None)  # a draw would raise TypeError
+    with pytest.raises(DomainError, match="chunk_size must be positive"):
+        simulate_null_statistics(
+            ("T_el",), P, T, K, reps=1000, master_seed=1, chunk_size=chunk_size
+        )
+    assert forks == []
 
 
 def test_engine_marginal_statistics_match():
@@ -324,17 +351,17 @@ def test_the_pin_is_held_across_every_fork_and_wait(monkeypatch, tmp_path, fails
 
 def test_a_one_chunk_run_forks_into_even_halves(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    ref = simulate_null_statistics(NAMES, 20, 104, 1, reps=2000, master_seed=3)
+    ref = simulate_null_statistics(NAMES, 5, 104, 1, reps=2000, master_seed=3)
     forks = _count_forks(monkeypatch, processes=2)
-    out = simulate_null_statistics(NAMES, 20, 104, 1, reps=2000, master_seed=3)
-    assert len(forks) == 1  # 2000 replicates fit one chunk of 4032
+    out = simulate_null_statistics(NAMES, 5, 104, 1, reps=2000, master_seed=3)
+    assert len(forks) == 1  # 2000 replicates fit one chunk of 4096
     for name in NAMES:
         assert np.array_equal(out[name], ref[name]), name
     _assert_no_children_left()
 
 
 @pytest.mark.parametrize("reps, forked, chunks_here", [
-    (20_000, [(0, 10_000)], [4096, 4096, 1808]),
+    (20_000, [(0, 10_000)], [1379] * 7 + [347]),
     (8, [], [8]),
 ])
 def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, chunks_here):
@@ -357,7 +384,7 @@ def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, ch
     monkeypatch.setattr(cal, "stats_from_factors", kernel)
     simulate_null_statistics(("T_el",), 10, 40, K, reps=reps, master_seed=8)
     assert ranges == forked and len(forks) == len(forked)
-    assert chunks == chunks_here  # this process runs the last range, default_chunk(10) = 4096 at a time
+    assert chunks == chunks_here  # this process runs the last range, default_chunk(10) = 1379 at a time
     _assert_no_children_left()
 
 
@@ -373,6 +400,46 @@ def test_the_benchmark_calls_keep_their_process_counts(monkeypatch, p, T, K, dem
     simulate_null_statistics(statistics, p, T, K, reps=reps, master_seed=2, demeaned=demeaned)
     assert len(forks) == forked
     _assert_no_children_left()
+
+
+def _processes_before_cache_sized_chunks(p, reps, cpus):
+    """The process count when the default chunk held 48 MiB: min(CPUs, reps // min(chunk, 500))."""
+    chunk = min(max(1, min(4096, 48 * 2**20 // (8 * kernel_doubles(p)))), reps)
+    return min(cpus, reps // min(chunk, 500))
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8, 64])
+@pytest.mark.parametrize("reps", [8, 1000, 20_000])
+@pytest.mark.parametrize("p", [2, 10, 20, 100, 400])
+def test_process_counts_do_not_depend_on_the_chunk(monkeypatch, p, reps, cpus):
+    import factorlens.calibrate as cal
+
+    ranges = []
+
+    class RecordingWorker:
+        """Records its range and forks nothing."""
+
+        def __init__(self, work, start, stop, out):
+            ranges.append((start, stop))
+
+        def join(self):
+            pass
+
+        reap = join
+
+    def first_draw(*args, **kwargs):
+        raise _FirstDraw  # this process's first draw comes after every worker
+
+    monkeypatch.setattr(cal, "_processes", lambda: cpus)
+    monkeypatch.setattr(cal, "_Worker", RecordingWorker)
+    monkeypatch.setattr(cal, "bartlett_factor", first_draw)
+    with pytest.raises(_FirstDraw):
+        simulate_null_statistics(("T_el",), p, 2 * p + 10, K, reps=reps, master_seed=1)
+    assert len(ranges) + 1 == _processes_before_cache_sized_chunks(p, reps, cpus)
 
 
 _SLOW_WORKER = """

@@ -20,7 +20,6 @@ from factorlens import (
     ingest_csv,
     run_tests,
 )
-from factorlens.calibrate import default_chunk
 from factorlens.cli import MAX_GRID_POINTS, _build_parser, _parse_grid, main
 from factorlens.errors import DomainError, MissingCalibration
 from factorlens.panel import ReturnsPanel
@@ -28,7 +27,7 @@ from factorlens.powersim import ScenarioConfig, generate_dataset
 from factorlens.asymptotics import select_regime
 from factorlens.report import TESTS, resolve_criticals
 from factorlens.randmat import bartlett_factor, substreams
-from factorlens.teststats import FactorModelSpec, stats_from_factors
+from factorlens.teststats import FactorModelSpec, default_chunk, stats_from_factors
 
 
 def _null_panel(p=4, K=2, T=60, seed=5, rep=0) -> ReturnsPanel:
