@@ -362,7 +362,7 @@ def empirical_pvalue(observed, table: CriticalValueTable, add_one: bool = False)
     """
     if table.null_sample is None:
         raise MissingNullSample(
-            "table was calibrated without keep_null_sample=True"
+            f"the {table.statistic} table keeps no null sample: calibrate with --keep-null-sample"
         )
     sample = table.null_sample  # sorted ascending
     count = sample.size - np.searchsorted(sample, observed, side="left")

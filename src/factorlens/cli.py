@@ -16,17 +16,24 @@ import sys
 import tempfile
 
 from .calibrate import (
+    DEFAULT_ALPHAS,
     DEFAULT_MASTER_SEED,
+    DEFAULT_REPS,
     STATISTICS,
     calibrate_many,
     load_tables_json,
     save_tables_json,
     tables_to_csv,
 )
-from .errors import FactorLensError
+from .errors import DomainError, FactorLensError
 from .panel import ingest_csv
-from .powersim import ScenarioConfig, canonical_scenario, run_power_study
-from .report import REQUESTS, TESTS, batch_subset_test, resolve_criticals, run_tests
+from .powersim import (
+    CSV_SOURCES, SCENARIO_ALIASES, ScenarioConfig, canonical_scenario, run_power_study,
+)
+from .report import (
+    REQUEST_AUTO, REQUEST_CALIBRATED, REQUESTS, TESTS, batch_subset_test, resolve_criticals,
+    run_tests,
+)
 
 _PROG = "factorlens"
 # A start:step:stop grid with more points is a usage error: run_power_study
@@ -100,8 +107,8 @@ def _add_panel_arguments(command) -> None:
     command.add_argument("--factors", default="", help="comma-separated factor columns")
     command.add_argument("--demean", action="store_true", help="subtract column means")
     command.add_argument("--alpha", type=float, default=0.05)
-    command.add_argument("--criticals", choices=REQUESTS, default="auto")
-    command.add_argument("--reps", type=int, default=100_000, help="calibration replicates")
+    command.add_argument("--criticals", choices=REQUESTS, default=REQUEST_AUTO)
+    command.add_argument("--reps", type=int, default=DEFAULT_REPS, help="calibration replicates")
     command.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
 
 
@@ -143,12 +150,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--T", type=int, required=True)
     cal.add_argument("--K", type=int, required=True)
     cal.add_argument("--demeaned", action="store_true")
-    cal.add_argument("--alphas", default="0.1,0.05,0.01,0.005")
-    cal.add_argument("--reps", type=int, default=100_000)
+    cal.add_argument("--alphas", default=",".join(map(str, DEFAULT_ALPHAS)))
+    cal.add_argument("--reps", type=int, default=DEFAULT_REPS)
     cal.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     cal.add_argument(
         "--statistics",
-        default="T_el,T_pr,T_LR",
+        default=",".join(TESTS),
         help=f"comma-separated subset of {','.join(STATISTICS)}",
     )
     cal.add_argument(
@@ -158,19 +165,17 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--csv", default=None, help="optional flat CSV export")
 
     power = sub.add_parser("power", help="empirical size/power over a grid")
-    power.add_argument("--scenario", required=True, choices=["s1", "s2", "s3", "s4"])
+    power.add_argument("--scenario", required=True, choices=tuple(SCENARIO_ALIASES))
     power.add_argument("--p", type=int, required=True)
     power.add_argument("--T", type=int, required=True)
     power.add_argument("--K", type=int, required=True)
     power.add_argument("--rho-grid", default=None, help="a,b,c or start:step:stop")
     power.add_argument("--ktilde-grid", default=None, help="a,b,c or start:step:stop")
-    power.add_argument("--reps", type=int, default=1000)
+    power.add_argument("--reps", type=int, default=ScenarioConfig.reps)
     power.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    power.add_argument("--alpha", type=float, default=0.05)
-    power.add_argument(
-        "--criticals", choices=["calibrated", "closed-form"], default="calibrated"
-    )
-    power.add_argument("--calibration-reps", type=int, default=100_000)
+    power.add_argument("--alpha", type=float, default=ScenarioConfig.alpha)
+    power.add_argument("--criticals", choices=tuple(CSV_SOURCES), default=REQUEST_CALIBRATED)
+    power.add_argument("--calibration-reps", type=int, default=DEFAULT_REPS)
     power.add_argument("--calibration-seed", type=int, default=DEFAULT_MASTER_SEED)
     power.add_argument("--out", required=True, help="output CSV")
 
@@ -184,13 +189,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_test(args) -> int:
-    tables = None
-    if args.table:
-        tables = {}
-        for path in args.table:
-            for table in load_tables_json(path):
-                tables[table.statistic] = table
+def _cmd_test(args, parser) -> int:
+    if args.table and args.criticals not in (REQUEST_AUTO, REQUEST_CALIBRATED):
+        parser.error(f"--table needs --criticals {REQUEST_AUTO} or {REQUEST_CALIBRATED}")
+    tables, files = ({}, {}) if args.table else (None, None)
+    for path in args.table:  # one table per statistic, from every file
+        for table in load_tables_json(path):
+            name = table.statistic
+            if name in tables:
+                raise DomainError(f"two tables for {name}: in {files[name]} and in {path}")
+            tables[name], files[name] = table, path
     report = run_tests(
         _ingest(args),
         alpha=args.alpha,
@@ -299,7 +307,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "test":
-            return _cmd_test(args)
+            return _cmd_test(args, parser)
         if args.command == "calibrate":
             return _cmd_calibrate(args, parser)
         if args.command == "power":

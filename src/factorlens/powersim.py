@@ -41,7 +41,6 @@ from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals
 from .teststats import (
     CHUNK_BYTES,
     FactorModelSpec,
-    _check_diagonal_product,
     kernel_doubles,
     residual_factors,
     stats_from_factors,
@@ -49,18 +48,20 @@ from .teststats import (
 # unused here; bound only because perfbench/spans.py traces these names in this module
 from .teststats import compute_all, precision_stats_from_data
 
-SCENARIOS = ("s1_single_corr", "s2_column", "s3_ar1", "s4_extra_factors")
-_ALIASES = {"s1": "s1_single_corr", "s2": "s2_column", "s3": "s3_ar1", "s4": "s4_extra_factors"}
+SCENARIO_ALIASES = {
+    "s1": "s1_single_corr", "s2": "s2_column", "s3": "s3_ar1", "s4": "s4_extra_factors"
+}
+SCENARIOS = tuple(SCENARIO_ALIASES.values())
 
 # the critical_source column of the power CSV, per accepted source
-_CSV_SOURCES = {REQUEST_CALIBRATED: "calibrated", REQUEST_CLOSED_FORM: "bonferroni_or_asymptotic"}
+CSV_SOURCES = {REQUEST_CALIBRATED: "calibrated", REQUEST_CLOSED_FORM: "bonferroni_or_asymptotic"}
 
 MAX_ABS_RHO = 0.5
 MAX_K_TILDE = 10
 
 
 def canonical_scenario(name: str) -> str:
-    s = _ALIASES.get(name, name)
+    s = SCENARIO_ALIASES.get(name, name)
     if s not in SCENARIOS:
         raise DomainError(f"unknown scenario {name!r}")
     return s
@@ -205,7 +206,7 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     cfg.model and cfg.alpha. Replicates run batched (module docstring).
     """
     model = cfg.model
-    if criticals.source not in _CSV_SOURCES:
+    if criticals.source not in CSV_SOURCES:
         raise DomainError(
             f"a power study takes calibrated or closed-form criticals, got {criticals.source!r}"
         )
@@ -231,7 +232,6 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
         stop = min(start + chunk, cfg.reps)
         for first, factors in _grid_factors(cfg, grid, corr_factors, start, stop, group):
             kernel = stats_from_factors(factors, model.t_eff, cfg.K)
-            _check_diagonal_product(kernel.diag_v, kernel.diag_e)
             for test, law in criticals.laws.items():
                 # rows are grid-major: one row of replicates per grid point
                 rejected = law.read(kernel).reshape(-1, stop - start) > criticals.values[test]
@@ -242,7 +242,7 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     return PowerCurve(
         scenario=cfg,
         grid=grid,
-        critical_source=_CSV_SOURCES[criticals.source],
+        critical_source=CSV_SOURCES[criticals.source],
         rates=rates,
         mc_std_errors=ses,
     )

@@ -43,9 +43,10 @@ class SeedSpec:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-# numpy's SeedSequence (pool of four uint32 words) and PCG64 seeding, as in
-# numpy/random/bit_generator.pyx and pcg64.h. Hash constant k of a hashmix
-# call is the one it XORs in; the call then multiplies by constant k + 1.
+# numpy's SeedSequence (pool of four uint32 words) spawn-key mixing and PCG64
+# seeding, as in numpy/random/bit_generator.pyx and pcg64.h. Hash constant k
+# of a hashmix call is the one it XORs in; the call then multiplies by
+# constant k + 1.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = 2**128 - 1
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -59,20 +60,19 @@ def _powers(init: int, mult: int, n: int) -> list[int]:
     return out
 
 
-# mix_entropy's constants: 4 pool fills, 12 cross mixes, then 4 per spawn word
-_HASH_A = _powers(0x43B0D7E5, 0x931E8875, 25)
-_SPAWN_A = np.array(_HASH_A[16:], dtype=np.uint32)[:, None]
+# mix_entropy's constants 16 to 24, 4 per spawn word: the 16 before them mix
+# the master seed, which numpy's SeedSequence(master_seed).pool holds mixed
+_SPAWN_A = np.array(_powers(0x43B0D7E5, 0x931E8875, 25)[16:], dtype=np.uint32)[:, None]
 # generate_state's constants for its 8 output words
 _STATE_B = np.array(_powers(0x8B51F9DD, 0x58F38DED, 9), dtype=np.uint32)[:, None]
 
 
 def _fold(x):
-    x = x & _MASK32
     return x ^ (x >> 16)
 
 
 def _hashmix(value, xor, mult):
-    """SeedSequence's hashmix on uint32 words (Python ints or uint32 arrays)."""
+    """SeedSequence's hashmix on uint32 arrays, whose products wrap as its words do."""
     return _fold((value ^ xor) * mult)
 
 
@@ -80,26 +80,14 @@ def _mix(x, y):
     return _fold(_MIX_L * x - _MIX_R * y)
 
 
-def _master_pool(master_seed: int) -> np.ndarray:
-    """The pool once the run entropy, zero-padded to four words, is mixed in."""
-    words = [master_seed & _MASK32, master_seed >> 32, 0, 0]
-    pool = [_hashmix(w, _HASH_A[k], _HASH_A[k + 1]) for k, w in enumerate(words)]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A[k], _HASH_A[k + 1]))
-                k += 1
-    return np.array(pool, dtype=np.uint32)[:, None]
-
-
 def substreams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
     """Substreams start, ..., stop - 1 of master_seed, seeded as one block.
 
     The r-th generator yielded produces bit for bit the stream of
     SeedSpec(master_seed, start + r).generator(). Only the spawn-key words
-    depend on the index, so the master seed is mixed once and each index's
-    SeedSequence state and PCG64 seed are computed together, over arrays.
+    depend on the index, so numpy's SeedSequence mixes the master seed once
+    and each index's spawn words, SeedSequence state and PCG64 seed are
+    computed together, over arrays.
     Every yielded generator is the same object, re-seated: it is valid only
     until the next one is yielded, so draw from it before advancing.
     """
@@ -117,7 +105,7 @@ def _reseated(master_seed: int, start: int, stop: int) -> Iterator[np.random.Gen
     r = np.uint64(start) + np.arange(stop - start, dtype=np.uint64)
     # the spawn key (r,) adds r's low word, and its high word when nonzero
     low = _hashmix(r.astype(np.uint32), _SPAWN_A[:4], _SPAWN_A[1:5])
-    pool = _mix(_master_pool(master_seed), low)
+    pool = _mix(np.random.SeedSequence(master_seed).pool[:, None], low)
     if stop > 2**32:
         hi = (r >> np.uint64(32)).astype(np.uint32)
         pool = np.where(hi > 0, _mix(pool, _hashmix(hi, _SPAWN_A[4:8], _SPAWN_A[5:])), pool)

@@ -40,7 +40,6 @@ from .teststats import (
     FactorModelSpec,
     FactorStats,
     TestStatistics,
-    _check_diagonal_product,
     compute_all,
     default_chunk,
     precision_stats_from_data,
@@ -414,7 +413,6 @@ def batch_subset_test(
             names = ", ".join(panel.asset_names[j] for j in subsets[exc.index])
             raise Singular(f"subset {i} (assets {names}): {exc}", i) from None
         kernel = stats_from_factors(factors, sub_model.t_eff, K)
-        _check_diagonal_product(kernel.diag_v, kernel.diag_e)
         decided = _decide(criticals, kernel)
         for test in TESTS:
             pvals[test][start:stop] = decided[test][1]

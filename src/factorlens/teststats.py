@@ -6,12 +6,13 @@ inverse is the residual scatter E of the responses on the factors, so a
 lower factor L of E is all the kernel needs. Step one turns L into V's lower
 triangle (V = L^-T L^-1, by linalg.inverse_lower's triangular inverse and
 in-place rank-k update per factor), diag V, diag E and ln det E; step two applies the
-formulas to those four arrays. Under the null, the Bartlett factor of an
-identity-parameter Wishart draw is such a factor, so calibration and real
-data share the kernel. Data reach it through one factorization: the
-stacked scatter of [F; X], factor rows first, factored under the stacked
-pivot rule (linalg.stacked_cholesky), whose trailing block factors E.
-residual_factors does this for test and the power engine, and batch-test
+formulas to those four arrays. The kernel checks its own V where diag V
+is formed (FactorStats), so no caller repeats the check. Under the null,
+the Bartlett factor of an identity-parameter Wishart draw is such a
+factor, so calibration and real data share the kernel. Data reach it
+through one factorization: the stacked scatter of [F; X], factor rows
+first, factored under the stacked pivot rule (linalg.stacked_cholesky),
+whose trailing block factors E. residual_factors does this for test and the power engine, and batch-test
 applies the same factorization to subset blocks of the panel's stacked
 scatter. FactorStats is the only statistics object:
 precision_stats_from_data returns the kernel's statistics of one dataset
@@ -128,11 +129,14 @@ class FactorStats:
     """The statistics kernel: m datasets, from lower factors L[m, p, p] of residual scatters.
 
     The stack must be square with p >= 2, K >= 0 and dof_n >= 1, and each
-    factor's diagonal usable; anything else raises here, so no statistic
-    fails later. V and the pair and column statistics are computed on first
-    use and kept, so ln T_LR* costs no inverse. Every statistic reads only
-    v_lower, V's lower triangle from linalg.inverse_lower; v mirrors it on
-    first read. Pairs are ordered (2,1), (3,1), (3,2), ... on the last axis.
+    factor's diagonal usable; anything else raises here. V and the pair and
+    column statistics are computed on first use and kept, so ln T_LR* costs
+    no inverse. Every statistic reads only v_lower, V's lower triangle from
+    linalg.inverse_lower; v mirrors it on first read. diag V is checked as
+    it is formed, so every statistic read from V, for every caller, raises
+    NotPositiveDefinite naming the first replicate whose V is unusable;
+    ln T_LR* and T_LR read no V. Pairs are ordered (2,1), (3,1), (3,2), ...
+    on the last axis.
     """
 
     def __init__(self, L: np.ndarray, t_eff: int, K: int) -> None:
@@ -172,8 +176,15 @@ class FactorStats:
 
     @cached_property
     def diag_v(self) -> np.ndarray:
+        """diag V, checked: v_jj e_jj >= 1 in exact arithmetic, so far below it V is unusable."""
         # a contiguous copy: the pair gathers read it p(p-1) times per replicate
-        return np.diagonal(self.v_lower, axis1=1, axis2=2).copy()
+        diag_v = np.diagonal(self.v_lower, axis1=1, axis2=2).copy()
+        bad = np.flatnonzero((diag_v * self.diag_e < 1.0 - 1e-10).any(axis=1))
+        if bad.size:
+            raise NotPositiveDefinite(
+                f"diagonal product of V11 and its inverse fell below one in replicate {bad[0]}"
+            )
+        return diag_v
 
     # step two
     @cached_property
@@ -227,14 +238,6 @@ def stacked_data(X: np.ndarray, F: np.ndarray, demeaned: bool) -> np.ndarray:
     """The stacked data [F; X], factors first, each row centered when demeaned."""
     Y = np.vstack([F, X])
     return Y - Y.mean(axis=1, keepdims=True) if demeaned else Y
-
-
-def _check_diagonal_product(diag_v: np.ndarray, diag_e: np.ndarray) -> None:
-    """v_jj e_jj >= 1 in exact arithmetic; far below it the factor was not usable."""
-    if np.any(diag_v * diag_e < 1.0 - 1e-10):
-        raise NotPositiveDefinite(
-            "diagonal product of V11 and its inverse fell below one"
-        )
 
 
 @dataclass(frozen=True)
@@ -302,7 +305,7 @@ def precision_stats_from_data(
     t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     Y = stacked_data(X, F, demeaned)
     kernel = stats_from_factors(residual_factors(Y[None], K), t_eff, K)
-    _check_diagonal_product(kernel.diag_v, kernel.diag_e)
+    kernel.diag_v  # forms V and checks it here, inside the teststats.precision span
     return kernel
 
 
@@ -322,7 +325,7 @@ def stats_from_precision(
     t_eff = FactorModelSpec(p=v11.shape[0], K=K, T=T, demeaned=demeaned).t_eff
     L = cholesky(invert_spd(v11.T))
     kernel = stats_from_factors(L[None], t_eff, K)
-    _check_diagonal_product(kernel.diag_v, kernel.diag_e)
+    kernel.diag_v  # forms V and checks it before returning
     return kernel
 
 

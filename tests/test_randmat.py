@@ -213,7 +213,7 @@ def _assert_same_draws(a: list, b: list) -> None:
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1])
 @pytest.mark.parametrize(
     "start, stop",
     [(0, 6), (2**32 - 3, 2**32 + 3), (2**64 - 2, 2**64)],

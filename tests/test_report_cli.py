@@ -699,6 +699,91 @@ def test_cli_table_whose_critical_values_disagree_with_its_sample_is_an_error(tm
     assert not (tmp_path / "r.json").exists()
 
 
+def _table_test_argv(tmp_path, *tables, criticals="auto"):
+    """Calibrate each (name, seed, keep) at p = 6, T = 80, K = 1; test a panel against them."""
+    panel_path = tmp_path / "panel.csv"
+    _write_panel_csv(panel_path, _null_panel(p=6, K=1, T=80, seed=3))
+    argv = [
+        "test", "--input", str(panel_path), "--assets", ",".join(f"a{i}" for i in range(6)),
+        "--factors", "f0", "--criticals", criticals, "--out", str(tmp_path / "r.json"),
+    ]
+    for name, seed, keep in tables:
+        path = tmp_path / name
+        if not path.exists():
+            assert main(["calibrate", "--p", "6", "--T", "80", "--K", "1", "--alphas", "0.05",
+                         "--reps", "1000", "--seed", str(seed), "--out", str(path)]
+                        + ["--keep-null-sample"] * keep) == 0
+        argv += ["--table", str(path)]
+    return argv
+
+
+def test_cli_table_without_its_null_sample_names_the_statistic_and_the_flag(tmp_path, capsys):
+    assert main(_table_test_argv(tmp_path, ("t.json", 1, False))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("factorlens: error: ") and err.count("\n") == 1
+    assert "T_el table keeps no null sample: calibrate with --keep-null-sample" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("second", [("k2.json", 2, True), ("k1.json", 1, True)],
+                         ids=["across-files", "same-file-twice"])
+def test_cli_two_tables_for_one_statistic_is_an_error(tmp_path, capsys, second):
+    argv = _table_test_argv(tmp_path, ("k1.json", 1, True), second)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    first, other = tmp_path / "k1.json", tmp_path / second[0]
+    assert err == f"factorlens: error: two tables for T_el: in {first} and in {other}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_two_tables_for_one_statistic_in_one_file_is_an_error(tmp_path, capsys):
+    argv = _table_test_argv(tmp_path, ("k.json", 1, True))
+    path = tmp_path / "k.json"
+    payload = json.loads(path.read_text())
+    payload["tables"].append(payload["tables"][1])
+    path.write_text(json.dumps(payload))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"factorlens: error: two tables for T_pr: in {path} and in {path}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("criticals", ["closed-form", "highdim"])
+def test_cli_table_under_a_source_that_reads_none_is_a_usage_error(tmp_path, capsys, criticals):
+    argv = _table_test_argv(tmp_path, ("k.json", 1, True), criticals=criticals)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--table needs --criticals auto or calibrated" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_defaults_are_the_librarys_constants():
+    from factorlens import powersim
+    from factorlens.calibrate import DEFAULT_ALPHAS, DEFAULT_MASTER_SEED, DEFAULT_REPS
+
+    parser = _build_parser()
+    panel = ["--input", "x.csv", "--assets", "a", "--out", "o"]
+    for argv in (["test", *panel], ["batch-test", *panel, "--subset-size", "2",
+                                     "--num-subsets", "1"]):
+        args = parser.parse_args(argv)
+        assert (args.criticals, args.reps, args.seed) == ("auto", DEFAULT_REPS, DEFAULT_MASTER_SEED)
+    args = parser.parse_args(["calibrate", "--p", "3", "--T", "9", "--K", "1", "--out", "o"])
+    assert tuple(map(float, args.alphas.split(","))) == DEFAULT_ALPHAS
+    assert (args.reps, args.seed) == (DEFAULT_REPS, DEFAULT_MASTER_SEED)
+    assert tuple(args.statistics.split(",")) == TESTS
+    args = parser.parse_args(["power", "--scenario", "s1", "--p", "3", "--T", "9", "--K", "1",
+                              "--out", "o"])
+    cfg = ScenarioConfig("s1", p=3, K=1, T=9)
+    assert (args.reps, args.seed, args.alpha) == (cfg.reps, cfg.master_seed, cfg.alpha)
+    assert (args.criticals, args.calibration_reps) == ("calibrated", DEFAULT_REPS)
+    assert args.calibration_seed == DEFAULT_MASTER_SEED
+    actions = {a.dest: a for a in parser._subparsers._group_actions[0].choices["power"]._actions}
+    assert tuple(actions["scenario"].choices) == tuple(powersim.SCENARIO_ALIASES)
+    assert tuple(actions["criticals"].choices) == tuple(powersim.CSV_SOURCES)
+
+
 @pytest.mark.parametrize("statistics", ["", "T_el,T_el"])
 def test_cli_calibrate_with_no_or_a_repeated_statistic_is_a_clean_error(
     tmp_path, capsys, statistics

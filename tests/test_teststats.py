@@ -523,6 +523,48 @@ def test_kernel_names_a_factor_lapack_cannot_invert():
                 FactorStats(L, 20, 1)
 
 
+def test_every_caller_reading_v_meets_the_kernels_own_check(monkeypatch):
+    # V halved: v_jj e_jj falls to about 1/2, and every dataset fails the check
+    from factorlens import teststats
+    from factorlens.panel import ReturnsPanel
+    from factorlens.powersim import ScenarioConfig, run_power_study
+    from factorlens.report import batch_subset_test, resolve_criticals
+
+    inverse_lower = teststats.inverse_lower
+    monkeypatch.setattr(teststats, "inverse_lower", lambda L: 0.5 * inverse_lower(L))
+    rng = np.random.default_rng(3)
+    X, F = rng.standard_normal((4, 30)), rng.standard_normal((1, 30))
+    panel = ReturnsPanel(
+        labels=("a0", "a1", "a2", "a3", "f0"), times=tuple(map(str, range(30))),
+        values=np.vstack([X, F]).T, asset_columns=(0, 1, 2, 3), factor_columns=(4,),
+    )
+    cfg = ScenarioConfig("s1", p=4, K=1, T=30, reps=10, master_seed=1)
+    calls = {
+        "precision_stats_from_data": lambda: precision_stats_from_data(X, F),
+        "stats_from_precision": lambda: stats_from_precision(V2, T=12, K=0),
+        "run_power_study": lambda: run_power_study(
+            cfg, [0.0], resolve_criticals("closed-form", cfg.model, cfg.alpha)
+        ),
+        "batch_subset_test": lambda: batch_subset_test(
+            panel, 3, 5, critical_source="closed-form"
+        ),
+        "simulate_null_statistics": lambda: simulate_null_statistics(
+            ("T_el",), 4, 30, 1, reps=10, master_seed=1
+        ),
+    }
+    for name, call in calls.items():
+        with pytest.raises(NotPositiveDefinite, match="fell below one in replicate 0"):
+            call()
+    # ln T_LR* and T_LR read no V, so they pass where every V-reading statistic fails
+    kernel = FactorStats(residual_factors(np.vstack([F, X])[None], 1), 30, 1)
+    kernel.ln_t_lr_star, kernel.t_lr
+    null = simulate_null_statistics(("ln_T_LR_star", "T_LR"), 4, 30, 1, reps=10, master_seed=1)
+    assert all(np.isfinite(sample).all() for sample in null.values())
+    for name in ("diag_v", "t_ij", "t_el", "t_j"):
+        with pytest.raises(NotPositiveDefinite, match="replicate 0"):
+            getattr(kernel, name)
+
+
 def _reference_stats(L, t_eff, K):
     """V, t_ij, t_el and t_j of each factor, V from dtrtri and a full product.
 
