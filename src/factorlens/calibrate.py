@@ -31,6 +31,7 @@ from .errors import (
     BadDimension,
     DomainError,
     MissingNullSample,
+    NotPositiveDefinite,
     ParseError,
     WorkerFailed,
 )
@@ -66,9 +67,29 @@ _SCHEMA = "factorlens/1"
 _DF_CONVENTION = "wishart(T_eff - K) for the inverse precision block"
 
 
+def _check_calibration(statistic: str, p: int, T: int, K: int, demeaned: bool, reps: int,
+                       alphas: tuple) -> None:
+    """The rules a table shares with calibrate_many, which checks them before any draw."""
+    if statistic not in STATISTICS:
+        raise DomainError(f"unknown statistic {statistic!r}")
+    if reps < MIN_REPS:
+        raise DomainError(f"reps must be >= {MIN_REPS}, got {reps}")
+    if not alphas or not all(0.0 < a < 1.0 for a in alphas):  # NaN fails too
+        raise DomainError(f"{statistic} alphas must lie in (0, 1), got {alphas}")
+    FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned)
+
+
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Empirical null quantiles of one statistic at fixed dimensions."""
+    """Empirical null quantiles of one statistic at fixed dimensions, checked where built.
+
+    Every rule of a table holds here, whether it comes from calibrate_many,
+    a file or code: a known statistic, FactorModelSpec's dimension rule
+    (table.model), reps >= MIN_REPS, nonempty alphas in (0, 1), one
+    critical value per alpha, nonincreasing in alpha; and a kept null
+    sample finite, ascending, of reps draws, with each critical value its
+    type-7 1 - alpha quantile to 1e-12 relative, as calibrate_many stores it.
+    """
 
     statistic: str
     p: int
@@ -82,10 +103,9 @@ class CriticalValueTable:
     null_sample: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.statistic not in STATISTICS:
-            raise DomainError(f"unknown statistic {self.statistic!r}")
-        if self.reps < MIN_REPS:
-            raise DomainError(f"reps must be >= {MIN_REPS}, got {self.reps}")
+        _check_calibration(
+            self.statistic, self.p, self.T, self.K, self.demeaned, self.reps, self.alphas
+        )
         if len(self.alphas) != len(self.critical_values):
             raise BadDimension("alphas and critical_values differ in length")
         order = np.argsort(self.alphas)
@@ -105,8 +125,19 @@ class CriticalValueTable:
                 raise DomainError(f"{self.statistic} null sample has non-finite values")
             if np.any(arr[1:] < arr[:-1]):
                 raise DomainError(f"{self.statistic} null sample is not in ascending order")
+            expected = np.quantile(arr, [1.0 - a for a in self.alphas])
+            wrong = np.flatnonzero(~np.isclose(self.critical_values, expected, rtol=1e-12, atol=0))
+            if wrong.size:
+                a, cv = self.alphas[wrong[0]], self.critical_values[wrong[0]]
+                raise DomainError(f"{self.statistic} critical value {cv!r} at alpha={a} is not "
+                                  "the 1 - alpha quantile of the table's null sample")
             arr.flags.writeable = False
             object.__setattr__(self, "null_sample", arr)
+
+    @property
+    def model(self) -> FactorModelSpec:
+        """The dimensions the table was calibrated at."""
+        return FactorModelSpec(p=self.p, K=self.K, T=self.T, demeaned=self.demeaned)
 
     def critical_value(self, alpha: float) -> float:
         for a, cv in zip(self.alphas, self.critical_values):
@@ -115,7 +146,7 @@ class CriticalValueTable:
         raise DomainError(f"alpha={alpha} not in table alphas {self.alphas}")
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "schema": _SCHEMA,
             "statistic": self.statistic,
             "p": self.p,
@@ -131,22 +162,15 @@ class CriticalValueTable:
             if self.null_sample is None
             else self.null_sample.tolist(),
         }
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CriticalValueTable":
         sample = doc.get("null_sample")
         return cls(
-            statistic=doc["statistic"],
-            p=int(doc["p"]),
-            T=int(doc["T"]),
-            K=int(doc["K"]),
-            demeaned=bool(doc["demeaned"]),
-            reps=int(doc["reps"]),
-            master_seed=int(doc["master_seed"]),
-            alphas=tuple(float(a) for a in doc["alphas"]),
-            critical_values=tuple(float(v) for v in doc["critical_values"]),
-            null_sample=None if sample is None else np.asarray(sample, dtype=float),
+            doc["statistic"], int(doc["p"]), int(doc["T"]), int(doc["K"]), bool(doc["demeaned"]),
+            int(doc["reps"]), int(doc["master_seed"]), tuple(float(a) for a in doc["alphas"]),
+            tuple(float(v) for v in doc["critical_values"]),
+            None if sample is None else np.asarray(sample, dtype=float),
         )
 
 
@@ -204,9 +228,12 @@ def simulate_null_statistics(
             factors = buffer[: hi - lo]
             for i, rng in enumerate(substreams(master_seed, lo, hi)):
                 bartlett_factor(p, t_eff - K, rng, out=factors[i])
-            kernel = stats_from_factors(factors, t_eff, K)
-            for row, s in zip(block, statistics):
-                row[lo - start : hi - start] = READERS[s](kernel)
+            try:  # the kernel checks V on first read, so the clause covers the readers
+                kernel = stats_from_factors(factors, t_eff, K)
+                for row, s in zip(block, statistics):
+                    row[lo - start : hi - start] = READERS[s](kernel)
+            except NotPositiveDefinite as exc:
+                raise exc.at(lo + exc.index) from None
             del kernel  # release this chunk's arrays before drawing the next
 
     # one shared mapping, so that forked children write their columns in place
@@ -316,14 +343,9 @@ def calibrate_many(
 ) -> dict[str, CriticalValueTable]:
     """Calibrate several statistics from one shared set of null draws."""
     statistics = tuple(statistics)
-    for s in statistics:
-        if s not in STATISTICS:
-            raise DomainError(f"cannot calibrate unknown statistic {s!r}")
-    if reps < MIN_REPS:
-        raise DomainError(f"reps must be >= {MIN_REPS}, got {reps}")
     alphas = tuple(float(a) for a in alphas)
-    if not alphas or not all(0.0 < a < 1.0 for a in alphas):
-        raise DomainError(f"alphas must lie in (0, 1), got {alphas}")
+    for s in statistics:
+        _check_calibration(s, p, T, K, demeaned, reps, alphas)
     samples = simulate_null_statistics(
         statistics,
         p,
@@ -336,19 +358,10 @@ def calibrate_many(
     tables = {}
     for s in statistics:
         sample = np.sort(samples[s])
-        levels = [1.0 - a for a in alphas]
-        cv = np.quantile(sample, levels)  # type-7 linear interpolation
+        cv = np.quantile(sample, [1.0 - a for a in alphas])  # type-7 linear interpolation
         tables[s] = CriticalValueTable(
-            statistic=s,
-            p=p,
-            T=T,
-            K=K,
-            demeaned=demeaned,
-            reps=reps,
-            master_seed=master_seed,
-            alphas=alphas,
-            critical_values=tuple(float(x) for x in cv),
-            null_sample=sample if keep_null_sample else None,
+            s, p, T, K, demeaned, reps, master_seed, alphas, tuple(float(x) for x in cv),
+            sample if keep_null_sample else None,
         )
     return tables
 
@@ -383,45 +396,28 @@ def save_tables_json(tables, path) -> None:
 
 
 def load_tables_json(path) -> list[CriticalValueTable]:
-    """Read tables written by save_tables_json (or a single-table document).
+    """Read the {"schema", "tables": [...]} document that save_tables_json writes.
 
-    A file that is not such a document raises ParseError naming the file; a
-    table that its constructor refuses raises that refusal's error, prefixed
-    with the file.
+    This only decodes: a file that is not such a document raises ParseError
+    naming the file, and a table that its constructor refuses raises that
+    refusal's error, prefixed with the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ParseError(f"{path}: not a JSON document: {exc}") from None
-    docs = payload.get("tables", [payload]) if isinstance(payload, dict) else None
+    docs = payload.get("tables") if isinstance(payload, dict) else None
     if not (isinstance(docs, list) and all(isinstance(d, dict) for d in docs)):
-        raise ParseError(f"{path}: expected a table object or an object with a 'tables' list")
+        raise ParseError(f"{path}: expected an object with a 'tables' list of table objects")
     try:
-        tables = [CriticalValueTable.from_json_dict(d) for d in docs]
+        return [CriticalValueTable.from_json_dict(d) for d in docs]
     except KeyError as exc:
         raise ParseError(f"{path}: a table has no {exc.args[0]!r} entry") from None
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed table: {exc}") from None
     except (BadDimension, DomainError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
-    for table in tables:
-        if not all(0.0 < a < 1.0 for a in table.alphas):  # NaN fails too
-            raise ParseError(
-                f"{path}: {table.statistic} alphas must lie in (0, 1), got {table.alphas}"
-            )
-        if table.null_sample is None:
-            continue
-        # the values calibrate_many stores: type-7 quantiles of the same sample
-        expected = np.quantile(table.null_sample, [1.0 - a for a in table.alphas])
-        wrong = np.flatnonzero(~np.isclose(table.critical_values, expected, rtol=1e-12, atol=0.0))
-        if wrong.size:
-            i = wrong[0]
-            raise ParseError(
-                f"{path}: {table.statistic} critical value {table.critical_values[i]!r} "
-                f"at alpha={table.alphas[i]} is not the 1 - alpha quantile of the table's null sample"
-            )
-    return tables
 
 
 def tables_to_csv(tables, path) -> None:

@@ -36,8 +36,8 @@ from .report import (
 )
 
 _PROG = "factorlens"
-# A start:step:stop grid with more points is a usage error: run_power_study
-# keeps one p-by-p factor per point.
+# A grid with more points, as a list or as start:step:stop, is a usage error:
+# run_power_study keeps one p-by-p factor per point.
 MAX_GRID_POINTS = 1000
 
 
@@ -84,6 +84,8 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             x += step
     else:
         values = [float(x) for x in _csv_list(text)]
+        if len(values) > MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     if integer:
         for v in values:
             if not v.is_integer():

@@ -34,7 +34,20 @@ class BadDimension(FactorLensError):
 
 
 class NotPositiveDefinite(FactorLensError):
-    """Matrix failed the positive-definiteness check."""
+    """Matrix failed the positive-definiteness check.
+
+    index, where given, is the position of the first failing dataset in a
+    stack; a message that names it says "replicate {index}".
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+    def at(self, index: int, context: str = "") -> "NotPositiveDefinite":
+        """This refusal for dataset index of a whole run, its message prefixed with context."""
+        message = str(self).replace(f"replicate {self.index}", f"replicate {index}", 1)
+        return type(self)(context + message, index)
 
 
 class Singular(NotPositiveDefinite):
@@ -42,10 +55,6 @@ class Singular(NotPositiveDefinite):
 
     index is the position of the first failing dataset in a stack.
     """
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
 
 
 class DomainError(FactorLensError):

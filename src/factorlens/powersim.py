@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimension, DomainError, MissingCalibration
+from .errors import BadDimension, DomainError, MissingCalibration, NotPositiveDefinite
 from .linalg import cholesky, invert_spd
 from .randmat import SeedSpec, substreams
 from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals
@@ -231,11 +231,15 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     for start in range(0, cfg.reps, chunk):
         stop = min(start + chunk, cfg.reps)
         for first, factors in _grid_factors(cfg, grid, corr_factors, start, stop, group):
-            kernel = stats_from_factors(factors, model.t_eff, cfg.K)
-            for test, law in criticals.laws.items():
-                # rows are grid-major: one row of replicates per grid point
-                rejected = law.read(kernel).reshape(-1, stop - start) > criticals.values[test]
-                counts[test][first : first + len(rejected)] += np.count_nonzero(rejected, axis=1)
+            # rows are grid-major: one row of stop - start replicates per grid point
+            try:  # the kernel checks V on first read, so the clause covers the readers
+                kernel = stats_from_factors(factors, model.t_eff, cfg.K)
+                for test, law in criticals.laws.items():
+                    rejected = law.read(kernel).reshape(-1, stop - start) > criticals.values[test]
+                    counts[test][first : first + len(rejected)] += rejected.sum(axis=1)
+            except NotPositiveDefinite as exc:
+                point, rep = divmod(exc.index, stop - start)
+                raise exc.at(start + rep, f"grid value {grid[first + point]:.10g}: ") from None
             del factors, kernel  # release each array once used, so chunks stay near the budget
     rates = {t: counts[t] / cfg.reps for t in TESTS}
     ses = {t: np.sqrt(rates[t] * (1.0 - rates[t]) / cfg.reps) for t in TESTS}

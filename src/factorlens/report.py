@@ -29,7 +29,7 @@ from .calibrate import (
     DEFAULT_MASTER_SEED,
     DEFAULT_REPS,
 )
-from .errors import DomainError, MissingCalibration, Singular, warn_at_caller
+from .errors import DomainError, MissingCalibration, NotPositiveDefinite, warn_at_caller
 from .linalg import scatter, stacked_cholesky
 from .panel import ReturnsPanel
 from .randmat import substreams
@@ -170,12 +170,7 @@ class Criticals:
 
 
 def _check_table(table: CriticalValueTable, model: FactorModelSpec, name: str) -> None:
-    if (table.p, table.T, table.K, table.demeaned) != (
-        model.p,
-        model.T,
-        model.K,
-        model.demeaned,
-    ):
+    if table.model != model:
         raise MissingCalibration(
             f"table for {name} was calibrated at p={table.p}, T={table.T}, "
             f"K={table.K}, demeaned={table.demeaned}; data has p={model.p}, "
@@ -209,7 +204,10 @@ def resolve_criticals(
     hold their size there, where highdim's T_pr rejects a true null about
     three times as often as alpha. A calibrated source without tables
     calibrates the three tests at the model's dimensions, null samples
-    kept; supplied tables must match the model.
+    kept. Supplied tables must match the model and come from one
+    calibration, one master_seed and reps: replicate r always uses
+    substream r, so such tables hold what one calibrate_many run of the
+    three tests gives, and a report names that one run.
     The laws: a calibrated table's empirical tail; the exact F(1, dof_n)
     and F(p - 1, dof_n) marginals with Bonferroni counts and chi-square
     with p(p - 1)/2 degrees of freedom (closed-form); the chi-square(1) or
@@ -246,6 +244,12 @@ def resolve_criticals(
             _check_table(table, model, name)
             tail = lambda t, table=table: empirical_pvalue(t, table)
             laws[name] = Law(SOURCE_CALIBRATED, READERS[name], 1, tail, table.critical_value)
+        if len({(tables[name].master_seed, tables[name].reps) for name in TESTS}) > 1:
+            runs = ", ".join(
+                f"{name} at seed {tables[name].master_seed} with {tables[name].reps} reps"
+                for name in TESTS
+            )
+            raise MissingCalibration(f"the tables come from more than one calibration: {runs}")
     elif request == REQUEST_CLOSED_FORM:
         laws = {
             "T_el": _f_law(SOURCE_BONFERRONI, READERS["T_el"], pairs, 1, dof_n),
@@ -379,8 +383,8 @@ def batch_subset_test(
     scatter is gathered from it, factor rows first, and factored as
     residual_factors factors a panel's. The statistics, p-values and
     Singular failures are those of run_tests on each subset panel, up to
-    rounding; a Singular failure names the first failing subset's index
-    and assets.
+    rounding; a NotPositiveDefinite failure, Singular included, names the
+    first failing subset's index and assets.
     """
     if not 2 <= subset_size <= panel.p:
         raise DomainError(
@@ -406,14 +410,14 @@ def batch_subset_test(
             for rng in substreams(subset_seed, start, stop)
         ])
         rows = np.hstack([np.broadcast_to(np.arange(K), (stop - start, K)), K + subsets])
-        try:
+        try:  # the kernel checks V on first read, so the clause covers _decide
             factors = stacked_cholesky(panel_scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
-        except Singular as exc:
+            kernel = stats_from_factors(factors, sub_model.t_eff, K)
+            decided = _decide(criticals, kernel)
+        except NotPositiveDefinite as exc:
             i = start + exc.index
             names = ", ".join(panel.asset_names[j] for j in subsets[exc.index])
-            raise Singular(f"subset {i} (assets {names}): {exc}", i) from None
-        kernel = stats_from_factors(factors, sub_model.t_eff, K)
-        decided = _decide(criticals, kernel)
+            raise exc.at(i, f"subset {i} (assets {names}): ") from None
         for test in TESTS:
             pvals[test][start:stop] = decided[test][1]
         del factors, kernel, decided  # release this chunk's arrays before the next

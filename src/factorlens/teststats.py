@@ -135,8 +135,9 @@ class FactorStats:
     linalg.inverse_lower; v mirrors it on first read. diag V is checked as
     it is formed, so every statistic read from V, for every caller, raises
     NotPositiveDefinite naming the first replicate whose V is unusable;
-    ln T_LR* and T_LR read no V. Pairs are ordered (2,1), (3,1), (3,2), ...
-    on the last axis.
+    ln T_LR* and T_LR read no V. Both refusals carry that replicate's index
+    in the stack, which each engine maps to its own run. Pairs are ordered
+    (2,1), (3,1), (3,2), ... on the last axis.
     """
 
     def __init__(self, L: np.ndarray, t_eff: int, K: int) -> None:
@@ -157,7 +158,8 @@ class FactorStats:
             r, j = bad[0]
             raise NotPositiveDefinite(
                 f"factor of replicate {r} has diagonal entry {float(diag[r, j])!r} at index "
-                f"{j}, outside [{_DIAG_RANGE[0]:.3g}, {_DIAG_RANGE[1]:.3g}]"
+                f"{j}, outside [{_DIAG_RANGE[0]:.3g}, {_DIAG_RANGE[1]:.3g}]",
+                int(r),
             )
         # step one: factors -> (V, diag V, diag E, ln det E)
         self.diag_e = np.einsum("rij,rij->ri", L, L)
@@ -182,7 +184,8 @@ class FactorStats:
         bad = np.flatnonzero((diag_v * self.diag_e < 1.0 - 1e-10).any(axis=1))
         if bad.size:
             raise NotPositiveDefinite(
-                f"diagonal product of V11 and its inverse fell below one in replicate {bad[0]}"
+                f"diagonal product of V11 and its inverse fell below one in replicate {bad[0]}",
+                int(bad[0]),
             )
         return diag_v
 

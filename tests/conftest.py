@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
+from factorlens import teststats
 from factorlens.errors import DomainError
 from factorlens.randmat import SeedSpec, bartlett_factor
 from factorlens.teststats import FactorModelSpec, FactorStats, stats_from_factors
@@ -34,6 +35,23 @@ def null_kernel(p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False) 
     """
     t_eff = FactorModelSpec(p, K, T, demeaned).t_eff
     return stats_from_factors(bartlett_factor(p, t_eff - K, seed.generator())[None], t_eff, K)
+
+
+def halve_v_of(monkeypatch, row: int) -> None:
+    """Halve the kernel's V for one row, counted over every factor the kernel inverts, in order.
+
+    v_jj e_jj falls to about 1/2 there, so the first read of that row's V refuses it.
+    """
+    inverse_lower, seen = teststats.inverse_lower, [0]
+
+    def halved(L):
+        v = inverse_lower(L)
+        if 0 <= row - seen[0] < len(L):
+            v[row - seen[0]] *= 0.5
+        seen[0] += len(L)
+        return v
+
+    monkeypatch.setattr(teststats, "inverse_lower", halved)
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:

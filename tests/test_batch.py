@@ -11,9 +11,10 @@ from factorlens import SeedSpec, batch_subset_test, ingest_csv, run_tests
 from factorlens import report
 from factorlens.calibrate import READERS
 from factorlens.cli import main
-from factorlens.errors import Singular
+from factorlens.errors import NotPositiveDefinite, Singular
 from factorlens.panel import ReturnsPanel
 from factorlens.report import TESTS
+from conftest import halve_v_of
 
 
 def _panel(p, K, T, demean, seed=11, duplicate=None) -> ReturnsPanel:
@@ -197,3 +198,18 @@ def test_batch_chunks_bound_memory():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def test_batch_refusal_of_v_names_a_subset_past_the_first_chunk(monkeypatch):
+    # chunks of 4 subsets: subset 6 is the second chunk's row 2
+    monkeypatch.setattr(report, "default_chunk", lambda p: 4)
+    halve_v_of(monkeypatch, 6)
+    panel = _panel(8, 1, 60, True)
+    names = ", ".join(f"c{j}" for j in _subsets(8, 3, 10, 5)[6])
+    with pytest.raises(NotPositiveDefinite) as exc:
+        batch_subset_test(panel, 3, 10, critical_source="closed-form", subset_seed=5)
+    assert exc.value.index == 6
+    assert str(exc.value) == (
+        f"subset 6 (assets {names}): "
+        "diagonal product of V11 and its inverse fell below one in replicate 6"
+    )

@@ -38,12 +38,13 @@ from factorlens.errors import (
     DomainError,
     FactorLensError,
     MissingNullSample,
+    NotPositiveDefinite,
     ParseError,
     WorkerFailed,
 )
 from factorlens.randmat import bartlett_factor
 from factorlens.teststats import compute_all, kernel_doubles, stats_from_factors
-from conftest import ks_statistic, null_kernel, plain_bartlett
+from conftest import halve_v_of, ks_statistic, null_kernel, plain_bartlett
 
 P, T, K = 6, 40, 2
 REPS = 2000
@@ -754,7 +755,7 @@ def test_table_json_checks_critical_values_against_the_kept_sample(tmp_path, tab
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
     if kept:
-        with pytest.raises(ParseError, match=r"bad\.json: T_pr critical value .* alpha=0\.05 "):
+        with pytest.raises(DomainError, match=r"bad\.json: T_pr critical value .* alpha=0\.05 "):
             load_tables_json(path)
     else:  # nothing to check against: loads as stored
         assert load_tables_json(path)[0].critical_values == tuple(doc["critical_values"])
@@ -769,7 +770,7 @@ def test_table_json_names_the_first_alpha_whose_critical_value_is_off(tmp_path, 
     stored = doc["critical_values"][1]
     message = (f"{path}: T_el critical value {stored!r} at alpha=0.05 "
                "is not the 1 - alpha quantile of the table's null sample")
-    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
         load_tables_json(path)
 
 
@@ -783,7 +784,7 @@ def test_table_json_refuses_an_alpha_outside_the_unit_interval(tmp_path, tables,
         doc["null_sample"] = None
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
-    with pytest.raises(ParseError, match=r"bad\.json: T_pr alphas must lie in \(0, 1\)"):
+    with pytest.raises(DomainError, match=r"bad\.json: T_pr alphas must lie in \(0, 1\)"):
         load_tables_json(path)
 
 
@@ -843,3 +844,90 @@ def test_table_leaves_the_callers_sample_writeable():
     assert np.array_equal(sample, np.linspace(0.0, 1.0, 1000))
     assert not table.null_sample.flags.writeable
     assert np.array_equal(table.null_sample, sample)
+
+
+def _table_fields(**edits):
+    """The fields of a valid kept-sample table at (P, T, K), with edits applied."""
+    sample = np.linspace(0.0, 1.0, 1000)
+    fields = dict(
+        statistic="T_el", p=P, T=T, K=K, demeaned=False, reps=1000, master_seed=0,
+        alphas=(0.1, 0.05), critical_values=tuple(map(float, np.quantile(sample, [0.9, 0.95]))),
+        null_sample=sample,
+    )
+    fields.update(edits)
+    return fields
+
+
+# three tables no calibration can give: an alpha outside (0, 1), dimensions
+# with p + K >= T_eff, and a stored critical value 1e-9 relative off its sample's quantile
+BAD_TABLES = [
+    pytest.param(dict(alphas=(1.5, 0.05)), DomainError, "T_el alphas must lie in (0, 1)",
+                 id="alpha-1.5"),
+    pytest.param(dict(alphas=(0.1, float("nan"))), DomainError, "T_el alphas must lie in (0, 1)",
+                 id="alpha-nan"),
+    pytest.param(dict(p=1, T=2, K=0), BadDimension, "need p >= 2, K >= 0, p + K < T_eff",
+                 id="p-1-T-2"),
+    pytest.param(dict(p=6, T=9, K=2, demeaned=True), BadDimension,
+                 "need p >= 2, K >= 0, p + K < T_eff", id="p-plus-K-equals-T_eff"),
+    pytest.param(dict(critical_values=(0.9, 0.95 * (1.0 + 1e-9))), DomainError,
+                 "T_el critical value", id="critical-value-off"),
+]
+
+
+@pytest.mark.parametrize("edits, error, message", BAD_TABLES)
+def test_table_constructor_refuses_a_table_no_calibration_gives(edits, error, message):
+    CriticalValueTable(**_table_fields())  # the unedited table is valid
+    with pytest.raises(error, match="^" + re.escape(message)):
+        CriticalValueTable(**_table_fields(**edits))
+
+
+@pytest.mark.parametrize("edits, error, message", BAD_TABLES)
+def test_table_json_refuses_the_same_tables_naming_the_file(tmp_path, edits, error, message):
+    doc = CriticalValueTable(**_table_fields()).to_json_dict()
+    doc.update({k: list(v) if isinstance(v, tuple) else v for k, v in edits.items()})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": "factorlens/1", "tables": [doc]}))
+    with pytest.raises(error, match="^" + re.escape(f"{path}: {message}")):
+        load_tables_json(path)
+
+
+def test_table_json_refuses_a_bare_table_object(tmp_path, tables):
+    # one table's object, not inside the 'tables' list that save_tables_json writes
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(tables["T_el"].to_json_dict()))
+    message = f"{path}: expected an object with a 'tables' list"
+    with pytest.raises(ParseError, match="^" + re.escape(message)):
+        load_tables_json(path)
+
+
+def test_table_model_is_its_dimensions(tables):
+    assert tables["T_el"].model == FactorModelSpec(p=P, K=K, T=T, demeaned=False)
+
+
+@pytest.mark.parametrize("edits, error, message", BAD_TABLES[:-1])
+def test_calibrate_many_refuses_a_table_rule_before_any_draw(monkeypatch, edits, error, message):
+    # the same rule and message as the table constructor, and no null draw is made
+    import factorlens.calibrate as cal
+
+    monkeypatch.setattr(cal, "simulate_null_statistics", None)  # a draw would raise TypeError
+    fields = _table_fields(**edits)
+    with pytest.raises(error, match="^" + re.escape(message)):
+        calibrate_many((fields["statistic"],), fields["p"], fields["T"], fields["K"],
+                       demeaned=fields["demeaned"], alphas=fields["alphas"], reps=fields["reps"])
+
+
+@pytest.mark.parametrize("chunk_size", [None, 5, 40])
+def test_calibration_refusal_names_the_replicate_of_the_run(monkeypatch, chunk_size):
+    # at p = 100 a chunk holds 13 replicates, so replicate 14 is the second chunk's row 1;
+    # one process, so that the factors the kernel inverts are the run's in order
+    import factorlens.calibrate as cal
+
+    monkeypatch.setattr(cal, "_processes", lambda: 1)
+    halve_v_of(monkeypatch, 14)
+    with pytest.raises(NotPositiveDefinite) as exc:
+        simulate_null_statistics(("T_el",), 100, 518, 1, reps=40, master_seed=1,
+                                 chunk_size=chunk_size)
+    assert exc.value.index == 14
+    assert str(exc.value) == (
+        "diagonal product of V11 and its inverse fell below one in replicate 14"
+    )

@@ -19,12 +19,13 @@ from factorlens import (
 )
 from factorlens import powersim
 from factorlens.calibrate import READERS
-from factorlens.errors import DomainError, Singular
+from factorlens.errors import DomainError, NotPositiveDefinite, Singular
 from factorlens.powersim import ScenarioConfig, run_power_study
 from factorlens.randmat import SeedSpec
 from factorlens.report import TESTS, resolve_criticals
 from factorlens.linalg import stacked_cholesky
 from factorlens.teststats import stats_from_factors
+from conftest import halve_v_of
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
 KTILDE_GRID = (0, 1, 3)
@@ -303,3 +304,17 @@ def test_s2_column_rate_matches_the_exact_law():
     bound = marginal_power_Z(pr_crit, law)
     se = math.sqrt(bound * (1.0 - bound) / ORACLE_REPS)
     assert rates["T_pr"][1] >= bound - 3.0 * se, (rates["T_pr"][1], bound, se)
+
+
+def test_power_refusal_of_v_names_the_replicate_and_grid_value(monkeypatch):
+    # chunks of 4 replicates over both grid points, grid-major: kernel row 13 is
+    # the second chunk's row 5, grid point 1 and replicate 4 + 1
+    monkeypatch.setattr(powersim, "_chunk_size", lambda p, K, T, points: (4, points))
+    halve_v_of(monkeypatch, 13)
+    cfg = ScenarioConfig("s1", p=4, K=1, T=30, reps=10, master_seed=1)
+    with pytest.raises(NotPositiveDefinite) as exc:
+        run_power_study(cfg, [0.0, 0.2], resolve_criticals("closed-form", cfg.model, cfg.alpha))
+    assert exc.value.index == 5
+    assert str(exc.value) == (
+        "grid value 0.2: diagonal product of V11 and its inverse fell below one in replicate 5"
+    )

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -78,6 +79,50 @@ def test_run_tests_calibrated_consistency(shared_tables):
     doc = report.to_json_dict()
     assert doc["schema"] == "factorlens/1"
     assert doc["model"]["p"] == 4
+
+
+def test_tables_of_one_calibration_are_one_run_and_of_two_are_refused(shared_tables):
+    # replicate r always uses substream r: T_el alone and T_pr with T_LR at the
+    # same seed and reps hold what the one three-statistic run holds
+    model = FactorModelSpec(p=4, K=2, T=60)
+    kwargs = dict(alphas=(0.05,), keep_null_sample=True)
+    split = {**calibrate_many(("T_el",), 4, 60, 2, reps=2000, master_seed=7, **kwargs),
+             **calibrate_many(("T_pr", "T_LR"), 4, 60, 2, reps=2000, master_seed=7, **kwargs)}
+    for name in TESTS:
+        assert split[name].critical_values == shared_tables[name].critical_values
+        assert np.array_equal(split[name].null_sample, shared_tables[name].null_sample)
+    assert run_tests(_null_panel(), tables=split) == run_tests(_null_panel(), tables=shared_tables)
+    other = calibrate_many(("T_pr", "T_LR"), 4, 60, 2, reps=1000, master_seed=8, **kwargs)
+    mixed = {"T_el": shared_tables["T_el"], **other}
+    message = ("the tables come from more than one calibration: T_el at seed 7 with 2000 reps, "
+               "T_pr at seed 8 with 1000 reps, T_LR at seed 8 with 1000 reps")
+    with pytest.raises(MissingCalibration, match="^" + re.escape(message) + "$"):
+        resolve_criticals("calibrated", model, 0.05, tables=mixed)
+    with pytest.raises(MissingCalibration, match="^" + re.escape(message) + "$"):
+        run_tests(_null_panel(), tables=mixed)
+
+
+def test_cli_tables_of_two_calibrations_are_an_error(tmp_path, capsys):
+    # T_el at seed 1 with 1000 reps, T_pr and T_LR at seed 2 with 2000 reps
+    panel_path = tmp_path / "panel.csv"
+    _write_panel_csv(panel_path, _null_panel(p=6, K=1, T=80, seed=3))
+    argv = [
+        "test", "--input", str(panel_path), "--assets", ",".join(f"a{i}" for i in range(6)),
+        "--factors", "f0", "--out", str(tmp_path / "r.json"),
+    ]
+    for name, statistics, seed, reps in (("el.json", "T_el", 1, 1000),
+                                         ("pr_lr.json", "T_pr,T_LR", 2, 2000)):
+        assert main(["calibrate", "--p", "6", "--T", "80", "--K", "1", "--alphas", "0.05",
+                     "--statistics", statistics, "--reps", str(reps), "--seed", str(seed),
+                     "--keep-null-sample", "--out", str(tmp_path / name)]) == 0
+        argv += ["--table", str(tmp_path / name)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "factorlens: error: the tables come from more than one calibration: T_el at seed 1 "
+        "with 1000 reps, T_pr at seed 2 with 2000 reps, T_LR at seed 2 with 2000 reps\n"
+    )
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_tests_auto_uses_supplied_tables_beyond_the_calibration_budget():
@@ -530,6 +575,11 @@ def test_grid_point_bound():
     assert len(_parse_grid(f"0:1:{MAX_GRID_POINTS - 1}", integer=True)) == MAX_GRID_POINTS
     with pytest.raises(ValueError, match="more than"):
         _parse_grid(f"0:1:{MAX_GRID_POINTS}", integer=True)
+    # a comma list has the same limit
+    listed = ",".join(str(0.001 * i) for i in range(MAX_GRID_POINTS))
+    assert len(_parse_grid(listed)) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+        _parse_grid(listed + ",0.5")
 
 
 def _readme_commands() -> list[list[str]]:
@@ -656,10 +706,15 @@ def test_cli_computational_error_exit_code(tmp_path):
     "table_text, message",
     [
         ("not json {", "not a JSON document"),
-        ('[{"statistic": "T_el"}]', "expected a table object"),
-        ('{"p": 4, "T": 60, "K": 1}', "has no 'statistic' entry"),
+        ('[{"statistic": "T_el"}]', "expected an object with a 'tables' list"),
+        ('{"tables": [{"p": 4, "T": 60, "K": 1}]}', "has no 'statistic' entry"),
+        # one table's object on its own, without the 'tables' list that save_tables_json writes
+        ('{"schema": "factorlens/1", "statistic": "T_el", "p": 4, "T": 60, "K": 1, '
+         '"demeaned": false, "reps": 1000, "master_seed": 1, "alphas": [0.05], '
+         '"critical_values": [9.0], "null_sample": null}',
+         "expected an object with a 'tables' list"),
     ],
-    ids=["not-json", "top-level-list", "no-statistic"],
+    ids=["not-json", "top-level-list", "no-statistic", "bare-table"],
 )
 def test_cli_bad_table_file_is_a_clean_error(tmp_path, capsys, table_text, message):
     panel_path = tmp_path / "panel.csv"
