@@ -45,7 +45,6 @@ from .teststats import (
     compute_all,
     precision_stats_from_data,
     stat_ln_t_lr_star,
-    stats_from_factors,
     stats_from_precision,
 )
 

@@ -35,8 +35,8 @@ from .errors import (
     ParseError,
     WorkerFailed,
 )
-from .randmat import bartlett_factor, substreams
-from .teststats import FactorModelSpec, _pair_transform, default_chunk, stats_from_factors
+from .randmat import bartlett_factor, check_seed, substreams
+from .teststats import FactorModelSpec, FactorStats, _pair_transform, default_chunk
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
@@ -68,12 +68,13 @@ _DF_CONVENTION = "wishart(T_eff - K) for the inverse precision block"
 
 
 def _check_calibration(statistic: str, p: int, T: int, K: int, demeaned: bool, reps: int,
-                       alphas: tuple) -> None:
+                       master_seed: int, alphas: tuple) -> None:
     """The rules a table shares with calibrate_many, which checks them before any draw."""
     if statistic not in STATISTICS:
         raise DomainError(f"unknown statistic {statistic!r}")
     if reps < MIN_REPS:
         raise DomainError(f"reps must be >= {MIN_REPS}, got {reps}")
+    check_seed("master_seed", master_seed)
     if not alphas or not all(0.0 < a < 1.0 for a in alphas):  # NaN fails too
         raise DomainError(f"{statistic} alphas must lie in (0, 1), got {alphas}")
     FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned)
@@ -85,10 +86,11 @@ class CriticalValueTable:
 
     Every rule of a table holds here, whether it comes from calibrate_many,
     a file or code: a known statistic, FactorModelSpec's dimension rule
-    (table.model), reps >= MIN_REPS, nonempty alphas in (0, 1), one
-    critical value per alpha, nonincreasing in alpha; and a kept null
-    sample finite, ascending, of reps draws, with each critical value its
-    type-7 1 - alpha quantile to 1e-12 relative, as calibrate_many stores it.
+    (table.model), reps >= MIN_REPS, an integer 0 <= master_seed < 2**64,
+    nonempty alphas in (0, 1), one critical value per alpha, nonincreasing
+    in alpha; and a kept null sample finite, ascending, of reps draws, with
+    each critical value its type-7 1 - alpha quantile to 1e-12 relative, as
+    calibrate_many stores it.
     """
 
     statistic: str
@@ -103,9 +105,8 @@ class CriticalValueTable:
     null_sample: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        _check_calibration(
-            self.statistic, self.p, self.T, self.K, self.demeaned, self.reps, self.alphas
-        )
+        _check_calibration(self.statistic, self.p, self.T, self.K, self.demeaned, self.reps,
+                           self.master_seed, self.alphas)
         if len(self.alphas) != len(self.critical_values):
             raise BadDimension("alphas and critical_values differ in length")
         order = np.argsort(self.alphas)
@@ -183,7 +184,6 @@ def simulate_null_statistics(
     reps: int,
     master_seed: int,
     demeaned: bool = False,
-    chunk_size: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Null samples of the requested statistics over seeded Wishart replicates.
 
@@ -193,15 +193,16 @@ def simulate_null_statistics(
     contiguous ranges of equal size (to one replicate), each run a chunk at
     a time, where n is the CPU count of _processes capped so that every
     range holds at least a share: the least of MIN_SHARE, the replicates
-    whose kernel arrays fill MIN_SHARE_BYTES, reps, and an explicit
-    chunk_size. A run of fewer than two shares is one range and forks
-    nothing. The output is one anonymous shared mapping: this process
-    computes the last range into it and forked children the others, each
-    in its own columns, so a child's exit status 0 means its block is in
-    place; a failing child leaves its error's text in a shared note for
-    WorkerFailed. The call holds linalg.BLAS_PIN from before the first
-    fork until every child is reaped, so the nested pins of the kernel's
-    factorizations and inverses set no thread count in any process.
+    whose kernel arrays fill MIN_SHARE_BYTES, and reps. A run of fewer than
+    two shares is one range and forks nothing. Every input, the master seed
+    included, is checked before any draw or fork. The output is one
+    anonymous shared mapping: this process computes the last range into it
+    and forked children the others, each in its own columns, so a child's
+    exit status 0 means its block is in place; a failing child leaves its
+    error's text in a shared note for WorkerFailed. The call holds
+    linalg.BLAS_PIN from before the first fork until every child is reaped,
+    so the nested pins of the kernel's factorizations and inverses set no
+    thread count in any process.
     """
     statistics = tuple(statistics)
     if not statistics:
@@ -214,9 +215,8 @@ def simulate_null_statistics(
     t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     if reps < 1:
         raise DomainError("reps must be positive")
-    if chunk_size is not None and chunk_size < 1:
-        raise DomainError(f"chunk_size must be positive, got {chunk_size}")
-    chunk = min(chunk_size or default_chunk(p), reps)
+    check_seed("master_seed", master_seed)
+    chunk = min(default_chunk(p), reps)
 
     def run(start: int, stop: int, block: np.ndarray) -> None:
         """Replicates [start, stop) into block, one row per statistic, a chunk at a time."""
@@ -229,7 +229,7 @@ def simulate_null_statistics(
             for i, rng in enumerate(substreams(master_seed, lo, hi)):
                 bartlett_factor(p, t_eff - K, rng, out=factors[i])
             try:  # the kernel checks V on first read, so the clause covers the readers
-                kernel = stats_from_factors(factors, t_eff, K)
+                kernel = FactorStats(factors, t_eff, K)
                 for row, s in zip(block, statistics):
                     row[lo - start : hi - start] = READERS[s](kernel)
             except NotPositiveDefinite as exc:
@@ -238,7 +238,7 @@ def simulate_null_statistics(
 
     # one shared mapping, so that forked children write their columns in place
     out = np.frombuffer(mmap.mmap(-1, 8 * len(statistics) * reps)).reshape(-1, reps)
-    share = min(chunk_size or default_chunk(p, MIN_SHARE_BYTES), MIN_SHARE, reps)
+    share = min(default_chunk(p, MIN_SHARE_BYTES), MIN_SHARE, reps)
     n = min(_processes(), reps // share)  # share <= reps, so n >= 1
     edges = [reps * i // n for i in range(n + 1)]
     workers = []
@@ -345,7 +345,7 @@ def calibrate_many(
     statistics = tuple(statistics)
     alphas = tuple(float(a) for a in alphas)
     for s in statistics:
-        _check_calibration(s, p, T, K, demeaned, reps, alphas)
+        _check_calibration(s, p, T, K, demeaned, reps, master_seed, alphas)
     samples = simulate_null_statistics(
         statistics,
         p,

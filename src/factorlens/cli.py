@@ -28,7 +28,7 @@ from .calibrate import (
 from .errors import DomainError, FactorLensError
 from .panel import ingest_csv
 from .powersim import (
-    CSV_SOURCES, SCENARIO_ALIASES, ScenarioConfig, canonical_scenario, run_power_study,
+    CSV_SOURCES, SCENARIO_ALIASES, ScenarioConfig, canonical_scenario, check_grid, run_power_study,
 )
 from .report import (
     REQUEST_AUTO, REQUEST_CALIBRATED, REQUESTS, TESTS, batch_subset_test, resolve_criticals,
@@ -84,8 +84,8 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             x += step
     else:
         values = [float(x) for x in _csv_list(text)]
-        if len(values) > MAX_GRID_POINTS:
-            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+        if len(values) > MAX_GRID_POINTS:  # not the text, which can run to kilobytes
+            raise ValueError(f"grid has {len(values)} points, more than {MAX_GRID_POINTS}")
     if integer:
         for v in values:
             if not v.is_integer():
@@ -271,6 +271,7 @@ def _cmd_power(args, parser) -> int:
         master_seed=args.seed,
         alpha=args.alpha,
     )
+    check_grid(scenario, grid)  # before a calibration, which can take minutes
     criticals = resolve_criticals(
         args.criticals, cfg.model, cfg.alpha,
         calibration_reps=args.calibration_reps, calibration_seed=args.calibration_seed,

@@ -34,17 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibrate import DEFAULT_MASTER_SEED
 from .errors import BadDimension, DomainError, MissingCalibration, NotPositiveDefinite
 from .linalg import cholesky, invert_spd
-from .randmat import SeedSpec, substreams
+from .randmat import SeedSpec, check_seed, substreams
 from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals
-from .teststats import (
-    CHUNK_BYTES,
-    FactorModelSpec,
-    kernel_doubles,
-    residual_factors,
-    stats_from_factors,
-)
+from .teststats import CHUNK_BYTES, FactorModelSpec, FactorStats, kernel_doubles, residual_factors
 # unused here; bound only because perfbench/spans.py traces these names in this module
 from .teststats import compute_all, precision_stats_from_data
 
@@ -76,7 +71,7 @@ class ScenarioConfig:
     K: int
     T: int
     reps: int = 1000
-    master_seed: int = 42
+    master_seed: int = DEFAULT_MASTER_SEED
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
@@ -84,6 +79,7 @@ class ScenarioConfig:
         self.model  # BadDimension unless p >= 2, K >= 0 and p + K < T
         if self.reps < 1:
             raise DomainError("reps must be positive")
+        check_seed("master_seed", self.master_seed)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -102,6 +98,17 @@ def _check_k_tilde(k_tilde: int) -> None:
     # zero omitted factors is the exact null case
     if int(k_tilde) != k_tilde or not 0 <= k_tilde <= MAX_K_TILDE:
         raise DomainError(f"k_tilde must be an integer in [0, {MAX_K_TILDE}], got {k_tilde}")
+
+
+def check_grid(scenario: str, grid) -> tuple:
+    """The grid as a tuple, if nonempty and of k_tilde values for s4, rho values otherwise."""
+    grid = tuple(grid)
+    if not grid:
+        raise DomainError("grid must be nonempty")
+    check = _check_k_tilde if canonical_scenario(scenario) == "s4_extra_factors" else _check_rho
+    for value in grid:
+        check(value)
+    return grid
 
 
 def build_sigma_u(scenario: str, p: int, rho: float) -> np.ndarray:
@@ -199,8 +206,8 @@ class PowerCurve:
 def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCurve:
     """Rejection frequency of each test at every grid point.
 
-    The grid holds rho values (s1-s3) or extra-factor counts (s4); every
-    value is checked before any simulation. criticals come from
+    The grid holds rho values (s1-s3) or extra-factor counts (s4), checked
+    by check_grid before any simulation. criticals come from
     report.resolve_criticals: calibrated, or closed-form (Bonferroni for
     the max statistics, chi-square for the likelihood ratio), resolved at
     cfg.model and cfg.alpha. Replicates run batched (module docstring).
@@ -215,16 +222,9 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
             f"criticals were resolved for {criticals.model} at alpha={criticals.alpha}; "
             f"the study has {model} at alpha={cfg.alpha}"
         )
-    grid = tuple(grid)
-    if not grid:
-        raise DomainError("grid must be nonempty")
+    grid = check_grid(cfg.scenario, grid)
     s4 = cfg.scenario == "s4_extra_factors"
-    if s4:
-        for k_tilde in grid:
-            _check_k_tilde(k_tilde)
-        corr_factors = None
-    else:
-        corr_factors = np.array([build_sigma_u(cfg.scenario, cfg.p, rho) for rho in grid])
+    corr_factors = None if s4 else np.array([build_sigma_u(cfg.scenario, cfg.p, r) for r in grid])
     counts = {test: np.zeros(len(grid)) for test in TESTS}
     # s4 runs the kernel grid point by grid point, each on its own datasets
     chunk, group = _chunk_size(cfg.p, cfg.K, cfg.T, 1 if s4 else len(grid))
@@ -233,7 +233,7 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
         for first, factors in _grid_factors(cfg, grid, corr_factors, start, stop, group):
             # rows are grid-major: one row of stop - start replicates per grid point
             try:  # the kernel checks V on first read, so the clause covers the readers
-                kernel = stats_from_factors(factors, model.t_eff, cfg.K)
+                kernel = FactorStats(factors, model.t_eff, cfg.K)
                 for test, law in criticals.laws.items():
                     rejected = law.read(kernel).reshape(-1, stop - start) > criticals.values[test]
                     counts[test][first : first + len(rejected)] += rejected.sum(axis=1)

@@ -23,6 +23,13 @@ from .errors import BadDimension
 _UINT64_BOUND = 2**64
 
 
+def check_seed(name: str, seed) -> int:
+    """seed as an int: numpy seeds, and indexes substreams, by integers 0 <= seed < 2**64 only."""
+    if not hasattr(seed, "__index__") or not 0 <= seed < _UINT64_BOUND:  # a float has none
+        raise BadDimension(f"{name} must fit in an unsigned 64-bit integer, got {seed}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Names one reproducible random substream."""
@@ -31,10 +38,8 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("master_seed", "stream_index"):
-            value = getattr(self, name)
-            if not 0 <= int(value) < _UINT64_BOUND:
-                raise BadDimension(f"{name} must fit in an unsigned 64-bit integer")
+        check_seed("master_seed", self.master_seed)
+        check_seed("stream_index", self.stream_index)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -91,9 +96,7 @@ def substreams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Ge
     Every yielded generator is the same object, re-seated: it is valid only
     until the next one is yielded, so draw from it before advancing.
     """
-    master_seed, start, stop = int(master_seed), int(start), int(stop)
-    if not 0 <= master_seed < _UINT64_BOUND:
-        raise BadDimension("master_seed must fit in an unsigned 64-bit integer")
+    master_seed, start, stop = check_seed("master_seed", master_seed), int(start), int(stop)
     if not 0 <= start <= stop <= _UINT64_BOUND:
         raise BadDimension(
             f"need 0 <= start <= stop <= 2**64 for stream indices, got [{start}, {stop})"

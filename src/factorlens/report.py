@@ -32,7 +32,7 @@ from .calibrate import (
 from .errors import DomainError, MissingCalibration, NotPositiveDefinite, warn_at_caller
 from .linalg import scatter, stacked_cholesky
 from .panel import ReturnsPanel
-from .randmat import substreams
+from .randmat import check_seed, substreams
 from .special import chi2_quantile, chi2_sf, f_quantile, f_sf, normal_cdf, normal_quantile
 # unused here; bound only because perfbench/spans.py traces these names in this module
 from .special import chi2_cdf, f_cdf
@@ -44,7 +44,6 @@ from .teststats import (
     default_chunk,
     precision_stats_from_data,
     stacked_data,
-    stats_from_factors,
 )
 
 TESTS = ("T_el", "T_pr", "T_LR")
@@ -392,6 +391,7 @@ def batch_subset_test(
         )
     if num_subsets < 1:
         raise DomainError("num_subsets must be positive")
+    check_seed("subset_seed", subset_seed)
     K = panel.K
     sub_model = FactorModelSpec(p=subset_size, K=K, T=panel.T, demeaned=panel.demean)
     criticals = resolve_criticals(
@@ -412,7 +412,7 @@ def batch_subset_test(
         rows = np.hstack([np.broadcast_to(np.arange(K), (stop - start, K)), K + subsets])
         try:  # the kernel checks V on first read, so the clause covers _decide
             factors = stacked_cholesky(panel_scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
-            kernel = stats_from_factors(factors, sub_model.t_eff, K)
+            kernel = FactorStats(factors, sub_model.t_eff, K)
             decided = _decide(criticals, kernel)
         except NotPositiveDefinite as exc:
             i = start + exc.index

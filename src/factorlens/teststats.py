@@ -223,9 +223,6 @@ class FactorStats:
         return _t_lr_formula(self.ln_t_lr_star, self.p, self.t_eff, self.K)
 
 
-stats_from_factors = FactorStats
-
-
 def residual_factors(Y: np.ndarray, K: int) -> np.ndarray:
     """Lower factors of the residual scatters of a stack Y[m, K+p, T], factors first.
 
@@ -307,7 +304,7 @@ def precision_stats_from_data(
         )
     t_eff = FactorModelSpec(p=p, K=K, T=T, demeaned=demeaned).t_eff
     Y = stacked_data(X, F, demeaned)
-    kernel = stats_from_factors(residual_factors(Y[None], K), t_eff, K)
+    kernel = FactorStats(residual_factors(Y[None], K), t_eff, K)
     kernel.diag_v  # forms V and checks it here, inside the teststats.precision span
     return kernel
 
@@ -327,7 +324,7 @@ def stats_from_precision(
         raise BadDimension(f"expected a square matrix, got shape {v11.shape}")
     t_eff = FactorModelSpec(p=v11.shape[0], K=K, T=T, demeaned=demeaned).t_eff
     L = cholesky(invert_spd(v11.T))
-    kernel = stats_from_factors(L[None], t_eff, K)
+    kernel = FactorStats(L[None], t_eff, K)
     kernel.diag_v  # forms V and checks it before returning
     return kernel
 

@@ -1,13 +1,15 @@
+import contextlib
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
-from factorlens import teststats
+from factorlens import calibrate, linalg, teststats
 from factorlens.errors import DomainError
 from factorlens.randmat import SeedSpec, bartlett_factor
-from factorlens.teststats import FactorModelSpec, FactorStats, stats_from_factors
+from factorlens.teststats import FactorModelSpec, FactorStats
 
 
 def rand_spd(rng: np.random.Generator, p: int, jitter: float = 0.5) -> np.ndarray:
@@ -34,7 +36,7 @@ def null_kernel(p: int, T: int, K: int, seed: SeedSpec, demeaned: bool = False) 
     factor of E = W, so that V11 = W^-1.
     """
     t_eff = FactorModelSpec(p, K, T, demeaned).t_eff
-    return stats_from_factors(bartlett_factor(p, t_eff - K, seed.generator())[None], t_eff, K)
+    return FactorStats(bartlett_factor(p, t_eff - K, seed.generator())[None], t_eff, K)
 
 
 def halve_v_of(monkeypatch, row: int) -> None:
@@ -52,6 +54,38 @@ def halve_v_of(monkeypatch, row: int) -> None:
         return v
 
     monkeypatch.setattr(teststats, "inverse_lower", halved)
+
+
+def count_forks(monkeypatch, processes=3):
+    """Let the calibration engine use `processes` processes, and count the children it forks.
+
+    Where BLAS has no thread pin, a stand-in lets the engine fork all the
+    same; each process then runs BLAS on its default thread count.
+    """
+    if linalg.BLAS_PIN is None:
+        monkeypatch.setattr(linalg, "BLAS_PIN", contextlib.nullcontext())
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def force_chunk(monkeypatch, chunk) -> None:
+    """Run the calibration engine in chunks and fork shares of `chunk` replicates (None: its own).
+
+    The engine sizes both from calibrate.default_chunk, as default_chunk(p)
+    and default_chunk(p, MIN_SHARE_BYTES), and caps them at MIN_SHARE and reps.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(calibrate, "default_chunk", lambda p, budget=None: chunk)
 
 
 def ks_statistic(sample: np.ndarray, cdf) -> float:

@@ -43,8 +43,8 @@ from factorlens.errors import (
     WorkerFailed,
 )
 from factorlens.randmat import bartlett_factor
-from factorlens.teststats import compute_all, kernel_doubles, stats_from_factors
-from conftest import halve_v_of, ks_statistic, null_kernel, plain_bartlett
+from factorlens.teststats import FactorStats, compute_all, kernel_doubles
+from conftest import count_forks, force_chunk, halve_v_of, ks_statistic, null_kernel, plain_bartlett
 
 P, T, K = 6, 40, 2
 REPS = 2000
@@ -78,20 +78,21 @@ def test_engine_matches_per_replicate_path():
         assert_allclose(out["ln_T_LR_star"][r], stats.ln_t_lr_star, rtol=1e-9)
 
 
-def test_engine_chunk_size_invariance():
-    a = simulate_null_statistics(("T_el",), P, T, K, reps=150, master_seed=1, chunk_size=7)
-    b = simulate_null_statistics(("T_el",), P, T, K, reps=150, master_seed=1, chunk_size=150)
+def test_engine_chunk_size_invariance(monkeypatch):
+    force_chunk(monkeypatch, 7)
+    a = simulate_null_statistics(("T_el",), P, T, K, reps=150, master_seed=1)
+    force_chunk(monkeypatch, 150)
+    b = simulate_null_statistics(("T_el",), P, T, K, reps=150, master_seed=1)
     assert np.array_equal(a["T_el"], b["T_el"])
 
 
 @pytest.mark.parametrize("p, T, reps", [(20, 104, 300), (100, 518, 200), (200, 400, 24)])
-def test_engine_chunk_size_invariance_all_statistics(p, T, reps):
+def test_engine_chunk_size_invariance_all_statistics(monkeypatch, p, T, reps):
     names = STATISTICS + MARGINAL_STATISTICS
     ref = simulate_null_statistics(names, p, T, K, reps=reps, master_seed=1)
     for chunk in (1, 7, 64, reps):
-        out = simulate_null_statistics(
-            names, p, T, K, reps=reps, master_seed=1, chunk_size=chunk
-        )
+        force_chunk(monkeypatch, chunk)
+        out = simulate_null_statistics(names, p, T, K, reps=reps, master_seed=1)
         for name in names:
             assert np.array_equal(out[name], ref[name]), (name, chunk)
 
@@ -109,18 +110,19 @@ def test_engine_matches_plain_reference_loop(monkeypatch, p, T, reps, chunk):
 
     def recording_kernel(L, t_eff, K):
         seen.append(L.copy())
-        return stats_from_factors(L, t_eff, K)
+        return FactorStats(L, t_eff, K)
 
-    monkeypatch.setattr(cal, "stats_from_factors", recording_kernel)
+    monkeypatch.setattr(cal, "FactorStats", recording_kernel)
+    force_chunk(monkeypatch, chunk)
     names = STATISTICS + MARGINAL_STATISTICS
-    out = simulate_null_statistics(
-        names, p, T, K, reps=reps, master_seed=3, chunk_size=chunk
-    )
+    out = simulate_null_statistics(names, p, T, K, reps=reps, master_seed=3)
+    step = chunk or cal.default_chunk(p)  # the kernel sees chunks of the forced size
+    assert [len(L) for L in seen] == [min(step, reps - lo) for lo in range(0, reps, step)]
     factors = np.concatenate(seen)
     plain = [plain_bartlett(p, T - K, SeedSpec(3, r).generator()) for r in range(reps)]
     assert np.array_equal(factors, np.stack(plain))
     assert not np.triu(factors, 1).any()  # strict upper triangle exactly zero
-    kernel = stats_from_factors(factors, T, K)
+    kernel = FactorStats(factors, T, K)
     ref = {
         "T_el": kernel.t_ij.max(axis=1),
         "T_ij_21": kernel.t_ij[:, 0],
@@ -161,16 +163,15 @@ def test_engine_calling_process_stays_near_the_cache_budget():
     assert peak <= 8 * 2**20
 
 
-@pytest.mark.parametrize("chunk_size", [0, -1])
-def test_engine_rejects_a_chunk_size_below_one(monkeypatch, chunk_size):
+@pytest.mark.parametrize("reps", [10, 2000])  # one process; three, as count_forks sets the CPUs
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_engine_refuses_a_seed_numpy_cannot_take_before_any_fork(monkeypatch, reps, seed):
     import factorlens.calibrate as cal
 
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(cal, "bartlett_factor", None)  # a draw would raise TypeError
-    with pytest.raises(DomainError, match="chunk_size must be positive"):
-        simulate_null_statistics(
-            ("T_el",), P, T, K, reps=1000, master_seed=1, chunk_size=chunk_size
-        )
+    with pytest.raises(BadDimension, match=f"^master_seed must fit .*, got {seed}$"):
+        simulate_null_statistics(("T_el",), P, T, K, reps=reps, master_seed=seed)
     assert forks == []
 
 
@@ -186,32 +187,8 @@ def test_t_ij_21_reads_the_first_pair_of_the_kernel():
     from factorlens.calibrate import READERS
 
     factors = np.stack([plain_bartlett(8, 30, SeedSpec(5, r).generator()) for r in range(6)])
-    kernel = stats_from_factors(factors, 31, 1)
+    kernel = FactorStats(factors, 31, 1)
     assert np.array_equal(READERS["T_ij_21"](kernel), kernel.t_ij[:, 0])
-
-
-def _count_forks(monkeypatch, processes=3):
-    """Let the engine use `processes` processes, and count the children it forks.
-
-    Where BLAS has no thread pin, a stand-in lets the engine fork all the
-    same; each process then runs BLAS on its default thread count.
-    """
-    import factorlens.linalg as linalg
-
-    if linalg.BLAS_PIN is None:
-        monkeypatch.setattr(linalg, "BLAS_PIN", contextlib.nullcontext())
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
 
 
 def _assert_no_children_left():
@@ -224,9 +201,11 @@ NAMES = STATISTICS + MARGINAL_STATISTICS
 
 @pytest.mark.parametrize("p, T, reps, chunk", [(10, 40, 700, 64), (100, 518, 40, 9)])
 def test_forked_chunks_equal_one_chunk_bitwise(monkeypatch, p, T, reps, chunk):
-    ref = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=reps)
-    forks = _count_forks(monkeypatch)
-    out = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=chunk)
+    force_chunk(monkeypatch, reps)
+    ref = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8)
+    forks = count_forks(monkeypatch)
+    force_chunk(monkeypatch, chunk)
+    out = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8)
     assert len(forks) == 2  # three processes: this one computes the last range
     for name in NAMES:
         assert np.array_equal(out[name], ref[name]), name
@@ -238,13 +217,15 @@ def test_forked_chunks_equal_one_chunk_bitwise(monkeypatch, p, T, reps, chunk):
 def test_engine_runs_serially_without_the_pin_or_fork(monkeypatch, p, T, reps, chunk, away):
     import factorlens.linalg as linalg
 
-    ref = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=reps)
-    forks = _count_forks(monkeypatch)
+    force_chunk(monkeypatch, reps)
+    ref = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8)
+    forks = count_forks(monkeypatch)
     if away == "pin":
         monkeypatch.setattr(linalg, "BLAS_PIN", None)
     else:
         monkeypatch.delattr(os, "fork")
-    out = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8, chunk_size=chunk)
+    force_chunk(monkeypatch, chunk)
+    out = simulate_null_statistics(NAMES, p, T, K, reps=reps, master_seed=8)
     assert forks == []
     for name in NAMES:
         assert np.array_equal(out[name], ref[name]), name
@@ -270,12 +251,13 @@ def test_a_failing_worker_is_named_and_no_process_outlives_the_call(monkeypatch,
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise DomainError(_LONG_MESSAGE if how == "raise long" else "kernel refused")
-        return stats_from_factors(L, t_eff, K)
+        return FactorStats(L, t_eff, K)
 
-    _count_forks(monkeypatch)
-    monkeypatch.setattr(cal, "stats_from_factors", failing_in_children)
+    count_forks(monkeypatch)
+    force_chunk(monkeypatch, 50)
+    monkeypatch.setattr(cal, "FactorStats", failing_in_children)
     with pytest.raises(WorkerFailed, match=f"^replicates 0 to 99: {reason}") as info:
-        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
+        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1)
     assert isinstance(info.value, FactorLensError)
     _assert_no_children_left()
 
@@ -288,12 +270,13 @@ def test_a_failure_in_this_process_stops_the_workers(monkeypatch):
     def failing_here(L, t_eff, K):
         if os.getpid() == parent:
             raise DomainError("kernel refused here")
-        return stats_from_factors(L, t_eff, K)
+        return FactorStats(L, t_eff, K)
 
-    forks = _count_forks(monkeypatch)
-    monkeypatch.setattr(cal, "stats_from_factors", failing_here)
+    forks = count_forks(monkeypatch)
+    force_chunk(monkeypatch, 50)
+    monkeypatch.setattr(cal, "FactorStats", failing_here)
     with pytest.raises(DomainError, match="kernel refused here"):
-        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
+        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1)
     assert len(forks) == 2
     _assert_no_children_left()
 
@@ -333,15 +316,16 @@ def test_the_pin_is_held_across_every_fork_and_wait(monkeypatch, tmp_path, fails
     def kernel(L, t_eff, K):
         if fails == ("here" if os.getpid() == parent else "child"):
             raise DomainError("kernel refused")
-        return stats_from_factors(L, t_eff, K)
+        return FactorStats(L, t_eff, K)
 
     monkeypatch.setattr(linalg, "BLAS_PIN", linalg._ThreadPin(set_threads))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", noting_fork)
     monkeypatch.setattr(os, "waitpid", noting_waitpid)
-    monkeypatch.setattr(cal, "stats_from_factors", kernel)
+    monkeypatch.setattr(cal, "FactorStats", kernel)
+    force_chunk(monkeypatch, 50)
     with pytest.raises(error) if error else contextlib.nullcontext():
-        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1, chunk_size=50)
+        simulate_null_statistics(("T_el",), P, T, K, reps=300, master_seed=1)
     events = log.read_text().splitlines()
     monkeypatch.undo()
     # one count to 1 before the first fork and one restore after the last
@@ -353,7 +337,7 @@ def test_the_pin_is_held_across_every_fork_and_wait(monkeypatch, tmp_path, fails
 def test_a_one_chunk_run_forks_into_even_halves(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ref = simulate_null_statistics(NAMES, 5, 104, 1, reps=2000, master_seed=3)
-    forks = _count_forks(monkeypatch, processes=2)
+    forks = count_forks(monkeypatch, processes=2)
     out = simulate_null_statistics(NAMES, 5, 104, 1, reps=2000, master_seed=3)
     assert len(forks) == 1  # 2000 replicates fit one chunk of 4096
     for name in NAMES:
@@ -378,11 +362,11 @@ def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, ch
     def kernel(L, t_eff, K):
         if os.getpid() == parent:
             chunks.append(len(L))
-        return stats_from_factors(L, t_eff, K)
+        return FactorStats(L, t_eff, K)
 
-    forks = _count_forks(monkeypatch, processes=2)
+    forks = count_forks(monkeypatch, processes=2)
     monkeypatch.setattr(cal, "_Worker", RecordingWorker)
-    monkeypatch.setattr(cal, "stats_from_factors", kernel)
+    monkeypatch.setattr(cal, "FactorStats", kernel)
     simulate_null_statistics(("T_el",), 10, 40, K, reps=reps, master_seed=8)
     assert ranges == forked and len(forks) == len(forked)
     assert chunks == chunks_here  # this process runs the last range, default_chunk(10) = 1379 at a time
@@ -397,7 +381,7 @@ def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, ch
     (100, 518, 1, False, ("T_el", "T_pr", "T_LR_standardized"), 8, 0),
 ])
 def test_the_benchmark_calls_keep_their_process_counts(monkeypatch, p, T, K, demeaned, statistics, reps, forked):
-    forks = _count_forks(monkeypatch, processes=2)
+    forks = count_forks(monkeypatch, processes=2)
     simulate_null_statistics(statistics, p, T, K, reps=reps, master_seed=2, demeaned=demeaned)
     assert len(forks) == forked
     _assert_no_children_left()
@@ -451,7 +435,8 @@ import factorlens.linalg as linalg
 if linalg.BLAS_PIN is None:
     linalg.BLAS_PIN = contextlib.nullcontext()
 os.sched_getaffinity = lambda pid: {0, 1}
-kernel, parent = cal.stats_from_factors, os.getpid()
+kernel, parent = cal.FactorStats, os.getpid()
+cal.default_chunk = lambda p, budget=None: 50  # chunks and fork shares of 50 replicates
 
 def slow_in_the_worker(L, t_eff, K):
     if os.getpid() != parent:
@@ -460,8 +445,8 @@ def slow_in_the_worker(L, t_eff, K):
         time.sleep(60)
     return kernel(L, t_eff, K)
 
-cal.stats_from_factors = slow_in_the_worker
-cal.simulate_null_statistics(("T_el",), 6, 40, 2, reps=100, master_seed=1, chunk_size=50)
+cal.FactorStats = slow_in_the_worker
+cal.simulate_null_statistics(("T_el",), 6, 40, 2, reps=100, master_seed=1)
 """
 
 
@@ -521,8 +506,8 @@ def test_calibration_invariant_under_diagonal_scaling():
     factors = np.stack(
         [bartlett_factor(P, T - K, SeedSpec(2, r).generator()) for r in range(200)]
     )
-    base = stats_from_factors(factors, T, K)
-    scaled = stats_from_factors(factors * scale[:, None], T, K)
+    base = FactorStats(factors, T, K)
+    scaled = FactorStats(factors * scale[:, None], T, K)
     engine = simulate_null_statistics(("T_el",), P, T, K, reps=200, master_seed=2)
     assert np.array_equal(base.t_ij.max(axis=1), engine["T_el"])
     for key in ("t_ij", "t_j", "t_lr"):
@@ -538,7 +523,7 @@ def test_calibrate_rejects_bad_inputs():
         calibrate_many(("T_el",), P, T, K, reps=REPS, alphas=(0.0,))["T_el"]
 
 
-@pytest.mark.parametrize("reps", [10, 2000])  # one process; three, as _count_forks sets the CPUs
+@pytest.mark.parametrize("reps", [10, 2000])  # one process; three, as count_forks sets the CPUs
 @pytest.mark.parametrize(
     "statistics, refusal",
     [((), "no statistics"), (("T_pr", "T_el", "T_LR", "T_el", "T_pr"), "'T_el' requested twice")],
@@ -551,7 +536,7 @@ def test_engine_refuses_an_empty_or_repeated_statistic_before_the_first_draw(
     def no_draw(*args):
         raise AssertionError("a replicate was drawn")
 
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     monkeypatch.setattr(cal, "substreams", no_draw)
     with pytest.raises(DomainError, match=refusal):
         simulate_null_statistics(statistics, P, T, K, reps=reps, master_seed=1)
@@ -858,8 +843,9 @@ def _table_fields(**edits):
     return fields
 
 
-# three tables no calibration can give: an alpha outside (0, 1), dimensions
-# with p + K >= T_eff, and a stored critical value 1e-9 relative off its sample's quantile
+# tables no calibration can give: an alpha outside (0, 1), dimensions with
+# p + K >= T_eff, a master seed numpy cannot take, and a stored critical value
+# 1e-9 relative off its sample's quantile
 BAD_TABLES = [
     pytest.param(dict(alphas=(1.5, 0.05)), DomainError, "T_el alphas must lie in (0, 1)",
                  id="alpha-1.5"),
@@ -869,6 +855,10 @@ BAD_TABLES = [
                  id="p-1-T-2"),
     pytest.param(dict(p=6, T=9, K=2, demeaned=True), BadDimension,
                  "need p >= 2, K >= 0, p + K < T_eff", id="p-plus-K-equals-T_eff"),
+    pytest.param(dict(master_seed=-5), BadDimension,
+                 "master_seed must fit in an unsigned 64-bit integer, got -5", id="seed-negative"),
+    pytest.param(dict(master_seed=2**64), BadDimension,
+                 "master_seed must fit in an unsigned 64-bit integer", id="seed-2**64"),
     pytest.param(dict(critical_values=(0.9, 0.95 * (1.0 + 1e-9))), DomainError,
                  "T_el critical value", id="critical-value-off"),
 ]
@@ -913,20 +903,21 @@ def test_calibrate_many_refuses_a_table_rule_before_any_draw(monkeypatch, edits,
     fields = _table_fields(**edits)
     with pytest.raises(error, match="^" + re.escape(message)):
         calibrate_many((fields["statistic"],), fields["p"], fields["T"], fields["K"],
-                       demeaned=fields["demeaned"], alphas=fields["alphas"], reps=fields["reps"])
+                       demeaned=fields["demeaned"], alphas=fields["alphas"], reps=fields["reps"],
+                       master_seed=fields["master_seed"])
 
 
-@pytest.mark.parametrize("chunk_size", [None, 5, 40])
-def test_calibration_refusal_names_the_replicate_of_the_run(monkeypatch, chunk_size):
+@pytest.mark.parametrize("chunk", [None, 5, 40])
+def test_calibration_refusal_names_the_replicate_of_the_run(monkeypatch, chunk):
     # at p = 100 a chunk holds 13 replicates, so replicate 14 is the second chunk's row 1;
     # one process, so that the factors the kernel inverts are the run's in order
     import factorlens.calibrate as cal
 
     monkeypatch.setattr(cal, "_processes", lambda: 1)
+    force_chunk(monkeypatch, chunk)
     halve_v_of(monkeypatch, 14)
     with pytest.raises(NotPositiveDefinite) as exc:
-        simulate_null_statistics(("T_el",), 100, 518, 1, reps=40, master_seed=1,
-                                 chunk_size=chunk_size)
+        simulate_null_statistics(("T_el",), 100, 518, 1, reps=40, master_seed=1)
     assert exc.value.index == 14
     assert str(exc.value) == (
         "diagonal product of V11 and its inverse fell below one in replicate 14"

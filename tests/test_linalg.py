@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from factorlens import cholesky, invert_spd, stats_from_factors
+from factorlens import FactorStats, cholesky, invert_spd
 from factorlens.errors import BadDimension, NotPositiveDefinite
 from factorlens import linalg
 from factorlens.linalg import inverse_lower, mirror_lower
@@ -92,7 +92,7 @@ def test_invert_spd_reads_only_the_lower_triangle(rng):
 def test_invert_spd_is_the_kernel_v_bitwise(rng, p):
     # one way to invert: the kernel's V of a matrix's Cholesky factor
     m = rand_spd(rng, p)
-    kernel = stats_from_factors(cholesky(m)[None], 2 * p + 4, 0)
+    kernel = FactorStats(cholesky(m)[None], 2 * p + 4, 0)
     assert np.array_equal(invert_spd(m), kernel.v[0])
 
 

@@ -24,7 +24,7 @@ from factorlens.powersim import ScenarioConfig, run_power_study
 from factorlens.randmat import SeedSpec
 from factorlens.report import TESTS, resolve_criticals
 from factorlens.linalg import stacked_cholesky
-from factorlens.teststats import stats_from_factors
+from factorlens.teststats import FactorStats
 from conftest import halve_v_of
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
@@ -240,7 +240,7 @@ def _engine_rates(scenario, grid, reads):
     for start in range(0, cfg.reps, chunk):
         stop = min(start + chunk, cfg.reps)
         for first, factors in powersim._grid_factors(cfg, grid, corr, start, stop, group):
-            kernel = stats_from_factors(factors, cfg.model.t_eff, cfg.K)
+            kernel = FactorStats(factors, cfg.model.t_eff, cfg.K)
             for name, (read, crit) in reads.items():
                 rejected = read(kernel).reshape(-1, stop - start) > crit
                 counts[name][first : first + len(rejected)] += np.count_nonzero(rejected, axis=1)

@@ -20,7 +20,7 @@ from factorlens.powersim import ScenarioConfig
 from factorlens.report import resolve_criticals
 from factorlens.calibrate import STATISTICS
 from factorlens.randmat import _bartlett_layout, bartlett_factor, substreams
-from conftest import ks_asymptotic_pvalue, ks_statistic, null_kernel, plain_bartlett
+from conftest import force_chunk, ks_asymptotic_pvalue, ks_statistic, null_kernel, plain_bartlett
 
 
 def test_seedspec_determinism():
@@ -36,6 +36,8 @@ def test_seedspec_validation():
         SeedSpec(-1, 0)
     with pytest.raises(BadDimension):
         SeedSpec(0, 2**64)
+    with pytest.raises(BadDimension, match="got 1.5$"):  # not truncated to seed 1
+        SeedSpec(1.5, 0)
 
 
 def _wishart(p: int, n: int, seed: SeedSpec) -> np.ndarray:
@@ -262,7 +264,7 @@ def _reference_substreams(master_seed, start, stop):
 def _hot_loop_outputs():
     """Outputs of the three loops that seed replicates through substreams."""
     null = simulate_null_statistics(
-        ("T_el", "T_pr", "T_LR"), 5, 30, 1, reps=50, master_seed=2**32 + 5, chunk_size=16
+        ("T_el", "T_pr", "T_LR"), 5, 30, 1, reps=50, master_seed=2**32 + 5
     )
     cfg = ScenarioConfig("s1", p=4, K=1, T=30, reps=30, master_seed=8, alpha=0.2)
     criticals = resolve_criticals("closed-form", cfg.model, cfg.alpha)
@@ -284,6 +286,7 @@ def _hot_loop_outputs():
 
 
 def test_hot_loops_match_a_seedspec_reference_loop(monkeypatch):
+    force_chunk(monkeypatch, 16)  # calibration chunks of 16 replicates
     block = _hot_loop_outputs()
     for module in (factorlens.calibrate, factorlens.powersim, factorlens.report):
         monkeypatch.setattr(module, "substreams", _reference_substreams)

@@ -22,13 +22,14 @@ from factorlens import (
     run_tests,
 )
 from factorlens.cli import MAX_GRID_POINTS, _build_parser, _parse_grid, main
-from factorlens.errors import DomainError, MissingCalibration
+from factorlens.errors import BadDimension, DomainError, MissingCalibration
 from factorlens.panel import ReturnsPanel
 from factorlens.powersim import ScenarioConfig, generate_dataset
 from factorlens.asymptotics import select_regime
 from factorlens.report import TESTS, resolve_criticals
 from factorlens.randmat import bartlett_factor, substreams
-from factorlens.teststats import FactorModelSpec, default_chunk, stats_from_factors
+from factorlens.teststats import FactorModelSpec, FactorStats, default_chunk
+from conftest import count_forks
 
 
 def _null_panel(p=4, K=2, T=60, seed=5, rep=0) -> ReturnsPanel:
@@ -148,7 +149,7 @@ def test_auto_beyond_the_calibration_budget_is_closed_form_and_holds_its_size():
         criticals = resolve_criticals("auto", model, alpha)
     assert criticals.source == "closed-form"
     n = model.t_eff - K
-    kernel = stats_from_factors(
+    kernel = FactorStats(
         np.stack([bartlett_factor(p, n, rng) for rng in substreams(17, 0, reps)]), model.t_eff, K
     )
     bound = alpha + 3.0 * np.sqrt(alpha * (1.0 - alpha) / reps)
@@ -181,7 +182,7 @@ def test_size_map_on_exact_null_draws(p, T, K):
     for start in range(0, SIZE_MAP_REPS, chunk):
         rngs = substreams(SIZE_MAP_SEEDS[p, T, K], start, min(start + chunk, SIZE_MAP_REPS))
         factors = np.stack([bartlett_factor(p, model.t_eff - K, rng) for rng in rngs])
-        kernel = stats_from_factors(factors, model.t_eff, K)
+        kernel = FactorStats(factors, model.t_eff, K)
         for s, criticals in sources.items():
             for name, law in criticals.laws.items():
                 rejections[s, name] += np.count_nonzero(law.read(kernel) > criticals.values[name])
@@ -578,8 +579,101 @@ def test_grid_point_bound():
     # a comma list has the same limit
     listed = ",".join(str(0.001 * i) for i in range(MAX_GRID_POINTS))
     assert len(_parse_grid(listed)) == MAX_GRID_POINTS
-    with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+    with pytest.raises(ValueError) as err:
         _parse_grid(listed + ",0.5")
+    # the count, not the several kilobytes of grid text
+    assert str(err.value) == f"grid has {MAX_GRID_POINTS + 1} points, more than {MAX_GRID_POINTS}"
+
+
+def _refuse_every_draw(monkeypatch):
+    """Make every null draw, power replicate and subset draw raise; count the forks."""
+    from factorlens import calibrate, powersim, report
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("a draw was made before the refusal")
+
+    for module, name in [(calibrate, "simulate_null_statistics"), (calibrate, "bartlett_factor"),
+                         (powersim, "substreams"), (powersim, "generate_dataset"),
+                         (report, "substreams")]:
+        monkeypatch.setattr(module, name, drawn)
+    return count_forks(monkeypatch)
+
+
+_SEED_REFUSED = "must fit in an unsigned 64-bit integer, got -1"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["power", "--scenario", "s1", "--rho-grid", "0,0.5", "--seed", "-1"],
+     "master_seed " + _SEED_REFUSED),
+    (["power", "--scenario", "s1", "--rho-grid", "0,0.5", "--calibration-seed", "-1"],
+     "master_seed " + _SEED_REFUSED),
+    (["power", "--scenario", "s1", "--rho-grid", "0,0.6"], "|rho| must be <= 0.5, got 0.6"),
+    (["power", "--scenario", "s4", "--ktilde-grid", "0,11"],
+     "k_tilde must be an integer in [0, 10], got 11"),
+    (["batch-test", "--subset-size", "3", "--num-subsets", "10", "--subset-seed", "-1"],
+     "subset_seed " + _SEED_REFUSED),
+    (["batch-test", "--subset-size", "3", "--num-subsets", "10", "--criticals", "calibrated",
+      "--seed", "-1"], "master_seed " + _SEED_REFUSED),
+    (["calibrate", "--seed", "-1"], "master_seed " + _SEED_REFUSED),
+], ids=["power-seed", "power-calibration-seed", "power-rho", "power-ktilde", "batch-subset-seed",
+        "batch-seed", "calibrate-seed"])
+def test_cli_refuses_a_bad_seed_or_grid_value_before_any_draw(monkeypatch, tmp_path, capsys, argv,
+                                                               message):
+    # every one of these once ran a default calibration of 100 000 replicates first
+    panel_path, out = tmp_path / "panel.csv", tmp_path / "out"
+    _write_panel_csv(panel_path, _null_panel(p=6, K=1, T=80, seed=13))
+    if argv[0] == "batch-test":
+        argv = [*argv, "--input", str(panel_path), "--assets", "a0,a1,a2,a3,a4,a5",
+                "--factors", "f0"]
+    else:
+        argv = [*argv, "--p", "10", "--T", "100", "--K", "2"]
+    forks = _refuse_every_draw(monkeypatch)
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"factorlens: error: {message}\n")
+    assert forks == [] and not out.exists()
+
+
+def test_cli_refuses_a_long_list_grid_by_its_size(monkeypatch, tmp_path, capsys):
+    forks = _refuse_every_draw(monkeypatch)
+    out = tmp_path / "power.csv"
+    grid = ",".join(["0.1"] * (MAX_GRID_POINTS + 1))
+    with pytest.raises(SystemExit) as err:
+        main(["power", "--scenario", "s1", "--p", "4", "--T", "40", "--K", "1",
+              "--rho-grid", grid, "--out", str(out)])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.splitlines()[-1] == (f"factorlens: error: argument --rho-grid: grid has "
+                                       f"{MAX_GRID_POINTS + 1} points, more than {MAX_GRID_POINTS}")
+    assert len(stderr.encode()) < 200  # the usage line and the error; it once held the 4 KB grid
+    assert forks == [] and not out.exists()
+
+
+def test_library_refuses_a_bad_seed_or_grid_value_before_any_draw(monkeypatch):
+    from factorlens.powersim import check_grid, run_power_study
+
+    forks = _refuse_every_draw(monkeypatch)
+    with pytest.raises(BadDimension, match="^master_seed " + re.escape(_SEED_REFUSED)):
+        ScenarioConfig("s1", p=4, K=1, T=40, master_seed=-1)
+    # not truncated to 1, which s1 drew from while s4's numpy seeding raised a TypeError
+    with pytest.raises(BadDimension, match="^master_seed must fit .*, got 1.5$"):
+        ScenarioConfig("s4", p=4, K=1, T=40, master_seed=1.5)
+    for source in ("closed-form", "calibrated"):
+        with pytest.raises(BadDimension, match="^subset_seed " + re.escape(_SEED_REFUSED)):
+            batch_subset_test(_null_panel(p=6, K=1, T=80), 3, 10, critical_source=source,
+                              subset_seed=-1)
+    with pytest.raises(BadDimension, match="^master_seed " + re.escape(_SEED_REFUSED)):
+        calibrate_many(("T_el",), 6, 80, 1, reps=1000, master_seed=-1)
+    cfg = ScenarioConfig("s1", p=4, K=1, T=40)
+    criticals = resolve_criticals("closed-form", cfg.model, cfg.alpha)
+    for scenario, grid, refusal in [("s1", (0.0, 0.6), r"\|rho\| must be"),
+                                    ("s4", (0, 11), "k_tilde must be"),
+                                    ("s1", (), "grid must be nonempty")]:
+        with pytest.raises(DomainError, match=refusal):
+            check_grid(scenario, grid)
+        with pytest.raises(DomainError, match=refusal):
+            run_power_study(ScenarioConfig(scenario, p=4, K=1, T=40), grid, criticals)
+    assert forks == []
 
 
 def _readme_commands() -> list[list[str]]:

@@ -287,7 +287,7 @@ def test_power_matches_simulation_oracle():
     # small-lambda setting keeps the power informative (not saturated)
     import factorlens as fl
     from factorlens.randmat import bartlett_factor
-    from factorlens.teststats import stats_from_factors
+    from factorlens.teststats import FactorStats
 
     p, T, K = 5, 30, 1
     dof = T - K - p + 1
@@ -303,7 +303,7 @@ def test_power_matches_simulation_oracle():
         gen = fl.SeedSpec(2718, r).generator()
         a = bartlett_factor(p, T - K, gen)
         w = chol @ (a @ a.T) @ chol.T
-        ps = stats_from_factors(np.linalg.cholesky(w)[None], T, K)
+        ps = FactorStats(np.linalg.cholesky(w)[None], T, K)
         t12[r] = ps.t_ij[0, 0]
         t1[r] = ps.t_j[0, 0]
     for sample, q in ((t12, 1), (t1, p - 1)):

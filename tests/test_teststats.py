@@ -15,7 +15,6 @@ from factorlens import (
     compute_all,
     precision_stats_from_data,
     stat_ln_t_lr_star,
-    stats_from_factors,
     stats_from_precision,
 )
 from factorlens.errors import BadDimension, FactorLensError, NotPositiveDefinite, Singular
@@ -107,9 +106,8 @@ def test_one_dataset_entry_points_share_the_dimension_check(demeaned):
 def test_kernel_refuses_what_no_statistic_is_defined_on(shape, t_eff, K):
     L = np.zeros(shape)
     L[..., range(min(shape[-2:])), range(min(shape[-2:]))] = 1.0
-    for entry in (FactorStats, stats_from_factors):
-        with pytest.raises(BadDimension):
-            entry(L, t_eff, K)
+    with pytest.raises(BadDimension):
+        FactorStats(L, t_eff, K)
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,7 +441,7 @@ def _t_el_stacks(p, rng):
 def test_t_el_equals_max_of_pair_statistics_bitwise(p):
     rng = np.random.default_rng(p)
     for L in _t_el_stacks(p, rng):
-        kernel = stats_from_factors(L, 60, 2)
+        kernel = FactorStats(L, 60, 2)
         with np.errstate(divide="ignore"):
             assert np.array_equal(kernel.t_el, kernel.t_ij.max(axis=1))
 
@@ -480,7 +478,7 @@ def test_kernel_matches_plain_numpy_inverse(p, T, K, m):
     L = np.stack(
         [bartlett_factor(p, T - K, SeedSpec(7, r).generator()) for r in range(m)]
     )
-    kernel = stats_from_factors(L, T, K)
+    kernel = FactorStats(L, T, K)
     v = np.linalg.inv(L @ np.swapaxes(L, 1, 2))
     diag_v = np.diagonal(v, axis1=1, axis2=2)
     rows, cols = np.tril_indices(p, -1)
@@ -504,11 +502,11 @@ def test_kernel_matches_plain_numpy_inverse(p, T, K, m):
 
 
 @pytest.mark.parametrize("entry", [0.0, -1.0, np.nan, 1e-300])
-def test_stats_from_factors_rejects_unusable_diagonal(entry):
+def test_kernel_rejects_unusable_diagonal(entry):
     L = np.broadcast_to(np.linalg.cholesky(2.0 * np.eye(3) + 0.5), (4, 3, 3)).copy()
     L[2, 1, 1] = entry
     with pytest.raises(NotPositiveDefinite, match="replicate 2"):
-        stats_from_factors(L, 20, 1)
+        FactorStats(L, 20, 1)
 
 
 def test_kernel_names_a_factor_lapack_cannot_invert():
@@ -594,12 +592,12 @@ def _kernel_inputs(source, p, rng):
     if source == "bartlett":  # C-contiguous, as the calibration engine draws them
         T, K = 2 * p + 8, 1
         L = np.stack([bartlett_factor(p, T - K, SeedSpec(11, r).generator()) for r in range(m)])
-        return stats_from_factors(L, T, K), L
+        return FactorStats(L, T, K), L
     T, K = 2 * p + 10, 2
     if source == "residual_factors":  # non-contiguous trailing blocks
         L = residual_factors(rng.standard_normal((m, K + p, T)), K)
         assert not L.flags.c_contiguous
-        return stats_from_factors(L, T, K), L
+        return FactorStats(L, T, K), L
     # asset subsets of a wider panel, their stacked scatters gathered from
     # the panel's, factor rows first, as batch_subset_test gathers them
     n = p + 5
@@ -607,7 +605,7 @@ def _kernel_inputs(source, p, rng):
     subsets = np.sort(np.argsort(rng.random((m, n)), axis=1)[:, :p], axis=1)
     rows = np.hstack([np.broadcast_to(np.arange(K), (m, K)), K + subsets])
     L = stacked_cholesky((Y @ Y.T)[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
-    return stats_from_factors(L, T, K), L
+    return FactorStats(L, T, K), L
 
 
 @pytest.mark.parametrize("source", ["bartlett", "residual_factors", "subset_stats"])
