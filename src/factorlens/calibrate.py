@@ -36,7 +36,13 @@ from .errors import (
     WorkerFailed,
 )
 from .randmat import bartlett_factor, check_seed, substreams
-from .teststats import FactorModelSpec, FactorStats, _pair_transform, default_chunk
+from .teststats import (
+    FactorModelSpec,
+    FactorStats,
+    KernelWorkspace,
+    _pair_transform,
+    default_chunk,
+)
 
 DEFAULT_MASTER_SEED = 42
 DEFAULT_ALPHAS = (0.1, 0.05, 0.01, 0.005)
@@ -72,6 +78,11 @@ def _check_calibration(statistic: str, p: int, T: int, K: int, demeaned: bool, r
     """The rules a table shares with calibrate_many, which checks them before any draw."""
     if statistic not in STATISTICS:
         raise DomainError(f"unknown statistic {statistic!r}")
+    for name, value in (("p", p), ("T", T), ("K", K), ("reps", reps)):
+        if isinstance(value, bool) or not hasattr(value, "__index__"):  # a float has none
+            raise DomainError(f"{statistic} {name} must be an integer, got {value!r}")
+    if not isinstance(demeaned, bool):
+        raise DomainError(f"{statistic} demeaned must be true or false, got {demeaned!r}")
     if reps < MIN_REPS:
         raise DomainError(f"reps must be >= {MIN_REPS}, got {reps}")
     check_seed("master_seed", master_seed)
@@ -85,8 +96,9 @@ class CriticalValueTable:
     """Empirical null quantiles of one statistic at fixed dimensions, checked where built.
 
     Every rule of a table holds here, whether it comes from calibrate_many,
-    a file or code: a known statistic, FactorModelSpec's dimension rule
-    (table.model), reps >= MIN_REPS, an integer 0 <= master_seed < 2**64,
+    a file or code: a known statistic, integers p, T, K and reps and a bool
+    demeaned, FactorModelSpec's dimension rule (table.model), reps >=
+    MIN_REPS, an integer 0 <= master_seed < 2**64,
     nonempty alphas in (0, 1), one critical value per alpha, nonincreasing
     in alpha; and a kept null sample finite, ascending, of reps draws, with
     each critical value its type-7 1 - alpha quantile to 1e-12 relative, as
@@ -167,9 +179,10 @@ class CriticalValueTable:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CriticalValueTable":
         sample = doc.get("null_sample")
+        # the scalars go to the constructor as the file has them, for its checks to judge
         return cls(
-            doc["statistic"], int(doc["p"]), int(doc["T"]), int(doc["K"]), bool(doc["demeaned"]),
-            int(doc["reps"]), int(doc["master_seed"]), tuple(float(a) for a in doc["alphas"]),
+            doc["statistic"], doc["p"], doc["T"], doc["K"], doc["demeaned"],
+            doc["reps"], doc["master_seed"], tuple(float(a) for a in doc["alphas"]),
             tuple(float(v) for v in doc["critical_values"]),
             None if sample is None else np.asarray(sample, dtype=float),
         )
@@ -191,9 +204,10 @@ def simulate_null_statistics(
     the statistics kernel runs on chunks of factors, but each replicate's
     result is independent of the chunking. The replicates are split into n
     contiguous ranges of equal size (to one replicate), each run a chunk at
-    a time, where n is the CPU count of _processes capped so that every
-    range holds at least a share: the least of MIN_SHARE, the replicates
-    whose kernel arrays fill MIN_SHARE_BYTES, and reps. A run of fewer than
+    a time through one factor buffer and one KernelWorkspace, where n is
+    the CPU count of _processes capped so that every range holds at least a
+    share: the least of MIN_SHARE, the replicates whose kernel arrays fill
+    MIN_SHARE_BYTES, and reps. A run of fewer than
     two shares is one range and forks nothing. Every input, the master seed
     included, is checked before any draw or fork. The output is one
     anonymous shared mapping: this process computes the last range into it
@@ -220,21 +234,22 @@ def simulate_null_statistics(
 
     def run(start: int, stop: int, block: np.ndarray) -> None:
         """Replicates [start, stop) into block, one row per statistic, a chunk at a time."""
-        # one buffer for every chunk: Bartlett writes only the lower triangle,
-        # so the strict upper one stays zero
+        # one buffer and one kernel workspace for every chunk, built here so
+        # that each forked child touches only its own: Bartlett writes only
+        # the lower triangle, so the strict upper one stays zero
         buffer = np.zeros((min(chunk, stop - start), p, p))
+        work = KernelWorkspace()
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
             factors = buffer[: hi - lo]
             for i, rng in enumerate(substreams(master_seed, lo, hi)):
                 bartlett_factor(p, t_eff - K, rng, out=factors[i])
             try:  # the kernel checks V on first read, so the clause covers the readers
-                kernel = FactorStats(factors, t_eff, K)
+                kernel = FactorStats(factors, t_eff, K, work)
                 for row, s in zip(block, statistics):
                     row[lo - start : hi - start] = READERS[s](kernel)
             except NotPositiveDefinite as exc:
                 raise exc.at(lo + exc.index) from None
-            del kernel  # release this chunk's arrays before drawing the next
 
     # one shared mapping, so that forked children write their columns in place
     out = np.frombuffer(mmap.mmap(-1, 8 * len(statistics) * reps)).reshape(-1, reps)

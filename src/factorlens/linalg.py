@@ -7,7 +7,8 @@ pivots against PIVOT_RTOL, one rule and one routine (stacked_cholesky)
 for single matrices and for stacks.
 Only the lower triangle of an input is read. Every inverse, the kernel's V
 and invert_spd alike, comes from lower factors through inverse_lower:
-dtrtri, then an in-place dsyrk at half a full product's flops. LAPACK's
+dtrtri, then an in-place dsyrk at half a full product's flops, into a
+new stack or one the caller keeps for reuse (lower_stack). LAPACK's
 potri does both in one call, but OpenBLAS threads its dlauum step, which
 rounds with the thread count and made calibration at p = 20 about 12%
 slower on 2 cores.
@@ -161,14 +162,34 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(str(exc).replace("a stacked covariance", "the matrix")) from None
 
 
-def inverse_lower(factors: np.ndarray) -> np.ndarray:
-    """Lower triangle of (L L^T)^-1 = L^-T L^-1 per lower factor L; the strict upper is zero."""
+def lower_stack(m: int, p: int) -> np.ndarray:
+    """A zero stack of m p-by-p blocks laid out as inverse_lower writes V: see there."""
+    return np.zeros((m, p, p)).transpose(0, 2, 1)
+
+
+def inverse_lower(factors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Lower triangle of (L L^T)^-1 = L^-T L^-1 per lower factor L; the strict upper is zero.
+
+    V is written into out when given: a float64 stack of factors' shape
+    whose strict upper triangles are zero, each block Fortran-ordered and
+    8 p^2 bytes past the one before, as lower_stack makes. dsyrk rewrites
+    each block's lower triangle and leaves the rest, so a stack can be
+    reused call after call. Otherwise V is a new such stack.
+    """
     p = factors.shape[-1]
     if factors.ndim != 3 or factors.shape[1] != p:
         # the routines write p^2 doubles per factor through raw pointers
         raise BadDimension(f"expected a stack of square factors, got shape {factors.shape}")
-    # each v[r] is a Fortran-ordered p-by-p block, 8 p^2 bytes past v[r-1]
-    v = np.zeros(factors.shape).transpose(0, 2, 1)
+    if out is None:
+        v = lower_stack(len(factors), p)
+    elif (out.shape != factors.shape or out.dtype != np.float64 or not out.flags.writeable
+          or out.strides != (8 * p * p, 8, 8 * p)):
+        raise BadDimension(
+            f"out must be a writeable float64 stack of shape {factors.shape} of Fortran-ordered "
+            f"blocks, got {out.dtype} of shape {out.shape} and strides {out.strides}"
+        )
+    else:
+        v = out
     work = np.empty((p, p), order="F")
     dtrtri, dsyrk, integer = _ROUTINES
     n, ld = ctypes.byref(integer(p)), ctypes.byref(integer(max(p, 1)))

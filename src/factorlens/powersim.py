@@ -39,7 +39,14 @@ from .errors import BadDimension, DomainError, MissingCalibration, NotPositiveDe
 from .linalg import cholesky, invert_spd
 from .randmat import SeedSpec, check_seed, substreams
 from .report import REQUEST_CALIBRATED, REQUEST_CLOSED_FORM, TESTS, Criticals
-from .teststats import CHUNK_BYTES, FactorModelSpec, FactorStats, kernel_doubles, residual_factors
+from .teststats import (
+    CHUNK_BYTES,
+    FactorModelSpec,
+    FactorStats,
+    KernelWorkspace,
+    kernel_doubles,
+    residual_factors,
+)
 # unused here; bound only because perfbench/spans.py traces these names in this module
 from .teststats import compute_all, precision_stats_from_data
 
@@ -228,12 +235,13 @@ def run_power_study(cfg: ScenarioConfig, grid, criticals: Criticals) -> PowerCur
     counts = {test: np.zeros(len(grid)) for test in TESTS}
     # s4 runs the kernel grid point by grid point, each on its own datasets
     chunk, group = _chunk_size(cfg.p, cfg.K, cfg.T, 1 if s4 else len(grid))
+    work = KernelWorkspace()
     for start in range(0, cfg.reps, chunk):
         stop = min(start + chunk, cfg.reps)
         for first, factors in _grid_factors(cfg, grid, corr_factors, start, stop, group):
             # rows are grid-major: one row of stop - start replicates per grid point
             try:  # the kernel checks V on first read, so the clause covers the readers
-                kernel = FactorStats(factors, model.t_eff, cfg.K)
+                kernel = FactorStats(factors, model.t_eff, cfg.K, work)
                 for test, law in criticals.laws.items():
                     rejected = law.read(kernel).reshape(-1, stop - start) > criticals.values[test]
                     counts[test][first : first + len(rejected)] += rejected.sum(axis=1)

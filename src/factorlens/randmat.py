@@ -25,7 +25,8 @@ _UINT64_BOUND = 2**64
 
 def check_seed(name: str, seed) -> int:
     """seed as an int: numpy seeds, and indexes substreams, by integers 0 <= seed < 2**64 only."""
-    if not hasattr(seed, "__index__") or not 0 <= seed < _UINT64_BOUND:  # a float has none
+    # a float has no __index__; a bool has one, but is no seed
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or not 0 <= seed < _UINT64_BOUND:
         raise BadDimension(f"{name} must fit in an unsigned 64-bit integer, got {seed}")
     return int(seed)
 

@@ -39,6 +39,7 @@ from .special import chi2_cdf, f_cdf
 from .teststats import (
     FactorModelSpec,
     FactorStats,
+    KernelWorkspace,
     TestStatistics,
     compute_all,
     default_chunk,
@@ -403,6 +404,7 @@ def batch_subset_test(
     panel_scatter = scatter(Y)
     pvals = {test: np.empty(num_subsets) for test in TESTS}
     chunk = default_chunk(K + subset_size)
+    work = KernelWorkspace()
     for start in range(0, num_subsets, chunk):
         stop = min(start + chunk, num_subsets)
         subsets = np.array([
@@ -412,7 +414,7 @@ def batch_subset_test(
         rows = np.hstack([np.broadcast_to(np.arange(K), (stop - start, K)), K + subsets])
         try:  # the kernel checks V on first read, so the clause covers _decide
             factors = stacked_cholesky(panel_scatter[rows[:, :, None], rows[:, None, :]])[:, K:, K:]
-            kernel = FactorStats(factors, sub_model.t_eff, K)
+            kernel = FactorStats(factors, sub_model.t_eff, K, work)
             decided = _decide(criticals, kernel)
         except NotPositiveDefinite as exc:
             i = start + exc.index

@@ -16,8 +16,11 @@ whose trailing block factors E. residual_factors does this for test and the powe
 applies the same factorization to subset blocks of the panel's stacked
 scatter. FactorStats is the only statistics object:
 precision_stats_from_data returns the kernel's statistics of one dataset
-(m = 1), and compute_all only reads its row 0. Dimensions have one rule,
-FactorModelSpec's: p >= 2, K >= 0 and p + K < T_eff. The kernel itself
+(m = 1), and compute_all only reads its row 0. Each engine run keeps one
+KernelWorkspace, so its chunks write V and the pair arrays into the same
+memory; the one-dataset paths take none, so a kernel they return owns its
+arrays. Dimensions have one rule, FactorModelSpec's: p >= 2, K >= 0 and
+p + K < T_eff. The kernel itself
 needs p >= 2, K >= 0 and dof_n >= 1, which every statistic is defined on.
 Argmax locations are 1-based, to match the usual (i, j) labelling of
 matrix entries: pair (i, j), 1 <= j < i <= p, is entry (i-1)(i-2)/2 + j-1
@@ -32,7 +35,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import BadDimension, NotPositiveDefinite
-from .linalg import cholesky, inverse_lower, invert_spd, mirror_lower, scatter, stacked_cholesky
+from .linalg import (
+    cholesky,
+    inverse_lower,
+    invert_spd,
+    lower_stack,
+    mirror_lower,
+    scatter,
+    stacked_cholesky,
+)
 
 
 def denominator_dof(t_eff: int, K: int, p: int) -> int:
@@ -52,21 +63,27 @@ def _pair_layout(p: int):
     return rows, cols, flat
 
 
-def _pair_g2(v: np.ndarray, diag_v: np.ndarray) -> np.ndarray:
+def _pair_g2(v: np.ndarray, diag_v: np.ndarray, out=None) -> np.ndarray:
     """Squared partial correlations g^2 = v_ij^2 / (v_ii v_jj), pairs in tril order.
 
     The pairs are gathered by one flat take from the storage of v's
     transpose, which for the kernel's v_lower (Fortran-ordered per factor)
     is C-ordered, so the reshape is a view; any other layout is copied.
+    out, if given, is three C-ordered arrays of the result's shape, written
+    in place of new ones: g^2 (returned), the denominator and a gather.
     """
     p = v.shape[-1]
     rows, cols, flat = _pair_layout(p)
+    g2, den, gather = (None, None, None) if out is None else out
     # takes, not fancy indexing, so that every operand is C-ordered; in place
-    # on the gathered copies: the same operations, fewer temporaries
-    g2 = np.take(np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (p * p,)), flat, axis=-1)
+    # on the gathered copies: the same operations, fewer temporaries. The
+    # indices are in range, and mode "clip" writes out directly, where mode
+    # "raise" would gather into a buffer first
+    g2 = np.take(np.swapaxes(v, -1, -2).reshape(v.shape[:-2] + (p * p,)), flat, axis=-1,
+                 out=g2, mode="clip")
     g2 *= g2
-    den = np.take(diag_v, rows, axis=-1)
-    den *= np.take(diag_v, cols, axis=-1)
+    den = np.take(diag_v, rows, axis=-1, out=den, mode="clip")
+    den *= np.take(diag_v, cols, axis=-1, out=gather, mode="clip")
     g2 /= den
     return g2
 
@@ -125,6 +142,33 @@ def default_chunk(p: int, budget: int = CHUNK_BYTES) -> int:
     return max(1, min(4096, budget // (8 * kernel_doubles(p))))
 
 
+class KernelWorkspace:
+    """The kernel's large work arrays, kept by an engine across its chunks.
+
+    An engine builds one per run and hands it to every chunk's FactorStats,
+    which writes V (a lower_stack) and its three pair arrays into the
+    workspace's first len(L) rows instead of allocating them. Arrays this
+    large go back to the system when freed, so fresh ones would fault in new
+    pages in every chunk. The first kernel allocates the arrays, for its
+    stack, which in every engine is the largest; so a one-chunk run
+    allocates what the kernel alone would, once its factors exist, and does
+    not hold them through its draws. A larger stack or another p replaces
+    them. What a kernel leaves in its workspace, v_lower and the squared
+    pair correlations, holds only until the next kernel over it; the
+    statistics read from it are new arrays.
+    """
+
+    def __init__(self) -> None:
+        self._v = self._pairs = None
+
+    def rows(self, m: int, p: int) -> tuple:
+        """(V, g^2, denominator, gather): the first m rows of the arrays for factors of side p."""
+        if self._v is None or len(self._v) < m or self._v.shape[-1] != p:
+            self._v = lower_stack(m, p)
+            self._pairs = np.empty((3, m, p * (p - 1) // 2))
+        return (self._v[:m], *self._pairs[:, :m])
+
+
 class FactorStats:
     """The statistics kernel: m datasets, from lower factors L[m, p, p] of residual scatters.
 
@@ -137,10 +181,13 @@ class FactorStats:
     NotPositiveDefinite naming the first replicate whose V is unusable;
     ln T_LR* and T_LR read no V. Both refusals carry that replicate's index
     in the stack, which each engine maps to its own run. Pairs are ordered
-    (2,1), (3,1), (3,2), ... on the last axis.
+    (2,1), (3,1), (3,2), ... on the last axis. Given a KernelWorkspace, V
+    and the pair arrays go into its first len(L) rows; without one, the
+    kernel owns all its arrays.
     """
 
-    def __init__(self, L: np.ndarray, t_eff: int, K: int) -> None:
+    def __init__(self, L: np.ndarray, t_eff: int, K: int,
+                 work: KernelWorkspace | None = None) -> None:
         if L.ndim != 3 or L.shape[1] != L.shape[2]:
             raise BadDimension(f"expected a stack of square factors, got shape {L.shape}")
         self.p = L.shape[-1]
@@ -165,11 +212,12 @@ class FactorStats:
         self.diag_e = np.einsum("rij,rij->ri", L, L)
         self.ln_det_e = 2.0 * np.log(diag).sum(axis=1)
         self.ln_t_lr_star = _ln_lr_star_formula(self.diag_e, self.ln_det_e, t_eff)
+        self._rows = None if work is None else work.rows(len(L), self.p)
 
     @cached_property
     def v_lower(self) -> np.ndarray:
         """V's lower triangle, diagonal included; the strict upper triangle is zero."""
-        return inverse_lower(self.L)
+        return inverse_lower(self.L, out=None if self._rows is None else self._rows[0])
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -192,7 +240,7 @@ class FactorStats:
     # step two
     @cached_property
     def _g2(self) -> np.ndarray:
-        return _pair_g2(self.v_lower, self.diag_v)
+        return _pair_g2(self.v_lower, self.diag_v, None if self._rows is None else self._rows[1:])
 
     @cached_property
     def t_ij(self) -> np.ndarray:

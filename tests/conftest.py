@@ -46,14 +46,32 @@ def halve_v_of(monkeypatch, row: int) -> None:
     """
     inverse_lower, seen = teststats.inverse_lower, [0]
 
-    def halved(L):
-        v = inverse_lower(L)
+    def halved(L, out=None):
+        v = inverse_lower(L, out=out)
         if 0 <= row - seen[0] < len(L):
             v[row - seen[0]] *= 0.5
         seen[0] += len(L)
         return v
 
     monkeypatch.setattr(teststats, "inverse_lower", halved)
+
+
+def record_v_addresses(monkeypatch) -> list:
+    """The data address of every V the kernel writes in this process, in order, as it is written.
+
+    Each V is kept alive, so that a V allocated afresh cannot take the
+    address of one freed before it.
+    """
+    inverse_lower, addresses, kept = teststats.inverse_lower, [], []
+
+    def recording(L, out=None):
+        v = inverse_lower(L, out=out)
+        addresses.append(v.ctypes.data)
+        kept.append(v)
+        return v
+
+    monkeypatch.setattr(teststats, "inverse_lower", recording)
+    return addresses
 
 
 def count_forks(monkeypatch, processes=3):

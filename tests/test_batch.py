@@ -14,7 +14,7 @@ from factorlens.cli import main
 from factorlens.errors import NotPositiveDefinite, Singular
 from factorlens.panel import ReturnsPanel
 from factorlens.report import TESTS
-from conftest import halve_v_of
+from conftest import halve_v_of, record_v_addresses
 
 
 def _panel(p, K, T, demean, seed=11, duplicate=None) -> ReturnsPanel:
@@ -186,6 +186,17 @@ def test_batch_singular_names_the_subset_and_its_assets(tmp_path, capsys):
         batch_subset_test(panel, 3, 40, critical_source="closed-form", subset_seed=1)
     assert exc.value.index == first
     assert f"(assets {names})" in str(exc.value)
+
+
+def test_batch_in_chunks_of_4_equals_one_chunk_through_one_workspace(monkeypatch):
+    # 10 = 4 + 4 + 2 subsets: the last chunk uses the workspace's first rows
+    panel = _panel(8, 1, 60, True)
+    whole = batch_subset_test(panel, 3, 10, critical_source="closed-form", subset_seed=5)
+    monkeypatch.setattr(report, "default_chunk", lambda p: 4)
+    addresses = record_v_addresses(monkeypatch)
+    chunked = batch_subset_test(panel, 3, 10, critical_source="closed-form", subset_seed=5)
+    assert len(addresses) == 3 and len(set(addresses)) == 1
+    assert chunked.quantiles == whole.quantiles
 
 
 def test_batch_chunks_bound_memory():

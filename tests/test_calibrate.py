@@ -44,7 +44,15 @@ from factorlens.errors import (
 )
 from factorlens.randmat import bartlett_factor
 from factorlens.teststats import FactorStats, compute_all, kernel_doubles
-from conftest import count_forks, force_chunk, halve_v_of, ks_statistic, null_kernel, plain_bartlett
+from conftest import (
+    count_forks,
+    force_chunk,
+    halve_v_of,
+    ks_statistic,
+    null_kernel,
+    plain_bartlett,
+    record_v_addresses,
+)
 
 P, T, K = 6, 40, 2
 REPS = 2000
@@ -97,6 +105,28 @@ def test_engine_chunk_size_invariance_all_statistics(monkeypatch, p, T, reps):
             assert np.array_equal(out[name], ref[name]), (name, chunk)
 
 
+def test_every_chunk_of_a_serial_run_writes_v_into_one_array(monkeypatch):
+    # one process, chunks of 7, 7, 7, 7 and 2: the workspace is built once per run
+    monkeypatch.delattr(os, "fork")
+    force_chunk(monkeypatch, 7)
+    addresses = record_v_addresses(monkeypatch)
+    simulate_null_statistics(("T_el", "T_pr"), 20, 104, K, reps=30, master_seed=2)
+    assert len(addresses) == 5 and len(set(addresses)) == 1
+
+
+def test_a_p100_run_in_chunks_of_7_equals_the_unchunked_run(monkeypatch):
+    # 45 = 6 * 7 + 3: the short last chunk uses the first rows of the
+    # workspace, over what the chunk before it left there
+    monkeypatch.delattr(os, "fork")
+    names = STATISTICS + MARGINAL_STATISTICS
+    force_chunk(monkeypatch, 45)
+    whole = simulate_null_statistics(names, 100, 518, 1, reps=45, master_seed=4)
+    force_chunk(monkeypatch, 7)
+    chunked = simulate_null_statistics(names, 100, 518, 1, reps=45, master_seed=4)
+    for name in names:
+        assert np.array_equal(chunked[name], whole[name]), name
+
+
 @pytest.mark.parametrize("p, T, reps", [(2, 12, 40), (20, 104, 40), (100, 518, 16)])
 @pytest.mark.parametrize("chunk", [1, 7, None])
 def test_engine_matches_plain_reference_loop(monkeypatch, p, T, reps, chunk):
@@ -108,9 +138,9 @@ def test_engine_matches_plain_reference_loop(monkeypatch, p, T, reps, chunk):
     monkeypatch.delattr(os, "fork")
     seen = []
 
-    def recording_kernel(L, t_eff, K):
+    def recording_kernel(L, t_eff, K, work=None):
         seen.append(L.copy())
-        return FactorStats(L, t_eff, K)
+        return FactorStats(L, t_eff, K, work)
 
     monkeypatch.setattr(cal, "FactorStats", recording_kernel)
     force_chunk(monkeypatch, chunk)
@@ -246,12 +276,12 @@ def test_a_failing_worker_is_named_and_no_process_outlives_the_call(monkeypatch,
 
     parent = os.getpid()
 
-    def failing_in_children(L, t_eff, K):
+    def failing_in_children(L, t_eff, K, work=None):
         if os.getpid() != parent:
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise DomainError(_LONG_MESSAGE if how == "raise long" else "kernel refused")
-        return FactorStats(L, t_eff, K)
+        return FactorStats(L, t_eff, K, work)
 
     count_forks(monkeypatch)
     force_chunk(monkeypatch, 50)
@@ -267,10 +297,10 @@ def test_a_failure_in_this_process_stops_the_workers(monkeypatch):
 
     parent = os.getpid()
 
-    def failing_here(L, t_eff, K):
+    def failing_here(L, t_eff, K, work=None):
         if os.getpid() == parent:
             raise DomainError("kernel refused here")
-        return FactorStats(L, t_eff, K)
+        return FactorStats(L, t_eff, K, work)
 
     forks = count_forks(monkeypatch)
     force_chunk(monkeypatch, 50)
@@ -313,10 +343,10 @@ def test_the_pin_is_held_across_every_fork_and_wait(monkeypatch, tmp_path, fails
         note("wait")
         return waitpid(pid, options)
 
-    def kernel(L, t_eff, K):
+    def kernel(L, t_eff, K, work=None):
         if fails == ("here" if os.getpid() == parent else "child"):
             raise DomainError("kernel refused")
-        return FactorStats(L, t_eff, K)
+        return FactorStats(L, t_eff, K, work)
 
     monkeypatch.setattr(linalg, "BLAS_PIN", linalg._ThreadPin(set_threads))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -359,10 +389,10 @@ def test_replicates_split_evenly_and_run_in_chunks(monkeypatch, reps, forked, ch
             ranges.append((start, stop))
             super().__init__(work, start, stop, out)
 
-    def kernel(L, t_eff, K):
+    def kernel(L, t_eff, K, work=None):
         if os.getpid() == parent:
             chunks.append(len(L))
-        return FactorStats(L, t_eff, K)
+        return FactorStats(L, t_eff, K, work)
 
     forks = count_forks(monkeypatch, processes=2)
     monkeypatch.setattr(cal, "_Worker", RecordingWorker)
@@ -438,12 +468,12 @@ os.sched_getaffinity = lambda pid: {0, 1}
 kernel, parent = cal.FactorStats, os.getpid()
 cal.default_chunk = lambda p, budget=None: 50  # chunks and fork shares of 50 replicates
 
-def slow_in_the_worker(L, t_eff, K):
+def slow_in_the_worker(L, t_eff, K, work=None):
     if os.getpid() != parent:
         with open(sys.argv[1], "w") as fh:
             fh.write(str(os.getpid()))
         time.sleep(60)
-    return kernel(L, t_eff, K)
+    return kernel(L, t_eff, K, work)
 
 cal.FactorStats = slow_in_the_worker
 cal.simulate_null_statistics(("T_el",), 6, 40, 2, reps=100, master_seed=1)
@@ -844,8 +874,9 @@ def _table_fields(**edits):
 
 
 # tables no calibration can give: an alpha outside (0, 1), dimensions with
-# p + K >= T_eff, a master seed numpy cannot take, and a stored critical value
-# 1e-9 relative off its sample's quantile
+# p + K >= T_eff, a field of the wrong type (refused as given, never rounded
+# or cast), a master seed numpy cannot take, and a stored critical value 1e-9
+# relative off its sample's quantile
 BAD_TABLES = [
     pytest.param(dict(alphas=(1.5, 0.05)), DomainError, "T_el alphas must lie in (0, 1)",
                  id="alpha-1.5"),
@@ -855,6 +886,19 @@ BAD_TABLES = [
                  id="p-1-T-2"),
     pytest.param(dict(p=6, T=9, K=2, demeaned=True), BadDimension,
                  "need p >= 2, K >= 0, p + K < T_eff", id="p-plus-K-equals-T_eff"),
+    pytest.param(dict(p=10.7), DomainError, "T_el p must be an integer, got 10.7", id="p-10.7"),
+    pytest.param(dict(T=104.0), DomainError, "T_el T must be an integer, got 104.0", id="T-float"),
+    pytest.param(dict(K=True), DomainError, "T_el K must be an integer, got True", id="K-bool"),
+    pytest.param(dict(reps="1000"), DomainError, "T_el reps must be an integer, got '1000'",
+                 id="reps-string"),
+    pytest.param(dict(demeaned="no"), DomainError, "T_el demeaned must be true or false, got 'no'",
+                 id="demeaned-string"),
+    pytest.param(dict(demeaned=0), DomainError, "T_el demeaned must be true or false, got 0",
+                 id="demeaned-0"),
+    pytest.param(dict(master_seed=1.9), BadDimension,
+                 "master_seed must fit in an unsigned 64-bit integer, got 1.9", id="seed-1.9"),
+    pytest.param(dict(master_seed=True), BadDimension,
+                 "master_seed must fit in an unsigned 64-bit integer, got True", id="seed-bool"),
     pytest.param(dict(master_seed=-5), BadDimension,
                  "master_seed must fit in an unsigned 64-bit integer, got -5", id="seed-negative"),
     pytest.param(dict(master_seed=2**64), BadDimension,

@@ -144,6 +144,42 @@ def test_inverse_lower_refuses_what_is_not_a_stack_of_square_factors(shape):
         inverse_lower(np.ones(shape))
 
 
+def test_inverse_lower_writes_into_a_given_stack_and_keeps_its_upper_triangles(rng):
+    factors = np.linalg.cholesky(np.stack([rand_spd(rng, 6) for _ in range(3)]))
+    out = linalg.lower_stack(3, 6)
+    out[...] = np.tril(np.full((6, 6), np.nan))  # rewritten, as a reused stack's would be
+    v = inverse_lower(factors, out=out)
+    assert v is out
+    assert np.array_equal(v, inverse_lower(factors))
+    assert not np.triu(v, 1).any()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: linalg.lower_stack(4, 6),  # one block too many
+    lambda: linalg.lower_stack(3, 5),
+    lambda: np.zeros((3, 6, 6)),  # C-ordered blocks
+    lambda: np.zeros((3, 6, 6), order="F"),  # Fortran-ordered blocks, not 8 p^2 bytes apart
+    lambda: linalg.lower_stack(6, 6)[::2],  # blocks 2 * 8 p^2 bytes apart
+    lambda: linalg.lower_stack(3, 6).astype(np.float32, order="K"),
+], ids=["rows", "p", "C-ordered", "Fortran-stack", "strided", "float32"])
+def test_inverse_lower_refuses_an_out_stack_of_the_wrong_layout_before_any_write(rng, make):
+    factors = np.linalg.cholesky(np.stack([rand_spd(rng, 6) for _ in range(3)]))
+    out = make()
+    out[...] = 7.0
+    with pytest.raises(BadDimension, match="^out must be"):
+        inverse_lower(factors, out=out)
+    assert (out == 7.0).all()
+
+
+def test_inverse_lower_refuses_a_read_only_out_stack(rng):
+    factors = np.linalg.cholesky(rand_spd(rng, 4))[None]
+    out = linalg.lower_stack(1, 4)
+    out.flags.writeable = False
+    with pytest.raises(BadDimension, match="^out must be"):
+        inverse_lower(factors, out=out)
+    assert not out.any()
+
+
 @pytest.mark.parametrize("prefix", ["scipy_", ""])
 def test_routines_take_the_ilp64_exports_on_64_bit_integers(prefix):
     # numpy 2.x's bundled OpenBLAS exports scipy_dtrtri_64_ and

@@ -25,7 +25,7 @@ from factorlens.randmat import SeedSpec
 from factorlens.report import TESTS, resolve_criticals
 from factorlens.linalg import stacked_cholesky
 from factorlens.teststats import FactorStats
-from conftest import halve_v_of
+from conftest import halve_v_of, record_v_addresses
 
 GRID = (-0.5, 0.0, 0.3, 0.5)
 KTILDE_GRID = (0, 1, 3)
@@ -128,6 +128,20 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch, chunk, group):
             chunked = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
         for test in TESTS:
             assert np.array_equal(whole.rates[test], chunked.rates[test]), (scenario, test)
+
+
+@pytest.mark.parametrize("scenario, runs", [("s1", 4 * 2), ("s4", 4 * 3)])
+def test_every_kernel_run_of_a_study_writes_v_into_one_array(monkeypatch, scenario, runs):
+    # chunks of 7, 7, 7 and 2 replicates; s1 runs its 4 grid points in groups
+    # of 3 and 1, s4 one point at a time: every kernel run shares one workspace
+    cfg = ScenarioConfig(scenario, p=5, K=1, T=30, reps=23, master_seed=8, alpha=0.1)
+    whole = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
+    monkeypatch.setattr(powersim, "_chunk_size", lambda p, K, T, points: (7, min(points, 3)))
+    addresses = record_v_addresses(monkeypatch)
+    chunked = run_power_study(cfg, _grid(scenario), _closed_form(cfg))
+    assert len(addresses) == runs and len(set(addresses)) == 1
+    for test in TESTS:
+        assert np.array_equal(whole.rates[test], chunked.rates[test]), test
 
 
 @pytest.mark.parametrize(

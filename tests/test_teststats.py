@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,9 +22,9 @@ from factorlens.errors import BadDimension, FactorLensError, NotPositiveDefinite
 from factorlens.asymptotics import tlr_standardize
 from factorlens.calibrate import MARGINAL_STATISTICS, READERS, STATISTICS, simulate_null_statistics
 from factorlens.randmat import bartlett_factor
-from factorlens import linalg
+from factorlens import linalg, teststats
 from factorlens.linalg import stacked_cholesky
-from factorlens.teststats import residual_factors
+from factorlens.teststats import KernelWorkspace, residual_factors
 from conftest import ks_asymptotic_pvalue, ks_statistic, null_kernel, rand_spd
 
 # V11 = [[2,1],[1,2]] with dof_n = 11 (T=12, K=0) is the worked 2x2 case
@@ -529,7 +530,7 @@ def test_every_caller_reading_v_meets_the_kernels_own_check(monkeypatch):
     from factorlens.report import batch_subset_test, resolve_criticals
 
     inverse_lower = teststats.inverse_lower
-    monkeypatch.setattr(teststats, "inverse_lower", lambda L: 0.5 * inverse_lower(L))
+    monkeypatch.setattr(teststats, "inverse_lower", lambda L, out=None: 0.5 * inverse_lower(L, out=out))
     rng = np.random.default_rng(3)
     X, F = rng.standard_normal((4, 30)), rng.standard_normal((1, 30))
     panel = ReturnsPanel(
@@ -650,3 +651,57 @@ def test_null_samples_at_p100_equal_the_reference_path_bitwise():
     }
     for name in statistics:
         assert np.array_equal(samples[name], expected[name]), name
+
+
+def _kernel_arrays(kernel):
+    return kernel.v_lower, kernel._g2, kernel.diag_v, kernel.t_ij, kernel.t_j, kernel.t_el
+
+
+@pytest.mark.parametrize("stacks", [
+    [(5, 7), (3, 7)],  # the second stack in the first rows, over what the first left
+    [(3, 7), (4, 7)],  # a larger stack replaces the arrays
+    [(3, 7), (3, 6)],  # so does another p
+])
+def test_a_kernel_over_a_workspace_equals_one_over_its_own_arrays(rng, stacks):
+    work, kernels = KernelWorkspace(), []
+    for m, p in stacks:
+        L = np.linalg.cholesky(np.stack([rand_spd(rng, p) for _ in range(m)]))
+        kernels.append(FactorStats(L, 30, 1, work))
+        for a, b in zip(_kernel_arrays(kernels[-1]), _kernel_arrays(FactorStats(L, 30, 1))):
+            assert np.array_equal(a, b)
+    (m, p), (n, q) = stacks
+    assert np.shares_memory(kernels[0].v_lower, kernels[1].v_lower) == (n <= m and q == p)
+    assert np.shares_memory(kernels[0]._g2, kernels[1]._g2) == (n <= m and q == p)
+
+
+def test_a_kernel_over_a_workspace_allocates_no_array_of_pairs():
+    # calibrate-p100's chunk: a pair array is 13 * 4950 doubles, 515 KB. np.take
+    # in mode "raise" would gather into a buffer of that size before writing out
+    p, m = 100, 13
+    L = np.stack([bartlett_factor(p, 517, SeedSpec(6, r).generator()) for r in range(m)])
+    kernel = FactorStats(L, 518, 1, KernelWorkspace())
+    kernel.diag_v
+    teststats._pair_layout(p)  # cached index arrays, built before the count
+    tracemalloc.start()
+    try:
+        kernel.t_el
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * 4950 // 4
+
+
+def test_one_dataset_kernels_share_no_memory_with_an_engine_workspace(rng):
+    # the kernels a caller gets back own their arrays, whatever workspace an
+    # engine keeps at the same p
+    p = 4
+    X, F = rng.standard_normal((p, 30)), rng.standard_normal((1, 30))
+    work = KernelWorkspace()
+    engine = FactorStats(residual_factors(np.vstack([F, X])[None], 1), 30, 1, work)
+    engine.t_ij
+    kernels = (precision_stats_from_data(X, F), stats_from_precision(engine.v[0], 30, 1))
+    for kernel in kernels:
+        for a in _kernel_arrays(kernel):
+            for w in work.rows(1, p):  # the engine's own arrays, as it filled them
+                assert not np.shares_memory(a, w)
+    assert np.shares_memory(engine.v_lower, work.rows(1, p)[0])
